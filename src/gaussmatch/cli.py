@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -46,7 +47,16 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reports usage problems as exceptions."""
+    """ArgumentParser that reports usage problems as exceptions.
+
+    An argument that starts with '-' and a digit, such as the vector
+    '-1,2' or the means '-0.5;mean', is a value, not an option.  Stock
+    argparse reads only plain negative numbers that way.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise _UsageError(message)

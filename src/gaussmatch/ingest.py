@@ -10,7 +10,7 @@ the package contract, not an implementation detail.
 
 from __future__ import annotations
 
-import io
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,33 +25,64 @@ from .linalg import eigenvalue_floor, sym_eigen, symmetrize
 
 
 def read_points_csv(source) -> np.ndarray:
-    """Read an (n, dim) point set from CSV text.
+    """Read an (n, dim) point set from UTF-8 CSV text.
 
     ``source`` may be a path or an open text/binary stream.  One row per
-    point, comma-separated coordinates.  Blank lines and lines starting
-    with '#' are skipped; an optional header line is detected by a
-    non-numeric first field.  Raises ParseError (with the 1-based line
-    number) on malformed rows and InsufficientDataError for fewer than two
-    points.
+    point, comma-separated coordinates in any spelling Python's ``float``
+    accepts.  Blank lines and lines starting with '#' are skipped; the
+    first remaining row is a header, and is dropped, when none of its
+    fields is a number.  Raises ParseError (with the 1-based line number)
+    on text that is not UTF-8, on malformed rows and on values that are
+    not finite, and InsufficientDataError for fewer than two points.
     """
+    text = _read_text(source)
+    points = _decode_bulk(text)
+    if points is None:
+        points = _decode_lines(text)
+    return as_point_set(points)
+
+
+def _decode_bulk(text: str):
+    """Decode all rows in numpy's C reader; None leaves the verdict to ``_decode_lines``.
+
+    Both decoders strip the same whitespace and read a field with the same
+    string-to-double routine, so what this accepts, the line loop accepts
+    with the same bits.  Inputs it refuses (underscores or non-ASCII digits
+    in numbers, bad rows, values that are not finite) fall through to the
+    line loop, which decides them and names the line of an error.
+    """
+    rows = [line for raw in text.split("\n") if (line := raw.strip()) and not line.startswith("#")]
+    if rows and _is_header(rows[0]):
+        del rows[0]
+    if len(rows) < 2:
+        return None
+    try:
+        points = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    return points if np.isfinite(points).all() else None
+
+
+def _decode_lines(text: str) -> np.ndarray:
+    """Decode line by line: the reference for what is accepted, and the error path."""
     rows: list[list[float]] = []
     width = None
     first_content = True
-    for line_no, raw in enumerate(_iter_lines(source), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in line.split(",")]
         if first_content:
             first_content = False
-            try:
-                float(fields[0])
-            except ValueError:
-                continue  # header line
+            if _is_header(line):
+                continue
+        fields = [f.strip() for f in line.split(",")]
         try:
             values = [float(f) for f in fields]
         except ValueError as exc:
             raise ParseError(f"could not parse row: {exc}", line=line_no) from None
+        if not all(map(math.isfinite, values)):
+            raise ParseError("row has a value that is not finite", line=line_no)
         if width is None:
             width = len(values)
         elif len(values) != width:
@@ -61,7 +92,18 @@ def read_points_csv(source) -> np.ndarray:
         rows.append(values)
     if len(rows) < 2:
         raise InsufficientDataError(f"need at least 2 points, got {len(rows)}")
-    return as_point_set(np.asarray(rows, dtype=float))
+    return np.asarray(rows, dtype=float)
+
+
+def _is_header(line: str) -> bool:
+    """A header row is one in which no field parses as a number."""
+    for field in line.split(","):
+        try:
+            float(field)
+        except ValueError:
+            continue
+        return False
+    return True
 
 
 def write_points_csv(points, destination) -> None:
@@ -71,7 +113,7 @@ def write_points_csv(points, destination) -> None:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
         raise InvalidInputError(f"expected an (n, dim) array, got shape {pts.shape}")
-    lines = [",".join(repr(float(v)) for v in row) for row in pts]
+    lines = [",".join(map(repr, row)) for row in pts.tolist()]
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
@@ -80,14 +122,42 @@ def write_points_csv(points, destination) -> None:
             handle.write(text)
 
 
-def _iter_lines(source):
+def _read_text(source) -> str:
+    """The whole text of a path or stream.
+
+    A path is read like a file opened in text mode, with CRLF and CR line
+    ends turned into LF; a stream's text is taken as it is.  Bytes that are
+    not UTF-8 raise ParseError with the line they are on.
+    """
     if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    with open(os.fspath(source), "r", encoding="utf-8") as handle:
-        return io.StringIO(handle.read())
+        try:
+            data = source.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"text is not UTF-8: {exc.reason}") from None
+        if isinstance(data, str):
+            return data
+        universal = False
+    else:
+        with open(os.fspath(source), "rb") as handle:
+            data = handle.read()
+        universal = True
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        if universal:
+            head = _universal_newlines(head)
+        raise ParseError(
+            f"text is not UTF-8 (byte 0x{data[exc.start]:02x}: {exc.reason})",
+            line=head.count("\n") + 1,
+        ) from None
+    return _universal_newlines(text) if universal else text
+
+
+def _universal_newlines(text: str) -> str:
+    if "\r" not in text:
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # --- PPM images -------------------------------------------------------------

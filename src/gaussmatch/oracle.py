@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InvalidInputError, OracleConvergenceError, SingularMatrixError
 from .families import FAMILY_ORDER, Family, FamilySpec, FitResult, fit
@@ -165,6 +164,10 @@ def _initial_point(spec: FamilySpec, moments, n: int):
 
 def _minimize_details(points, spec: FamilySpec, config: OracleConfig):
     """Run the restart schedule; return (best_x, best_fun, per-restart stats)."""
+    # Imported here, not at module level: scipy.optimize costs more to load
+    # than the whole of numpy, and only the oracle needs it.
+    from scipy.optimize import minimize
+
     pts = as_point_set(points)
     n = pts.shape[1]
     if n > MAX_ORACLE_DIM:

@@ -65,6 +65,24 @@ class TestSynth:
         assert "error" in capsys.readouterr().err
 
 
+    def test_negative_vector_values(self, tmp_path, capsys):
+        out = tmp_path / "neg.csv"
+        assert run(["synth", "--mean", "-1,2", "--cov", "1,-0.3;-0.3,0.6", "--count", "400",
+                    "--seed", "3", "--output", str(out)]) == 0
+        equals = tmp_path / "eq.csv"
+        assert run(["synth", "--mean=-1,2", "--cov=1,-0.3;-0.3,0.6", "--count", "400",
+                    "--seed", "3", "--output", str(equals)]) == 0
+        assert out.read_bytes() == equals.read_bytes()
+        model = tmp_path / "m.json"
+        assert run(["fit", "--input", str(out), "--family", "fixed-mean", "--mean", "-.5,-1",
+                    "--output", str(model)]) == 0
+        assert json.loads(model.read_text())["fixed_mean"] == [-0.5, -1.0]
+        capsys.readouterr()
+        assert run(["report", "--input", str(out), "--means", "-0.5;mean", "--format", "csv"]) == 0
+        labels = [row[1] for row in csv.reader(io.StringIO(capsys.readouterr().out))]
+        assert labels.count("-0.5") == 3
+
+
 class TestFitScore:
     def test_fixed_mean_pipeline(self, sample_csv, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -285,7 +303,52 @@ class TestScatterSvg:
             scatter_svg(np.empty((0, 2)))
 
 
+class TestBadCsvInput:
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"\xff\xfe1,2\n3,4\n5,6\n", 1),
+            (b"1,2\n3,4\n5,\xe96\n", 3),
+            (b"1x,2\n3,4\n5,7\n", 1),
+            (b"1,2\nnan,4\n5,7\n", 2),
+            (b"x,y\n1,2\n3,inf\n", 3),
+        ],
+    )
+    def test_exit_2_naming_the_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        result = subprocess.run(
+            [sys.executable, "-m", "gaussmatch.cli", "report", "--input", str(path)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: line {line}: ")
+        assert "Traceback" not in result.stderr
+
+
 class TestEntryPoint:
+    def test_only_verify_loads_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import gaussmatch.cli as cli\n"
+            "assert 'scipy' not in sys.modules, 'import'\n"
+            "assert cli.run(['synth', '--mean', '0,0', '--cov', '1,0;0,1', '--count', '50',\n"
+            "                '--output', sys.argv[1]]) == 0\n"
+            "for family in ('full', 'fixed-mean'):\n"
+            "    extra = ['--mean', '1,1'] if family == 'fixed-mean' else []\n"
+            "    assert cli.run(['fit', '--input', sys.argv[1], '--family', family,\n"
+            "                    '--output', sys.argv[2]] + extra) == 0\n"
+            "assert 'scipy' not in sys.modules, 'fit'\n"
+            "assert cli.run(['verify', '--dims', '2', '--trials', '1']) == 0\n"
+            "assert 'scipy.optimize' in sys.modules, 'verify'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "p.csv"), str(tmp_path / "m.json")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "verification passed" in result.stdout
+
     def test_console_script_help(self):
         result = subprocess.run(
             [sys.executable, "-m", "gaussmatch.cli", "--help"],

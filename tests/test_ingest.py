@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gaussmatch import (
+    GaussMatchError,
     InsufficientDataError,
     InvalidInputError,
     ParseError,
@@ -23,6 +24,7 @@ from gaussmatch import (
     write_points_csv,
     write_ppm,
 )
+from gaussmatch.ingest import _decode_bulk, _decode_lines
 
 
 class TestReadPointsCsv:
@@ -59,6 +61,119 @@ class TestReadPointsCsv:
         np.testing.assert_array_equal(read_points_csv(path), [[5.0, 6.0], [7.0, 8.0]])
         with open(path, "rb") as handle:
             np.testing.assert_array_equal(read_points_csv(handle), [[5.0, 6.0], [7.0, 8.0]])
+
+    def test_header_needs_every_field_non_numeric(self):
+        pts = read_points_csv(io.StringIO("x,y\n1,2\n3,4\n"))
+        np.testing.assert_array_equal(pts, [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ParseError) as info:
+            read_points_csv(io.StringIO("1x,2\n3,4\n5,7\n"))
+        assert info.value.line == 1
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_reports_line(self, token):
+        with pytest.raises(ParseError) as info:
+            read_points_csv(io.StringIO(f"# c\n1,2\n{token},4\n5,7\n"))
+        assert info.value.line == 3
+
+    def test_non_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe1,2\n3,4\n5,6\n")
+        with pytest.raises(ParseError) as info:
+            read_points_csv(path)
+        assert info.value.line == 1
+        data = b"1,2\r\n3,4\r5,\xe96\n"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            read_points_csv(path)
+        assert info.value.line == 3  # a path's CR ends a line, as in text mode
+        with pytest.raises(ParseError) as info:
+            read_points_csv(io.BytesIO(data))
+        assert info.value.line == 2  # a stream's lines end at LF only
+        with open(path, encoding="utf-8") as handle, pytest.raises(ParseError):
+            read_points_csv(handle)
+
+    def test_python_float_spellings_still_accepted(self):
+        text = "1_000, \u0661\n+.5,-5.\n2E3 ,\xa07\n"
+        np.testing.assert_array_equal(
+            read_points_csv(io.StringIO(text)), [[1000.0, 1.0], [0.5, -5.0], [2000.0, 7.0]]
+        )
+
+
+def _decorate(text, header, spacing, comment_every):
+    """Spread blank lines, comments, spaces and a header through CSV text."""
+    lines = [spacing + line.replace(",", spacing + "," + spacing) for line in text.splitlines()]
+    out = ["# written by write_points_csv", ""]
+    if header:
+        out.append("x" + ",y" * (lines[0].count(",")))
+    for i, line in enumerate(lines):
+        if comment_every and i % comment_every == 0:
+            out += ["", "   # comment", " "]
+        out.append(line)
+    return "\n".join(out) + "\n\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+# Fields and lines near the edges of what either decoder accepts.
+_csv_field = st.one_of(
+    _finite.map(repr),
+    st.sampled_from(
+        ["-0", "+.5", "5.", "1E-3", "1_0", "\u0661", " 2 ", "\xa03", "4\x0c", "", "x",
+         "nan", "inf", "1e999", "0x1", "1 2", "\r", "3#"]
+    ),
+)
+_csv_row = st.lists(_csv_field, min_size=2, max_size=2).map(",".join)
+_csv_line = st.one_of(
+    _csv_row, _csv_row, st.sampled_from(["", " ", "# c", " #c", "\r", "a,b", "1"])
+)
+
+
+class TestBulkDecode:
+    """The bulk decoder agrees bit for bit with the line loop it stands in for."""
+
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda dim: st.lists(
+                st.lists(_finite, min_size=dim, max_size=dim), min_size=2, max_size=12
+            )
+        ),
+        st.booleans(),
+        st.sampled_from(["", " ", "\t", "  "]),
+        st.integers(0, 3),
+    )
+    def test_matches_line_loop(self, rows, header, spacing, comment_every):
+        buffer = io.StringIO()
+        write_points_csv(np.asarray(rows, dtype=float), buffer)
+        text = _decorate(buffer.getvalue(), header, spacing, comment_every)
+        bulk = _decode_bulk(text)
+        assert bulk is not None
+        slow = _decode_lines(text)
+        assert bulk.dtype == slow.dtype == np.float64
+        assert bulk.shape == slow.shape == (len(rows), len(rows[0]))
+        assert bulk.view(np.uint64).tolist() == slow.view(np.uint64).tolist()
+        public = read_points_csv(io.StringIO(text))
+        assert public.view(np.uint64).tolist() == bulk.view(np.uint64).tolist()
+
+    @given(st.lists(_csv_line, max_size=6).map("\n".join))
+    @example("1,2 # trailing comment\n3,4\n5,6\n")
+    @example("1,2\r3,4\n5,6\n7,8\n")
+    @example("1,2\n\n3,\u0664\n5,6\n")
+    def test_accepted_text_decodes_the_same(self, text):
+        bulk = _decode_bulk(text)
+        try:
+            slow = _decode_lines(text)
+        except GaussMatchError:
+            assert bulk is None
+        else:
+            if bulk is not None:
+                assert bulk.view(np.uint64).tolist() == slow.view(np.uint64).tolist()
+
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes_raise_only_package_errors(self, data):
+        try:
+            pts = read_points_csv(io.BytesIO(data))
+        except GaussMatchError:
+            return
+        assert pts.ndim == 2 and pts.shape[0] >= 2 and np.isfinite(pts).all()
 
 
 class TestCsvRoundTrip:

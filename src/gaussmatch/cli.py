@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import re
 import sys
@@ -32,6 +33,7 @@ from .families import (
     Family,
     FamilySpec,
     FitResult,
+    family_report,
     fit,
     whitening_transform,
 )
@@ -278,15 +280,10 @@ def _cmd_report(args) -> int:
     points = read_points_csv(args.input)
     moments = estimate_moments(points)
     labeled = _resolve_mean_tokens(args.means, moments.mean)
-    rows = []
-    for kind in FAMILY_ORDER:
-        if kind in FIXED_MEAN_FAMILIES:
-            for label, vec in labeled:
-                res = fit(moments, FamilySpec(kind, vec))
-                rows.append((kind.value, label, res.match, res.cross_entropy))
-        else:
-            res = fit(moments, FamilySpec(kind))
-            rows.append((kind.value, "-", res.match, res.cross_entropy))
+    # Each fixed-mean family has one row per mean, in the order given.
+    labels = itertools.cycle(label for label, _ in labeled)
+    rows = [(row.family.value, "-" if row.fixed_mean is None else next(labels), row.match,
+             row.cross_entropy) for row in family_report(moments, [vec for _, vec in labeled])]
     text = _render_report(rows, args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

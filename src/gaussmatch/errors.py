@@ -10,14 +10,16 @@ class InvalidInputError(GaussMatchError, ValueError):
 
 
 class SingularMatrixError(GaussMatchError):
-    """A matrix that must be positive definite is singular at working precision.
+    """A matrix that must be positive definite has an eigenvalue at or below the floor.
 
-    Carries the offending smallest eigenvalue when it is known.
+    Carries the offending smallest eigenvalue and the floor it was judged
+    against (``linalg.eigenvalue_floor``) when they are known.
     """
 
-    def __init__(self, message, smallest_eigenvalue=None):
+    def __init__(self, message, smallest_eigenvalue=None, floor=None):
         super().__init__(message)
         self.smallest_eigenvalue = smallest_eigenvalue
+        self.floor = floor
 
 
 class InsufficientDataError(GaussMatchError, ValueError):

@@ -25,8 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError
-from .gaussians import GaussianModel, Moments, mahalanobis_sq, self_cross_entropy
-from .linalg import log_det_spd, spd_power, symmetrize
+from .gaussians import GaussianModel, Moments, self_cross_entropy
+from .linalg import spd_power, symmetrize
 
 
 class Family(str, Enum):
@@ -144,9 +144,8 @@ def fit_fixed_mean(moments: Moments, mean) -> FitResult:
     two forms agree.
     """
     spec = FamilySpec(Family.FIXED_MEAN, mean)
-    _check_fixed_mean_dim(moments, spec)
-    d = spec.fixed_mean - moments.mean
-    q = mahalanobis_sq(d, moments.cov)
+    d = _pinned_offset(moments, spec)
+    q = float(d @ moments.factor.precision @ d)
     cov = symmetrize(moments.cov + np.outer(d, d))
     model = GaussianModel(mean=spec.fixed_mean, cov=cov)
     return _result(moments, spec, model, 0.5 * math.log1p(q))
@@ -160,9 +159,8 @@ def fixed_mean_cov_inverse_form(moments: Moments, mean) -> np.ndarray:
     SingularMatrixError when the deflated matrix is not invertible at
     working precision.
     """
-    m = np.asarray(mean, dtype=float).reshape(-1)
-    d = m - moments.mean
-    q = mahalanobis_sq(d, moments.cov)
+    d = _pinned_offset(moments, FamilySpec(Family.FIXED_MEAN, mean))
+    q = float(d @ moments.factor.precision @ d)
     deflated = symmetrize(moments.cov - np.outer(d, d) / (1.0 + q))
     inverse = spd_power(deflated, -1.0)
     return symmetrize(moments.cov @ inverse @ moments.cov)
@@ -180,7 +178,7 @@ def fit_isotropic(moments: Moments) -> FitResult:
     """
     spec = FamilySpec(Family.ISOTROPIC)
     n = moments.dim
-    log_det = log_det_spd(moments.cov)
+    log_det = moments.factor.log_det
     scale = float(np.trace(moments.cov)) / n
     match = 0.5 * (n * math.log(scale) - log_det)
     model = GaussianModel(mean=moments.mean, cov=scale * np.eye(n))
@@ -196,10 +194,9 @@ def fit_fixed_mean_isotropic(moments: Moments, mean) -> FitResult:
         M = N/2 ln(s) - 1/2 ln det S_Y.
     """
     spec = FamilySpec(Family.FIXED_MEAN_ISOTROPIC, mean)
-    _check_fixed_mean_dim(moments, spec)
+    d = _pinned_offset(moments, spec)
     n = moments.dim
-    log_det = log_det_spd(moments.cov)
-    d = spec.fixed_mean - moments.mean
+    log_det = moments.factor.log_det
     scale = (float(np.trace(moments.cov)) + float(d @ d)) / n
     match = 0.5 * (n * math.log(scale) - log_det)
     model = GaussianModel(mean=spec.fixed_mean, cov=scale * np.eye(n))
@@ -218,7 +215,7 @@ def fit_diagonal(moments: Moments) -> FitResult:
     matrix dominates its determinant.
     """
     spec = FamilySpec(Family.DIAGONAL)
-    log_det = log_det_spd(moments.cov)
+    log_det = moments.factor.log_det
     variances = np.diag(moments.cov).copy()
     match = 0.5 * (float(np.log(variances).sum()) - log_det)
     model = GaussianModel(mean=moments.mean, cov=np.diag(variances))
@@ -234,9 +231,8 @@ def fit_fixed_mean_diagonal(moments: Moments, mean) -> FitResult:
         M = 1/2 sum_i ln s_i - 1/2 ln det S_Y.
     """
     spec = FamilySpec(Family.FIXED_MEAN_DIAGONAL, mean)
-    _check_fixed_mean_dim(moments, spec)
-    log_det = log_det_spd(moments.cov)
-    d = spec.fixed_mean - moments.mean
+    d = _pinned_offset(moments, spec)
+    log_det = moments.factor.log_det
     variances = np.diag(moments.cov) + d * d
     match = 0.5 * (float(np.log(variances).sum()) - log_det)
     model = GaussianModel(mean=spec.fixed_mean, cov=np.diag(variances))
@@ -305,9 +301,11 @@ def family_report(moments: Moments, fixed_means) -> list[ReportRow]:
     return rows
 
 
-def _check_fixed_mean_dim(moments: Moments, spec: FamilySpec) -> None:
+def _pinned_offset(moments: Moments, spec: FamilySpec) -> np.ndarray:
+    """d = m - m_Y for the pinned mean m, checked against the data dimension."""
     if spec.fixed_mean.size != moments.dim:
         raise InvalidInputError(
             f"fixed mean of length {spec.fixed_mean.size} does not match "
             f"data dimension {moments.dim}"
         )
+    return spec.fixed_mean - moments.mean

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, SingularMatrixError
-from .linalg import eigenvalue_floor, sym_eigen, symmetrize
+from .errors import InsufficientDataError, InvalidInputError
+from .linalg import EigenDecomposition, SpdFactor, spd_factor, sym_eigen, symmetrize
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -60,7 +61,10 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Moments:
-    """Mean vector and covariance matrix summarizing a dataset."""
+    """Mean vector and covariance matrix summarizing a dataset.
+
+    S_Y is decomposed once, on construction; every fit shares ``factor``.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -74,18 +78,27 @@ class Moments:
             raise InvalidInputError(
                 f"covariance shape {cov.shape} does not match mean of length {mean.size}"
             )
-        values = np.linalg.eigvalsh(cov)
-        slack = _PSD_SLACK * max(1.0, float(values[-1]))
-        if float(values[0]) < -slack:
+        eig = sym_eigen(cov)
+        slack = _PSD_SLACK * max(1.0, float(eig.values[0]))
+        if float(eig.values[-1]) < -slack:
             raise InvalidInputError(
-                f"covariance must be nonnegative definite (eigenvalue {values[0]:.3e})"
+                f"covariance must be nonnegative definite (eigenvalue {eig.values[-1]:.3e})"
             )
         object.__setattr__(self, "mean", _frozen(mean))
         object.__setattr__(self, "cov", _frozen(cov))
+        object.__setattr__(self, "_eigen", EigenDecomposition(*map(_frozen, eig)))
 
     @property
     def dim(self) -> int:
         return self.mean.size
+
+    @cached_property
+    def factor(self) -> SpdFactor:
+        """Spectrum, ``ln det S_Y`` and ``inv(S_Y)``, computed on first use.
+
+        Raises SingularMatrixError when S_Y is below the eigenvalue floor.
+        """
+        return spd_factor(self.cov, self._eigen, "data covariance")
 
 
 @dataclass(frozen=True)
@@ -126,19 +139,6 @@ def estimate_moments(points) -> Moments:
     return Moments(mean=mean, cov=cov)
 
 
-def _precision_and_log_det(cov: np.ndarray):
-    """Inverse and log-determinant of an SPD matrix from one eigendecomposition."""
-    eig = sym_eigen(cov)
-    smallest = float(eig.values[-1])
-    if smallest <= eigenvalue_floor(cov):
-        raise SingularMatrixError(
-            f"covariance is singular at working precision (smallest eigenvalue {smallest:.3e})",
-            smallest_eigenvalue=smallest,
-        )
-    precision = symmetrize((eig.vectors / eig.values) @ eig.vectors.T)
-    return precision, float(np.log(eig.values).sum())
-
-
 def mahalanobis_sq(vector, cov) -> float:
     """Squared Mahalanobis norm ``v' inv(S) v`` of a vector under covariance S."""
     v = np.asarray(vector, dtype=float).reshape(-1)
@@ -149,7 +149,7 @@ def mahalanobis_sq(vector, cov) -> float:
         raise InvalidInputError(
             f"vector of length {v.size} does not match a {s.shape[0]}x{s.shape[0]} covariance"
         )
-    precision, _ = _precision_and_log_det(s)
+    precision = spd_factor(s, name="covariance").precision
     return float(v @ precision @ v)
 
 
@@ -161,11 +161,11 @@ def cross_entropy(moments: Moments, model: GaussianModel) -> float:
     """
     _check_same_dim(moments, model)
     n = moments.dim
-    precision, log_det = _precision_and_log_det(model.cov)
+    model_factor = spd_factor(model.cov, name="model covariance")
     diff = model.mean - moments.mean
-    maha = float(diff @ precision @ diff)
-    trace_term = float(np.sum(precision * moments.cov))
-    return 0.5 * (n * LOG_TWO_PI + maha + trace_term + log_det)
+    maha = float(diff @ model_factor.precision @ diff)
+    trace_term = float(np.sum(model_factor.precision * moments.cov))
+    return 0.5 * (n * LOG_TWO_PI + maha + trace_term + model_factor.log_det)
 
 
 def self_cross_entropy(moments: Moments) -> float:
@@ -174,15 +174,7 @@ def self_cross_entropy(moments: Moments) -> float:
     Equals the differential entropy N/2 ln(2 pi e) + 1/2 ln det S_Y and is
     the infimum of ``cross_entropy`` over all Gaussian models.
     """
-    eig = sym_eigen(moments.cov)
-    smallest = float(eig.values[-1])
-    if smallest <= eigenvalue_floor(moments.cov):
-        raise SingularMatrixError(
-            f"covariance is singular at working precision (smallest eigenvalue {smallest:.3e})",
-            smallest_eigenvalue=smallest,
-        )
-    n = moments.dim
-    return 0.5 * (n * (LOG_TWO_PI + 1.0) + float(np.log(eig.values).sum()))
+    return 0.5 * (moments.dim * (LOG_TWO_PI + 1.0) + moments.factor.log_det)
 
 
 def match_score(moments: Moments, model: GaussianModel) -> float:
@@ -195,20 +187,11 @@ def match_score(moments: Moments, model: GaussianModel) -> float:
     """
     _check_same_dim(moments, model)
     n = moments.dim
-    precision, model_log_det = _precision_and_log_det(model.cov)
-    data_eig = sym_eigen(moments.cov)
-    data_smallest = float(data_eig.values[-1])
-    if data_smallest <= eigenvalue_floor(moments.cov):
-        raise SingularMatrixError(
-            f"data covariance is singular at working precision "
-            f"(smallest eigenvalue {data_smallest:.3e})",
-            smallest_eigenvalue=data_smallest,
-        )
-    data_log_det = float(np.log(data_eig.values).sum())
+    model_factor = spd_factor(model.cov, name="model covariance")
     diff = model.mean - moments.mean
-    maha = float(diff @ precision @ diff)
-    trace_term = float(np.sum(precision * moments.cov))
-    return 0.5 * (maha + trace_term - (data_log_det - model_log_det) - n)
+    maha = float(diff @ model_factor.precision @ diff)
+    trace_term = float(np.sum(model_factor.precision * moments.cov))
+    return 0.5 * (maha + trace_term - (moments.factor.log_det - model_factor.log_det) - n)
 
 
 def _check_same_dim(moments: Moments, model: GaussianModel) -> None:

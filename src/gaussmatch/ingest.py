@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidInputError, ParseError, SingularMatrixError
+from .errors import InsufficientDataError, InvalidInputError, ParseError
 from .gaussians import as_point_set
-from .linalg import eigenvalue_floor, sym_eigen, symmetrize
+from .linalg import require_positive_definite, sym_eigen, symmetrize
 
 # --- CSV point sets ---------------------------------------------------------
 
@@ -126,8 +126,9 @@ def _read_text(source) -> str:
     """The whole text of a path or stream.
 
     A path is read like a file opened in text mode, with CRLF and CR line
-    ends turned into LF; a stream's text is taken as it is.  Bytes that are
-    not UTF-8 raise ParseError with the line they are on.
+    ends turned into LF; a stream's text is taken as it is.  One leading
+    byte-order mark (U+FEFF), as spreadsheet programs write, is dropped.
+    Bytes that are not UTF-8 raise ParseError with the line they are on.
     """
     if hasattr(source, "read"):
         try:
@@ -135,7 +136,7 @@ def _read_text(source) -> str:
         except UnicodeDecodeError as exc:
             raise ParseError(f"text is not UTF-8: {exc.reason}") from None
         if isinstance(data, str):
-            return data
+            return data.removeprefix("\ufeff")
         universal = False
     else:
         with open(os.fspath(source), "rb") as handle:
@@ -151,6 +152,7 @@ def _read_text(source) -> str:
             f"text is not UTF-8 (byte 0x{data[exc.start]:02x}: {exc.reason})",
             line=head.count("\n") + 1,
         ) from None
+    text = text.removeprefix("\ufeff")
     return _universal_newlines(text) if universal else text
 
 
@@ -377,12 +379,7 @@ def sample_gaussian(mean, cov, count: int, seed: int) -> np.ndarray:
     if count < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {count}")
     eig = sym_eigen(cov)
-    smallest = float(eig.values[-1])
-    if smallest <= eigenvalue_floor(cov):
-        raise SingularMatrixError(
-            f"covariance is singular at working precision (smallest eigenvalue {smallest:.3e})",
-            smallest_eigenvalue=smallest,
-        )
+    require_positive_definite(float(eig.values[-1]), cov, "covariance")
     root = symmetrize((eig.vectors * np.sqrt(eig.values)) @ eig.vectors.T)
     dim = mean.size
     z = standard_normals(count * dim, seed).reshape(count, dim)

@@ -69,21 +69,46 @@ def sym_eigen(matrix) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
+def require_positive_definite(smallest: float, matrix: np.ndarray, name: str = "matrix") -> None:
+    """Raise SingularMatrixError unless ``smallest``, the smallest eigenvalue of
+    ``matrix``, clears its floor.  A NaN never does."""
+    floor = eigenvalue_floor(matrix)
+    if not smallest > floor:
+        raise SingularMatrixError(
+            f"{name} is singular at working precision "
+            f"(smallest eigenvalue {smallest:.3e}, floor {floor:.3e})", smallest, floor
+        )
+
+
+class SpdFactor(NamedTuple):
+    """Spectral factor of a symmetric positive definite matrix S."""
+
+    values: np.ndarray     # eigenvalues, descending, all above the floor
+    vectors: np.ndarray    # orthonormal columns, column i pairs with values[i]
+    log_det: float         # ln det S
+    precision: np.ndarray  # inv(S), symmetrized
+
+
+def spd_factor(matrix, eig: EigenDecomposition | None = None, name: str = "matrix") -> SpdFactor:
+    """Log-determinant and inverse of an SPD matrix from ``eig = sym_eigen(matrix)``.
+
+    Raises SingularMatrixError below the positivity floor."""
+    m = symmetrize(matrix)
+    if eig is None:
+        eig = sym_eigen(m)
+    require_positive_definite(float(eig.values[-1]), m, name)
+    precision = symmetrize((eig.vectors / eig.values) @ eig.vectors.T)
+    precision.flags.writeable = False
+    return SpdFactor(eig.values, eig.vectors, float(np.log(eig.values).sum()), precision)
+
+
 def log_det_spd(matrix) -> float:
     """``ln det M`` for symmetric positive definite ``M``.
 
     Raises SingularMatrixError when the smallest eigenvalue does not clear
     the positivity floor.
     """
-    m = symmetrize(matrix)
-    values = sym_eigen(m).values
-    smallest = float(values[-1])
-    if smallest <= eigenvalue_floor(m):
-        raise SingularMatrixError(
-            f"matrix is singular at working precision (smallest eigenvalue {smallest:.3e})",
-            smallest_eigenvalue=smallest,
-        )
-    return float(np.log(values).sum())
+    return spd_factor(matrix).log_det
 
 
 def spd_power(matrix, exponent: float) -> np.ndarray:
@@ -96,14 +121,8 @@ def spd_power(matrix, exponent: float) -> np.ndarray:
     """
     m = symmetrize(matrix)
     eig = sym_eigen(m)
-    smallest = float(eig.values[-1])
-    if exponent < 0.0 and smallest <= eigenvalue_floor(m):
-        raise SingularMatrixError(
-            f"cannot raise a singular matrix to power {exponent} "
-            f"(smallest eigenvalue {smallest:.3e})",
-            smallest_eigenvalue=smallest,
-        )
     if exponent < 0.0:
+        require_positive_definite(float(eig.values[-1]), m)
         powered = eig.values ** exponent
     else:
         powered = np.clip(eig.values, 0.0, None) ** exponent

@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, OracleConvergenceError, SingularMatrixError
-from .families import FAMILY_ORDER, Family, FamilySpec, FitResult, fit
+from .errors import InvalidInputError, OracleConvergenceError
+from .families import FAMILY_ORDER, FIXED_MEAN_FAMILIES, Family, FamilySpec, FitResult, fit
 from .gaussians import LOG_TWO_PI, GaussianModel, as_point_set, estimate_moments
-from .linalg import EIGENVALUE_FLOOR_SCALE
+from .linalg import eigenvalue_floor, require_positive_definite
 
 # Nelder-Mead is reliable only in modest dimension; a full covariance in
 # dimension 8 already means 44 free parameters.
@@ -54,14 +54,16 @@ class OracleConfig:
 
 
 def _ce_terms(pts: np.ndarray, mean: np.ndarray, cov: np.ndarray):
-    """Empirical cross-entropy value, or None when cov is unusable."""
+    """Empirical cross-entropy of the points and the smallest eigenvalue of cov.
+
+    The eigenvalue is NaN when eigh fails or returns values that are not
+    finite; the cross-entropy is None exactly when it does not clear the floor."""
     try:
         values, vectors = np.linalg.eigh(cov)
     except np.linalg.LinAlgError:
-        return None, None
-    smallest = float(values[0])
-    floor = EIGENVALUE_FLOOR_SCALE * (float(np.trace(cov)) / cov.shape[0])
-    if not np.isfinite(values).all() or smallest <= floor:
+        return None, math.nan
+    smallest = float(values[0]) if np.isfinite(values).all() else math.nan
+    if not smallest > eigenvalue_floor(cov):
         return None, smallest
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z = ((pts - mean) @ vectors) / np.sqrt(values)
@@ -84,11 +86,9 @@ def empirical_cross_entropy(points, model: GaussianModel) -> float:
             f"points of dimension {pts.shape[1]} do not match model dimension {model.dim}"
         )
     value, smallest = _ce_terms(pts, model.mean, model.cov)
-    if value is None or not np.isfinite(value):
-        raise SingularMatrixError(
-            "model covariance is singular at working precision",
-            smallest_eigenvalue=smallest,
-        )
+    require_positive_definite(smallest, model.cov, "model covariance")
+    if not np.isfinite(value):
+        raise InvalidInputError("log-density of the points under the model is not finite")
     return float(value)
 
 
@@ -312,7 +312,7 @@ def verify_families(
         for t, pts in enumerate(datasets):
             spec = (
                 FamilySpec(kind, fixed_means[t])
-                if kind in (Family.FIXED_MEAN, Family.FIXED_MEAN_ISOTROPIC, Family.FIXED_MEAN_DIAGONAL)
+                if kind in FIXED_MEAN_FAMILIES
                 else FamilySpec(kind)
             )
             closed = fit(estimate_moments(pts), spec)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from gaussmatch import estimate_moments, read_points_csv
+from gaussmatch import estimate_moments, family_report, read_points_csv
 from gaussmatch.cli import fit_from_document, fit_to_document, run, scatter_svg
 from gaussmatch.oracle import FamilyCheck
 from gaussmatch.families import Family
@@ -62,8 +62,9 @@ class TestSynth:
              "--seed", "1", "--output", str(tmp_path / "x.csv")]
         )
         assert code == 2
-        assert "error" in capsys.readouterr().err
-
+        err = capsys.readouterr().err
+        assert err.startswith("error: covariance is singular")
+        assert "smallest eigenvalue 0.000e+00, floor 5.000e-11" in err
 
     def test_negative_vector_values(self, tmp_path, capsys):
         out = tmp_path / "neg.csv"
@@ -214,6 +215,21 @@ class TestReport:
         assert value[("full", "-")] <= value[("diagonal", "-")] + 1e-9
         assert value[("diagonal", "-")] <= value[("isotropic", "-")] + 1e-9
 
+    def test_rows_are_family_report_with_labels(self, sample_csv, capsys):
+        assert run(["report", "--input", str(sample_csv), "--means", "0.5;mean;1,-2",
+                    "--format", "csv"]) == 0
+        table = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        moments = estimate_moments(read_points_csv(sample_csv))
+        rows = family_report(moments, [np.full(2, 0.5), moments.mean, np.array([1.0, -2.0])])
+        assert [(r[0], r[2], r[3]) for r in table] == [
+            (row.family.value, repr(row.match), repr(row.cross_entropy)) for row in rows
+        ]
+        assert [(r[0], r[1]) for r in table if r[1] != "-"] == [
+            (family, label)
+            for family in ("fixed-mean", "fixed-mean-isotropic", "fixed-mean-diagonal")
+            for label in ("0.5", "mean", "1,-2")
+        ]
+
     def test_default_means_is_data_mean(self, sample_csv, capsys):
         assert run(["report", "--input", str(sample_csv)]) == 0
         out = capsys.readouterr().out
@@ -312,6 +328,7 @@ class TestBadCsvInput:
             (b"1x,2\n3,4\n5,7\n", 1),
             (b"1,2\nnan,4\n5,7\n", 2),
             (b"x,y\n1,2\n3,inf\n", 3),
+            (b"\xef\xbb\xbfx,y\n1,2\n3,4\n5,x\n", 4),
         ],
     )
     def test_exit_2_naming_the_line(self, tmp_path, data, line):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gaussmatch import (
     FAMILY_ORDER,
+    FIXED_MEAN_FAMILIES,
     Family,
     FamilySpec,
     GaussianModel,
@@ -302,6 +303,42 @@ class TestWhitening:
     def test_rejects_singular_model(self):
         with pytest.raises(SingularMatrixError):
             whitening_transform(GaussianModel(mean=[0.0, 0.0], cov=np.diag([1.0, 0.0])))
+
+
+class TestSharedFactor:
+    """Every fit on one Moments reuses the decomposition of S_Y taken when it was built."""
+
+    @pytest.fixture()
+    def eigh_calls(self, monkeypatch):
+        calls = [0]
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(*args, _solver=solver, **kwargs):
+                calls[0] += 1
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_report_and_fits_call_no_eigensolver(self, eigh_calls):
+        rng = np.random.default_rng(53)
+        built = [random_moments(rng, 5) for _ in range(1 + len(FAMILY_ORDER))]
+        eigh_calls[0] = 0
+        means = [built[0].mean, np.full(5, 0.5), np.zeros(5)]
+        assert len(family_report(built[0], means)) == 12
+        assert eigh_calls[0] == 0
+        for mom, kind in zip(built[1:], FAMILY_ORDER):
+            spec = FamilySpec(kind, np.zeros(5)) if kind in FIXED_MEAN_FAMILIES else FamilySpec(kind)
+            fit(mom, spec)
+            assert eigh_calls[0] == 0, kind
+
+    def test_singular_covariance_fails_only_when_fitted(self):
+        mom = Moments(mean=[0.0, 0.0], cov=np.diag([1.0, 0.0]))
+        with pytest.raises(SingularMatrixError) as info:
+            fit_isotropic(mom)
+        assert info.value.smallest_eigenvalue == 0.0
+        assert info.value.floor == pytest.approx(0.5e-10, rel=1e-12)
 
 
 class TestFamilyReport:

@@ -61,6 +61,11 @@ class TestReadPointsCsv:
         np.testing.assert_array_equal(read_points_csv(path), [[5.0, 6.0], [7.0, 8.0]])
         with open(path, "rb") as handle:
             np.testing.assert_array_equal(read_points_csv(handle), [[5.0, 6.0], [7.0, 8.0]])
+        # A leading UTF-8 byte-order mark, as spreadsheet programs write, is skipped.
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,7\n")
+        with open(path, "rb") as binary, open(path, encoding="utf-8") as text:
+            for source in (path, binary, text):
+                np.testing.assert_array_equal(read_points_csv(source), [[1, 2], [3, 4], [5, 7]])
 
     def test_header_needs_every_field_non_numeric(self):
         pts = read_points_csv(io.StringIO("x,y\n1,2\n3,4\n"))

@@ -117,6 +117,8 @@ class TestSpdPower:
         with pytest.raises(SingularMatrixError) as info:
             spd_power(m, -1.0)
         assert info.value.smallest_eigenvalue == pytest.approx(1e-22, rel=1e-6)
+        assert info.value.floor == pytest.approx(0.5e-10, rel=1e-12)
+        assert "floor 5.000e-11" in str(info.value)
 
     def test_nonnegative_power_tolerates_semidefinite(self):
         m = np.diag([1.0, 0.0])

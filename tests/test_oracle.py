@@ -58,6 +58,12 @@ class TestEmpiricalCrossEntropy:
                 GaussianModel(mean=[0.0, 0.0], cov=np.diag([1.0, 0.0])),
             )
 
+    def test_overflowing_log_density_is_not_called_singular(self):
+        with pytest.raises(InvalidInputError, match="not finite"):
+            empirical_cross_entropy(
+                [[0.0, 0.0], [1e200, 1e200]], GaussianModel(mean=[0.0, 0.0], cov=np.eye(2))
+            )
+
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             empirical_cross_entropy([-1.0, 1.0], GaussianModel(mean=[0.0, 0.0], cov=np.eye(2)))

@@ -11,9 +11,16 @@ Six families are supported, each a subset of the Gaussian densities on R^N:
 
 For each family the minimizer of the cross-entropy (equivalently of the
 match score) has a closed form in the dataset moments, derived here in the
-docstrings of the individual ``fit_*`` functions.  ``fit`` dispatches on a
-``FamilySpec``; ``whitening_transform`` turns a fitted model into the affine
-map that sends it to the standard Gaussian.
+docstrings of the individual ``fit_*`` functions.  ``whitening_transform``
+turns a fitted model into the affine map that sends it to the standard
+Gaussian.
+
+Twin rule: each fixed-mean family is its free-mean twin with the second
+moments taken about the pinned mean m instead of m_Y.  With d = m - m_Y
+they are S_Y + d d' (the deflated-inverse form of the paper, by
+Sherman-Morrison), so the free fit is the case d = 0.  ``fit`` is the one
+closed-form path: it branches once on the covariance shape and adds the
+offset d only when the mean is pinned; every ``fit_*`` function calls it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError
-from .gaussians import GaussianModel, Moments, self_cross_entropy
+from .gaussians import GaussianModel, Moments, _frozen, self_cross_entropy
 from .linalg import spd_power, symmetrize
 
 
@@ -40,9 +47,14 @@ class Family(str, Enum):
     FIXED_MEAN_DIAGONAL = "fixed-mean-diagonal"
 
 
-FIXED_MEAN_FAMILIES = frozenset(
-    {Family.FIXED_MEAN, Family.FIXED_MEAN_ISOTROPIC, Family.FIXED_MEAN_DIAGONAL}
-)
+# Each fixed-mean family and the free-mean family with its covariance shape.
+FREE_TWIN = {
+    Family.FIXED_MEAN: Family.FULL,
+    Family.FIXED_MEAN_ISOTROPIC: Family.ISOTROPIC,
+    Family.FIXED_MEAN_DIAGONAL: Family.DIAGONAL,
+}
+
+FIXED_MEAN_FAMILIES = frozenset(FREE_TWIN)
 
 # Canonical presentation order: free-mean family, then its fixed-mean twin.
 FAMILY_ORDER = (
@@ -71,11 +83,14 @@ class FamilySpec:
             mean = np.asarray(self.fixed_mean, dtype=float).reshape(-1)
             if mean.size == 0 or not np.isfinite(mean).all():
                 raise InvalidInputError("fixed mean must be a nonempty finite vector")
-            mean = np.array(mean)
-            mean.flags.writeable = False
-            object.__setattr__(self, "fixed_mean", mean)
+            object.__setattr__(self, "fixed_mean", _frozen(mean))
         elif self.fixed_mean is not None:
             raise InvalidInputError(f"family {kind.value!r} does not take a fixed mean")
+
+    @property
+    def shape(self) -> Family:
+        """The free-mean family with this covariance shape: full, isotropic or diagonal."""
+        return FREE_TWIN.get(self.kind, self.kind)
 
 
 @dataclass(frozen=True)
@@ -106,28 +121,42 @@ class RescalingTransform:
                     f"vector of length {pts.size} does not match transform "
                     f"dimension {self.shift.size}"
                 )
-            return (pts - self.shift) @ self.root_inv_cov
-        if pts.ndim != 2 or pts.shape[1] != self.shift.size:
+        elif pts.ndim != 2 or pts.shape[1] != self.shift.size:
             raise InvalidInputError(
                 f"expected points of dimension {self.shift.size}, got shape {pts.shape}"
             )
         return (pts - self.shift) @ self.root_inv_cov
 
 
-def _result(moments: Moments, spec: FamilySpec, model: GaussianModel, match: float) -> FitResult:
-    return FitResult(
-        model=model,
-        match=float(match),
-        cross_entropy=float(match + self_cross_entropy(moments)),
-        family=spec,
-    )
+def fit(moments: Moments, spec: FamilySpec) -> FitResult:
+    """Closed-form optimal Gaussian within the family described by ``spec``.
+
+    The covariance shape is that of the free-mean twin; a pinned mean adds
+    the offset d = m - m_Y to the second moments (see the module docstring).
+    """
+    pinned = spec.fixed_mean is not None
+    d = _pinned_offset(moments, spec) if pinned else None
+    n, log_det = moments.dim, moments.factor.log_det
+    if spec.shape is Family.FULL:
+        # A literal 0.0: 0.5 * log1p(q) at d = 0 can be -0.0.
+        cov, match = moments.cov, 0.0
+        if pinned:
+            q = float(d @ moments.factor.precision @ d)
+            cov, match = symmetrize(moments.cov + np.outer(d, d)), 0.5 * math.log1p(q)
+    elif spec.shape is Family.ISOTROPIC:
+        scale = (float(np.trace(moments.cov)) + (float(d @ d) if pinned else 0.0)) / n
+        cov, match = scale * np.eye(n), 0.5 * (n * math.log(scale) - log_det)
+    else:
+        variances = np.diag(moments.cov) + d * d if pinned else np.diag(moments.cov)
+        cov, match = np.diag(variances), 0.5 * (float(np.log(variances).sum()) - log_det)
+    model = GaussianModel(mean=spec.fixed_mean if pinned else moments.mean, cov=cov)
+    return FitResult(model=model, match=float(match),
+                     cross_entropy=float(match + self_cross_entropy(moments)), family=spec)
 
 
 def fit_full(moments: Moments) -> FitResult:
     """Best unconstrained Gaussian: the moment-matched one, match score 0."""
-    spec = FamilySpec(Family.FULL)
-    model = GaussianModel(mean=moments.mean, cov=moments.cov)
-    return _result(moments, spec, model, 0.0)
+    return fit(moments, FamilySpec(Family.FULL))
 
 
 def fit_fixed_mean(moments: Moments, mean) -> FitResult:
@@ -143,12 +172,7 @@ def fit_fixed_mean(moments: Moments, mean) -> FitResult:
     ``fixed_mean_cov_inverse_form`` computes; the test suite checks that the
     two forms agree.
     """
-    spec = FamilySpec(Family.FIXED_MEAN, mean)
-    d = _pinned_offset(moments, spec)
-    q = float(d @ moments.factor.precision @ d)
-    cov = symmetrize(moments.cov + np.outer(d, d))
-    model = GaussianModel(mean=spec.fixed_mean, cov=cov)
-    return _result(moments, spec, model, 0.5 * math.log1p(q))
+    return fit(moments, FamilySpec(Family.FIXED_MEAN, mean))
 
 
 def fixed_mean_cov_inverse_form(moments: Moments, mean) -> np.ndarray:
@@ -176,13 +200,7 @@ def fit_isotropic(moments: Moments) -> FitResult:
     the log of the ratio between the arithmetic and geometric means of the
     eigenvalues of S_Y (nonnegative by the AM-GM inequality).
     """
-    spec = FamilySpec(Family.ISOTROPIC)
-    n = moments.dim
-    log_det = moments.factor.log_det
-    scale = float(np.trace(moments.cov)) / n
-    match = 0.5 * (n * math.log(scale) - log_det)
-    model = GaussianModel(mean=moments.mean, cov=scale * np.eye(n))
-    return _result(moments, spec, model, match)
+    return fit(moments, FamilySpec(Family.ISOTROPIC))
 
 
 def fit_fixed_mean_isotropic(moments: Moments, mean) -> FitResult:
@@ -193,14 +211,7 @@ def fit_fixed_mean_isotropic(moments: Moments, mean) -> FitResult:
 
         M = N/2 ln(s) - 1/2 ln det S_Y.
     """
-    spec = FamilySpec(Family.FIXED_MEAN_ISOTROPIC, mean)
-    d = _pinned_offset(moments, spec)
-    n = moments.dim
-    log_det = moments.factor.log_det
-    scale = (float(np.trace(moments.cov)) + float(d @ d)) / n
-    match = 0.5 * (n * math.log(scale) - log_det)
-    model = GaussianModel(mean=spec.fixed_mean, cov=scale * np.eye(n))
-    return _result(moments, spec, model, match)
+    return fit(moments, FamilySpec(Family.FIXED_MEAN_ISOTROPIC, mean))
 
 
 def fit_diagonal(moments: Moments) -> FitResult:
@@ -214,12 +225,7 @@ def fit_diagonal(moments: Moments) -> FitResult:
     nonnegative because the product of the diagonal entries of an SPD
     matrix dominates its determinant.
     """
-    spec = FamilySpec(Family.DIAGONAL)
-    log_det = moments.factor.log_det
-    variances = np.diag(moments.cov).copy()
-    match = 0.5 * (float(np.log(variances).sum()) - log_det)
-    model = GaussianModel(mean=moments.mean, cov=np.diag(variances))
-    return _result(moments, spec, model, match)
+    return fit(moments, FamilySpec(Family.DIAGONAL))
 
 
 def fit_fixed_mean_diagonal(moments: Moments, mean) -> FitResult:
@@ -230,33 +236,7 @@ def fit_fixed_mean_diagonal(moments: Moments, mean) -> FitResult:
 
         M = 1/2 sum_i ln s_i - 1/2 ln det S_Y.
     """
-    spec = FamilySpec(Family.FIXED_MEAN_DIAGONAL, mean)
-    d = _pinned_offset(moments, spec)
-    log_det = moments.factor.log_det
-    variances = np.diag(moments.cov) + d * d
-    match = 0.5 * (float(np.log(variances).sum()) - log_det)
-    model = GaussianModel(mean=spec.fixed_mean, cov=np.diag(variances))
-    return _result(moments, spec, model, match)
-
-
-_FREE_FITTERS = {
-    Family.FULL: fit_full,
-    Family.ISOTROPIC: fit_isotropic,
-    Family.DIAGONAL: fit_diagonal,
-}
-
-_FIXED_FITTERS = {
-    Family.FIXED_MEAN: fit_fixed_mean,
-    Family.FIXED_MEAN_ISOTROPIC: fit_fixed_mean_isotropic,
-    Family.FIXED_MEAN_DIAGONAL: fit_fixed_mean_diagonal,
-}
-
-
-def fit(moments: Moments, spec: FamilySpec) -> FitResult:
-    """Closed-form optimal Gaussian within the family described by ``spec``."""
-    if spec.kind in _FIXED_FITTERS:
-        return _FIXED_FITTERS[spec.kind](moments, spec.fixed_mean)
-    return _FREE_FITTERS[spec.kind](moments)
+    return fit(moments, FamilySpec(Family.FIXED_MEAN_DIAGONAL, mean))
 
 
 def whitening_transform(model: GaussianModel) -> RescalingTransform:
@@ -291,13 +271,9 @@ def family_report(moments: Moments, fixed_means) -> list[ReportRow]:
     means = [np.asarray(m, dtype=float).reshape(-1) for m in fixed_means]
     rows: list[ReportRow] = []
     for kind in FAMILY_ORDER:
-        if kind in FIXED_MEAN_FAMILIES:
-            for m in means:
-                res = fit(moments, FamilySpec(kind, m))
-                rows.append(ReportRow(kind, res.family.fixed_mean, res.match, res.cross_entropy))
-        else:
-            res = fit(moments, FamilySpec(kind))
-            rows.append(ReportRow(kind, None, res.match, res.cross_entropy))
+        for m in means if kind in FIXED_MEAN_FAMILIES else [None]:
+            res = fit(moments, FamilySpec(kind, m))
+            rows.append(ReportRow(kind, res.family.fixed_mean, res.match, res.cross_entropy))
     return rows
 
 

@@ -59,33 +59,43 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def _mean_and_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of a nonempty finite mean and its symmetrized covariance.
+
+    Raises InvalidInputError when either is malformed or their sizes differ.
+    """
+    mean = np.asarray(mean, dtype=float).reshape(-1)
+    if mean.size == 0 or not np.isfinite(mean).all():
+        raise InvalidInputError("mean must be a nonempty finite vector")
+    cov = symmetrize(cov)
+    if cov.shape[0] != mean.size:
+        raise InvalidInputError(
+            f"covariance shape {cov.shape} does not match mean of length {mean.size}"
+        )
+    return _frozen(mean), _frozen(cov)
+
+
+@dataclass(frozen=True, eq=False)
 class Moments:
     """Mean vector and covariance matrix summarizing a dataset.
 
     S_Y is decomposed once, on construction; every fit shares ``factor``.
+    ``==`` compares identity.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        if mean.size == 0 or not np.isfinite(mean).all():
-            raise InvalidInputError("mean must be a nonempty finite vector")
-        cov = symmetrize(self.cov)
-        if cov.shape[0] != mean.size:
-            raise InvalidInputError(
-                f"covariance shape {cov.shape} does not match mean of length {mean.size}"
-            )
+        mean, cov = _mean_and_cov(self.mean, self.cov)
         eig = sym_eigen(cov)
         slack = _PSD_SLACK * max(1.0, float(eig.values[0]))
         if float(eig.values[-1]) < -slack:
             raise InvalidInputError(
                 f"covariance must be nonnegative definite (eigenvalue {eig.values[-1]:.3e})"
             )
-        object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "cov", _frozen(cov))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_eigen", EigenDecomposition(*map(_frozen, eig)))
 
     @property
@@ -101,28 +111,29 @@ class Moments:
         return spd_factor(self.cov, self._eigen, "data covariance")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianModel:
-    """Parameters (mean, covariance) of a Gaussian density."""
+    """Parameters (mean, covariance) of a Gaussian density.  ``==`` compares identity."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        if mean.size == 0 or not np.isfinite(mean).all():
-            raise InvalidInputError("mean must be a nonempty finite vector")
-        cov = symmetrize(self.cov)
-        if cov.shape[0] != mean.size:
-            raise InvalidInputError(
-                f"covariance shape {cov.shape} does not match mean of length {mean.size}"
-            )
-        object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "cov", _frozen(cov))
+        mean, cov = _mean_and_cov(self.mean, self.cov)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
 
     @property
     def dim(self) -> int:
         return self.mean.size
+
+    @cached_property
+    def factor(self) -> SpdFactor:
+        """Spectrum, ``ln det S`` and ``inv(S)`` of the covariance, computed on first use.
+
+        Raises SingularMatrixError when S is below the eigenvalue floor.
+        """
+        return spd_factor(self.cov, name="model covariance")
 
 
 def estimate_moments(points) -> Moments:
@@ -159,13 +170,8 @@ def cross_entropy(moments: Moments, model: GaussianModel) -> float:
     Closed form in the dataset moments; equals the mean negative
     log-density of the data points under the model.
     """
-    _check_same_dim(moments, model)
-    n = moments.dim
-    model_factor = spd_factor(model.cov, name="model covariance")
-    diff = model.mean - moments.mean
-    maha = float(diff @ model_factor.precision @ diff)
-    trace_term = float(np.sum(model_factor.precision * moments.cov))
-    return 0.5 * (n * LOG_TWO_PI + maha + trace_term + model_factor.log_det)
+    maha, trace_term, model_log_det = _model_terms(moments, model)
+    return 0.5 * (moments.dim * LOG_TWO_PI + maha + trace_term + model_log_det)
 
 
 def self_cross_entropy(moments: Moments) -> float:
@@ -185,17 +191,17 @@ def match_score(moments: Moments, model: GaussianModel) -> float:
     Nonnegative; zero exactly at the moment-matched model.  Invariant under
     applying one affine change of variables to both the data and the model.
     """
-    _check_same_dim(moments, model)
-    n = moments.dim
-    model_factor = spd_factor(model.cov, name="model covariance")
-    diff = model.mean - moments.mean
-    maha = float(diff @ model_factor.precision @ diff)
-    trace_term = float(np.sum(model_factor.precision * moments.cov))
-    return 0.5 * (maha + trace_term - (moments.factor.log_det - model_factor.log_det) - n)
+    maha, trace_term, model_log_det = _model_terms(moments, model)
+    return 0.5 * (maha + trace_term - (moments.factor.log_det - model_log_det) - moments.dim)
 
 
-def _check_same_dim(moments: Moments, model: GaussianModel) -> None:
+def _model_terms(moments: Moments, model: GaussianModel) -> tuple[float, float, float]:
+    """``||m - m_Y||_S^2``, ``tr(S^-1 S_Y)`` and ``ln det S`` for the model (m, S)."""
     if moments.dim != model.dim:
         raise InvalidInputError(
             f"data dimension {moments.dim} does not match model dimension {model.dim}"
         )
+    factor = model.factor
+    diff = model.mean - moments.mean
+    maha = float(diff @ factor.precision @ diff)
+    return maha, float(np.sum(factor.precision * moments.cov)), factor.log_det

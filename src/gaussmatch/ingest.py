@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, ParseError
-from .gaussians import as_point_set
+from .gaussians import _mean_and_cov, as_point_set
 from .linalg import require_positive_definite, sym_eigen, symmetrize
 
 # --- CSV point sets ---------------------------------------------------------
@@ -343,7 +343,10 @@ def standard_normals(count: int, seed: int) -> np.ndarray:
         z_{2k}   = sqrt(-2 ln u1) * cos(2 pi u2)
         z_{2k+1} = sqrt(-2 ln u1) * sin(2 pi u2)
 
-    The result depends only on (count, seed), never on call history.
+    The result depends only on (count, seed), never on call history.  ``ln``,
+    ``cos`` and ``sin`` come from the C math library through ``math``, as in
+    the recipe; numpy's vectorised versions differ from it in the last bit
+    on a fraction of a percent of inputs.
     """
     if count < 0:
         raise InvalidInputError("count must be nonnegative")
@@ -353,11 +356,11 @@ def standard_normals(count: int, seed: int) -> np.ndarray:
     words = _stream_words(seed, 2 * pairs)
     u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
     u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
+    radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float, pairs))
+    angle = (2.0 * math.pi * u2).tolist()
     out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
+    out[0::2] = radius * np.fromiter(map(math.cos, angle), float, pairs)
+    out[1::2] = radius * np.fromiter(map(math.sin, angle), float, pairs)
     return out[:count]
 
 
@@ -368,14 +371,7 @@ def sample_gaussian(mean, cov, count: int, seed: int) -> np.ndarray:
     ``standard_normals`` stream laid out row by row.  The covariance must be
     positive definite.
     """
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    if mean.size == 0 or not np.isfinite(mean).all():
-        raise InvalidInputError("mean must be a nonempty finite vector")
-    cov = symmetrize(cov)
-    if cov.shape[0] != mean.size:
-        raise InvalidInputError(
-            f"covariance shape {cov.shape} does not match mean of length {mean.size}"
-        )
+    mean, cov = _mean_and_cov(mean, cov)
     if count < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {count}")
     eig = sym_eigen(cov)

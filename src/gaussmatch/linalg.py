@@ -61,11 +61,12 @@ def sym_eigen(matrix) -> EigenDecomposition:
     # eigh returns ascending eigenvalues; flip to descending.
     values = raw_values[::-1].copy()
     vectors = raw_vectors[:, ::-1].copy()
-    for i in range(m.shape[0]):
-        column = vectors[:, i]
-        lead = np.flatnonzero(np.abs(column) > _SIGN_EPS)
-        if lead.size and column[lead[0]] < 0.0:
-            vectors[:, i] = -column
+    if vectors.size:
+        # Row of each column's first entry above the threshold; a unit
+        # column always has one.
+        lead = (np.abs(vectors) > _SIGN_EPS).argmax(axis=0)
+        flip = vectors[lead, np.arange(m.shape[0])] < 0.0
+        vectors[:, flip] = -vectors[:, flip]
     return EigenDecomposition(values, vectors)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, OracleConvergenceError
 from .families import FAMILY_ORDER, FIXED_MEAN_FAMILIES, Family, FamilySpec, FitResult, fit
+from .families import _pinned_offset
 from .gaussians import LOG_TWO_PI, GaussianModel, as_point_set, estimate_moments
 from .linalg import eigenvalue_floor, require_positive_definite
 
@@ -92,68 +93,48 @@ def empirical_cross_entropy(points, model: GaussianModel) -> float:
     return float(value)
 
 
-def _param_count(kind: Family, n: int) -> int:
-    tril = n * (n - 1) // 2
-    return {
-        Family.FULL: 2 * n + tril,
-        Family.FIXED_MEAN: n + tril,
-        Family.ISOTROPIC: n + 1,
-        Family.FIXED_MEAN_ISOTROPIC: 1,
-        Family.DIAGONAL: 2 * n,
-        Family.FIXED_MEAN_DIAGONAL: n,
-    }[kind]
-
-
 def _mean_cov_from_params(spec: FamilySpec, n: int, params: np.ndarray):
     """Map an unconstrained parameter vector to (mean, cov) for the family.
 
-    Scale parameters live on the log axis and covariances are assembled as
-    L @ L.T with a positive diagonal, so every parameter vector maps to a
-    symmetric positive definite covariance inside the family.
+    A free mean takes the first n parameters; the rest describe the
+    covariance.  Scale parameters live on the log axis and covariances are
+    assembled as L @ L.T with a positive diagonal, so every parameter vector
+    maps to a symmetric positive definite covariance inside the family.
     """
-    kind = spec.kind
+    if spec.fixed_mean is None:
+        mean, rest = params[:n], params[n:]
+    else:
+        mean, rest = spec.fixed_mean, params
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind is Family.FULL or kind is Family.FIXED_MEAN:
-            if kind is Family.FULL:
-                mean, rest = params[:n], params[n:]
-            else:
-                mean, rest = spec.fixed_mean, params
+        if spec.shape is Family.FULL:
             lower = np.zeros((n, n))
             lower[np.diag_indices(n)] = np.exp(rest[:n])
             lower[np.tril_indices(n, -1)] = rest[n:]
             cov = lower @ lower.T
-        elif kind is Family.ISOTROPIC or kind is Family.FIXED_MEAN_ISOTROPIC:
-            if kind is Family.ISOTROPIC:
-                mean, log_scale = params[:n], params[n]
-            else:
-                mean, log_scale = spec.fixed_mean, params[0]
+        elif spec.shape is Family.ISOTROPIC:
+            log_scale = rest[0]
             cov = math.exp(log_scale) * np.eye(n) if log_scale < 709.0 else np.full((n, n), np.inf)
         else:
-            if kind is Family.DIAGONAL:
-                mean, log_diag = params[:n], params[n:]
-            else:
-                mean, log_diag = spec.fixed_mean, params
-            cov = np.diag(np.exp(log_diag))
+            cov = np.diag(np.exp(rest))
     return np.asarray(mean, dtype=float), cov
 
 
 def _initial_point(spec: FamilySpec, moments, n: int):
     """Starting parameter vector and a per-parameter perturbation scale."""
-    kind = spec.kind
     scale = max(float(np.trace(moments.cov)) / n, 1e-12)
     log_scale = math.log(scale)
     mean_sigma = 0.35 * math.sqrt(scale)
     parts, sigmas = [], []
-    if kind in (Family.FULL, Family.ISOTROPIC, Family.DIAGONAL):
+    if spec.fixed_mean is None:
         parts.append(np.asarray(moments.mean, dtype=float))
         sigmas.append(np.full(n, mean_sigma))
-    if kind in (Family.FULL, Family.FIXED_MEAN):
+    if spec.shape is Family.FULL:
         tril = n * (n - 1) // 2
         parts.append(np.full(n, 0.5 * log_scale))
         sigmas.append(np.full(n, 0.35))
         parts.append(np.zeros(tril))
         sigmas.append(np.full(tril, 0.35 * math.sqrt(scale)))
-    elif kind in (Family.ISOTROPIC, Family.FIXED_MEAN_ISOTROPIC):
+    elif spec.shape is Family.ISOTROPIC:
         parts.append(np.array([log_scale]))
         sigmas.append(np.array([0.35]))
     else:
@@ -174,12 +155,9 @@ def _minimize_details(points, spec: FamilySpec, config: OracleConfig):
         raise InvalidInputError(
             f"oracle supports dimension <= {MAX_ORACLE_DIM}, got {n}"
         )
-    if spec.fixed_mean is not None and spec.fixed_mean.size != n:
-        raise InvalidInputError(
-            f"fixed mean of length {spec.fixed_mean.size} does not match "
-            f"data dimension {n}"
-        )
     moments = estimate_moments(pts)
+    if spec.fixed_mean is not None:
+        _pinned_offset(moments, spec)  # checks the pinned mean against the dimension
 
     def objective(params: np.ndarray) -> float:
         mean, cov = _mean_cov_from_params(spec, n, params)
@@ -310,11 +288,7 @@ def verify_families(
     for f_index, kind in enumerate(FAMILY_ORDER):
         diffs, margins = [], []
         for t, pts in enumerate(datasets):
-            spec = (
-                FamilySpec(kind, fixed_means[t])
-                if kind in FIXED_MEAN_FAMILIES
-                else FamilySpec(kind)
-            )
+            spec = FamilySpec(kind, fixed_means[t] if kind in FIXED_MEAN_FAMILIES else None)
             closed = fit(estimate_moments(pts), spec)
             trial_cfg = replace(cfg, seed=cfg.seed + 7919 * t + f_index)
             numeric = oracle_minimize(pts, spec, trial_cfg)

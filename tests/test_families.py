@@ -333,12 +333,41 @@ class TestSharedFactor:
             fit(mom, spec)
             assert eigh_calls[0] == 0, kind
 
+    def test_score_factors_the_model_once(self, eigh_calls):
+        rng = np.random.default_rng(59)
+        mom = random_moments(rng, 4)
+        model = GaussianModel(mean=rng.normal(size=4), cov=random_spd(rng, 4))
+        eigh_calls[0] = 0
+        match_score(mom, model)
+        cross_entropy(mom, model)
+        assert eigh_calls[0] == 1
+
     def test_singular_covariance_fails_only_when_fitted(self):
         mom = Moments(mean=[0.0, 0.0], cov=np.diag([1.0, 0.0]))
         with pytest.raises(SingularMatrixError) as info:
             fit_isotropic(mom)
         assert info.value.smallest_eigenvalue == 0.0
         assert info.value.floor == pytest.approx(0.5e-10, rel=1e-12)
+
+
+class TestTwinRule:
+    """A fixed-mean fit pinned at m_Y is exactly its free-mean twin."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pinned_at_data_mean_equals_free_twin(self, seed):
+        rng = np.random.default_rng(seed)
+        mom = random_moments(rng, int(rng.integers(1, 7)))
+        twins = (
+            (fit_fixed_mean, fit_full),
+            (fit_fixed_mean_isotropic, fit_isotropic),
+            (fit_fixed_mean_diagonal, fit_diagonal),
+        )
+        for fit_pinned, fit_free in twins:
+            pinned, free = fit_pinned(mom, mom.mean), fit_free(mom)
+            assert pinned.match == free.match
+            assert pinned.cross_entropy == free.cross_entropy
+            np.testing.assert_array_equal(pinned.model.mean, free.model.mean)
+            np.testing.assert_array_equal(pinned.model.cov, free.model.cov)
 
 
 class TestFamilyReport:

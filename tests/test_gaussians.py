@@ -61,6 +61,15 @@ class TestEstimateMoments:
         with pytest.raises(ValueError):
             mom.mean[0] = 5.0
 
+    def test_equality_is_identity(self):
+        mean, cov = [1.0, 2.0], [[1.0, 0.2], [0.2, 1.0]]
+        for cls in (Moments, GaussianModel):
+            a, b = cls(mean, cov), cls(mean, cov)
+            assert (a == a) is True
+            assert (a == b) is False
+            assert (a != b) is True
+            assert len({a, b}) == 2
+
     def test_moments_reject_indefinite_cov(self):
         with pytest.raises(InvalidInputError):
             Moments(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, -1.0]])

@@ -339,6 +339,12 @@ class TestStandardNormals:
             np.testing.assert_array_equal(
                 standard_normals(9, seed), _reference_splitmix_normals(9, seed)
             )
+        # numpy's vectorised log differs from the C library's in the last bit
+        # on a few tenths of a percent of inputs; the stream must not.
+        for seed in range(200):
+            np.testing.assert_array_equal(
+                standard_normals(400, seed), _reference_splitmix_normals(400, seed)
+            )
 
     def test_counter_based_prefix_property(self):
         long = standard_normals(100, seed=3)

@@ -22,6 +22,17 @@ RECON_TOL = 1e-10
 ORTHO_TOL = 1e-10
 
 
+def _loop_sign_rule(vectors):
+    """Flip each column whose first entry above 1e-12 in magnitude is negative."""
+    out = vectors.copy()
+    for i in range(out.shape[1]):
+        column = out[:, i]
+        lead = np.flatnonzero(np.abs(column) > 1e-12)
+        if lead.size and column[lead[0]] < 0.0:
+            out[:, i] = -column
+    return out
+
+
 class TestSymEigen:
     def test_identity(self):
         eig = sym_eigen(np.eye(3))
@@ -60,6 +71,25 @@ class TestSymEigen:
             column = eig.vectors[:, i]
             lead = np.flatnonzero(np.abs(column) > 1e-12)[0]
             assert column[lead] > 0
+        # Block-diagonal and permuted inputs have eigenvectors whose leading
+        # entries are exactly 0 (or below the threshold), so the rule must
+        # look past them; the vectors must match the column-by-column rule.
+        rng = np.random.default_rng(3)
+        blocks = np.zeros((5, 5))
+        blocks[:2, :2] = [[2.0, -1.0], [-1.0, 3.0]]
+        blocks[2:, 2:] = [[5.0, -2.0, 0.5], [-2.0, 1.0, 0.0], [0.5, 0.0, 7.0]]
+        perm = np.array([3, 0, 4, 2, 1])
+        tiny = np.array([[1.0, 1e-13, 0.0], [1e-13, 2.0, -0.5], [0.0, -0.5, 4.0]])
+        inputs = [blocks, blocks[np.ix_(perm, perm)], -blocks, tiny, random_spd(rng, 6),
+                  np.diag([1.0, -2.0, 3.0]), np.zeros((0, 0))]
+        zero_leads = 0
+        for m in inputs:
+            eig = sym_eigen(m)
+            raw = np.linalg.eigh(symmetrize(m))[1][:, ::-1]
+            expected = _loop_sign_rule(raw)
+            assert eig.vectors.tobytes() == expected.tobytes()
+            zero_leads += int(np.count_nonzero(np.abs(eig.vectors[:1]) <= 1e-12))
+        assert zero_leads >= 4
 
     def test_determinism(self):
         rng = np.random.default_rng(7)

@@ -220,6 +220,8 @@ def fit_from_document(doc: dict) -> FitResult:
             cross_entropy=float(doc["cross_entropy"]),
             family=spec,
         )
+    except OverflowError:
+        raise ParseError("model document holds a number beyond float range") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model document: {exc}") from None
 
@@ -234,7 +236,11 @@ def _read_model(path: str) -> FitResult:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"model file is not UTF-8: {exc.reason}") from None
+        except RecursionError:
+            raise ParseError("model file is nested too deeply") from None
+        except ValueError as exc:  # malformed JSON, or an integer beyond the digit limit
             raise ParseError(f"invalid JSON in model file: {exc}") from None
     return fit_from_document(doc)
 

@@ -107,19 +107,43 @@ def _is_header(line: str) -> bool:
 
 
 def write_points_csv(points, destination) -> None:
-    """Write points as CSV with full round-trip precision (repr of each float)."""
+    """Write points as CSV with full round-trip precision (repr of each float).
+
+    Each value is written as Python's ``repr`` of it, one row per line.
+    When the values repeat a lot, as the 8-bit samples of image blocks do,
+    ``repr`` runs once per distinct value and rows are joined from that
+    table; otherwise each value is formatted in turn.  Both paths write the
+    same bytes.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
         raise InvalidInputError(f"expected an (n, dim) array, got shape {pts.shape}")
-    lines = [",".join(map(repr, row)) for row in pts.tolist()]
+    if _repeats_enough(pts):
+        # Keyed on bit patterns: float equality merges -0.0 with 0.0, whose reprs differ.
+        bits = np.ascontiguousarray(pts).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        table = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+        lines = map(",".join, table[inverse.reshape(pts.shape)].tolist())
+    else:
+        lines = [",".join(map(repr, row)) for row in pts.tolist()]
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
     else:
         with open(destination, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def _repeats_enough(pts: np.ndarray) -> bool:
+    """Whether at most half of the cells in the first 64 rows have distinct bits.
+
+    Counted with a set, not ``np.unique``, whose sort code alone adds about
+    1 MB to the peak RSS of a process that then takes the loop.
+    """
+    sample = np.ascontiguousarray(pts[:64]).view(np.int64).ravel().tolist()
+    return 2 * len(set(sample)) <= len(sample)
 
 
 def _read_text(source) -> str:
@@ -176,7 +200,8 @@ def read_ppm(source) -> Raster:
     """Decode a binary PPM (magic ``P6``) image.
 
     Supports 8-bit and big-endian 16-bit samples and '#' comments in the
-    header.  Raises ParseError on anything malformed.
+    header, whose width, height and maxval are ASCII decimal digits.
+    Raises ParseError on anything malformed.
     """
     data = _read_bytes(source)
     pos = 0
@@ -204,10 +229,12 @@ def read_ppm(source) -> Raster:
     header: list[int] = []
     for name in ("width", "height", "maxval"):
         token, pos = next_token(pos)
+        if not token.isdigit():  # bytes.isdigit is ASCII only; int() also takes '+', '_'
+            raise ParseError(f"invalid {name} field {token!r}")
         try:
             value = int(token)
-        except ValueError:
-            raise ParseError(f"invalid {name} field {token!r}") from None
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"invalid {name} field of {len(token)} digits") from None
         if value <= 0:
             raise ParseError(f"{name} must be positive, got {value}")
         header.append(value)

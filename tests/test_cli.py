@@ -9,8 +9,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from gaussmatch import estimate_moments, family_report, read_points_csv
+from gaussmatch import (
+    GaussMatchError,
+    ParseError,
+    cross_entropy,
+    estimate_moments,
+    family_report,
+    match_score,
+    read_points_csv,
+)
 from gaussmatch.cli import fit_from_document, fit_to_document, run, scatter_svg
 from gaussmatch.oracle import FamilyCheck
 from gaussmatch.families import Family
@@ -341,6 +351,89 @@ class TestBadCsvInput:
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: line {line}: ")
         assert "Traceback" not in result.stderr
+
+
+def _bad_model_files(valid: dict) -> dict[str, bytes]:
+    huge_match = dict(valid, match=10**400)
+    huge_mean = dict(valid, mean=[10**400] + valid["mean"][1:])
+    return {
+        "not-utf8": b"\xff\xfe{}",
+        "nested": b"[" * 100_000 + b"]" * 100_000,
+        "huge-match": json.dumps(huge_match).encode(),
+        "huge-mean": json.dumps(huge_mean).encode(),
+        "long-integer": b'{"match": ' + b"1" * 5000 + b"}",
+    }
+
+
+class TestBadModelInput:
+    @pytest.mark.parametrize("case", ["not-utf8", "nested", "huge-match", "huge-mean",
+                                      "long-integer"])
+    def test_exit_2_without_traceback(self, sample_csv, tmp_path, case):
+        good = tmp_path / "good.json"
+        assert run(["fit", "--input", str(sample_csv), "--family", "full",
+                    "--output", str(good)]) == 0
+        model = tmp_path / "bad.json"
+        model.write_bytes(_bad_model_files(json.loads(good.read_text()))[case])
+        for extra in (["score"], ["transform", "--output", str(tmp_path / "w.csv")]):
+            result = subprocess.run(
+                [sys.executable, "-m", "gaussmatch.cli", *extra, "--input", str(sample_csv),
+                 "--model", str(model)],
+                capture_output=True, text=True,
+            )
+            assert result.returncode == 2, (extra, result.stderr)
+            assert result.stderr.startswith("error: ")
+            assert "Traceback" not in result.stderr
+
+
+_VALID_DOC = {
+    "schema_version": "1", "family": "full", "fixed_mean": None, "mean": [1.0, 2.0],
+    "covariance": [[2.0, 0.5], [0.5, 1.0]], "match": 0.0, "cross_entropy": 3.0,
+}
+_json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+        st.sampled_from([10**400, -(10**400), 2**1024, 1e308, -1e308, 5e-324]),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=10,
+)
+_field_values = st.one_of(
+    _json_values,
+    st.sampled_from([
+        "1", "full", "fixed-mean", "isotropic", "fixed-mean-diagonal",
+        [0.0, 0.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [[1.0], [2.0, 3.0]],  # ragged
+        [[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]],  # not SPD
+        [[1.0, 3.0], [0.0, 1.0]], [[1e308, 1e308], [1e308, 1e308]], [[1e-300, 0.0], [0.0, 1.0]],
+    ]),
+)
+
+
+class TestModelDocumentFuzz:
+    """Any JSON value, read as a model and then scored, raises only package errors."""
+
+    @given(
+        st.dictionaries(st.sampled_from(sorted(_VALID_DOC)), _field_values, max_size=4),
+        st.sets(st.sampled_from(sorted(_VALID_DOC)), max_size=2),
+    )
+    @example({"match": 10**400}, set())
+    @example({"mean": [10**400, 0.0]}, set())
+    @example({"covariance": [[1.0, 2.0], [2.0, 1.0]]}, set())
+    def test_only_package_errors_escape(self, changes, dropped):
+        doc = {key: value for key, value in {**_VALID_DOC, **changes}.items()
+               if key not in dropped}
+        moments = estimate_moments([[0.0, 1.0], [2.0, 1.5], [1.0, 3.0]])
+        try:
+            stored = fit_from_document(doc)
+            match_score(moments, stored.model)
+            cross_entropy(moments, stored.model)
+        except GaussMatchError:
+            pass
+
+    @given(_json_values.filter(lambda value: not isinstance(value, dict)))
+    def test_non_object_is_parse_error(self, doc):
+        with pytest.raises(ParseError):
+            fit_from_document(doc)
 
 
 class TestEntryPoint:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaussmatch import (
     GaussMatchError,
@@ -21,10 +22,11 @@ from gaussmatch import (
     read_ppm,
     sample_gaussian,
     standard_normals,
+    whitening_transform,
     write_points_csv,
     write_ppm,
 )
-from gaussmatch.ingest import _decode_bulk, _decode_lines
+from gaussmatch.ingest import _decode_bulk, _decode_lines, _repeats_enough
 
 
 class TestReadPointsCsv:
@@ -207,6 +209,78 @@ class TestCsvRoundTrip:
         assert np.array_equal(back, np.asarray(rows, dtype=float))
 
 
+def _loop_csv(rows) -> str:
+    """The writer's per-value loop, kept as the reference for its bytes."""
+    return "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
+
+
+def _written(points) -> str:
+    buffer = io.StringIO()
+    write_points_csv(points, buffer)
+    return buffer.getvalue()
+
+
+# Values whose repr or bit pattern is easy to get wrong, both signs of zero among them.
+_POOL = [0.0, -0.0, 1.0, -1.0, 0.1, 1e300, -1e300, 5e-324, 2.2250738585072014e-308 / 3,
+         math.nan, math.inf, -math.inf, 1 / 255]
+
+
+class TestWritePointsCsv:
+    """The table path writes the bytes of the per-value loop."""
+
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(4, 80), st.integers(7, 9)),  # >= 2 * len(_POOL) cells
+            elements=st.sampled_from(_POOL),
+            fill=st.nothing(),
+        )
+    )
+    @example(np.array([[0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0]] * 4))
+    def test_table_path_matches_loop(self, points):
+        assert _repeats_enough(points)
+        assert _written(points) == _loop_csv(points.tolist())
+
+    def test_zero_signs_kept(self):
+        points = np.array([[0.0, -0.0], [-0.0, 0.0]] * 4)
+        assert _repeats_enough(points)
+        assert _written(points) == "0.0,-0.0\n-0.0,0.0\n" * 4
+
+    @pytest.mark.parametrize("source", ["repeating", "distinct"])
+    def test_shapes_and_layouts(self, source):
+        rng = np.random.default_rng(3)
+        big = rng.integers(0, 4, (90, 12)) / 3.0 if source == "repeating" else rng.normal(size=(90, 12))
+        cases = [
+            big[:0],  # (0, d)
+            big[:, :0],  # (n, 0)
+            big[:, :1],  # (n, 1)
+            np.asfortranarray(big),
+            big[::2, 1::3],  # neither C- nor Fortran-contiguous
+            big[::-1],
+        ]
+        for points in cases:
+            assert _written(points) == _loop_csv(points.tolist()), points.shape
+        column = big[:, 0]
+        assert _written(column) == _loop_csv([[value] for value in column.tolist()])
+
+    def test_path_choice(self):
+        pixels = np.random.default_rng(0).integers(0, 256, (32, 32, 3)).astype(np.uint16)
+        blocks = image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4).blocks
+        assert _repeats_enough(blocks)
+        white = whitening_transform(estimate_moments(blocks)).apply(blocks)
+        assert not _repeats_enough(white)
+        assert _written(white) == _loop_csv(white.tolist())
+        assert _written(blocks) == _loop_csv(blocks.tolist())
+
+    def test_chooser_samples_the_first_64_rows(self):
+        head = np.zeros((64, 4))
+        tail = np.random.default_rng(0).normal(size=(1000, 4))
+        assert _repeats_enough(np.vstack([head, tail]))
+        assert not _repeats_enough(np.vstack([tail, head]))
+        assert _repeats_enough(np.array([[0.0], [0.0]]))  # half distinct
+        assert not _repeats_enough(np.array([[0.0], [-0.0]]))  # distinct bits
+
+
 def _gradient_raster(width=16, height=8, maxval=255):
     pixels = np.zeros((height, width, 3), dtype=np.uint16)
     for y in range(height):
@@ -250,10 +324,51 @@ class TestPpm:
     def test_rejects_bad_header_field(self):
         with pytest.raises(ParseError):
             read_ppm(io.BytesIO(b"P6\nwide 1\n255\n" + bytes(6)))
+        # int() reads each of these, but a header field is ASCII decimal digits only.
+        for header in (b"P6\n1_0 1\n255\n", b"P6\n+1 1\n255\n", b"P6\n1 1\n+255\n",
+                       b"P6\n\xd9\xa1 1\n255\n", b"P6\n" + b"9" * 5000 + b" 1\n255\n"):
+            with pytest.raises(ParseError):
+                read_ppm(io.BytesIO(header + bytes(30)))
 
     def test_rejects_oversized_maxval(self):
         with pytest.raises(ParseError):
             read_ppm(io.BytesIO(b"P6\n1 1\n70000\n" + bytes(6)))
+
+
+@st.composite
+def _mutated_ppm(draw):
+    """A valid 8- or 16-bit P6 file with a few bytes replaced, inserted or deleted."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.sampled_from([1, 255, 256, 65535]))
+    size = width * height * 3 * (2 if maxval > 255 else 1)
+    header = draw(st.sampled_from(["P6\n{} {}\n{}\n", "P6 {} {} {} ", "P6\n# c\n{}\t{}\r{}\n"]))
+    data = bytearray(header.format(width, height, maxval).encode() + draw(st.binary(min_size=size, max_size=size)))
+    for kind, where, byte in draw(st.lists(st.tuples(
+            st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 40),
+            st.sampled_from(b"0123456789 \t\n#+-_P6\x00\xff")), max_size=3)):
+        where = min(where, len(data))
+        if kind == "insert":
+            data.insert(where, byte)
+        elif where < len(data):
+            if kind == "replace":
+                data[where] = byte
+            else:
+                del data[where]
+    return bytes(data[: draw(st.integers(0, len(data)))] if draw(st.booleans()) else data)
+
+
+class TestPpmFuzz:
+    @given(_mutated_ppm())
+    @example(b"P6\n1_0 1\n255\n" + bytes(30))
+    @example(b"P6\n99999999999 99999999999\n65535\n")
+    def test_only_package_errors_escape(self, data):
+        try:
+            raster = read_ppm(io.BytesIO(data))
+        except GaussMatchError:
+            return
+        height, width, channels = raster.pixels.shape
+        assert channels == 3 and 1 <= raster.maxval <= 65535
+        assert raster.pixels.dtype == np.uint16
 
 
 class TestImageBlocks:

@@ -201,7 +201,7 @@ def read_ppm(source) -> Raster:
 
     Supports 8-bit and big-endian 16-bit samples and '#' comments in the
     header, whose width, height and maxval are ASCII decimal digits.
-    Raises ParseError on anything malformed.
+    Raises ParseError on anything malformed, a sample above maxval included.
     """
     data = _read_bytes(source)
     pos = 0
@@ -251,11 +251,11 @@ def read_ppm(source) -> Raster:
         raise ParseError(
             f"truncated raster: expected {needed} bytes, found {len(raster)}"
         )
-    pixels = (
-        np.frombuffer(raster, dtype=dtype)
-        .reshape(height, width, 3)
-        .astype(np.uint16)
-    )
+    samples = np.frombuffer(raster, dtype=dtype)
+    top = int(samples.max())
+    if top > maxval:
+        raise ParseError(f"sample value {top} exceeds maxval {maxval}")
+    pixels = samples.reshape(height, width, 3).astype(np.uint16)
     return Raster(pixels=pixels, maxval=maxval)
 
 

@@ -32,13 +32,20 @@ class EigenDecomposition(NamedTuple):
 
 
 def symmetrize(matrix) -> np.ndarray:
-    """Return ``(M + M.T) / 2`` as a float array, validating the shape."""
+    """Return ``(M + M.T) / 2`` as a float array, validating the shape.
+
+    Raises InvalidInputError when an entry of ``M`` or of the result is not
+    finite; entries near the float maximum can overflow in the sum."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidInputError("matrix entries must be finite")
-    return (m + m.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (m + m.T) / 2.0
+    if not np.isfinite(sym).all():
+        if not np.isfinite(m).all():
+            raise InvalidInputError("matrix entries must be finite")
+        raise InvalidInputError("matrix entries overflow when symmetrized")
+    return sym
 
 
 def eigenvalue_floor(matrix: np.ndarray) -> float:

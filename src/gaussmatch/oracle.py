@@ -12,6 +12,17 @@ between the two routes is the strongest check the package offers, and the
 The oracle evaluates the objective from the raw points, not from the
 closed-form moment expressions, so the two routes share no algebra beyond
 the density itself.
+
+Each run builds its objective once (``_make_objective``) and evaluates it
+from the covariance the parameters describe, with no eigendecomposition:
+elementwise from the variances for the diagonal and isotropic families,
+and from the factor L (``log det = 2 * sum(log diag L)``, one linear
+solve of the centred points) for the full family.  A covariance must
+clear the positivity floor of :mod:`gaussmatch.linalg`, exactly as an
+``eigh`` of it would decide.  The variances are their own spectrum.  A
+factor L passes when the AM-GM lower bound ``det * ((n-1)/tr)**(n-1)`` on
+the smallest eigenvalue of L @ L.T beats the floor twice over; any other
+factor is judged, and evaluated, through ``eigh`` of L @ L.T.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from .errors import InvalidInputError, OracleConvergenceError
 from .families import FAMILY_ORDER, FIXED_MEAN_FAMILIES, Family, FamilySpec, FitResult, fit
 from .families import _pinned_offset
 from .gaussians import LOG_TWO_PI, GaussianModel, as_point_set, estimate_moments
-from .linalg import eigenvalue_floor, require_positive_definite
+from .linalg import EIGENVALUE_FLOOR_SCALE, eigenvalue_floor, require_positive_definite
 
 # Nelder-Mead is reliable only in modest dimension; a full covariance in
 # dimension 8 already means 44 free parameters.
@@ -34,6 +45,14 @@ MAX_ORACLE_DIM = 8
 # Agreement thresholds for oracle-vs-closed-form comparisons.
 ORACLE_ABS_TOL = 1e-4
 ORACLE_MARGIN = 1e-6
+
+# A full-family factor L skips the eigendecomposition only when the AM-GM
+# bound on the smallest eigenvalue of L @ L.T beats the positivity floor by
+# this factor, which dwarfs the rounding of the eigh route (about 2e-6 * n
+# of the floor), and only when tr(L @ L.T) lies in this range, far from
+# overflow and from subnormal products.
+_BOUND_SLACK = 2.0
+_TRACE_RANGE = (1e-290, 1e290)
 
 
 @dataclass(frozen=True)
@@ -143,6 +162,71 @@ def _initial_point(spec: FamilySpec, moments, n: int):
     return np.concatenate(parts), np.concatenate(sigmas)
 
 
+def _make_objective(pts: np.ndarray, spec: FamilySpec):
+    """Build the Nelder-Mead objective for one family and one point set.
+
+    The returned function maps a parameter vector (see
+    ``_mean_cov_from_params``) to the empirical cross-entropy of ``pts``,
+    or to ``inf`` wherever ``_ce_terms`` on the same covariance rejects it
+    or gives a value that is not finite.  It never sets numpy error
+    states; call it under ``np.errstate`` to silence overflow warnings at
+    extreme parameters.  The module docstring says how each family is
+    evaluated and how the floor is decided.
+    """
+    count, n = pts.shape
+    start = n if spec.fixed_mean is None else 0
+    fixed_centred = None if start else pts - spec.fixed_mean
+    const = n * LOG_TWO_PI
+
+    def centred(params):
+        return pts - params[:n] if start else fixed_centred
+
+    def value_from(log_det: float, z: np.ndarray) -> float:
+        value = 0.5 * (const + log_det + float(np.einsum("ij,ij->", z, z)) / count)
+        return value if math.isfinite(value) else math.inf
+
+    def scaled(params, var: np.ndarray) -> float:
+        if not var.min() > EIGENVALUE_FLOOR_SCALE * (float(var.sum()) / n):
+            return math.inf
+        return value_from(float(np.log(var).sum()), centred(params) / np.sqrt(var))
+
+    if spec.shape is Family.DIAGONAL:
+        return lambda params: scaled(params, np.exp(params[start:]))
+    if spec.shape is Family.ISOTROPIC:
+        # log_scale >= 709 maps to an infinite covariance in _mean_cov_from_params.
+        return lambda params: (
+            scaled(params, np.full(n, math.exp(params[start])))
+            if params[start] < 709.0 else math.inf
+        )
+
+    diag = np.diag_indices(n)
+    rows, cols = np.tril_indices(n, -1)
+    # log of the AM-GM bound minus log of the slackened floor is
+    # log_det + bound_const - n * log(tr).
+    bound_const = (n - 1) * math.log(max(n - 1, 1)) - math.log(
+        _BOUND_SLACK * EIGENVALUE_FLOOR_SCALE / n
+    )
+
+    def full(params):
+        log_diag = params[start : start + n]
+        lower = np.zeros((n, n))
+        lower[diag] = np.exp(log_diag)
+        lower[rows, cols] = params[start + n :]
+        tr = float(np.einsum("ij,ij->", lower, lower))
+        log_det = 2.0 * float(log_diag.sum())
+        if not (
+            _TRACE_RANGE[0] < tr < _TRACE_RANGE[1]
+            and log_det + bound_const > n * math.log(tr)
+        ):
+            mean, cov = _mean_cov_from_params(spec, n, params)
+            value, _ = _ce_terms(pts, mean, cov)
+            return value if value is not None and np.isfinite(value) else math.inf
+        # The bound keeps every diagonal entry of L normal, so L is invertible.
+        return value_from(log_det, np.linalg.solve(lower, centred(params).T))
+
+    return full
+
+
 def _minimize_details(points, spec: FamilySpec, config: OracleConfig):
     """Run the restart schedule; return (best_x, best_fun, per-restart stats)."""
     # Imported here, not at module level: scipy.optimize costs more to load
@@ -158,45 +242,41 @@ def _minimize_details(points, spec: FamilySpec, config: OracleConfig):
     moments = estimate_moments(pts)
     if spec.fixed_mean is not None:
         _pinned_offset(moments, spec)  # checks the pinned mean against the dimension
-
-    def objective(params: np.ndarray) -> float:
-        mean, cov = _mean_cov_from_params(spec, n, params)
-        value, _ = _ce_terms(pts, mean, cov)
-        if value is None or not np.isfinite(value):
-            return np.inf
-        return value
+    objective = _make_objective(pts, spec)
 
     base, sigma = _initial_point(spec, moments, n)
-    f_base = objective(base)
-    fatol = config.rel_tolerance * max(1.0, abs(f_base) if np.isfinite(f_base) else 1.0)
-    step = 0.25 * sigma + 0.05 * np.abs(base)
-    runs = []
-    for r in range(config.restarts):
-        rng = np.random.default_rng([config.seed & 0xFFFFFFFFFFFFFFFF, r])
-        x0 = base if r == 0 else base + rng.normal(0.0, 1.0, base.size) * sigma
-        simplex = np.vstack([x0, x0 + np.diag(step)])
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iterations,
-                "maxfev": 10 * config.max_iterations,
-                "initial_simplex": simplex,
-                "xatol": 1e-6,
-                "fatol": fatol,
-                "adaptive": True,
-            },
-        )
-        runs.append(
-            {
-                "x": np.asarray(result.x, dtype=float),
-                "fun": float(result.fun),
-                "iterations": int(result.nit),
-                "evaluations": int(result.nfev),
-                "converged": bool(result.success),
-            }
-        )
+    # One error state for the whole run; the objective sets none per call.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f_base = objective(base)
+        fatol = config.rel_tolerance * max(1.0, abs(f_base) if np.isfinite(f_base) else 1.0)
+        step = 0.25 * sigma + 0.05 * np.abs(base)
+        runs = []
+        for r in range(config.restarts):
+            rng = np.random.default_rng([config.seed & 0xFFFFFFFFFFFFFFFF, r])
+            x0 = base if r == 0 else base + rng.normal(0.0, 1.0, base.size) * sigma
+            simplex = np.vstack([x0, x0 + np.diag(step)])
+            result = minimize(
+                objective,
+                x0,
+                method="Nelder-Mead",
+                options={
+                    "maxiter": config.max_iterations,
+                    "maxfev": 10 * config.max_iterations,
+                    "initial_simplex": simplex,
+                    "xatol": 1e-6,
+                    "fatol": fatol,
+                    "adaptive": True,
+                },
+            )
+            runs.append(
+                {
+                    "x": np.asarray(result.x, dtype=float),
+                    "fun": float(result.fun),
+                    "iterations": int(result.nit),
+                    "evaluations": int(result.nfev),
+                    "converged": bool(result.success),
+                }
+            )
     converged = [run for run in runs if run["converged"]]
     pool = converged if converged else runs
     best = min(pool, key=lambda run: run["fun"])
@@ -214,7 +294,11 @@ def oracle_minimize(points, spec: FamilySpec, config: OracleConfig | None = None
     Raises OracleConvergenceError (carrying the best match value seen) when
     no restart converges within ``config.max_iterations``.
     """
-    cfg = config if config is not None else OracleConfig()
+    return _oracle_fit(points, spec, config if config is not None else OracleConfig())[0]
+
+
+def _oracle_fit(points, spec: FamilySpec, cfg: OracleConfig):
+    """``oracle_minimize`` plus the per-restart statistics of its runs."""
     pts = as_point_set(points)
     best_x, best_fun, runs = _minimize_details(pts, spec, cfg)
     moments = estimate_moments(pts)
@@ -232,18 +316,25 @@ def oracle_minimize(points, spec: FamilySpec, config: OracleConfig | None = None
         match=float(best_fun - baseline),
         cross_entropy=float(best_fun),
         family=spec,
-    )
+    ), runs
 
 
 @dataclass(frozen=True)
 class FamilyCheck:
-    """Aggregate oracle-vs-closed-form agreement for one family."""
+    """Aggregate oracle-vs-closed-form agreement for one family.
+
+    The last four fields sum the Nelder-Mead restarts over all trials.
+    """
 
     family: Family
     trials: int
     max_abs_diff: float
     worst_margin: float
     passed: bool
+    converged_restarts: int = 0
+    restarts: int = 0
+    iterations: int = 0
+    evaluations: int = 0
 
 
 def _verification_dataset(seed: int, index: int, dims) -> np.ndarray:
@@ -286,14 +377,15 @@ def verify_families(
         fixed_means.append(pts.mean(axis=0) + rng.normal(0.0, 1.0, pts.shape[1]))
     checks: list[FamilyCheck] = []
     for f_index, kind in enumerate(FAMILY_ORDER):
-        diffs, margins = [], []
+        diffs, margins, runs = [], [], []
         for t, pts in enumerate(datasets):
             spec = FamilySpec(kind, fixed_means[t] if kind in FIXED_MEAN_FAMILIES else None)
             closed = fit(estimate_moments(pts), spec)
             trial_cfg = replace(cfg, seed=cfg.seed + 7919 * t + f_index)
-            numeric = oracle_minimize(pts, spec, trial_cfg)
+            numeric, trial_runs = _oracle_fit(pts, spec, trial_cfg)
             diffs.append(abs(numeric.match - closed.match))
             margins.append(numeric.match - closed.match)
+            runs.extend(trial_runs)
         max_abs = float(max(diffs))
         worst = float(min(margins))
         checks.append(
@@ -303,6 +395,10 @@ def verify_families(
                 max_abs_diff=max_abs,
                 worst_margin=worst,
                 passed=(max_abs <= abs_tol and worst >= -margin_tol),
+                converged_restarts=sum(run["converged"] for run in runs),
+                restarts=len(runs),
+                iterations=sum(run["iterations"] for run in runs),
+                evaluations=sum(run["evaluations"] for run in runs),
             )
         )
     return checks

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,18 @@ class TestImageBlocks:
                     "--block", "4"]) == 0
         assert read_points_csv(out).shape == (4, 48)
 
+    def test_sample_above_maxval_is_data_error(self, tmp_path):
+        img = tmp_path / "bright.ppm"
+        img.write_bytes(b"P6 8 8 100\n" + bytes([200]) * (8 * 8 * 3))
+        result = subprocess.run(
+            [sys.executable, "-m", "gaussmatch.cli", "image-blocks", "--input", str(img),
+             "--output", str(tmp_path / "o.csv")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: sample value 200 exceeds maxval 100\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_bad_image_is_data_error(self, tmp_path, capsys):
         img = tmp_path / "bad.ppm"
         img.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
@@ -407,6 +420,31 @@ _field_values = st.one_of(
         [[1.0, 3.0], [0.0, 1.0]], [[1e308, 1e308], [1e308, 1e308]], [[1e-300, 0.0], [0.0, 1.0]],
     ]),
 )
+
+
+_OVERFLOWING_COV_DOC = dict(_VALID_DOC, covariance=[[1e308, 1e308], [1e308, 1e308]])
+
+
+class TestOverflowingCovariance:
+    """A covariance whose symmetrized sum overflows is refused when the model is built."""
+
+    def test_library_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GaussMatchError, match="overflow"):
+                fit_from_document(_OVERFLOWING_COV_DOC)
+
+    def test_cli_exit_2_under_warnings_as_errors(self, sample_csv, tmp_path):
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps(_OVERFLOWING_COV_DOC), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gaussmatch.cli", "score",
+             "--input", str(sample_csv), "--model", str(model)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ") and "overflow" in result.stderr
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
 
 
 class TestModelDocumentFuzz:

@@ -330,6 +330,18 @@ class TestPpm:
             with pytest.raises(ParseError):
                 read_ppm(io.BytesIO(header + bytes(30)))
 
+    @pytest.mark.parametrize("header, sample", [(b"P6 8 8 100\n", bytes([200])),
+                                                (b"P6 8 8 300\n", (301).to_bytes(2, "big"))])
+    def test_rejects_sample_above_maxval(self, header, sample):
+        top = int.from_bytes(sample, "big")
+        maxval = int(header.split()[-1])
+        with pytest.raises(ParseError, match=f"sample value {top} exceeds maxval {maxval}"):
+            read_ppm(io.BytesIO(header + sample * (8 * 8 * 3)))
+
+    def test_sample_at_maxval_scales_to_one(self):
+        raster = read_ppm(io.BytesIO(b"P6 8 8 100\n" + bytes([100]) * (8 * 8 * 3)))
+        assert image_to_blocks(raster).blocks.max() == 1.0
+
     def test_rejects_oversized_maxval(self):
         with pytest.raises(ParseError):
             read_ppm(io.BytesIO(b"P6\n1 1\n70000\n" + bytes(6)))

@@ -1,11 +1,13 @@
 """Symmetric eigen helpers, SPD powers, and the trace-minimization bound."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gaussmatch import (
     InvalidInputError,
@@ -247,3 +249,23 @@ class TestSymmetrize:
             symmetrize(np.ones(3))
         with pytest.raises(InvalidInputError):
             symmetrize(np.full((2, 2), np.inf))
+
+    def test_overflowing_sum_is_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="overflow"):
+                symmetrize([[1e308, 1e308], [1e308, 1e308]])
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                symmetrize([[1.0, np.inf], [-np.inf, 1.0]])
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4)
+                      .map(lambda shape: (shape[0], shape[0])),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_finite_results_are_the_plain_average(self, m):
+        with np.errstate(over="ignore"):
+            plain = (m + m.T) / 2.0
+        if np.isfinite(plain).all():
+            assert symmetrize(m).tobytes() == plain.tobytes()
+        else:
+            with pytest.raises(InvalidInputError):
+                symmetrize(m)

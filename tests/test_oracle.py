@@ -1,9 +1,13 @@
 """Numerical oracle: empirical cross-entropy and Nelder-Mead family fits."""
 
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussmatch import (
     Family,
@@ -21,7 +25,14 @@ from gaussmatch import (
     sample_gaussian,
     verify_families,
 )
-from gaussmatch.oracle import _minimize_details
+from gaussmatch import oracle
+from gaussmatch.families import FAMILY_ORDER, FIXED_MEAN_FAMILIES
+from gaussmatch.oracle import (
+    _ce_terms,
+    _make_objective,
+    _mean_cov_from_params,
+    _minimize_details,
+)
 from helpers import random_dataset
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -192,6 +203,27 @@ class TestStationarity:
 
 
 class TestVerifyFamilies:
+    def test_restart_totals(self, monkeypatch):
+        first = verify_families(dims=(1, 2), trials=2, seed=3)
+        per_trial = []
+        minimize_details = oracle._minimize_details
+
+        def recording(*args):
+            result = minimize_details(*args)
+            per_trial.append(result[2])
+            return result
+
+        monkeypatch.setattr(oracle, "_minimize_details", recording)
+        second = verify_families(dims=(1, 2), trials=2, seed=3)
+        assert first == second
+        for index, check in enumerate(second):
+            runs = [run for trial in per_trial[2 * index : 2 * index + 2] for run in trial]
+            assert check.restarts == len(runs) == 2 * OracleConfig().restarts
+            assert check.converged_restarts == sum(run["converged"] for run in runs)
+            assert check.iterations == sum(run["iterations"] for run in runs)
+            assert check.evaluations == sum(run["evaluations"] for run in runs)
+            assert check.evaluations > check.iterations > 0
+
     def test_small_run_passes(self):
         checks = verify_families(dims=(1, 2), trials=3, seed=7)
         assert len(checks) == 6
@@ -208,3 +240,166 @@ class TestVerifyFamilies:
             verify_families(dims=(9,), trials=3)
         with pytest.raises(InvalidInputError):
             verify_families(dims=(2,), trials=0)
+
+
+def _reference_objective(pts, spec, params):
+    """Reference objective: `_ce_terms`, an eigh of the covariance the parameters describe."""
+    mean, cov = _mean_cov_from_params(spec, pts.shape[1], params)
+    value, _ = _ce_terms(pts, mean, cov)
+    return math.inf if value is None or not np.isfinite(value) else value
+
+
+def _exact_full_objective(pts, spec, params):
+    """Full-family objective with the quadratic term in exact rational arithmetic."""
+    n = pts.shape[1]
+    mean, cov = _mean_cov_from_params(spec, n, params)
+    start = n if spec.fixed_mean is None else 0
+    lower = np.zeros((n, n))
+    lower[np.diag_indices(n)] = np.exp(params[start : start + n])
+    lower[np.tril_indices(n, -1)] = params[start + n :]
+    factor = [[Fraction(float(x)) for x in row] for row in lower]
+    total = Fraction(0)
+    for point in pts:
+        z = []
+        for i in range(n):
+            rest = Fraction(float(point[i])) - Fraction(float(mean[i]))
+            rest -= sum((factor[i][k] * z[k] for k in range(i)), Fraction(0))
+            z.append(rest / factor[i][i])
+        total += sum(t * t for t in z)
+    quad = float(total / len(pts))
+    log_det = 2.0 * math.fsum(math.log(float(x)) for x in np.diag(lower))
+    return 0.5 * (n * LOG_2PI + log_det + quad), quad
+
+
+# Log-scales at the edges of exp's range: 709.78 overflows, 745.13 underflows
+# to 0, below -708.4 the result is subnormal, and 354 squared is near overflow.
+_EDGE_LOG_SCALES = (-745.2, -745.0, -744.5, -709.0, -708.0, 0.0, 353.5, 354.0, 354.5,
+                    708.5, 709.0, 709.5, 709.8)
+_log_scales = st.one_of(
+    st.floats(-12.0, 6.0),
+    st.sampled_from(_EDGE_LOG_SCALES).flatmap(lambda c: st.floats(c - 0.6, c + 0.6)),
+)
+_off_diagonals = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e5, 1e5))
+_large_off_diagonals = st.builds(lambda sign, exponent: sign * 10.0**exponent,
+                                 st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 4.0))
+
+
+@st.composite
+def _objective_case(draw, shapes=FAMILY_ORDER):
+    """Points, a family spec and a parameter vector in that family's layout."""
+    kind = draw(st.sampled_from(shapes))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3])), (draw(st.integers(2, 12)), n))
+    fixed = kind in FIXED_MEAN_FAMILIES
+    spec = FamilySpec(kind, rng.normal(0.0, 1.0, n) if fixed else None)
+    mean = [] if fixed else list(rng.normal(0.0, 1.0, n))
+    if spec.shape is Family.ISOTROPIC:
+        scales = [draw(_log_scales)]
+    elif spec.shape is Family.DIAGONAL:
+        scales = draw(st.lists(_log_scales, min_size=n, max_size=n))
+    elif draw(st.booleans()):
+        # near-singular: a tiny diagonal under a large off-diagonal
+        scales = draw(st.lists(st.floats(-14.0, 1.0), min_size=n, max_size=n))
+        scales += draw(st.lists(_large_off_diagonals, min_size=n * (n - 1) // 2,
+                                max_size=n * (n - 1) // 2))
+    else:
+        scales = draw(st.lists(_log_scales, min_size=n, max_size=n))
+        scales += draw(st.lists(_off_diagonals, min_size=n * (n - 1) // 2,
+                                max_size=n * (n - 1) // 2))
+    return pts, spec, np.array(mean + scales, dtype=float)
+
+
+class TestObjective:
+    """The objective built from the factor against the eigh route it replaced."""
+
+    @settings(max_examples=400)
+    @given(_objective_case())
+    def test_matches_eigh_route(self, case):
+        pts, spec, params = case
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            value = _make_objective(pts, spec)(params)
+            reference = _reference_objective(pts, spec, params)
+        assert math.isinf(value) == math.isinf(reference), (value, reference)
+        if math.isinf(value):
+            return
+        tol = 1e-12 * max(1.0, abs(reference))
+        if spec.shape is Family.FULL:
+            # eigh resolves the spectrum of L @ L.T to an absolute error of
+            # about eps * tr, so the reference itself is off by eps * cond
+            # relative; test_full_matches_exact_arithmetic checks the new value.
+            _, cov = _mean_cov_from_params(spec, pts.shape[1], params)
+            spectrum = np.linalg.eigvalsh(cov)
+            _, quad = _exact_full_objective(pts, spec, params)
+            tol += 8 * np.finfo(float).eps * (spectrum[-1] / spectrum[0]) * (
+                pts.shape[1] + quad + abs(reference)
+            )
+        assert abs(value - reference) <= tol, (value, reference, tol)
+
+    @settings(max_examples=200)
+    @given(_objective_case(shapes=(Family.FULL, Family.FIXED_MEAN)))
+    def test_full_matches_exact_arithmetic(self, case):
+        pts, spec, params = case
+        with mock.patch.object(oracle, "_ce_terms", wraps=_ce_terms) as fallback:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                value = _make_objective(pts, spec)(params)
+        if fallback.called:
+            assert value == _reference_objective(pts, spec, params)
+        elif math.isfinite(value):
+            exact, quad = _exact_full_objective(pts, spec, params)
+            assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact), quad), (value, exact)
+
+    @staticmethod
+    def _count_eigh(monkeypatch):
+        calls = [0]
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_well_conditioned_full_run_calls_no_eigh(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        pts = random_dataset(rng, 3, 80)
+        calls = self._count_eigh(monkeypatch)
+        estimate_moments(pts)
+        moments_calls = calls[0]
+        _minimize_details(pts, FamilySpec(Family.FULL), OracleConfig(seed=4))
+        # the only eigendecomposition is the one of the starting moments
+        assert calls[0] == 2 * moments_calls == 2
+
+    def test_tiny_trace_uses_eigh_route(self, monkeypatch):
+        # L = [[1e-160, 0], [1e-160, 1e-163]] clears the AM-GM bound, but the
+        # products in L @ L.T underflow to a singular matrix, which eigh
+        # rejects; the trace range sends such a factor to eigh.
+        pts = np.zeros((2, 2))
+        spec = FamilySpec(Family.FIXED_MEAN, np.zeros(2))
+        params = np.array([math.log(1e-160), math.log(1e-163), 1e-160])
+        calls = self._count_eigh(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert _make_objective(pts, spec)(params) == math.inf
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("ratio, accepted", [(0.5, False), (1.5, True), (3.0, True)])
+    def test_factor_near_floor(self, monkeypatch, ratio, accepted):
+        # L = [[1, 0], [a, b]]: det(L L^T) = b^2 and for n = 2 the AM-GM bound
+        # b^2 / tr sits within 1e-10 of the smallest eigenvalue.  Solve for b
+        # so that the bound is `ratio` times the floor 1e-10 * tr / 2.
+        a, b = 100.0, 0.0
+        for _ in range(3):
+            b = math.sqrt(ratio * 5e-11) * (1.0 + a * a + b * b)
+        pts = np.array([[0.5, 40.0], [-0.5, 60.0], [1.0, 100.0]])
+        spec = FamilySpec(Family.FULL)
+        params = np.array([0.0, 50.0, 0.0, math.log(b), a])
+        calls = self._count_eigh(monkeypatch)
+        value = _make_objective(pts, spec)(params)
+        if ratio < 2.0:
+            # inside the slack: the eigh route decides, and its value is returned
+            assert calls[0] == 1
+            assert value == _reference_objective(pts, spec, params)
+        else:
+            assert calls[0] == 0
+        assert math.isfinite(value) == accepted

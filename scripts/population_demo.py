@@ -21,30 +21,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gaussmatch import (
-    FAMILY_ORDER,
-    FIXED_MEAN_FAMILIES,
-    FamilySpec,
-    Moments,
-    estimate_moments,
-    fit,
-    sample_gaussian,
-)
+from gaussmatch import Moments, estimate_moments, family_report, sample_gaussian
 
 POPULATION_MEAN = np.array([3.0, 4.0])
 POPULATION_COV = np.array([[1.0, 0.3], [0.3, 0.6]])
 PINNED_MEAN = np.zeros(2)
-
-
-def fit_table(moments: Moments) -> list[tuple[str, float]]:
-    rows = []
-    for family in FAMILY_ORDER:
-        if family in FIXED_MEAN_FAMILIES:
-            spec = FamilySpec(family, fixed_mean=PINNED_MEAN)
-        else:
-            spec = FamilySpec(family)
-        rows.append((family.value, fit(moments, spec).match))
-    return rows
 
 
 def main(argv=None) -> int:
@@ -55,17 +36,16 @@ def main(argv=None) -> int:
 
     population = Moments(POPULATION_MEAN, POPULATION_COV)
     sample = sample_gaussian(POPULATION_MEAN, POPULATION_COV, args.count, args.seed)
-    sampled = estimate_moments(sample)
-
-    exact_rows = fit_table(population)
-    sampled_rows = fit_table(sampled)
+    exact_rows = family_report(population, [PINNED_MEAN])
+    sampled_rows = family_report(estimate_moments(sample), [PINNED_MEAN])
 
     print(f"population mean {POPULATION_MEAN.tolist()}, cov {POPULATION_COV.tolist()}")
     print(f"fixed means pinned at {PINNED_MEAN.tolist()}, sample size {args.count}, seed {args.seed}")
     print()
     print(f"{'family':<22} {'M (population)':>16} {'M (sampled)':>16} {'abs diff':>12}")
-    for (name, exact), (_, observed) in zip(exact_rows, sampled_rows):
-        print(f"{name:<22} {exact:16.6f} {observed:16.6f} {abs(exact - observed):12.2e}")
+    for exact, observed in zip(exact_rows, sampled_rows):
+        diff = abs(exact.match - observed.match)
+        print(f"{exact.family.value:<22} {exact.match:16.6f} {observed.match:16.6f} {diff:12.2e}")
     return 0
 
 

@@ -39,7 +39,7 @@ from .families import (
 )
 from .gaussians import GaussianModel, cross_entropy, estimate_moments, match_score
 from .ingest import image_to_blocks, read_points_csv, read_ppm, sample_gaussian, write_points_csv
-from .oracle import OracleConfig, verify_families
+from .oracle import MAX_ORACLE_DIM, verify_families
 
 MODEL_SCHEMA_VERSION = "1"
 
@@ -92,6 +92,8 @@ def _dims(text: str) -> tuple[int, ...]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError
+            # Clamped so that a bound out of range still yields an entry out of range.
+            lo, hi = (min(max(v, 0), MAX_ORACLE_DIM + 1) for v in (lo, hi))
             return tuple(range(lo, hi + 1))
         return tuple(int(f) for f in text.split(","))
     except ValueError:
@@ -174,6 +176,9 @@ def run(argv=None) -> int:
         return 1
     except (GaussMatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 
@@ -313,7 +318,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = verify_families(dims=args.dims, trials=args.trials, seed=args.seed, config=OracleConfig())
+    checks = verify_families(dims=args.dims, trials=args.trials, seed=args.seed)
     for check in checks:
         status = "ok" if check.passed else "FAIL"
         print(

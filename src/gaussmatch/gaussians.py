@@ -27,12 +27,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .linalg import EigenDecomposition, SpdFactor, spd_factor, sym_eigen, symmetrize
+from .linalg import EigenDecomposition, SpdFactor, require_nonnegative_definite
+from .linalg import spd_factor, sym_eigen, symmetrize
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
-
-# Moments accept covariance estimates that are "negative by rounding only".
-_PSD_SLACK = 1e-10
 
 
 def as_point_set(points) -> np.ndarray:
@@ -89,11 +87,7 @@ class Moments:
     def __post_init__(self):
         mean, cov = _mean_and_cov(self.mean, self.cov)
         eig = sym_eigen(cov)
-        slack = _PSD_SLACK * max(1.0, float(eig.values[0]))
-        if float(eig.values[-1]) < -slack:
-            raise InvalidInputError(
-                f"covariance must be nonnegative definite (eigenvalue {eig.values[-1]:.3e})"
-            )
+        require_nonnegative_definite(eig.values, "covariance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_eigen", EigenDecomposition(*map(_frozen, eig)))

@@ -88,6 +88,15 @@ def require_positive_definite(smallest: float, matrix: np.ndarray, name: str = "
         )
 
 
+def require_nonnegative_definite(values: np.ndarray, name: str = "matrix") -> None:
+    """Raise InvalidInputError when the descending spectrum ``values`` is negative
+    beyond rounding: its smallest entry below -1e-10 * max(1, largest entry)."""
+    if float(values[-1]) < -1e-10 * max(1.0, float(values[0])):
+        raise InvalidInputError(
+            f"{name} must be nonnegative definite (smallest eigenvalue {values[-1]:.3e})"
+        )
+
+
 class SpdFactor(NamedTuple):
     """Spectral factor of a symmetric positive definite matrix S."""
 
@@ -162,10 +171,7 @@ def min_trace_assignment(target_spectrum, matrix) -> float:
             f"spectrum of length {lam.size} does not match a {b.shape[0]}x{b.shape[0]} matrix"
         )
     beta = sym_eigen(b).values
-    if float(beta[-1]) < -1e-10:
-        raise InvalidInputError(
-            f"matrix must be nonnegative definite (smallest eigenvalue {beta[-1]:.3e})"
-        )
+    require_nonnegative_definite(beta)
     beta = np.clip(beta, 0.0, None)
     # lam ascending, beta descending: the anti-aligned pairing.
     return float(lam @ beta)

@@ -11,7 +11,9 @@ between the two routes is the strongest check the package offers, and the
 
 The oracle evaluates the objective from the raw points, not from the
 closed-form moment expressions, so the two routes share no algebra beyond
-the density itself.
+the density itself.  ``verify_families`` handles each dataset in one pass:
+its moments and baseline cross-entropy serve the closed-form and oracle
+fits of all six families.
 
 Each run builds its objective once (``_make_objective``) and evaluates it
 from the covariance the parameters describe, with no eigendecomposition:
@@ -46,6 +48,11 @@ MAX_ORACLE_DIM = 8
 ORACLE_ABS_TOL = 1e-4
 ORACLE_MARGIN = 1e-6
 
+# Nelder-Mead restarts per fit, and the objective tolerance of each run
+# relative to the objective at the starting point.
+ORACLE_RESTARTS = 3
+ORACLE_REL_TOL = 1e-10
+
 # A full-family factor L skips the eigendecomposition only when the AM-GM
 # bound on the smallest eigenvalue of L @ L.T beats the positivity floor by
 # this factor, which dwarfs the rounding of the eigh route (about 2e-6 * n
@@ -60,17 +67,11 @@ class OracleConfig:
     """Settings for the Nelder-Mead verification runs."""
 
     max_iterations: int = 5000
-    rel_tolerance: float = 1e-10
-    restarts: int = 3
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be positive")
-        if not (self.rel_tolerance > 0.0):
-            raise InvalidInputError("rel_tolerance must be positive")
-        if self.restarts < 1:
-            raise InvalidInputError("restarts must be at least 1")
 
 
 def _ce_terms(pts: np.ndarray, mean: np.ndarray, cov: np.ndarray):
@@ -227,31 +228,21 @@ def _make_objective(pts: np.ndarray, spec: FamilySpec):
     return full
 
 
-def _minimize_details(points, spec: FamilySpec, config: OracleConfig):
-    """Run the restart schedule; return (best_x, best_fun, per-restart stats)."""
+def _minimize_details(pts: np.ndarray, moments, spec: FamilySpec, config: OracleConfig):
+    """Run the restart schedule on validated points; return (best_x, best_fun, run stats)."""
     # Imported here, not at module level: scipy.optimize costs more to load
     # than the whole of numpy, and only the oracle needs it.
     from scipy.optimize import minimize
 
-    pts = as_point_set(points)
-    n = pts.shape[1]
-    if n > MAX_ORACLE_DIM:
-        raise InvalidInputError(
-            f"oracle supports dimension <= {MAX_ORACLE_DIM}, got {n}"
-        )
-    moments = estimate_moments(pts)
-    if spec.fixed_mean is not None:
-        _pinned_offset(moments, spec)  # checks the pinned mean against the dimension
     objective = _make_objective(pts, spec)
-
-    base, sigma = _initial_point(spec, moments, n)
+    base, sigma = _initial_point(spec, moments, pts.shape[1])
     # One error state for the whole run; the objective sets none per call.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f_base = objective(base)
-        fatol = config.rel_tolerance * max(1.0, abs(f_base) if np.isfinite(f_base) else 1.0)
+        fatol = ORACLE_REL_TOL * max(1.0, abs(f_base) if np.isfinite(f_base) else 1.0)
         step = 0.25 * sigma + 0.05 * np.abs(base)
         runs = []
-        for r in range(config.restarts):
+        for r in range(ORACLE_RESTARTS):
             rng = np.random.default_rng([config.seed & 0xFFFFFFFFFFFFFFFF, r])
             x0 = base if r == 0 else base + rng.normal(0.0, 1.0, base.size) * sigma
             simplex = np.vstack([x0, x0 + np.diag(step)])
@@ -286,7 +277,7 @@ def _minimize_details(points, spec: FamilySpec, config: OracleConfig):
 def oracle_minimize(points, spec: FamilySpec, config: OracleConfig | None = None) -> FitResult:
     """Numerically minimize the empirical cross-entropy within a family.
 
-    Runs ``config.restarts`` seeded Nelder-Mead searches from perturbed
+    Runs ``ORACLE_RESTARTS`` seeded Nelder-Mead searches from perturbed
     starting points and keeps the best converged run.  The returned match
     score is the best objective value minus the empirical cross-entropy of
     the moment-matched Gaussian, mirroring the closed-form definition.
@@ -294,15 +285,21 @@ def oracle_minimize(points, spec: FamilySpec, config: OracleConfig | None = None
     Raises OracleConvergenceError (carrying the best match value seen) when
     no restart converges within ``config.max_iterations``.
     """
-    return _oracle_fit(points, spec, config if config is not None else OracleConfig())[0]
-
-
-def _oracle_fit(points, spec: FamilySpec, cfg: OracleConfig):
-    """``oracle_minimize`` plus the per-restart statistics of its runs."""
     pts = as_point_set(points)
-    best_x, best_fun, runs = _minimize_details(pts, spec, cfg)
+    if pts.shape[1] > MAX_ORACLE_DIM:
+        raise InvalidInputError(
+            f"oracle supports dimension <= {MAX_ORACLE_DIM}, got {pts.shape[1]}"
+        )
     moments = estimate_moments(pts)
+    if spec.fixed_mean is not None:
+        _pinned_offset(moments, spec)  # checks the pinned mean against the dimension
     baseline = empirical_cross_entropy(pts, GaussianModel(moments.mean, moments.cov))
+    return _oracle_fit(pts, moments, baseline, spec, config or OracleConfig())[0]
+
+
+def _oracle_fit(pts: np.ndarray, moments, baseline: float, spec: FamilySpec, cfg: OracleConfig):
+    """``oracle_minimize`` on validated points, plus the per-restart statistics."""
+    best_x, best_fun, runs = _minimize_details(pts, moments, spec, cfg)
     if not any(run["converged"] for run in runs):
         raise OracleConvergenceError(
             f"no restart converged within {cfg.max_iterations} iterations "
@@ -349,56 +346,47 @@ def _verification_dataset(seed: int, index: int, dims) -> np.ndarray:
     return mean + rng.standard_normal((n, dim)) @ chol.T
 
 
-def verify_families(
-    dims=(1, 2, 3, 4),
-    trials: int = 50,
-    seed: int = 0,
-    config: OracleConfig | None = None,
-    abs_tol: float = ORACLE_ABS_TOL,
-    margin_tol: float = ORACLE_MARGIN,
-) -> list[FamilyCheck]:
+def verify_families(dims=(1, 2, 3, 4), trials: int = 50, seed: int = 0) -> list[FamilyCheck]:
     """Compare closed-form and oracle match scores across random datasets.
 
     For every family, fits ``trials`` seeded datasets both ways and checks
-    that |M_closed - M_oracle| <= abs_tol and that the oracle never lands
-    more than ``margin_tol`` below the closed form (which would contradict
-    the closed form's optimality).
+    that |M_closed - M_oracle| <= ORACLE_ABS_TOL and that the oracle never
+    lands more than ORACLE_MARGIN below the closed form (which would
+    contradict the closed form's optimality).
     """
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 1 or max(dims) > MAX_ORACLE_DIM:
         raise InvalidInputError(f"dims must lie in 1..{MAX_ORACLE_DIM}")
     if trials < 1:
         raise InvalidInputError("trials must be positive")
-    cfg = config if config is not None else OracleConfig()
-    datasets = [_verification_dataset(seed, t, dims) for t in range(trials)]
-    fixed_means = []
-    for t, pts in enumerate(datasets):
+    checks = {
+        kind: FamilyCheck(kind, trials, max_abs_diff=-math.inf, worst_margin=math.inf, passed=False)
+        for kind in FAMILY_ORDER
+    }
+    for t in range(trials):
+        pts = _verification_dataset(seed, t, dims)
+        moments = estimate_moments(pts)
+        baseline = empirical_cross_entropy(pts, GaussianModel(moments.mean, moments.cov))
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, t, 1])
-        fixed_means.append(pts.mean(axis=0) + rng.normal(0.0, 1.0, pts.shape[1]))
-    checks: list[FamilyCheck] = []
-    for f_index, kind in enumerate(FAMILY_ORDER):
-        diffs, margins, runs = [], [], []
-        for t, pts in enumerate(datasets):
-            spec = FamilySpec(kind, fixed_means[t] if kind in FIXED_MEAN_FAMILIES else None)
-            closed = fit(estimate_moments(pts), spec)
-            trial_cfg = replace(cfg, seed=cfg.seed + 7919 * t + f_index)
-            numeric, trial_runs = _oracle_fit(pts, spec, trial_cfg)
-            diffs.append(abs(numeric.match - closed.match))
-            margins.append(numeric.match - closed.match)
-            runs.extend(trial_runs)
-        max_abs = float(max(diffs))
-        worst = float(min(margins))
-        checks.append(
-            FamilyCheck(
-                family=kind,
-                trials=trials,
-                max_abs_diff=max_abs,
-                worst_margin=worst,
-                passed=(max_abs <= abs_tol and worst >= -margin_tol),
-                converged_restarts=sum(run["converged"] for run in runs),
-                restarts=len(runs),
-                iterations=sum(run["iterations"] for run in runs),
-                evaluations=sum(run["evaluations"] for run in runs),
+        pinned = pts.mean(axis=0) + rng.normal(0.0, 1.0, pts.shape[1])
+        for f_index, kind in enumerate(FAMILY_ORDER):
+            spec = FamilySpec(kind, pinned if kind in FIXED_MEAN_FAMILIES else None)
+            closed = fit(moments, spec)
+            numeric, runs = _oracle_fit(
+                pts, moments, baseline, spec, OracleConfig(seed=7919 * t + f_index)
             )
-        )
-    return checks
+            margin = numeric.match - closed.match
+            check = checks[kind]
+            checks[kind] = replace(
+                check,
+                max_abs_diff=max(check.max_abs_diff, abs(margin)),
+                worst_margin=min(check.worst_margin, margin),
+                converged_restarts=check.converged_restarts + sum(r["converged"] for r in runs),
+                restarts=check.restarts + len(runs),
+                iterations=check.iterations + sum(r["iterations"] for r in runs),
+                evaluations=check.evaluations + sum(r["evaluations"] for r in runs),
+            )
+    return [
+        replace(c, passed=(c.max_abs_diff <= ORACLE_ABS_TOL and c.worst_margin >= -ORACLE_MARGIN))
+        for c in checks.values()
+    ]

@@ -22,7 +22,7 @@ from gaussmatch import (
     match_score,
     read_points_csv,
 )
-from gaussmatch.cli import fit_from_document, fit_to_document, run, scatter_svg
+from gaussmatch.cli import _dims, fit_from_document, fit_to_document, run, scatter_svg
 from gaussmatch.oracle import FamilyCheck
 from gaussmatch.families import Family
 
@@ -76,6 +76,19 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: covariance is singular")
         assert "smallest eigenvalue 0.000e+00, floor 5.000e-11" in err
+
+    def test_out_of_memory_is_data_error(self, tmp_path):
+        # numpy refuses the 14 PiB request before it touches any memory
+        out = tmp_path / "x.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "gaussmatch.cli", "synth", "--mean", "0,0", "--cov", "1,0;0,1",
+             "--count", "1000000000000000", "--output", str(out)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: out of memory")
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
     def test_negative_vector_values(self, tmp_path, capsys):
         out = tmp_path / "neg.csv"
@@ -327,6 +340,13 @@ class TestVerify:
         assert run(["verify", "--dims", "4..1"]) == 1
         assert run(["verify", "--dims", "abc"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", ["1..1000000", "-1000000..2"])
+    def test_huge_dims_range_is_data_error(self, text, capsys):
+        # the range is clamped before it is expanded, and still fails the bounds check
+        assert len(_dims(text)) <= 10
+        assert run(["verify", f"--dims={text}"]) == 2
+        assert capsys.readouterr().err == "error: dims must lie in 1..8\n"
 
 
 class TestScatterSvg:

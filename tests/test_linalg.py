@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from gaussmatch import (
     InvalidInputError,
+    Moments,
     SingularMatrixError,
     log_det_spd,
     min_trace_assignment,
@@ -237,6 +238,20 @@ class TestMinTraceAssignment:
             min_trace_assignment([1.0, 2.0], np.diag([1.0, -1.0]))  # B indefinite
         with pytest.raises(InvalidInputError):
             min_trace_assignment([np.nan, 1.0], b)
+
+    def test_semidefinite_judged_as_by_moments(self):
+        # eigh leaves the zero eigenvalue of 1e8 * Q diag(0, 1, 2, 3) Q' at up
+        # to about -1e-7: negative by rounding only, relative to 3e8.
+        rng = np.random.default_rng(10)
+        lam = [0.0, 1.0, 2.0, 3.0]
+        for _ in range(200):
+            q = random_orthogonal(rng, 4)
+            b = 1e8 * (q * np.array(lam)) @ q.T
+            Moments(np.zeros(4), b)
+            assert min_trace_assignment(lam, b) == pytest.approx(4e8, rel=1e-9)
+        for reject in (lambda m: Moments(np.zeros(2), m), lambda m: min_trace_assignment(lam[:2], m)):
+            with pytest.raises(InvalidInputError, match="nonnegative definite"):
+                reject(np.diag([1.0, -1.0]))
 
 
 class TestSymmetrize:

@@ -14,6 +14,7 @@ from gaussmatch import (
     FamilySpec,
     GaussianModel,
     InvalidInputError,
+    Moments,
     OracleConfig,
     OracleConvergenceError,
     SingularMatrixError,
@@ -110,8 +111,9 @@ class TestOracleMinimize:
         pts = random_dataset(rng, 2, 80)
         spec = FamilySpec(Family.DIAGONAL)
         cfg = OracleConfig(seed=11)
-        x1, f1, runs1 = _minimize_details(pts, spec, cfg)
-        x2, f2, runs2 = _minimize_details(pts, spec, cfg)
+        moments = estimate_moments(pts)
+        x1, f1, runs1 = _minimize_details(pts, moments, spec, cfg)
+        x2, f2, runs2 = _minimize_details(pts, moments, spec, cfg)
         assert f1 == f2
         assert np.array_equal(x1, x2)
         assert [r["iterations"] for r in runs1] == [r["iterations"] for r in runs2]
@@ -122,8 +124,9 @@ class TestOracleMinimize:
         rng = np.random.default_rng(54)
         pts = random_dataset(rng, 2, 80)
         spec = FamilySpec(Family.DIAGONAL)
-        _, _, runs_a = _minimize_details(pts, spec, OracleConfig(seed=1))
-        _, _, runs_b = _minimize_details(pts, spec, OracleConfig(seed=2))
+        moments = estimate_moments(pts)
+        _, _, runs_a = _minimize_details(pts, moments, spec, OracleConfig(seed=1))
+        _, _, runs_b = _minimize_details(pts, moments, spec, OracleConfig(seed=2))
         # restart 0 starts from the same deterministic point; later restarts differ
         assert runs_a[1]["evaluations"] != runs_b[1]["evaluations"] or not np.isclose(
             runs_a[1]["fun"], runs_b[1]["fun"], rtol=0, atol=1e-15
@@ -145,10 +148,6 @@ class TestOracleMinimize:
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             OracleConfig(max_iterations=0)
-        with pytest.raises(InvalidInputError):
-            OracleConfig(rel_tolerance=0.0)
-        with pytest.raises(InvalidInputError):
-            OracleConfig(restarts=0)
 
 
 class TestStationarity:
@@ -205,24 +204,34 @@ class TestStationarity:
 class TestVerifyFamilies:
     def test_restart_totals(self, monkeypatch):
         first = verify_families(dims=(1, 2), trials=2, seed=3)
-        per_trial = []
+        per_fit = []
         minimize_details = oracle._minimize_details
 
-        def recording(*args):
-            result = minimize_details(*args)
-            per_trial.append(result[2])
+        def recording(pts, moments, spec, config):
+            result = minimize_details(pts, moments, spec, config)
+            per_fit.append((spec.kind, result[2]))
             return result
 
         monkeypatch.setattr(oracle, "_minimize_details", recording)
         second = verify_families(dims=(1, 2), trials=2, seed=3)
         assert first == second
-        for index, check in enumerate(second):
-            runs = [run for trial in per_trial[2 * index : 2 * index + 2] for run in trial]
-            assert check.restarts == len(runs) == 2 * OracleConfig().restarts
+        for check in second:
+            runs = [run for kind, fit_runs in per_fit if kind is check.family for run in fit_runs]
+            assert check.restarts == len(runs) == 2 * oracle.ORACLE_RESTARTS
             assert check.converged_restarts == sum(run["converged"] for run in runs)
             assert check.iterations == sum(run["iterations"] for run in runs)
             assert check.evaluations == sum(run["evaluations"] for run in runs)
             assert check.evaluations > check.iterations > 0
+
+    def test_one_moments_and_baseline_per_dataset(self):
+        # each of the 5 datasets gets one Moments (one eigh) and one baseline
+        # (one eigh); the closed-form and oracle fits of all six families share them
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, mock.patch.object(
+            Moments, "__post_init__", autospec=True, side_effect=Moments.__post_init__
+        ) as built:
+            verify_families((1, 2, 3, 4), 5, 0)
+        assert eigh.call_count == 10
+        assert built.call_count == 5
 
     def test_small_run_passes(self):
         checks = verify_families(dims=(1, 2), trials=3, seed=7)
@@ -364,12 +373,10 @@ class TestObjective:
     def test_well_conditioned_full_run_calls_no_eigh(self, monkeypatch):
         rng = np.random.default_rng(60)
         pts = random_dataset(rng, 3, 80)
+        moments = estimate_moments(pts)
         calls = self._count_eigh(monkeypatch)
-        estimate_moments(pts)
-        moments_calls = calls[0]
-        _minimize_details(pts, FamilySpec(Family.FULL), OracleConfig(seed=4))
-        # the only eigendecomposition is the one of the starting moments
-        assert calls[0] == 2 * moments_calls == 2
+        _minimize_details(pts, moments, FamilySpec(Family.FULL), OracleConfig(seed=4))
+        assert calls[0] == 0
 
     def test_tiny_trace_uses_eigh_route(self, monkeypatch):
         # L = [[1e-160, 0], [1e-160, 1e-163]] clears the AM-GM bound, but the

@@ -7,7 +7,10 @@ unconstrained parameterization whose image is exactly the family's
 positive-definite interior, and a seeded Nelder-Mead search minimizes the
 empirical cross-entropy (mean negative log-density) over it.  Agreement
 between the two routes is the strongest check the package offers, and the
-``verify`` CLI subcommand exposes it directly.
+``verify`` CLI subcommand exposes it directly.  The search is the adaptive
+Nelder-Mead of Gao & Han (2012), implemented here (``_nelder_mead``) so
+that it reproduces the steps of scipy's ``minimize(method="Nelder-Mead",
+adaptive=True)`` exactly without importing scipy.
 
 The oracle evaluates the objective from the raw points, not from the
 closed-form moment expressions, so the two routes share no algebra beyond
@@ -30,6 +33,7 @@ factor is judged, and evaluated, through ``eigh`` of L @ L.T.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +56,12 @@ ORACLE_MARGIN = 1e-6
 # relative to the objective at the starting point.
 ORACLE_RESTARTS = 3
 ORACLE_REL_TOL = 1e-10
+# Largest vertex spread, per coordinate, of a converged Nelder-Mead simplex.
+_XATOL = 1e-6
+
+# Seeds are unsigned 64-bit words; a larger or negative one is an error,
+# not an alias of another seed.
+_MAX_SEED = 2**64 - 1
 
 # A full-family factor L skips the eigendecomposition only when the AM-GM
 # bound on the smallest eigenvalue of L @ L.T beats the positivity floor by
@@ -72,6 +82,13 @@ class OracleConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be positive")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    """Raise InvalidInputError unless the seed is an integer in 0..2**64-1."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed <= _MAX_SEED):
+        raise InvalidInputError(f"seed must be an integer in 0..2**64-1, got {seed!r}")
 
 
 def _ce_terms(pts: np.ndarray, mean: np.ndarray, cov: np.ndarray):
@@ -228,12 +245,93 @@ def _make_objective(pts: np.ndarray, spec: FamilySpec):
     return full
 
 
+class _BudgetSpent(Exception):
+    """The evaluation budget of a ``_nelder_mead`` run ran out mid-iteration."""
+
+
+def _nelder_mead(objective, simplex, max_iterations: int, fatol: float) -> dict:
+    """Adaptive Nelder-Mead (Gao & Han 2012) from the given initial simplex.
+
+    Reproduces ``scipy.optimize.minimize(method="Nelder-Mead",
+    adaptive=True)`` of scipy 1.17 step for step: the same coefficients,
+    the same numpy expression for every trial point, the same ``argsort``
+    reordering, and a budget of ``10 * max_iterations`` evaluations that
+    stops a run inside the iteration that spends it.  Returns the run as a
+    dict: ``x``, ``fun``, ``iterations``, ``evaluations``, and ``converged``
+    when neither budget ran out.
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    max_evaluations = 10 * max_iterations
+    evaluations = 0
+
+    def f(x):
+        nonlocal evaluations
+        if evaluations >= max_evaluations:
+            raise _BudgetSpent
+        evaluations += 1
+        return objective(x)
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    for _ in range(2):  # scipy sorts the first simplex twice; ties may move
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    iterations = 1
+    while evaluations < max_evaluations and iterations < max_iterations:
+        if (
+            np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            and np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
+        ):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return {
+        "x": sim[0],
+        "fun": float(np.min(fsim)),
+        "iterations": iterations,
+        "evaluations": evaluations,
+        "converged": evaluations < max_evaluations and iterations < max_iterations,
+    }
+
+
 def _minimize_details(pts: np.ndarray, moments, spec: FamilySpec, config: OracleConfig):
     """Run the restart schedule on validated points; return (best_x, best_fun, run stats)."""
-    # Imported here, not at module level: scipy.optimize costs more to load
-    # than the whole of numpy, and only the oracle needs it.
-    from scipy.optimize import minimize
-
     objective = _make_objective(pts, spec)
     base, sigma = _initial_point(spec, moments, pts.shape[1])
     # One error state for the whole run; the objective sets none per call.
@@ -243,31 +341,10 @@ def _minimize_details(pts: np.ndarray, moments, spec: FamilySpec, config: Oracle
         step = 0.25 * sigma + 0.05 * np.abs(base)
         runs = []
         for r in range(ORACLE_RESTARTS):
-            rng = np.random.default_rng([config.seed & 0xFFFFFFFFFFFFFFFF, r])
+            rng = np.random.default_rng([config.seed, r])
             x0 = base if r == 0 else base + rng.normal(0.0, 1.0, base.size) * sigma
             simplex = np.vstack([x0, x0 + np.diag(step)])
-            result = minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": config.max_iterations,
-                    "maxfev": 10 * config.max_iterations,
-                    "initial_simplex": simplex,
-                    "xatol": 1e-6,
-                    "fatol": fatol,
-                    "adaptive": True,
-                },
-            )
-            runs.append(
-                {
-                    "x": np.asarray(result.x, dtype=float),
-                    "fun": float(result.fun),
-                    "iterations": int(result.nit),
-                    "evaluations": int(result.nfev),
-                    "converged": bool(result.success),
-                }
-            )
+            runs.append(_nelder_mead(objective, simplex, config.max_iterations, fatol))
     converged = [run for run in runs if run["converged"]]
     pool = converged if converged else runs
     best = min(pool, key=lambda run: run["fun"])
@@ -336,7 +413,7 @@ class FamilyCheck:
 
 def _verification_dataset(seed: int, index: int, dims) -> np.ndarray:
     """Seeded random dataset with a well-conditioned covariance."""
-    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, index])
+    rng = np.random.default_rng([seed, index])
     dim = int(dims[index % len(dims)])
     n = int(rng.integers(20, 121))
     mean = rng.normal(0.0, 2.0, dim)
@@ -359,6 +436,7 @@ def verify_families(dims=(1, 2, 3, 4), trials: int = 50, seed: int = 0) -> list[
         raise InvalidInputError(f"dims must lie in 1..{MAX_ORACLE_DIM}")
     if trials < 1:
         raise InvalidInputError("trials must be positive")
+    _check_seed(seed)
     checks = {
         kind: FamilyCheck(kind, trials, max_abs_diff=-math.inf, worst_margin=math.inf, passed=False)
         for kind in FAMILY_ORDER
@@ -367,7 +445,7 @@ def verify_families(dims=(1, 2, 3, 4), trials: int = 50, seed: int = 0) -> list[
         pts = _verification_dataset(seed, t, dims)
         moments = estimate_moments(pts)
         baseline = empirical_cross_entropy(pts, GaussianModel(moments.mean, moments.cov))
-        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, t, 1])
+        rng = np.random.default_rng([seed, t, 1])
         pinned = pts.mean(axis=0) + rng.normal(0.0, 1.0, pts.shape[1])
         for f_index, kind in enumerate(FAMILY_ORDER):
             spec = FamilySpec(kind, pinned if kind in FIXED_MEAN_FAMILIES else None)

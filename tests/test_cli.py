@@ -348,6 +348,17 @@ class TestVerify:
         assert run(["verify", f"--dims={text}"]) == 2
         assert capsys.readouterr().err == "error: dims must lie in 1..8\n"
 
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    def test_seed_outside_64_bits_is_data_error(self, seed):
+        result = subprocess.run(
+            [sys.executable, "-m", "gaussmatch.cli", "verify", "--dims", "1", "--trials", "1",
+             f"--seed={seed}"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: seed must be an integer in 0..2**64-1, got {seed}\n"
+        assert result.stdout == ""
+
 
 class TestScatterSvg:
     def test_unit_cross_present(self):
@@ -495,7 +506,7 @@ class TestModelDocumentFuzz:
 
 
 class TestEntryPoint:
-    def test_only_verify_loads_scipy(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         script = (
             "import sys\n"
             "import gaussmatch.cli as cli\n"
@@ -508,12 +519,24 @@ class TestEntryPoint:
             "                    '--output', sys.argv[2]] + extra) == 0\n"
             "assert 'scipy' not in sys.modules, 'fit'\n"
             "assert cli.run(['verify', '--dims', '2', '--trials', '1']) == 0\n"
-            "assert 'scipy.optimize' in sys.modules, 'verify'\n"
+            "assert 'scipy' not in sys.modules, 'verify'\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "p.csv"), str(tmp_path / "m.json")],
             capture_output=True, text=True,
         )
+        assert result.returncode == 0, result.stderr
+        assert "verification passed" in result.stdout
+
+    def test_verify_runs_where_scipy_cannot_import(self):
+        # a None entry in sys.modules makes every import of scipy fail
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import gaussmatch.cli as cli\n"
+            "sys.exit(cli.run(['verify', '--dims', '1..2', '--trials', '1']))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert "verification passed" in result.stdout
 

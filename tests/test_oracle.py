@@ -148,6 +148,75 @@ class TestOracleMinimize:
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             OracleConfig(max_iterations=0)
+        assert OracleConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 1.5])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        # 2**64 once aliased seed 0, -1 aliased 2**64 - 1, and 1.5 was a TypeError
+        with pytest.raises(InvalidInputError, match=r"0\.\.2\*\*64-1"):
+            OracleConfig(seed=seed)
+        with pytest.raises(InvalidInputError, match=r"0\.\.2\*\*64-1"):
+            verify_families((2,), 1, seed)
+
+
+def _reference_case(index: int):
+    """Seeded Nelder-Mead problem: (objective, simplex, max_iterations, fatol).
+
+    Cycles through plain quadratics, quadratics rounded to 2 decimals (so
+    that vertices tie), and quadratics that are infinite on a half-space,
+    each under a budget of 3, 20 and 5000 iterations.
+    """
+    rng = np.random.default_rng([2012, index])
+    n = int(rng.integers(1, 15))
+    a = rng.normal(0.0, 1.0, (n, n))
+    hessian = a @ a.T / n + np.diag(rng.uniform(0.1, 1.0, n))
+    centre = rng.normal(0.0, 1.0, n)
+    kind = index % 3
+
+    def objective(x):
+        d = x - centre
+        value = float(d @ hessian @ d)
+        if kind == 1:
+            return round(value, 2)
+        if kind == 2 and x[0] > centre[0] + 0.3:
+            return math.inf
+        return value
+
+    max_iterations = (3, 20, 5000)[index // 3 % 3]
+    x0 = centre + rng.normal(0.0, 2.0, n)
+    if kind == 2 and max_iterations == 5000:
+        # A simplex stuck in the infinite half shrinks until the budget runs
+        # out; the short budgets cover that quickly, the long one starts finite.
+        x0[0] = min(x0[0], centre[0])
+    simplex = np.vstack([x0, x0 + np.diag(rng.uniform(0.1, 1.0, n))])
+    return objective, simplex, max_iterations, 1e-8
+
+
+class TestNelderMead:
+    def test_reproduces_scipy_step_for_step(self):
+        from scipy.optimize import minimize
+
+        for index in range(300):
+            objective, simplex, max_iterations, fatol = _reference_case(index)
+            with np.errstate(invalid="ignore"):  # inf - inf in the convergence test
+                ours = oracle._nelder_mead(objective, simplex, max_iterations, fatol)
+                ref = minimize(
+                    objective,
+                    simplex[0],
+                    method="Nelder-Mead",
+                    options={
+                        "maxiter": max_iterations,
+                        "maxfev": 10 * max_iterations,
+                        "initial_simplex": simplex,
+                        "xatol": oracle._XATOL,
+                        "fatol": fatol,
+                        "adaptive": True,
+                    },
+                )
+            assert ours["x"].tobytes() == ref.x.tobytes(), index
+            assert (ours["fun"], ours["iterations"], ours["evaluations"], ours["converged"]) == (
+                ref.fun, ref.nit, ref.nfev, ref.success
+            ), index
 
 
 class TestStationarity:
@@ -232,6 +301,15 @@ class TestVerifyFamilies:
             verify_families((1, 2, 3, 4), 5, 0)
         assert eigh.call_count == 10
         assert built.call_count == 5
+
+    def test_pinned_work(self):
+        # exact totals of the reference schedule; any change to a Nelder-Mead
+        # step, to the objective or to the seeding moves them
+        checks = verify_families((1, 2, 3, 4), 5, 0)
+        assert sum(c.evaluations for c in checks) == 25428
+        assert sum(c.iterations for c in checks) == 14711
+        assert sum(c.restarts for c in checks) == 90
+        assert sum(c.converged_restarts for c in checks) == 90
 
     def test_small_run_passes(self):
         checks = verify_families(dims=(1, 2), trials=3, seed=7)

@@ -66,7 +66,6 @@ from .linalg import (
 )
 from .oracle import (
     FamilyCheck,
-    OracleConfig,
     empirical_cross_entropy,
     oracle_minimize,
     verify_families,
@@ -88,7 +87,6 @@ __all__ = [
     "InsufficientDataError",
     "InvalidInputError",
     "Moments",
-    "OracleConfig",
     "OracleConvergenceError",
     "ParseError",
     "Raster",

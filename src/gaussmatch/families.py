@@ -247,7 +247,7 @@ def whitening_transform(model: GaussianModel) -> RescalingTransform:
     identity covariance; it is the rescaling that makes the Mahalanobis
     norm of the model coincide with the Euclidean norm.
     """
-    root_inv = spd_power(model.cov, -0.5)
+    root_inv = model.factor.power(-0.5)
     return RescalingTransform(shift=np.array(model.mean), root_inv_cov=root_inv)
 
 

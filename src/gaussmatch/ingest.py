@@ -11,6 +11,7 @@ the package contract, not an implementation detail.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, ParseError
 from .gaussians import _mean_and_cov, as_point_set
-from .linalg import require_positive_definite, sym_eigen, symmetrize
+from .linalg import spd_factor
 
 # --- CSV point sets ---------------------------------------------------------
 
@@ -335,10 +336,18 @@ def image_to_blocks(raster: Raster, block_size: int = 8) -> ImageBlocks:
 
 # --- Seeded Gaussian sampling ------------------------------------------------
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+# Seeds are unsigned 64-bit words; a larger or negative one is an error,
+# not an alias of another seed.
+_MAX_SEED = 2**64 - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
+
+
+def _check_seed(seed) -> None:
+    """Raise InvalidInputError unless the seed is an integer in 0..2**64-1."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed <= _MAX_SEED):
+        raise InvalidInputError(f"seed must be an integer in 0..2**64-1, got {seed!r}")
 
 
 def _splitmix64(state: np.ndarray) -> np.ndarray:
@@ -354,7 +363,7 @@ def _splitmix64(state: np.ndarray) -> np.ndarray:
 
 def _stream_words(seed: int, count: int) -> np.ndarray:
     """Word i of the stream is splitmix64(seed + (i + 1) * golden-gamma)."""
-    base = np.uint64(int(seed) & _MASK64)
+    base = np.uint64(int(seed))
     index = np.arange(1, count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return _splitmix64(base + index * _GOLDEN)
@@ -373,8 +382,10 @@ def standard_normals(count: int, seed: int) -> np.ndarray:
     The result depends only on (count, seed), never on call history.  ``ln``,
     ``cos`` and ``sin`` come from the C math library through ``math``, as in
     the recipe; numpy's vectorised versions differ from it in the last bit
-    on a fraction of a percent of inputs.
+    on a fraction of a percent of inputs.  The seed must be an integer in
+    ``0..2**64-1``; any other value raises InvalidInputError.
     """
+    _check_seed(seed)
     if count < 0:
         raise InvalidInputError("count must be nonnegative")
     pairs = (count + 1) // 2
@@ -396,14 +407,13 @@ def sample_gaussian(mean, cov, count: int, seed: int) -> np.ndarray:
 
     Points are mean + z @ cov**(1/2) with the symmetric square root and the
     ``standard_normals`` stream laid out row by row.  The covariance must be
-    positive definite.
+    positive definite, and the seed an integer in ``0..2**64-1``.
     """
+    _check_seed(seed)
     mean, cov = _mean_and_cov(mean, cov)
     if count < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {count}")
-    eig = sym_eigen(cov)
-    require_positive_definite(float(eig.values[-1]), cov, "covariance")
-    root = symmetrize((eig.vectors * np.sqrt(eig.values)) @ eig.vectors.T)
+    root = spd_factor(cov, name="covariance").power(0.5)
     dim = mean.size
     z = standard_normals(count * dim, seed).reshape(count, dim)
     return mean + z @ root

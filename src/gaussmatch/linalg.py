@@ -105,6 +105,10 @@ class SpdFactor(NamedTuple):
     log_det: float         # ln det S
     precision: np.ndarray  # inv(S), symmetrized
 
+    def power(self, exponent: float) -> np.ndarray:
+        """``S**t`` by the spectral map ``V diag(lam**t) V.T``, symmetrized."""
+        return symmetrize((self.vectors * self.values ** exponent) @ self.vectors.T)
+
 
 def spd_factor(matrix, eig: EigenDecomposition | None = None, name: str = "matrix") -> SpdFactor:
     """Log-determinant and inverse of an SPD matrix from ``eig = sym_eigen(matrix)``.
@@ -136,13 +140,10 @@ def spd_power(matrix, exponent: float) -> np.ndarray:
     exponents tolerate a semidefinite input by clamping stray negative
     eigenvalues to zero.
     """
-    m = symmetrize(matrix)
-    eig = sym_eigen(m)
     if exponent < 0.0:
-        require_positive_definite(float(eig.values[-1]), m)
-        powered = eig.values ** exponent
-    else:
-        powered = np.clip(eig.values, 0.0, None) ** exponent
+        return spd_factor(matrix).power(exponent)
+    eig = sym_eigen(matrix)
+    powered = np.clip(eig.values, 0.0, None) ** exponent
     return symmetrize((eig.vectors * powered) @ eig.vectors.T)
 
 

@@ -33,7 +33,6 @@ factor is judged, and evaluated, through ``eigh`` of L @ L.T.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +41,7 @@ from .errors import InvalidInputError, OracleConvergenceError
 from .families import FAMILY_ORDER, FIXED_MEAN_FAMILIES, Family, FamilySpec, FitResult, fit
 from .families import _pinned_offset
 from .gaussians import LOG_TWO_PI, GaussianModel, as_point_set, estimate_moments
+from .ingest import _check_seed
 from .linalg import EIGENVALUE_FLOOR_SCALE, eigenvalue_floor, require_positive_definite
 
 # Nelder-Mead is reliable only in modest dimension; a full covariance in
@@ -56,12 +56,10 @@ ORACLE_MARGIN = 1e-6
 # relative to the objective at the starting point.
 ORACLE_RESTARTS = 3
 ORACLE_REL_TOL = 1e-10
+# Iteration budget of each run; its evaluation budget is ten times this.
+ORACLE_MAX_ITERATIONS = 5000
 # Largest vertex spread, per coordinate, of a converged Nelder-Mead simplex.
 _XATOL = 1e-6
-
-# Seeds are unsigned 64-bit words; a larger or negative one is an error,
-# not an alias of another seed.
-_MAX_SEED = 2**64 - 1
 
 # A full-family factor L skips the eigendecomposition only when the AM-GM
 # bound on the smallest eigenvalue of L @ L.T beats the positivity floor by
@@ -70,25 +68,6 @@ _MAX_SEED = 2**64 - 1
 # overflow and from subnormal products.
 _BOUND_SLACK = 2.0
 _TRACE_RANGE = (1e-290, 1e290)
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Settings for the Nelder-Mead verification runs."""
-
-    max_iterations: int = 5000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be positive")
-        _check_seed(self.seed)
-
-
-def _check_seed(seed: int) -> None:
-    """Raise InvalidInputError unless the seed is an integer in 0..2**64-1."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed <= _MAX_SEED):
-        raise InvalidInputError(f"seed must be an integer in 0..2**64-1, got {seed!r}")
 
 
 def _ce_terms(pts: np.ndarray, mean: np.ndarray, cov: np.ndarray):
@@ -330,28 +309,7 @@ def _nelder_mead(objective, simplex, max_iterations: int, fatol: float) -> dict:
     }
 
 
-def _minimize_details(pts: np.ndarray, moments, spec: FamilySpec, config: OracleConfig):
-    """Run the restart schedule on validated points; return (best_x, best_fun, run stats)."""
-    objective = _make_objective(pts, spec)
-    base, sigma = _initial_point(spec, moments, pts.shape[1])
-    # One error state for the whole run; the objective sets none per call.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f_base = objective(base)
-        fatol = ORACLE_REL_TOL * max(1.0, abs(f_base) if np.isfinite(f_base) else 1.0)
-        step = 0.25 * sigma + 0.05 * np.abs(base)
-        runs = []
-        for r in range(ORACLE_RESTARTS):
-            rng = np.random.default_rng([config.seed, r])
-            x0 = base if r == 0 else base + rng.normal(0.0, 1.0, base.size) * sigma
-            simplex = np.vstack([x0, x0 + np.diag(step)])
-            runs.append(_nelder_mead(objective, simplex, config.max_iterations, fatol))
-    converged = [run for run in runs if run["converged"]]
-    pool = converged if converged else runs
-    best = min(pool, key=lambda run: run["fun"])
-    return best["x"], best["fun"], runs
-
-
-def oracle_minimize(points, spec: FamilySpec, config: OracleConfig | None = None) -> FitResult:
+def oracle_minimize(points, spec: FamilySpec, seed: int = 0) -> FitResult:
     """Numerically minimize the empirical cross-entropy within a family.
 
     Runs ``ORACLE_RESTARTS`` seeded Nelder-Mead searches from perturbed
@@ -360,8 +318,9 @@ def oracle_minimize(points, spec: FamilySpec, config: OracleConfig | None = None
     the moment-matched Gaussian, mirroring the closed-form definition.
 
     Raises OracleConvergenceError (carrying the best match value seen) when
-    no restart converges within ``config.max_iterations``.
+    no restart converges within ``ORACLE_MAX_ITERATIONS``.
     """
+    _check_seed(seed)
     pts = as_point_set(points)
     if pts.shape[1] > MAX_ORACLE_DIM:
         raise InvalidInputError(
@@ -371,24 +330,38 @@ def oracle_minimize(points, spec: FamilySpec, config: OracleConfig | None = None
     if spec.fixed_mean is not None:
         _pinned_offset(moments, spec)  # checks the pinned mean against the dimension
     baseline = empirical_cross_entropy(pts, GaussianModel(moments.mean, moments.cov))
-    return _oracle_fit(pts, moments, baseline, spec, config or OracleConfig())[0]
+    return _oracle_fit(pts, moments, baseline, spec, seed)[0]
 
 
-def _oracle_fit(pts: np.ndarray, moments, baseline: float, spec: FamilySpec, cfg: OracleConfig):
-    """``oracle_minimize`` on validated points, plus the per-restart statistics."""
-    best_x, best_fun, runs = _minimize_details(pts, moments, spec, cfg)
-    if not any(run["converged"] for run in runs):
+def _oracle_fit(pts: np.ndarray, moments, baseline: float, spec: FamilySpec, seed: int):
+    """``oracle_minimize`` on validated points; returns (FitResult, per-restart run dicts)."""
+    objective = _make_objective(pts, spec)
+    base, sigma = _initial_point(spec, moments, pts.shape[1])
+    # One error state for the whole fit; the objective sets none per call.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f_base = objective(base)
+        fatol = ORACLE_REL_TOL * max(1.0, abs(f_base) if np.isfinite(f_base) else 1.0)
+        step = 0.25 * sigma + 0.05 * np.abs(base)
+        runs = []
+        for r in range(ORACLE_RESTARTS):
+            rng = np.random.default_rng([seed, r])
+            x0 = base if r == 0 else base + rng.normal(0.0, 1.0, base.size) * sigma
+            simplex = np.vstack([x0, x0 + np.diag(step)])
+            runs.append(_nelder_mead(objective, simplex, ORACLE_MAX_ITERATIONS, fatol))
+    converged = [run for run in runs if run["converged"]]
+    best = min(converged or runs, key=lambda run: run["fun"])
+    match = float(best["fun"] - baseline)
+    if not converged:
         raise OracleConvergenceError(
-            f"no restart converged within {cfg.max_iterations} iterations "
+            f"no restart converged within {ORACLE_MAX_ITERATIONS} iterations "
             f"for family {spec.kind.value!r}",
-            best_value=float(best_fun - baseline),
+            best_value=match,
         )
-    mean, cov = _mean_cov_from_params(spec, pts.shape[1], best_x)
-    model = GaussianModel(mean=mean, cov=cov)
+    mean, cov = _mean_cov_from_params(spec, pts.shape[1], best["x"])
     return FitResult(
-        model=model,
-        match=float(best_fun - baseline),
-        cross_entropy=float(best_fun),
+        model=GaussianModel(mean=mean, cov=cov),
+        match=match,
+        cross_entropy=float(best["fun"]),
         family=spec,
     ), runs
 
@@ -450,9 +423,7 @@ def verify_families(dims=(1, 2, 3, 4), trials: int = 50, seed: int = 0) -> list[
         for f_index, kind in enumerate(FAMILY_ORDER):
             spec = FamilySpec(kind, pinned if kind in FIXED_MEAN_FAMILIES else None)
             closed = fit(moments, spec)
-            numeric, runs = _oracle_fit(
-                pts, moments, baseline, spec, OracleConfig(seed=7919 * t + f_index)
-            )
+            numeric, runs = _oracle_fit(pts, moments, baseline, spec, 7919 * t + f_index)
             margin = numeric.match - closed.match
             check = checks[kind]
             checks[kind] = replace(

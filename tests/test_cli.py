@@ -90,6 +90,26 @@ class TestSynth:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_is_data_error(self, tmp_path, seed):
+        # -1 once wrote the bytes of seed 2**64 - 1, and 2**64 those of seed 0
+        out = tmp_path / "x.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "gaussmatch.cli", "synth", "--mean", "0,0", "--cov", "1,0;0,1",
+             "--count", "10", "--seed", seed, "--output", str(out)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: seed must be an integer in 0..2**64-1, got {seed}\n"
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["synth", "--mean", "0,0", "--cov", "1,0;0,1", "--count", "10",
+                    "--seed", str(2**64 - 1), "--output", str(out)]) == 0
+        assert read_points_csv(out).shape == (10, 2)
+
     def test_negative_vector_values(self, tmp_path, capsys):
         out = tmp_path / "neg.csv"
         assert run(["synth", "--mean", "-1,2", "--cov", "1,-0.3;-0.3,0.6", "--count", "400",
@@ -198,6 +218,21 @@ class TestTransform:
         assert text.startswith("<svg ")
         assert text.count("<circle") == white.shape[0]
         assert text.count("<line") == 2
+
+    def test_indefinite_model_is_named(self, sample_csv, tmp_path, capsys):
+        # the same message as score gives for this model
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps({
+            "schema_version": "1", "family": "full", "fixed_mean": None, "mean": [0.0, 0.0],
+            "covariance": [[1.0, 2.0], [2.0, 1.0]], "match": 0.0, "cross_entropy": 0.0,
+        }))
+        for command in (["transform", "--output", str(tmp_path / "w.csv")], ["score"]):
+            code = run(command + ["--input", str(sample_csv), "--model", str(model)])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(
+                "error: model covariance is singular at working precision"
+            ), command
+        assert not (tmp_path / "w.csv").exists()
 
     def test_univariate_plot(self, tmp_path):
         pts = tmp_path / "p.csv"

@@ -30,6 +30,7 @@ from gaussmatch import (
     mahalanobis_sq,
     match_score,
     self_cross_entropy,
+    spd_power,
     whitening_transform,
 )
 from helpers import random_moments, random_orthogonal, random_spd
@@ -341,6 +342,16 @@ class TestSharedFactor:
         match_score(mom, model)
         cross_entropy(mom, model)
         assert eigh_calls[0] == 1
+
+    def test_whitening_after_fit_calls_no_eigensolver(self, eigh_calls):
+        # the README quick start: fit, then whiten with the same Moments
+        rng = np.random.default_rng(61)
+        mom = random_moments(rng, 4)
+        fit(mom, FamilySpec(Family.FULL))
+        eigh_calls[0] = 0
+        transform = whitening_transform(mom)
+        assert eigh_calls[0] == 0
+        assert transform.root_inv_cov.tobytes() == spd_power(mom.cov, -0.5).tobytes()
 
     def test_singular_covariance_fails_only_when_fitted(self):
         mom = Moments(mean=[0.0, 0.0], cov=np.diag([1.0, 0.0]))

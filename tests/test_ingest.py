@@ -22,6 +22,8 @@ from gaussmatch import (
     read_ppm,
     sample_gaussian,
     standard_normals,
+    sym_eigen,
+    symmetrize,
     whitening_transform,
     write_points_csv,
     write_ppm,
@@ -481,6 +483,21 @@ class TestStandardNormals:
     def test_seed_sensitivity(self):
         assert not np.array_equal(standard_normals(16, 1), standard_normals(16, 2))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", None])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        # -1 once aliased 2**64 - 1, 2**64 aliased 0, 1.5 aliased 1, and "x"
+        # was a bare ValueError
+        with pytest.raises(InvalidInputError, match=r"seed must be an integer in 0\.\.2\*\*64-1"):
+            standard_normals(4, seed)
+        with pytest.raises(InvalidInputError, match=r"seed must be an integer in 0\.\.2\*\*64-1"):
+            sample_gaussian([0.0], [[1.0]], 4, seed)
+
+    def test_largest_seed_and_numpy_integers(self):
+        top = 2**64 - 1
+        np.testing.assert_array_equal(standard_normals(9, top), _reference_splitmix_normals(9, top))
+        np.testing.assert_array_equal(standard_normals(9, np.uint64(top)), standard_normals(9, top))
+        np.testing.assert_array_equal(standard_normals(9, np.int64(5)), standard_normals(9, 5))
+
     def test_statistics(self):
         z = standard_normals(200_000, seed=42)
         assert abs(z.mean()) < 0.01
@@ -509,6 +526,18 @@ class TestSampleGaussian:
         pts = sample_gaussian([0.0, 0.0], cov, 50_000, seed=21)
         mom = estimate_moments(pts)
         assert mom.cov[0, 1] == pytest.approx(-0.8, abs=0.05)
+
+    def test_root_is_the_recipe_bit_for_bit(self):
+        # step 4 of the README recipe: the symmetric root V diag(sqrt(lam)) V'
+        rng = np.random.default_rng(31)
+        for dim in (1, 2, 5, 12):
+            a = rng.normal(size=(dim, dim))
+            cov = a @ a.T + 0.1 * np.eye(dim)
+            mean = rng.normal(size=dim)
+            eig = sym_eigen(cov)
+            root = symmetrize((eig.vectors * np.sqrt(eig.values)) @ eig.vectors.T)
+            z = standard_normals(40 * dim, 17).reshape(40, dim)
+            assert sample_gaussian(mean, cov, 40, 17).tobytes() == (mean + z @ root).tobytes()
 
     def test_rejects_singular_covariance(self):
         with pytest.raises(SingularMatrixError):

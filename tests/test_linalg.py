@@ -19,6 +19,7 @@ from gaussmatch import (
     sym_eigen,
     symmetrize,
 )
+from gaussmatch.linalg import spd_factor
 from helpers import random_orthogonal, random_spd
 
 RECON_TOL = 1e-10
@@ -144,6 +145,19 @@ class TestSpdPower:
         left = spd_power(m, a) @ spd_power(m, b)
         right = spd_power(m, a + b)
         assert np.linalg.norm(left - right) <= 1e-8 * max(1.0, np.linalg.norm(right))
+
+    @pytest.mark.parametrize("exponent", [-1.0, -0.5, 0.5, 2.0])
+    def test_factor_power_is_the_spectral_map(self, exponent):
+        rng = np.random.default_rng(12)
+        m = random_spd(rng, 6)
+        eig = sym_eigen(m)
+        expected = symmetrize((eig.vectors * eig.values ** exponent) @ eig.vectors.T)
+        assert spd_factor(m).power(exponent).tobytes() == expected.tobytes()
+        assert spd_power(m, exponent).tobytes() == expected.tobytes()
+        if exponent == 0.5:
+            # the sampler's root, once written with np.sqrt
+            root = symmetrize((eig.vectors * np.sqrt(eig.values)) @ eig.vectors.T)
+            assert spd_factor(m).power(0.5).tobytes() == root.tobytes()
 
     def test_negative_power_of_singular_raises(self):
         m = np.diag([1.0, 1e-22])

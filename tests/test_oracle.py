@@ -15,7 +15,6 @@ from gaussmatch import (
     GaussianModel,
     InvalidInputError,
     Moments,
-    OracleConfig,
     OracleConvergenceError,
     SingularMatrixError,
     cross_entropy,
@@ -32,7 +31,7 @@ from gaussmatch.oracle import (
     _ce_terms,
     _make_objective,
     _mean_cov_from_params,
-    _minimize_details,
+    _oracle_fit,
 )
 from helpers import random_dataset
 
@@ -85,7 +84,7 @@ class TestOracleMinimize:
     def test_full_family_finds_zero_match(self):
         rng = np.random.default_rng(51)
         pts = random_dataset(rng, 2, 120)
-        res = oracle_minimize(pts, FamilySpec(Family.FULL), OracleConfig(seed=1))
+        res = oracle_minimize(pts, FamilySpec(Family.FULL), seed=1)
         assert abs(res.match) <= 1e-6
 
     def test_fixed_mean_isotropic_pm_one(self):
@@ -93,7 +92,7 @@ class TestOracleMinimize:
         res = oracle_minimize(
             [-1.0, 1.0],
             FamilySpec(Family.FIXED_MEAN_ISOTROPIC, [1.0]),
-            OracleConfig(seed=2),
+            seed=2,
         )
         assert res.model.cov[0, 0] == pytest.approx(2.0, abs=1e-4)
         assert res.match == pytest.approx(0.5 * math.log(2.0), abs=1e-6)
@@ -102,7 +101,7 @@ class TestOracleMinimize:
         pts = sample_gaussian([3.0, 4.0], [[1.0, 0.3], [0.3, 0.6]], 300, seed=5)
         spec = FamilySpec(Family.FIXED_MEAN, np.zeros(2))
         closed = fit(estimate_moments(pts), spec)
-        numeric = oracle_minimize(pts, spec, OracleConfig(seed=3))
+        numeric = oracle_minimize(pts, spec, seed=3)
         assert numeric.match == pytest.approx(closed.match, abs=1e-5)
         assert numeric.match >= closed.match - 1e-9
 
@@ -110,12 +109,13 @@ class TestOracleMinimize:
         rng = np.random.default_rng(53)
         pts = random_dataset(rng, 2, 80)
         spec = FamilySpec(Family.DIAGONAL)
-        cfg = OracleConfig(seed=11)
         moments = estimate_moments(pts)
-        x1, f1, runs1 = _minimize_details(pts, moments, spec, cfg)
-        x2, f2, runs2 = _minimize_details(pts, moments, spec, cfg)
-        assert f1 == f2
-        assert np.array_equal(x1, x2)
+        baseline = empirical_cross_entropy(pts, GaussianModel(moments.mean, moments.cov))
+        fit1, runs1 = _oracle_fit(pts, moments, baseline, spec, 11)
+        fit2, runs2 = _oracle_fit(pts, moments, baseline, spec, 11)
+        assert fit1.cross_entropy == fit2.cross_entropy
+        assert np.array_equal(fit1.model.cov, fit2.model.cov)
+        assert np.array_equal(fit1.model.mean, fit2.model.mean)
         assert [r["iterations"] for r in runs1] == [r["iterations"] for r in runs2]
         assert [r["evaluations"] for r in runs1] == [r["evaluations"] for r in runs2]
         assert [r["fun"] for r in runs1] == [r["fun"] for r in runs2]
@@ -125,36 +125,38 @@ class TestOracleMinimize:
         pts = random_dataset(rng, 2, 80)
         spec = FamilySpec(Family.DIAGONAL)
         moments = estimate_moments(pts)
-        _, _, runs_a = _minimize_details(pts, moments, spec, OracleConfig(seed=1))
-        _, _, runs_b = _minimize_details(pts, moments, spec, OracleConfig(seed=2))
+        baseline = empirical_cross_entropy(pts, GaussianModel(moments.mean, moments.cov))
+        _, runs_a = _oracle_fit(pts, moments, baseline, spec, 1)
+        _, runs_b = _oracle_fit(pts, moments, baseline, spec, 2)
         # restart 0 starts from the same deterministic point; later restarts differ
         assert runs_a[1]["evaluations"] != runs_b[1]["evaluations"] or not np.isclose(
             runs_a[1]["fun"], runs_b[1]["fun"], rtol=0, atol=1e-15
         )
 
-    def test_convergence_failure_raises_with_best_value(self):
+    def test_convergence_failure_raises_with_best_value(self, monkeypatch):
         rng = np.random.default_rng(55)
         pts = random_dataset(rng, 3, 60)
-        with pytest.raises(OracleConvergenceError) as info:
-            oracle_minimize(pts, FamilySpec(Family.FULL), OracleConfig(max_iterations=1, seed=1))
+        monkeypatch.setattr(oracle, "ORACLE_MAX_ITERATIONS", 1)
+        with pytest.raises(OracleConvergenceError, match="within 1 iterations") as info:
+            oracle_minimize(pts, FamilySpec(Family.FULL), seed=1)
         assert isinstance(info.value.best_value, float)
 
     def test_rejects_high_dimension(self):
         rng = np.random.default_rng(56)
         pts = rng.normal(size=(30, 9))
         with pytest.raises(InvalidInputError):
-            oracle_minimize(pts, FamilySpec(Family.ISOTROPIC), OracleConfig())
+            oracle_minimize(pts, FamilySpec(Family.ISOTROPIC))
 
     def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            OracleConfig(max_iterations=0)
-        assert OracleConfig(seed=2**64 - 1).seed == 2**64 - 1
+        # the seed is the only setting left; its largest value is accepted
+        res = oracle_minimize([-1.0, 1.0], FamilySpec(Family.ISOTROPIC), seed=2**64 - 1)
+        assert res.match == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [2**64, -1, 1.5])
     def test_seed_outside_64_bits_is_rejected(self, seed):
         # 2**64 once aliased seed 0, -1 aliased 2**64 - 1, and 1.5 was a TypeError
         with pytest.raises(InvalidInputError, match=r"0\.\.2\*\*64-1"):
-            OracleConfig(seed=seed)
+            oracle_minimize([-1.0, 1.0], FamilySpec(Family.ISOTROPIC), seed=seed)
         with pytest.raises(InvalidInputError, match=r"0\.\.2\*\*64-1"):
             verify_families((2,), 1, seed)
 
@@ -274,14 +276,14 @@ class TestVerifyFamilies:
     def test_restart_totals(self, monkeypatch):
         first = verify_families(dims=(1, 2), trials=2, seed=3)
         per_fit = []
-        minimize_details = oracle._minimize_details
+        oracle_fit = oracle._oracle_fit
 
-        def recording(pts, moments, spec, config):
-            result = minimize_details(pts, moments, spec, config)
-            per_fit.append((spec.kind, result[2]))
+        def recording(pts, moments, baseline, spec, seed):
+            result = oracle_fit(pts, moments, baseline, spec, seed)
+            per_fit.append((spec.kind, result[1]))
             return result
 
-        monkeypatch.setattr(oracle, "_minimize_details", recording)
+        monkeypatch.setattr(oracle, "_oracle_fit", recording)
         second = verify_families(dims=(1, 2), trials=2, seed=3)
         assert first == second
         for check in second:
@@ -453,7 +455,7 @@ class TestObjective:
         pts = random_dataset(rng, 3, 80)
         moments = estimate_moments(pts)
         calls = self._count_eigh(monkeypatch)
-        _minimize_details(pts, moments, FamilySpec(Family.FULL), OracleConfig(seed=4))
+        _oracle_fit(pts, moments, 0.0, FamilySpec(Family.FULL), 4)
         assert calls[0] == 0
 
     def test_tiny_trace_uses_eigh_route(self, monkeypatch):

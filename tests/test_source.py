@@ -42,3 +42,14 @@ def test_no_unreferenced_private_names():
                 loaded.add(node.attr)
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert sorted(private - loaded) == []
+
+
+def test_all_lists_every_imported_name():
+    # a stale entry, such as a deleted class, breaks "from gaussmatch import *"
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(gaussmatch.__all__) == sorted(imported)
+    namespace = {}
+    exec("from gaussmatch import *", namespace)
+    assert set(gaussmatch.__all__) <= set(namespace)

@@ -9,6 +9,8 @@ against a single relative floor.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -97,13 +99,20 @@ def require_nonnegative_definite(values: np.ndarray, name: str = "matrix") -> No
         )
 
 
-class SpdFactor(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class SpdFactor:
     """Spectral factor of a symmetric positive definite matrix S."""
 
-    values: np.ndarray     # eigenvalues, descending, all above the floor
-    vectors: np.ndarray    # orthonormal columns, column i pairs with values[i]
-    log_det: float         # ln det S
-    precision: np.ndarray  # inv(S), symmetrized
+    values: np.ndarray   # eigenvalues, descending, all above the floor
+    vectors: np.ndarray  # orthonormal columns, column i pairs with values[i]
+    log_det: float       # ln det S
+
+    @cached_property
+    def precision(self) -> np.ndarray:
+        """``inv(S)``, symmetrized and read-only, computed on first read."""
+        precision = symmetrize((self.vectors / self.values) @ self.vectors.T)
+        precision.flags.writeable = False
+        return precision
 
     def power(self, exponent: float) -> np.ndarray:
         """``S**t`` by the spectral map ``V diag(lam**t) V.T``, symmetrized."""
@@ -111,16 +120,15 @@ class SpdFactor(NamedTuple):
 
 
 def spd_factor(matrix, eig: EigenDecomposition | None = None, name: str = "matrix") -> SpdFactor:
-    """Log-determinant and inverse of an SPD matrix from ``eig = sym_eigen(matrix)``.
+    """Spectral factor of an SPD matrix from ``eig = sym_eigen(matrix)``; its inverse
+    is built on the first read of ``precision``.
 
     Raises SingularMatrixError below the positivity floor."""
     m = symmetrize(matrix)
     if eig is None:
         eig = sym_eigen(m)
     require_positive_definite(float(eig.values[-1]), m, name)
-    precision = symmetrize((eig.vectors / eig.values) @ eig.vectors.T)
-    precision.flags.writeable = False
-    return SpdFactor(eig.values, eig.vectors, float(np.log(eig.values).sum()), precision)
+    return SpdFactor(eig.values, eig.vectors, float(np.log(eig.values).sum()))
 
 
 def log_det_spd(matrix) -> float:

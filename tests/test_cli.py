@@ -563,6 +563,18 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert "verification passed" in result.stdout
 
+    def test_import_loads_no_multiprocessing(self):
+        # verify imports it when it forks workers; every other command, and
+        # the start-up the benchmark times as setup_s, does without it
+        script = (
+            "import sys\n"
+            "import gaussmatch.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_verify_runs_where_scipy_cannot_import(self):
         # a None entry in sys.modules makes every import of scipy fail
         script = (

@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaussmatch import (
+    GaussianModel,
     InvalidInputError,
     Moments,
     SingularMatrixError,
     log_det_spd,
     min_trace_assignment,
+    sample_gaussian,
     spd_power,
     sym_eigen,
     symmetrize,
+    whitening_transform,
 )
-from gaussmatch.linalg import spd_factor
+from gaussmatch.linalg import SpdFactor, spd_factor
 from helpers import random_orthogonal, random_spd
 
 RECON_TOL = 1e-10
@@ -158,6 +161,32 @@ class TestSpdPower:
             # the sampler's root, once written with np.sqrt
             root = symmetrize((eig.vectors * np.sqrt(eig.values)) @ eig.vectors.T)
             assert spd_factor(m).power(0.5).tobytes() == root.tobytes()
+
+    def test_precision_is_built_on_first_read(self):
+        rng = np.random.default_rng(13)
+        m = random_spd(rng, 5)
+        factor = spd_factor(m)
+        factor.power(-0.5)
+        assert "precision" not in vars(factor)
+        eig = sym_eigen(m)
+        expected = symmetrize((eig.vectors / eig.values) @ eig.vectors.T)
+        assert factor.precision.tobytes() == expected.tobytes()
+        assert factor.precision is factor.precision
+        assert not factor.precision.flags.writeable
+
+    def test_whitening_and_sampling_build_no_precision(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        cov = random_spd(rng, 4)
+        model = GaussianModel(mean=np.zeros(4), cov=cov)
+        whitening_transform(model)
+        assert "precision" not in vars(model.factor)
+
+        def unread(factor):
+            raise AssertionError("precision read")
+
+        monkeypatch.setattr(SpdFactor, "precision", property(unread))
+        whitening_transform(GaussianModel(mean=np.zeros(4), cov=cov))
+        sample_gaussian(np.zeros(4), cov, 10, seed=1)
 
     def test_negative_power_of_singular_raises(self):
         m = np.diag([1.0, 1e-22])

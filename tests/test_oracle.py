@@ -1,6 +1,11 @@
 """Numerical oracle: empirical cross-entropy and Nelder-Mead family fits."""
 
 import math
+import multiprocessing
+import os
+import signal
+import sys
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -25,7 +30,7 @@ from gaussmatch import (
     sample_gaussian,
     verify_families,
 )
-from gaussmatch import oracle
+from gaussmatch import cli, oracle
 from gaussmatch.families import FAMILY_ORDER, FIXED_MEAN_FAMILIES
 from gaussmatch.oracle import (
     _ce_terms,
@@ -272,8 +277,15 @@ class TestStationarity:
             assert abs(derivative) <= 1e-5
 
 
+def _serial(monkeypatch):
+    """Run the fits of verify_families in this process."""
+    monkeypatch.setattr(oracle, "_fit_workers", lambda tasks: 1)
+
+
 class TestVerifyFamilies:
     def test_restart_totals(self, monkeypatch):
+        # the recording below lives in this process, so the fits must run here
+        _serial(monkeypatch)
         first = verify_families(dims=(1, 2), trials=2, seed=3)
         per_fit = []
         oracle_fit = oracle._oracle_fit
@@ -329,6 +341,145 @@ class TestVerifyFamilies:
             verify_families(dims=(9,), trials=3)
         with pytest.raises(InvalidInputError):
             verify_families(dims=(2,), trials=0)
+
+
+_SMALL_RUNS = [((1, 2, 3, 4), 5, 0), ((1, 2), 3, 7), ((3,), 4, 11)]
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Affinity of two CPUs, so that verify_families forks workers on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture()
+def pool_spy(monkeypatch):
+    """multiprocessing.get_context, wrapped to count the pools verify_families makes."""
+    spy = mock.Mock(wraps=multiprocessing.get_context)
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return spy
+
+
+class TestParallelFits:
+    """The forked (dataset, family) fits against the same fits in this process."""
+
+    @pytest.mark.parametrize("run", _SMALL_RUNS)
+    def test_parallel_equals_serial(self, monkeypatch, two_cpus, pool_spy, run):
+        parallel = verify_families(*run)
+        assert pool_spy.call_args_list == [mock.call("fork")]
+        _serial(monkeypatch)
+        assert repr(parallel) == repr(verify_families(*run))
+        assert pool_spy.call_count == 1
+
+    def test_each_family_keeps_its_work(self, two_cpus, pool_spy):
+        # exact per-family totals of ((1, 2), 3, 7): a result filed under the
+        # wrong (trial, family) pair moves them
+        checks = verify_families((1, 2), 3, 7)
+        assert pool_spy.called
+        assert [(c.family.value, c.iterations, c.evaluations) for c in checks] == [
+            ("full", 972, 1761),
+            ("fixed-mean", 433, 810),
+            ("isotropic", 562, 1045),
+            ("fixed-mean-isotropic", 137, 274),
+            ("diagonal", 758, 1414),
+            ("fixed-mean-diagonal", 248, 486),
+        ]
+        assert all(c.restarts == c.converged_restarts == 9 for c in checks)
+
+    def test_nothing_left_running(self, two_cpus, pool_spy):
+        verify_families((1, 2), 1, 0)
+        assert pool_spy.called
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == 1
+
+    def test_worker_error_reaches_caller(self, monkeypatch, two_cpus, pool_spy, capsys):
+        # the forked workers inherit the patched budget
+        monkeypatch.setattr(oracle, "ORACLE_MAX_ITERATIONS", 1)
+        with pytest.raises(OracleConvergenceError, match="within 1 iterations") as parallel:
+            verify_families((1, 2), 2, 0)
+        assert pool_spy.called
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == 1
+        assert isinstance(parallel.value.best_value, float)
+        # the first failure in task order, as a serial run raises it
+        with monkeypatch.context() as serial:
+            _serial(serial)
+            with pytest.raises(OracleConvergenceError) as expected:
+                verify_families((1, 2), 2, 0)
+        assert str(parallel.value) == str(expected.value)
+        assert parallel.value.best_value == expected.value.best_value
+        assert cli.run(["verify", "--dims", "1..2", "--trials", "2"]) == 2
+        assert "error: no restart converged" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+
+    def test_killed_worker_is_an_error(self, monkeypatch, two_cpus, capsys):
+        fit_case = oracle._fit_case
+
+        def killed(cases, task):
+            if task == (3, 0):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fit_case(cases, task)
+
+        # the forked workers inherit the patch; a pool alone would wait for ever
+        monkeypatch.setattr(oracle, "_fit_case", killed)
+        with pytest.raises(ChildProcessError, match="exit code -9"):
+            verify_families((1, 2, 3, 4), 5, 0)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == 1
+        assert cli.run(["verify", "--dims", "1..4", "--trials", "5"]) == 2
+        assert "error: an oracle worker process ended" in capsys.readouterr().err
+
+
+def _verify_in_daemon(expected: str) -> None:
+    sys.exit(0 if repr(verify_families((1, 2), 1, 0)) == expected else 1)
+
+
+class TestSerialFallback:
+    """Where forking is unsafe or impossible, the fits run in this process."""
+
+    @pytest.fixture()
+    def no_pool(self, monkeypatch):
+        expected = repr(verify_families((1, 2), 1, 0))
+        monkeypatch.setattr(
+            multiprocessing, "get_context", mock.Mock(side_effect=AssertionError("pool made"))
+        )
+        return expected
+
+    def test_one_cpu(self, monkeypatch, no_pool):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        # in this process the eigh count covers the fits too: the dataset's
+        # Moments and baseline take one each, and the 6 fits none
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            assert repr(verify_families((1, 2), 1, 0)) == no_pool
+        assert eigh.call_count == 2
+
+    def test_no_fork_start_method(self, monkeypatch, two_cpus, no_pool):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert repr(verify_families((1, 2), 1, 0)) == no_pool
+
+    def test_live_thread(self, two_cpus, no_pool):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            assert repr(verify_families((1, 2), 1, 0)) == no_pool
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
+
+    def test_daemonic_caller(self, two_cpus):
+        expected = repr(verify_families((1, 2), 1, 0))
+        context = multiprocessing.get_context("fork")
+        with mock.patch.object(
+            multiprocessing, "get_context", side_effect=AssertionError("pool made")
+        ):
+            child = context.Process(target=_verify_in_daemon, args=(expected,), daemon=True)
+            child.start()
+            child.join(timeout=60)
+        assert not child.is_alive()
+        assert child.exitcode == 0
 
 
 def _reference_objective(pts, spec, params):

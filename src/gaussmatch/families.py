@@ -111,7 +111,9 @@ class RescalingTransform:
     root_inv_cov: np.ndarray
 
     def apply(self, points) -> np.ndarray:
-        """Transform a single vector or an (n, dim) array of row points."""
+        """Transform a single vector or an (n, dim) array of row points.
+
+        Raises InvalidInputError when a transformed value overflows."""
         pts = np.asarray(points, dtype=float)
         if not np.isfinite(pts).all():
             raise InvalidInputError("points must be finite")
@@ -125,7 +127,11 @@ class RescalingTransform:
             raise InvalidInputError(
                 f"expected points of dimension {self.shift.size}, got shape {pts.shape}"
             )
-        return (pts - self.shift) @ self.root_inv_cov
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (pts - self.shift) @ self.root_inv_cov
+        if not np.isfinite(out).all():
+            raise InvalidInputError("transformed points overflow the float range")
+        return out
 
 
 def fit(moments: Moments, spec: FamilySpec) -> FitResult:

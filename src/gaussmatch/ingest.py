@@ -13,16 +13,24 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import stat
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._pool import forked_map
 from .errors import InsufficientDataError, InvalidInputError, ParseError
 from .gaussians import _mean_and_cov, as_point_set
 from .linalg import spd_factor
 
 # --- CSV point sets ---------------------------------------------------------
+
+# Cells (rows times columns) from which a CSV is read or written, per value,
+# by forked workers, one per CPU.  Forking, starting the pool and importing
+# multiprocessing cost about 30 ms in a fresh process, which is what the
+# codecs take for about this many cells.
+PARALLEL_CELLS = 2**17
 
 
 def read_points_csv(source) -> np.ndarray:
@@ -50,18 +58,39 @@ def _decode_bulk(text: str):
     string-to-double routine, so what this accepts, the line loop accepts
     with the same bits.  Inputs it refuses (underscores or non-ASCII digits
     in numbers, bad rows, values that are not finite) fall through to the
-    line loop, which decides them and names the line of an error.
+    line loop, which decides them and names the line of an error.  From
+    ``PARALLEL_CELLS`` cells on, forked workers read contiguous row slices;
+    a slice refused, or a width that differs between slices, refuses all.
     """
     rows = [line for raw in text.split("\n") if (line := raw.strip()) and not line.startswith("#")]
     if rows and _is_header(rows[0]):
         del rows[0]
     if len(rows) < 2:
         return None
+    width = rows[0].count(",") + 1
+    if len(rows) * width < PARALLEL_CELLS:
+        return _load_rows(rows, (0, len(rows)))
+    pieces = list(forked_map(_load_rows, rows, _row_slices(len(rows), width), "a CSV reader"))
+    if any(piece is None for piece in pieces) or len({piece.shape[1] for piece in pieces}) != 1:
+        return None
+    return np.concatenate(pieces)
+
+
+def _load_rows(rows: list[str], span: tuple[int, int]):
+    """``rows[start:stop]`` as an array, or None where numpy refuses them or a value is not finite."""
+    start, stop = span
     try:
-        points = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+        points = np.loadtxt(rows[start:stop], delimiter=",", comments=None, dtype=float, ndmin=2)
     except ValueError:
         return None
     return points if np.isfinite(points).all() else None
+
+
+def _row_slices(count: int, width: int) -> list[tuple[int, int]]:
+    """Contiguous (start, stop) ranges of ``count`` rows of about a quarter of
+    ``PARALLEL_CELLS`` cells each: tasks to share out, and blocks to stream."""
+    step = max(1, PARALLEL_CELLS // 4 // width)
+    return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def _decode_lines(text: str) -> np.ndarray:
@@ -113,8 +142,10 @@ def write_points_csv(points, destination) -> None:
     Each value is written as Python's ``repr`` of it, one row per line.
     When the values repeat a lot, as the 8-bit samples of image blocks do,
     ``repr`` runs once per distinct value and rows are joined from that
-    table; otherwise each value is formatted in turn.  Both paths write the
-    same bytes.
+    table; otherwise each value is formatted in turn, by forked workers in
+    contiguous row blocks from ``PARALLEL_CELLS`` cells on, and each block
+    is written as it arrives.  Every path writes the same bytes.  When a
+    write to a path fails part way, the partial file is removed.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -127,14 +158,38 @@ def write_points_csv(points, destination) -> None:
         distinct, inverse = np.unique(bits, return_inverse=True)
         table = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
         lines = map(",".join, table[inverse.reshape(pts.shape)].tolist())
+        blocks = ["\n".join(lines) + "\n"]
+    elif pts.size < PARALLEL_CELLS:
+        blocks = [_format_rows(pts, (0, pts.shape[0]))]
     else:
-        lines = [",".join(map(repr, row)) for row in pts.tolist()]
-    text = "\n".join(lines) + "\n"
+        blocks = forked_map(_format_rows, pts, _row_slices(*pts.shape), "a CSV writer")
     if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_blocks(blocks, destination)
+        return
+    with open(destination, "w", encoding="utf-8") as handle:
+        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+        try:
+            _write_blocks(blocks, handle)
+        except BaseException:
+            if regular:
+                os.remove(destination)
+            raise
+
+
+def _write_blocks(blocks, handle) -> None:
+    """Write each text block in turn; a generator of blocks is closed even on error."""
+    try:
+        for block in blocks:
+            handle.write(block)
+    finally:
+        if hasattr(blocks, "close"):
+            blocks.close()
+
+
+def _format_rows(pts: np.ndarray, span: tuple[int, int]) -> str:
+    """Rows ``start:stop`` of the points as CSV lines, each value its ``repr``."""
+    start, stop = span
+    return "\n".join([",".join(map(repr, row)) for row in pts[start:stop].tolist()]) + "\n"
 
 
 def _repeats_enough(pts: np.ndarray) -> bool:

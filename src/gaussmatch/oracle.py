@@ -20,15 +20,13 @@ fits of all six families.
 
 ``verify_families`` builds every dataset, with its moments, baseline and
 pinned mean, in the calling process, then runs the (dataset, family) fits
-in parallel: one forked worker per CPU in ``os.sched_getaffinity(0)``,
-heaviest fits first.  The workers inherit the datasets, and the parent
-folds their results in (dataset, family) order, so the checks and their
-counts are bit-identical to a serial run.  The fits run serially, in the
-calling process, when it may use one CPU, when the platform lacks
-``sched_getaffinity`` or the ``fork`` start method, when another Python
-thread is alive (forking a threaded process can deadlock), or when the
-caller is a daemonic process.  No option, argument or environment
-variable changes this.  A worker that dies raises ChildProcessError.
+through ``_pool.forked_map``: one forked worker per CPU in
+``os.sched_getaffinity(0)``, heaviest fits first, or serially in the
+calling process where that module says.  The workers inherit the
+datasets, and the parent folds their results in (dataset, family) order,
+so the checks and their counts are bit-identical to a serial run.  No
+option, argument or environment variable changes this.  A worker that
+dies raises ChildProcessError.
 
 Each run builds its objective once (``_make_objective``) and evaluates it
 from the covariance the parameters describe, with no eigendecomposition:
@@ -45,12 +43,11 @@ factor is judged, and evaluated, through ``eigh`` of L @ L.T.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._pool import forked_map
 from .errors import InvalidInputError, OracleConvergenceError
 from .families import FAMILY_ORDER, FIXED_MEAN_FAMILIES, Family, FamilySpec, FitResult, fit
 from .families import _pinned_offset
@@ -74,8 +71,6 @@ ORACLE_REL_TOL = 1e-10
 ORACLE_MAX_ITERATIONS = 5000
 # Largest vertex spread, per coordinate, of a converged Nelder-Mead simplex.
 _XATOL = 1e-6
-# Seconds between checks that the forked workers of verify_families are alive.
-_WORKER_CHECK_S = 0.5
 
 # A full-family factor L skips the eigendecomposition only when the AM-GM
 # bound on the smallest eigenvalue of L @ L.T beats the positivity floor by
@@ -442,7 +437,9 @@ def verify_families(dims=(1, 2, 3, 4), trials: int = 50, seed: int = 0) -> list[
         ((t, f_index) for t in range(trials) for f_index in range(len(FAMILY_ORDER))),
         key=lambda task: (-cases[task[0]][0].shape[1], task[1]),
     )
-    results = dict(zip(tasks, _run_fits(cases, tasks)))
+    # Forked workers inherit ``cases``, so a task sends two indices and its
+    # result a float and a few counts.
+    results = dict(zip(tasks, list(forked_map(_fit_case, cases, tasks, "an oracle"))))
     checks = {
         kind: FamilyCheck(kind, trials, max_abs_diff=-math.inf, worst_margin=math.inf, passed=False)
         for kind in FAMILY_ORDER
@@ -481,86 +478,3 @@ def _fit_case(cases, task):
     numeric, runs = _oracle_fit(pts, moments, baseline, spec, 7919 * t + f_index)
     margin = numeric.match - closed.match
     return margin, [(run["converged"], run["iterations"], run["evaluations"]) for run in runs]
-
-
-def _fit_workers(tasks: int) -> int:
-    """Worker processes for ``tasks`` fits; 1 means fit them in this process.
-
-    One per CPU the process may run on, but 1 where a forked worker is
-    unsafe or impossible: a single CPU, no ``sched_getaffinity`` (fork is
-    not the safe default there), another live Python thread (forking a
-    threaded process can deadlock on a lock held by that thread), a
-    daemonic caller (it may not have children), or no ``fork`` start method.
-    """
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity is not None else 1
-    if cpus < 2 or threading.active_count() > 1:
-        return 1
-    import multiprocessing
-
-    process = multiprocessing.current_process()
-    if process.daemon or "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return min(cpus, tasks)
-
-
-# The cases of a forked pool worker, set by ``_adopt_cases`` in the worker
-# only: the calling process passes its cases as an argument, so that
-# concurrent ``verify_families`` calls share no state.
-_worker_cases = None
-
-
-def _adopt_cases(cases) -> None:
-    global _worker_cases
-    _worker_cases = cases
-
-
-def _worker_fit(task):
-    return _fit_case(_worker_cases, task)
-
-
-def _run_fits(cases, tasks) -> list:
-    """``_fit_case`` of every task, in task order, across ``_fit_workers`` processes.
-
-    Forked workers inherit ``cases``, so a task sends two indices and its
-    result a float and a few counts.  Results come back in task order, and
-    the first failure in that order is raised, as in a serial run; a worker
-    that dies, say at a signal, raises ChildProcessError.  The pool is
-    closed, or on any error terminated, and joined before this returns.
-    """
-    workers = _fit_workers(len(tasks))
-    if workers == 1:
-        return [_fit_case(cases, task) for task in tasks]
-    import multiprocessing
-
-    others = set(multiprocessing.active_children())
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_adopt_cases, initargs=(cases,)
-    )
-    try:
-        forked = set(multiprocessing.active_children()) - others
-        found = pool.imap(_worker_fit, tasks, chunksize=1)
-        results = [_next_result(found, forked) for _ in tasks]
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    return results
-
-
-def _next_result(found, workers):
-    """The next result of a pool's ``imap``; ChildProcessError once one of its
-    ``workers`` has ended, because the pool would wait for that task for ever."""
-    import multiprocessing
-
-    while True:
-        try:
-            return found.next(timeout=_WORKER_CHECK_S)
-        except multiprocessing.TimeoutError:
-            ended = [worker.exitcode for worker in workers if worker.exitcode is not None]
-            if ended:
-                raise ChildProcessError(
-                    f"an oracle worker process ended with exit code {ended[0]}"
-                ) from None

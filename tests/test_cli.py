@@ -21,6 +21,7 @@ from gaussmatch import (
     family_report,
     match_score,
     read_points_csv,
+    write_points_csv,
 )
 from gaussmatch.cli import _dims, fit_from_document, fit_to_document, run, scatter_svg
 from gaussmatch.oracle import FamilyCheck
@@ -243,6 +244,26 @@ class TestTransform:
         assert run(["transform", "--input", str(pts), "--model", str(model),
                     "--output", str(tmp_path / "w.csv"), "--plot", str(svg)]) == 0
         assert svg.read_text().count("<circle") == 4
+
+    def test_overflow_is_a_data_error(self, tmp_path):
+        # whitening 1e300-sized points with a 1e-250 covariance overflows;
+        # under warnings as errors it is still exit 2, one line and no file
+        pts = tmp_path / "huge.csv"
+        pts.write_text("1e300,-1e300\n-1e300,1e300\n5e299,-5e299\n")
+        model = tmp_path / "tiny.json"
+        model.write_text(json.dumps({
+            "schema_version": "1", "family": "full", "fixed_mean": None, "mean": [0.0, 0.0],
+            "covariance": [[1e-250, 0.0], [0.0, 1e-250]], "match": 0.0, "cross_entropy": 0.0,
+        }))
+        out = tmp_path / "w.csv"
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gaussmatch.cli", "transform",
+             "--input", str(pts), "--model", str(model), "--output", str(out)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: transformed points overflow the float range\n"
+        assert not out.exists()
 
 
 class TestReport:
@@ -563,17 +584,32 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert "verification passed" in result.stdout
 
-    def test_import_loads_no_multiprocessing(self):
-        # verify imports it when it forks workers; every other command, and
-        # the start-up the benchmark times as setup_s, does without it
+    def test_import_loads_no_multiprocessing(self, tmp_path):
+        # verify imports it when it forks workers, and so do the CSV codecs
+        # from ingest.PARALLEL_CELLS cells on; every other command, small
+        # CSVs, and the start-up the benchmark times as setup_s do without it
+        points = np.random.default_rng(5).normal(size=(200, 2))
+        write_points_csv(points, tmp_path / "p.csv")
         script = (
             "import sys\n"
-            "import gaussmatch.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+            "import gaussmatch.cli as cli\n"
+            "p, m, w = sys.argv[1:]\n"
+            "loaded = [sorted(x for x in sys.modules if x.startswith('multiprocessing'))]\n"
+            "for argv in (['fit', '--input', p, '--family', 'full', '--output', m],\n"
+            "             ['transform', '--input', p, '--model', m, '--output', w],\n"
+            "             ['report', '--input', p]):\n"
+            "    if cli.run(argv) != 0:\n"
+            "        sys.exit(f'{argv[0]} failed')\n"
+            "    loaded.append(sorted(x for x in sys.modules if x.startswith('multiprocessing')))\n"
+            "print(loaded, file=sys.stderr)\n"
         )
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        result = subprocess.run(
+            [sys.executable, "-c", script, *(str(tmp_path / n) for n in ("p.csv", "m.json", "w.csv"))],
+            capture_output=True, text=True,
+        )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n"
+        assert result.stderr == "[[], [], [], []]\n"
+        assert read_points_csv(tmp_path / "w.csv").shape == (200, 2)
 
     def test_verify_runs_where_scipy_cannot_import(self):
         # a None entry in sys.modules makes every import of scipy fail

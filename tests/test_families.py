@@ -1,6 +1,7 @@
 """Closed-form family fits: worked examples, optimality, nesting, whitening."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,16 @@ class TestWhitening:
     def test_rejects_singular_model(self):
         with pytest.raises(SingularMatrixError):
             whitening_transform(GaussianModel(mean=[0.0, 0.0], cov=np.diag([1.0, 0.0])))
+
+    @pytest.mark.parametrize("points", [[[1e300, -1e300], [-1e300, 1e300]], [1.7e308, 0.0]])
+    def test_overflow_raises_without_warning(self, points):
+        # 1e300 * 1e125 overflows in the product; 1.7e308 - (-1.7e308) already
+        # in the difference
+        t = whitening_transform(GaussianModel(mean=[-1.7e308, 0.0], cov=1e-250 * np.eye(2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="overflow"):
+                t.apply(np.array(points))
 
 
 class TestSharedFactor:

@@ -2,6 +2,10 @@
 
 import io
 import math
+import multiprocessing
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from gaussmatch import (
     write_points_csv,
     write_ppm,
 )
+from gaussmatch import _pool, cli, ingest
 from gaussmatch.ingest import _decode_bulk, _decode_lines, _repeats_enough
 
 
@@ -227,6 +232,20 @@ _POOL = [0.0, -0.0, 1.0, -1.0, 0.1, 1e300, -1e300, 5e-324, 2.2250738585072014e-3
          math.nan, math.inf, -math.inf, 1 / 255]
 
 
+def _layouts(source):
+    """(0, d), (n, 0), one column, Fortran order, strided and reversed views of one array."""
+    rng = np.random.default_rng(3)
+    big = rng.integers(0, 4, (90, 12)) / 3.0 if source == "repeating" else rng.normal(size=(90, 12))
+    return [
+        big[:0],  # (0, d)
+        big[:, :0],  # (n, 0)
+        big[:, :1],  # (n, 1)
+        np.asfortranarray(big),
+        big[::2, 1::3],  # neither C- nor Fortran-contiguous
+        big[::-1],
+    ]
+
+
 class TestWritePointsCsv:
     """The table path writes the bytes of the per-value loop."""
 
@@ -250,19 +269,9 @@ class TestWritePointsCsv:
 
     @pytest.mark.parametrize("source", ["repeating", "distinct"])
     def test_shapes_and_layouts(self, source):
-        rng = np.random.default_rng(3)
-        big = rng.integers(0, 4, (90, 12)) / 3.0 if source == "repeating" else rng.normal(size=(90, 12))
-        cases = [
-            big[:0],  # (0, d)
-            big[:, :0],  # (n, 0)
-            big[:, :1],  # (n, 1)
-            np.asfortranarray(big),
-            big[::2, 1::3],  # neither C- nor Fortran-contiguous
-            big[::-1],
-        ]
-        for points in cases:
+        for points in _layouts(source):
             assert _written(points) == _loop_csv(points.tolist()), points.shape
-        column = big[:, 0]
+        column = _layouts(source)[2][:, 0]
         assert _written(column) == _loop_csv([[value] for value in column.tolist()])
 
     def test_path_choice(self):
@@ -281,6 +290,148 @@ class TestWritePointsCsv:
         assert not _repeats_enough(np.vstack([tail, head]))
         assert _repeats_enough(np.array([[0.0], [0.0]]))  # half distinct
         assert not _repeats_enough(np.array([[0.0], [-0.0]]))  # distinct bits
+
+
+def _no_strays():
+    """No worker process or pool thread outlives the call that started it."""
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
+
+
+class TestParallelCodecs:
+    """Forked CSV reading and writing against the serial codecs, on two CPUs."""
+
+    @pytest.mark.parametrize("source", ["repeating", "distinct"])
+    def test_encoding_matches_loop(self, monkeypatch, two_cpus, pool_spy, source):
+        # every per-value write forks, one row per task; the empty arrays
+        # and repeating values take the table path, which never forks
+        monkeypatch.setattr(ingest, "PARALLEL_CELLS", 0)
+        cases = _layouts(source)
+        for points in cases:
+            assert _written(points) == _loop_csv(points.tolist()), points.shape
+        column = cases[2][:, 0]
+        assert _written(column) == _loop_csv([[value] for value in column.tolist()])
+        assert pool_spy.call_count == (5 if source == "distinct" else 0)
+        _no_strays()
+
+    def test_encoding_at_threshold(self, two_cpus, pool_spy, tmp_path):
+        points = np.random.default_rng(8).normal(size=(ingest.PARALLEL_CELLS // 8 + 3, 8))
+        expected = _loop_csv(points.tolist())
+        assert _written(points) == expected
+        write_points_csv(points, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == expected
+        assert pool_spy.call_count == 2
+        _no_strays()
+
+    def test_failed_write_stops_the_workers(self, two_cpus, pool_spy):
+        class Full(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+        points = np.random.default_rng(8).normal(size=(ingest.PARALLEL_CELLS // 8 + 3, 8))
+        try:
+            write_points_csv(points, Full())
+        except OSError as exc:
+            # the traceback still holds the writer's frames, and so its blocks
+            assert exc.errno == 28
+            _no_strays()
+        else:
+            pytest.fail("the write did not fail")
+        assert pool_spy.call_count == 1
+
+    @pytest.mark.parametrize("cells", [0, 40])  # one row, then 3 rows of 3, per slice
+    @pytest.mark.parametrize("header, spacing, comment_every", [
+        (False, "", 0), (True, " ", 1), (True, "\t", 3), (False, "  ", 2),
+    ])
+    def test_decoding_matches_line_loop(self, monkeypatch, two_cpus, pool_spy, cells, header,
+                                        spacing, comment_every):
+        points = np.random.default_rng(9).normal(size=(37, 3)) * [1.0, 1e-300, 1e300]
+        text = _decorate(_written(points), header, spacing, comment_every)
+        monkeypatch.setattr(ingest, "PARALLEL_CELLS", cells)
+        bulk = _decode_bulk(text)
+        assert pool_spy.call_count == 1
+        slow = _decode_lines(text)
+        assert bulk.shape == slow.shape == points.shape
+        assert bulk.view(np.uint64).tolist() == slow.view(np.uint64).tolist()
+        assert bulk.view(np.uint64).tolist() == points.view(np.uint64).tolist()
+        _no_strays()
+
+    def test_decoding_at_threshold(self, two_cpus, pool_spy):
+        points = np.random.default_rng(10).normal(size=(ingest.PARALLEL_CELLS // 8 + 3, 8))
+        text = _decorate(_written(points), True, " ", 1000)
+        back = read_points_csv(io.StringIO(text))
+        assert pool_spy.call_count == 2  # one pool wrote the text, one read it
+        assert back.view(np.uint64).tolist() == points.view(np.uint64).tolist()
+        _no_strays()
+
+    @pytest.mark.parametrize("fault", ["bad field in the last slice", "width change at a slice"])
+    def test_errors_match_serial(self, monkeypatch, two_cpus, pool_spy, fault):
+        # 32768 rows of 4 fields: exactly PARALLEL_CELLS cells, in slices of 8192 rows
+        lines = ["1.5,2.5,-3.0,4.0"] * (ingest.PARALLEL_CELLS // 4)
+        if fault == "bad field in the last slice":
+            lines[-2] = "1.5,2.5,1x,4.0"
+        else:
+            lines[8192:] = ["1.5,2.5,-3.0,4.0,5.0"] * (len(lines) - 8192)
+        text = "# comment\nx,y,z,w\n" + "\n".join(lines) + "\n"
+        assert _decode_bulk(text) is None
+        assert pool_spy.call_count == 1
+        with pytest.raises(ParseError) as parallel:
+            read_points_csv(io.StringIO(text))
+        assert pool_spy.call_count == 2
+        _no_strays()
+        monkeypatch.setattr(_pool, "worker_count", lambda tasks: 1)
+        with pytest.raises(ParseError) as serial:
+            read_points_csv(io.StringIO(text))
+        assert str(parallel.value) == str(serial.value)
+        assert parallel.value.line == serial.value.line == (
+            len(lines) + 1 if fault == "bad field in the last slice" else 8195
+        )
+
+    def test_killed_reader_worker_is_an_error(self, monkeypatch, two_cpus):
+        load_rows = ingest._load_rows
+
+        def killed(rows, span):
+            if span[0] > 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load_rows(rows, span)
+
+        # the forked workers inherit the patch; a pool alone would wait for ever
+        monkeypatch.setattr(ingest, "_load_rows", killed)
+        monkeypatch.setattr(ingest, "PARALLEL_CELLS", 64)
+        text = _written(np.random.default_rng(11).normal(size=(200, 2)))
+        with pytest.raises(ChildProcessError, match="a CSV reader worker process ended with exit code -9"):
+            read_points_csv(io.StringIO(text))
+        _no_strays()
+
+    def test_killed_writer_worker_leaves_no_file(self, monkeypatch, two_cpus, tmp_path, capsys):
+        monkeypatch.setattr(ingest, "PARALLEL_CELLS", 64)
+        points = np.random.default_rng(12).normal(size=(200, 2))
+        source, model, out = tmp_path / "p.csv", tmp_path / "m.json", tmp_path / "w.csv"
+        write_points_csv(points, source)
+        assert cli.run(["fit", "--input", str(source), "--family", "full",
+                        "--output", str(model)]) == 0
+        format_rows = ingest._format_rows
+
+        def killed(pts, span):
+            if span[0] > 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return format_rows(pts, span)
+
+        monkeypatch.setattr(ingest, "_format_rows", killed)
+        # the first block is written before the second one's worker dies
+        with pytest.raises(ChildProcessError, match="a CSV writer worker process ended with exit code -9"):
+            write_points_csv(points, out)
+        assert not out.exists()
+        _no_strays()
+        assert cli.run(["transform", "--input", str(source), "--model", str(model),
+                        "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: a CSV writer worker process ended with exit code -9"
+        )
+        assert not out.exists()
+        _no_strays()
 
 
 def _gradient_raster(width=16, height=8, maxval=255):

@@ -30,7 +30,7 @@ from gaussmatch import (
     sample_gaussian,
     verify_families,
 )
-from gaussmatch import cli, oracle
+from gaussmatch import _pool, cli, oracle
 from gaussmatch.families import FAMILY_ORDER, FIXED_MEAN_FAMILIES
 from gaussmatch.oracle import (
     _ce_terms,
@@ -279,7 +279,7 @@ class TestStationarity:
 
 def _serial(monkeypatch):
     """Run the fits of verify_families in this process."""
-    monkeypatch.setattr(oracle, "_fit_workers", lambda tasks: 1)
+    monkeypatch.setattr(_pool, "worker_count", lambda tasks: 1)
 
 
 class TestVerifyFamilies:
@@ -344,20 +344,6 @@ class TestVerifyFamilies:
 
 
 _SMALL_RUNS = [((1, 2, 3, 4), 5, 0), ((1, 2), 3, 7), ((3,), 4, 11)]
-
-
-@pytest.fixture()
-def two_cpus(monkeypatch):
-    """Affinity of two CPUs, so that verify_families forks workers on any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-@pytest.fixture()
-def pool_spy(monkeypatch):
-    """multiprocessing.get_context, wrapped to count the pools verify_families makes."""
-    spy = mock.Mock(wraps=multiprocessing.get_context)
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
-    return spy
 
 
 class TestParallelFits:

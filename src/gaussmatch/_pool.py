@@ -1,6 +1,6 @@
 """Ordered map over forked worker processes, one per CPU.
 
-``forked_map(function, state, tasks, label)`` yields ``function(state,
+``forked_map(function, state, tasks, label)`` returns ``function(state,
 task)`` for every task, in task order.  The workers are forked from the
 caller, so they inherit ``state``, and everything else the caller holds,
 without pickling; only the tasks and their results cross a pipe.  The
@@ -58,20 +58,18 @@ def _run(task):
     return function(state, task)
 
 
-def forked_map(function, state, tasks, label: str):
-    """Generator of ``function(state, task)`` for each task of the list, in task order.
+def forked_map(function, state, tasks, label: str) -> list:
+    """``function(state, task)`` for each task of the list, in task order.
 
     Across ``worker_count`` processes the first failure in task order is
     raised, as in a serial run, and a worker that has ended raises
     ChildProcessError("<label> worker process ended with exit code <code>").
-    The pool is closed, or on any error terminated, and joined before the
-    generator finishes; a caller that may stop early must ``close()`` it.
+    The pool is closed, or on any error terminated, and joined before this
+    returns.
     """
     workers = worker_count(len(tasks))
     if workers == 1:
-        for task in tasks:
-            yield function(state, task)
-        return
+        return [function(state, task) for task in tasks]
     import multiprocessing
 
     others = set(multiprocessing.active_children())
@@ -81,14 +79,14 @@ def forked_map(function, state, tasks, label: str):
     try:
         forked = set(multiprocessing.active_children()) - others
         found = pool.imap(_run, tasks, chunksize=1)
-        for _ in tasks:
-            yield _next_result(found, forked, label)
+        results = [_next_result(found, forked, label) for _ in tasks]
         pool.close()
     except BaseException:
         pool.terminate()
         raise
     finally:
         pool.join()
+    return results
 
 
 def _next_result(found, workers, label: str):

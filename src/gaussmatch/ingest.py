@@ -10,6 +10,7 @@ the package contract, not an implementation detail.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import os
@@ -19,18 +20,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._pool import forked_map
 from .errors import InsufficientDataError, InvalidInputError, ParseError
 from .gaussians import _mean_and_cov, as_point_set
 from .linalg import spd_factor
 
 # --- CSV point sets ---------------------------------------------------------
 
-# Cells (rows times columns) from which a CSV is read or written, per value,
-# by forked workers, one per CPU.  Forking, starting the pool and importing
-# multiprocessing cost about 30 ms in a fresh process, which is what the
-# codecs take for about this many cells.
-PARALLEL_CELLS = 2**17
+# Cells (rows times columns) in one block of a CSV that is decoded from its
+# distinct fields or written out, so that no copy of the whole text is
+# built.  On the 4096x192 image blocks (2-vCPU host), blocks of 2**10 to
+# 2**17 cells take the same time within noise, while the peak RSS of a
+# fresh process that reads the blocks or writes their whitened points
+# rises from about 2**15 cells on (2**14: 64.6 and 36.3 MB; 2**17: 75.8
+# and 51.2 MB).
+_BLOCK_CELLS = 2**14
 
 
 def read_points_csv(source) -> np.ndarray:
@@ -52,45 +55,69 @@ def read_points_csv(source) -> np.ndarray:
 
 
 def _decode_bulk(text: str):
-    """Decode all rows in numpy's C reader; None leaves the verdict to ``_decode_lines``.
+    """Decode all rows at C speed; None leaves the verdict to ``_decode_lines``.
 
-    Both decoders strip the same whitespace and read a field with the same
-    string-to-double routine, so what this accepts, the line loop accepts
-    with the same bits.  Inputs it refuses (underscores or non-ASCII digits
-    in numbers, bad rows, values that are not finite) fall through to the
-    line loop, which decides them and names the line of an error.  From
-    ``PARALLEL_CELLS`` cells on, forked workers read contiguous row slices;
-    a slice refused, or a width that differs between slices, refuses all.
+    When the fields repeat a lot, as the 8-bit samples of image blocks do,
+    each distinct field is converted once, by the line loop's own
+    ``float``.  Otherwise numpy's C reader takes all rows; it strips the
+    same whitespace and reads a field with the same string-to-double
+    routine.  Either way, what this accepts, the line loop accepts with the
+    same bits.  Inputs it refuses (bad rows, values that are not finite,
+    and for numpy underscores or non-ASCII digits in numbers) fall through
+    to the line loop, which decides them and names the line of an error.
     """
     rows = [line for raw in text.split("\n") if (line := raw.strip()) and not line.startswith("#")]
     if rows and _is_header(rows[0]):
         del rows[0]
     if len(rows) < 2:
         return None
-    width = rows[0].count(",") + 1
-    if len(rows) * width < PARALLEL_CELLS:
-        return _load_rows(rows, (0, len(rows)))
-    pieces = list(forked_map(_load_rows, rows, _row_slices(len(rows), width), "a CSV reader"))
-    if any(piece is None for piece in pieces) or len({piece.shape[1] for piece in pieces}) != 1:
-        return None
-    return np.concatenate(pieces)
-
-
-def _load_rows(rows: list[str], span: tuple[int, int]):
-    """``rows[start:stop]`` as an array, or None where numpy refuses them or a value is not finite."""
-    start, stop = span
+    if _fields_repeat(rows):
+        return _decode_distinct(rows)
     try:
-        points = np.loadtxt(rows[start:stop], delimiter=",", comments=None, dtype=float, ndmin=2)
+        points = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
     except ValueError:
         return None
     return points if np.isfinite(points).all() else None
 
 
-def _row_slices(count: int, width: int) -> list[tuple[int, int]]:
-    """Contiguous (start, stop) ranges of ``count`` rows of about a quarter of
-    ``PARALLEL_CELLS`` cells each: tasks to share out, and blocks to stream."""
-    step = max(1, PARALLEL_CELLS // 4 // width)
-    return [(start, min(start + step, count)) for start in range(0, count, step)]
+def _fields_repeat(rows: list[str]) -> bool:
+    """Whether at most half of the fields in about 64 rows spread over the text are distinct.
+
+    Spread, not the first rows, so that a file whose head repeats and whose
+    body does not keeps the C reader: the table of distinct fields would
+    hold a key and a float for nearly every field.
+    """
+    sample = ",".join(rows[:: max(1, len(rows) // 64)]).split(",")
+    return 2 * len(set(sample)) <= len(sample)
+
+
+class _FieldValues(dict):
+    """``float`` of each field, converted on its first lookup."""
+
+    def __missing__(self, field: str) -> float:
+        value = self[field] = float(field)
+        return value
+
+
+def _decode_distinct(rows: list[str]):
+    """The rows, each distinct field converted once; None on a ragged row or a bad value."""
+    width = rows[0].count(",") + 1
+    if any(row.count(",") != width - 1 for row in rows):
+        return None
+    step = _block_rows(width)
+    fields = itertools.chain.from_iterable(
+        ",".join(rows[start : start + step]).split(",") for start in range(0, len(rows), step)
+    )
+    try:
+        points = np.fromiter(map(_FieldValues().__getitem__, fields), float, len(rows) * width)
+    except ValueError:
+        return None
+    return points.reshape(len(rows), width) if np.isfinite(points).all() else None
+
+
+def _block_rows(width: int) -> int:
+    """Rows in a block of about ``_BLOCK_CELLS`` cells, at least one."""
+    return max(1, _BLOCK_CELLS // max(width, 1))
 
 
 def _decode_lines(text: str) -> np.ndarray:
@@ -142,54 +169,47 @@ def write_points_csv(points, destination) -> None:
     Each value is written as Python's ``repr`` of it, one row per line.
     When the values repeat a lot, as the 8-bit samples of image blocks do,
     ``repr`` runs once per distinct value and rows are joined from that
-    table; otherwise each value is formatted in turn, by forked workers in
-    contiguous row blocks from ``PARALLEL_CELLS`` cells on, and each block
-    is written as it arrives.  Every path writes the same bytes.  When a
-    write to a path fails part way, the partial file is removed.
+    table; otherwise each value is formatted in turn.  Both paths write the
+    same bytes, in blocks of rows, each written as soon as it is formatted.
+    When a write to a path fails part way, the partial file is removed.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
         raise InvalidInputError(f"expected an (n, dim) array, got shape {pts.shape}")
-    if _repeats_enough(pts):
-        # Keyed on bit patterns: float equality merges -0.0 with 0.0, whose reprs differ.
-        bits = np.ascontiguousarray(pts).view(np.int64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        table = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-        lines = map(",".join, table[inverse.reshape(pts.shape)].tolist())
-        blocks = ["\n".join(lines) + "\n"]
-    elif pts.size < PARALLEL_CELLS:
-        blocks = [_format_rows(pts, (0, pts.shape[0]))]
-    else:
-        blocks = forked_map(_format_rows, pts, _row_slices(*pts.shape), "a CSV writer")
     if hasattr(destination, "write"):
-        _write_blocks(blocks, destination)
+        for block in _text_blocks(pts):
+            destination.write(block)
         return
     with open(destination, "w", encoding="utf-8") as handle:
         regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
         try:
-            _write_blocks(blocks, handle)
+            for block in _text_blocks(pts):
+                handle.write(block)
         except BaseException:
             if regular:
                 os.remove(destination)
             raise
 
 
-def _write_blocks(blocks, handle) -> None:
-    """Write each text block in turn; a generator of blocks is closed even on error."""
-    try:
-        for block in blocks:
-            handle.write(block)
-    finally:
-        if hasattr(blocks, "close"):
-            blocks.close()
-
-
-def _format_rows(pts: np.ndarray, span: tuple[int, int]) -> str:
-    """Rows ``start:stop`` of the points as CSV lines, each value its ``repr``."""
-    start, stop = span
-    return "\n".join([",".join(map(repr, row)) for row in pts[start:stop].tolist()]) + "\n"
+def _text_blocks(pts: np.ndarray):
+    """Generator of the CSV text of the points, about ``_BLOCK_CELLS`` cells at a time."""
+    table = None
+    if _repeats_enough(pts):
+        # Keyed on bit patterns: float equality merges -0.0 with 0.0, whose reprs differ.
+        bits = np.ascontiguousarray(pts).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        table = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+        codes = inverse.reshape(pts.shape)
+    step = _block_rows(pts.shape[1])
+    # An empty point set is one empty line, as "\n".join of no rows plus "\n".
+    for start in range(0, max(len(pts), 1), step):
+        if table is None:
+            lines = [",".join(map(repr, row)) for row in pts[start : start + step].tolist()]
+        else:
+            lines = map(",".join, table[codes[start : start + step]].tolist())
+        yield "\n".join(lines) + "\n"
 
 
 def _repeats_enough(pts: np.ndarray) -> bool:

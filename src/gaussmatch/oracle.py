@@ -439,7 +439,7 @@ def verify_families(dims=(1, 2, 3, 4), trials: int = 50, seed: int = 0) -> list[
     )
     # Forked workers inherit ``cases``, so a task sends two indices and its
     # result a float and a few counts.
-    results = dict(zip(tasks, list(forked_map(_fit_case, cases, tasks, "an oracle"))))
+    results = dict(zip(tasks, forked_map(_fit_case, cases, tasks, "an oracle")))
     checks = {
         kind: FamilyCheck(kind, trials, max_abs_diff=-math.inf, worst_margin=math.inf, passed=False)
         for kind in FAMILY_ORDER

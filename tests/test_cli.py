@@ -585,9 +585,8 @@ class TestEntryPoint:
         assert "verification passed" in result.stdout
 
     def test_import_loads_no_multiprocessing(self, tmp_path):
-        # verify imports it when it forks workers, and so do the CSV codecs
-        # from ingest.PARALLEL_CELLS cells on; every other command, small
-        # CSVs, and the start-up the benchmark times as setup_s do without it
+        # verify imports it when it forks workers; every other command, and
+        # the start-up the benchmark times as setup_s, does without it
         points = np.random.default_rng(5).normal(size=(200, 2))
         write_points_csv(points, tmp_path / "p.csv")
         script = (

@@ -2,10 +2,9 @@
 
 import io
 import math
-import multiprocessing
-import os
-import signal
-import threading
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +31,8 @@ from gaussmatch import (
     write_points_csv,
     write_ppm,
 )
-from gaussmatch import _pool, cli, ingest
-from gaussmatch.ingest import _decode_bulk, _decode_lines, _repeats_enough
+from gaussmatch import ingest
+from gaussmatch.ingest import _decode_bulk, _decode_lines, _fields_repeat, _repeats_enough
 
 
 class TestReadPointsCsv:
@@ -136,50 +135,136 @@ _csv_field = st.one_of(
     ),
 )
 _csv_row = st.lists(_csv_field, min_size=2, max_size=2).map(",".join)
+# Fields that float() reads and numpy's reader may refuse, for the table path.
+_SPELLINGS = ["-0", "+.5", "5.", "1E-3", "1_0", "\u0661", " 2 ", "\xa03", "4\x0c", "1e-300",
+              "0.1", "1e300"]
 _csv_line = st.one_of(
     _csv_row, _csv_row, st.sampled_from(["", " ", "# c", " #c", "\r", "a,b", "1"])
 )
 
 
-class TestBulkDecode:
-    """The bulk decoder agrees bit for bit with the line loop it stands in for."""
+_point_rows = st.integers(2, 5).flatmap(
+    lambda dim: st.lists(st.lists(_finite, min_size=dim, max_size=dim), min_size=2, max_size=12)
+)
+_decorations = (st.booleans(), st.sampled_from(["", " ", "\t", "  "]), st.integers(0, 3))
+_csv_text = st.lists(_csv_line, max_size=6).map("\n".join)
 
-    @given(
-        st.integers(2, 5).flatmap(
-            lambda dim: st.lists(
-                st.lists(_finite, min_size=dim, max_size=dim), min_size=2, max_size=12
-            )
-        ),
-        st.booleans(),
-        st.sampled_from(["", " ", "\t", "  "]),
-        st.integers(0, 3),
-    )
+
+def _table_path():
+    """Send every ``_decode_bulk`` call down the table path, in blocks of 3 cells."""
+    return mock.patch.multiple(ingest, _fields_repeat=lambda rows: True, _BLOCK_CELLS=3)
+
+
+def _check_matches_line_loop(rows, header, spacing, comment_every):
+    buffer = io.StringIO()
+    write_points_csv(np.asarray(rows, dtype=float), buffer)
+    text = _decorate(buffer.getvalue(), header, spacing, comment_every)
+    bulk = _decode_bulk(text)
+    assert bulk is not None
+    slow = _decode_lines(text)
+    assert bulk.dtype == slow.dtype == np.float64
+    assert bulk.shape == slow.shape == (len(rows), len(rows[0]))
+    assert bulk.view(np.uint64).tolist() == slow.view(np.uint64).tolist()
+    public = read_points_csv(io.StringIO(text))
+    assert public.view(np.uint64).tolist() == bulk.view(np.uint64).tolist()
+
+
+def _check_same_verdict(text):
+    bulk = _decode_bulk(text)
+    try:
+        slow = _decode_lines(text)
+    except GaussMatchError:
+        assert bulk is None
+    else:
+        if bulk is not None:
+            assert bulk.view(np.uint64).tolist() == slow.view(np.uint64).tolist()
+
+
+_verdict_examples = [
+    "1,2 # trailing comment\n3,4\n5,6\n",
+    "1,2\r3,4\n5,6\n7,8\n",
+    "1,2\n\n3,\u0664\n5,6\n",
+]
+
+
+class TestBulkDecode:
+    """Both bulk paths agree bit for bit with the line loop they stand in for."""
+
+    @given(_point_rows, *_decorations)
     def test_matches_line_loop(self, rows, header, spacing, comment_every):
-        buffer = io.StringIO()
-        write_points_csv(np.asarray(rows, dtype=float), buffer)
-        text = _decorate(buffer.getvalue(), header, spacing, comment_every)
+        _check_matches_line_loop(rows, header, spacing, comment_every)
+
+    @given(_point_rows, *_decorations)
+    def test_table_path_matches_line_loop(self, rows, header, spacing, comment_every):
+        with _table_path():
+            _check_matches_line_loop(rows, header, spacing, comment_every)
+
+    @given(_csv_text)
+    @example(_verdict_examples[0])
+    @example(_verdict_examples[1])
+    @example(_verdict_examples[2])
+    def test_accepted_text_decodes_the_same(self, text):
+        _check_same_verdict(text)
+
+    @given(_csv_text)
+    @example(_verdict_examples[0])
+    @example(_verdict_examples[1])
+    @example(_verdict_examples[2])
+    def test_table_path_decodes_accepted_text_the_same(self, text):
+        with _table_path():
+            _check_same_verdict(text)
+
+    @given(st.lists(st.lists(st.sampled_from(_SPELLINGS), min_size=3, max_size=3), min_size=1,
+                    max_size=32))
+    def test_table_path_takes_python_spellings(self, rows):
+        # every row twice, so that the fields repeat and take the table path,
+        # which accepts what float() accepts, numpy's refusals included
+        lines = [",".join(row).strip() for row in rows] * 2
+        assert _fields_repeat(lines)
+        text = "\n".join(lines) + "\n"
         bulk = _decode_bulk(text)
         assert bulk is not None
-        slow = _decode_lines(text)
-        assert bulk.dtype == slow.dtype == np.float64
-        assert bulk.shape == slow.shape == (len(rows), len(rows[0]))
-        assert bulk.view(np.uint64).tolist() == slow.view(np.uint64).tolist()
-        public = read_points_csv(io.StringIO(text))
-        assert public.view(np.uint64).tolist() == bulk.view(np.uint64).tolist()
+        assert bulk.view(np.uint64).tolist() == _decode_lines(text).view(np.uint64).tolist()
 
-    @given(st.lists(_csv_line, max_size=6).map("\n".join))
-    @example("1,2 # trailing comment\n3,4\n5,6\n")
-    @example("1,2\r3,4\n5,6\n7,8\n")
-    @example("1,2\n\n3,\u0664\n5,6\n")
-    def test_accepted_text_decodes_the_same(self, text):
-        bulk = _decode_bulk(text)
-        try:
-            slow = _decode_lines(text)
-        except GaussMatchError:
-            assert bulk is None
+    def test_path_choice(self):
+        pixels = np.random.default_rng(0).integers(0, 256, (32, 32, 3)).astype(np.uint16)
+        blocks = image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4).blocks
+        white = whitening_transform(estimate_moments(blocks)).apply(blocks)
+        assert _fields_repeat(_written(blocks).splitlines())
+        assert not _fields_repeat(_written(white).splitlines())
+        # the sample spans the text, so a repeating head or tail is not enough
+        head = ["0.5,1.5"] * 64
+        tail = [f"{i},{-i}" for i in range(1000)]
+        assert not _fields_repeat(head + tail)
+        assert not _fields_repeat(tail + head)
+        assert _fields_repeat((head + tail[:60]) * 16)
+
+    @pytest.mark.parametrize("token", ["nan", "-inf", "1e999"])
+    def test_table_path_refuses_non_finite(self, token):
+        text = "1,2\n" * 20 + f"1,{token}\n" + "1,2\n" * 20
+        assert _fields_repeat(text.split("\n"))
+        assert _decode_bulk(text) is None
+        with pytest.raises(ParseError) as info:
+            read_points_csv(io.StringIO(text))
+        assert info.value.line == 21
+
+    @pytest.mark.parametrize("fault", ["bad field in the last block", "width change at a block"])
+    def test_errors_across_blocks(self, fault):
+        # 8192 rows of 4 repeating fields span two blocks of 4096 rows
+        lines = ["1.5,2.5,-3.0,4.0"] * (2 * ingest._BLOCK_CELLS // 4)
+        if fault == "bad field in the last block":
+            lines[-2] = "1.5,2.5,1x,4.0"
         else:
-            if bulk is not None:
-                assert bulk.view(np.uint64).tolist() == slow.view(np.uint64).tolist()
+            lines[4096:] = ["1.5,2.5,-3.0,4.0,5.0"] * (len(lines) - 4096)
+        text = "# comment\nx,y,z,w\n" + "\n".join(lines) + "\n"
+        assert _fields_repeat(lines)
+        assert _decode_bulk(text) is None
+        with pytest.raises(ParseError) as bulk:
+            read_points_csv(io.StringIO(text))
+        with pytest.raises(ParseError) as loop:
+            _decode_lines(text)
+        assert str(bulk.value) == str(loop.value)
+        assert bulk.value.line == (len(lines) + 1 if fault == "bad field in the last block" else 4099)
 
     @given(st.binary(max_size=200))
     def test_arbitrary_bytes_raise_only_package_errors(self, data):
@@ -274,6 +359,46 @@ class TestWritePointsCsv:
         column = _layouts(source)[2][:, 0]
         assert _written(column) == _loop_csv([[value] for value in column.tolist()])
 
+    @pytest.mark.parametrize("block_cells", [1, 7])  # one row, then a few rows, per block
+    @pytest.mark.parametrize("source", ["repeating", "distinct"])
+    def test_shapes_and_layouts_in_small_blocks(self, monkeypatch, source, block_cells):
+        monkeypatch.setattr(ingest, "_BLOCK_CELLS", block_cells)
+        self.test_shapes_and_layouts(source)
+
+    @pytest.mark.parametrize("source", ["repeating", "distinct"])
+    def test_many_blocks(self, source, tmp_path):
+        rng = np.random.default_rng(4)
+        shape = (3 * ingest._BLOCK_CELLS // 8 + 5, 8)
+        points = rng.integers(0, 4, shape) / 3.0 if source == "repeating" else rng.normal(size=shape)
+        expected = _loop_csv(points.tolist())
+        assert _written(points) == expected
+        write_points_csv(points, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == expected
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # a file size limit ends the write of the whitened points part way;
+        # transform reports it as a one-line error and removes the file
+        points = np.random.default_rng(12).normal(size=(3000, 8))
+        source, model, out = tmp_path / "p.csv", tmp_path / "m.json", tmp_path / "w.csv"
+        write_points_csv(points, source)
+        script = (
+            "import resource, signal, sys\n"
+            "from gaussmatch import cli\n"
+            "p, m, w = sys.argv[1:]\n"
+            "if cli.run(['fit', '--input', p, '--family', 'full', '--output', m]) != 0:\n"
+            "    sys.exit('fit failed')\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, resource.RLIM_INFINITY))\n"
+            "sys.exit(cli.run(['transform', '--input', p, '--model', m, '--output', w]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(source), str(model), str(out)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: [Errno 27] File too large\n"
+        assert not out.exists()
+
     def test_path_choice(self):
         pixels = np.random.default_rng(0).integers(0, 256, (32, 32, 3)).astype(np.uint16)
         blocks = image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4).blocks
@@ -290,148 +415,6 @@ class TestWritePointsCsv:
         assert not _repeats_enough(np.vstack([tail, head]))
         assert _repeats_enough(np.array([[0.0], [0.0]]))  # half distinct
         assert not _repeats_enough(np.array([[0.0], [-0.0]]))  # distinct bits
-
-
-def _no_strays():
-    """No worker process or pool thread outlives the call that started it."""
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == 1
-
-
-class TestParallelCodecs:
-    """Forked CSV reading and writing against the serial codecs, on two CPUs."""
-
-    @pytest.mark.parametrize("source", ["repeating", "distinct"])
-    def test_encoding_matches_loop(self, monkeypatch, two_cpus, pool_spy, source):
-        # every per-value write forks, one row per task; the empty arrays
-        # and repeating values take the table path, which never forks
-        monkeypatch.setattr(ingest, "PARALLEL_CELLS", 0)
-        cases = _layouts(source)
-        for points in cases:
-            assert _written(points) == _loop_csv(points.tolist()), points.shape
-        column = cases[2][:, 0]
-        assert _written(column) == _loop_csv([[value] for value in column.tolist()])
-        assert pool_spy.call_count == (5 if source == "distinct" else 0)
-        _no_strays()
-
-    def test_encoding_at_threshold(self, two_cpus, pool_spy, tmp_path):
-        points = np.random.default_rng(8).normal(size=(ingest.PARALLEL_CELLS // 8 + 3, 8))
-        expected = _loop_csv(points.tolist())
-        assert _written(points) == expected
-        write_points_csv(points, tmp_path / "p.csv")
-        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == expected
-        assert pool_spy.call_count == 2
-        _no_strays()
-
-    def test_failed_write_stops_the_workers(self, two_cpus, pool_spy):
-        class Full(io.StringIO):
-            def write(self, text):
-                if self.tell():
-                    raise OSError(28, "No space left on device")
-                return super().write(text)
-
-        points = np.random.default_rng(8).normal(size=(ingest.PARALLEL_CELLS // 8 + 3, 8))
-        try:
-            write_points_csv(points, Full())
-        except OSError as exc:
-            # the traceback still holds the writer's frames, and so its blocks
-            assert exc.errno == 28
-            _no_strays()
-        else:
-            pytest.fail("the write did not fail")
-        assert pool_spy.call_count == 1
-
-    @pytest.mark.parametrize("cells", [0, 40])  # one row, then 3 rows of 3, per slice
-    @pytest.mark.parametrize("header, spacing, comment_every", [
-        (False, "", 0), (True, " ", 1), (True, "\t", 3), (False, "  ", 2),
-    ])
-    def test_decoding_matches_line_loop(self, monkeypatch, two_cpus, pool_spy, cells, header,
-                                        spacing, comment_every):
-        points = np.random.default_rng(9).normal(size=(37, 3)) * [1.0, 1e-300, 1e300]
-        text = _decorate(_written(points), header, spacing, comment_every)
-        monkeypatch.setattr(ingest, "PARALLEL_CELLS", cells)
-        bulk = _decode_bulk(text)
-        assert pool_spy.call_count == 1
-        slow = _decode_lines(text)
-        assert bulk.shape == slow.shape == points.shape
-        assert bulk.view(np.uint64).tolist() == slow.view(np.uint64).tolist()
-        assert bulk.view(np.uint64).tolist() == points.view(np.uint64).tolist()
-        _no_strays()
-
-    def test_decoding_at_threshold(self, two_cpus, pool_spy):
-        points = np.random.default_rng(10).normal(size=(ingest.PARALLEL_CELLS // 8 + 3, 8))
-        text = _decorate(_written(points), True, " ", 1000)
-        back = read_points_csv(io.StringIO(text))
-        assert pool_spy.call_count == 2  # one pool wrote the text, one read it
-        assert back.view(np.uint64).tolist() == points.view(np.uint64).tolist()
-        _no_strays()
-
-    @pytest.mark.parametrize("fault", ["bad field in the last slice", "width change at a slice"])
-    def test_errors_match_serial(self, monkeypatch, two_cpus, pool_spy, fault):
-        # 32768 rows of 4 fields: exactly PARALLEL_CELLS cells, in slices of 8192 rows
-        lines = ["1.5,2.5,-3.0,4.0"] * (ingest.PARALLEL_CELLS // 4)
-        if fault == "bad field in the last slice":
-            lines[-2] = "1.5,2.5,1x,4.0"
-        else:
-            lines[8192:] = ["1.5,2.5,-3.0,4.0,5.0"] * (len(lines) - 8192)
-        text = "# comment\nx,y,z,w\n" + "\n".join(lines) + "\n"
-        assert _decode_bulk(text) is None
-        assert pool_spy.call_count == 1
-        with pytest.raises(ParseError) as parallel:
-            read_points_csv(io.StringIO(text))
-        assert pool_spy.call_count == 2
-        _no_strays()
-        monkeypatch.setattr(_pool, "worker_count", lambda tasks: 1)
-        with pytest.raises(ParseError) as serial:
-            read_points_csv(io.StringIO(text))
-        assert str(parallel.value) == str(serial.value)
-        assert parallel.value.line == serial.value.line == (
-            len(lines) + 1 if fault == "bad field in the last slice" else 8195
-        )
-
-    def test_killed_reader_worker_is_an_error(self, monkeypatch, two_cpus):
-        load_rows = ingest._load_rows
-
-        def killed(rows, span):
-            if span[0] > 0:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return load_rows(rows, span)
-
-        # the forked workers inherit the patch; a pool alone would wait for ever
-        monkeypatch.setattr(ingest, "_load_rows", killed)
-        monkeypatch.setattr(ingest, "PARALLEL_CELLS", 64)
-        text = _written(np.random.default_rng(11).normal(size=(200, 2)))
-        with pytest.raises(ChildProcessError, match="a CSV reader worker process ended with exit code -9"):
-            read_points_csv(io.StringIO(text))
-        _no_strays()
-
-    def test_killed_writer_worker_leaves_no_file(self, monkeypatch, two_cpus, tmp_path, capsys):
-        monkeypatch.setattr(ingest, "PARALLEL_CELLS", 64)
-        points = np.random.default_rng(12).normal(size=(200, 2))
-        source, model, out = tmp_path / "p.csv", tmp_path / "m.json", tmp_path / "w.csv"
-        write_points_csv(points, source)
-        assert cli.run(["fit", "--input", str(source), "--family", "full",
-                        "--output", str(model)]) == 0
-        format_rows = ingest._format_rows
-
-        def killed(pts, span):
-            if span[0] > 0:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return format_rows(pts, span)
-
-        monkeypatch.setattr(ingest, "_format_rows", killed)
-        # the first block is written before the second one's worker dies
-        with pytest.raises(ChildProcessError, match="a CSV writer worker process ended with exit code -9"):
-            write_points_csv(points, out)
-        assert not out.exists()
-        _no_strays()
-        assert cli.run(["transform", "--input", str(source), "--model", str(model),
-                        "--output", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: a CSV writer worker process ended with exit code -9"
-        )
-        assert not out.exists()
-        _no_strays()
 
 
 def _gradient_raster(width=16, height=8, maxval=255):

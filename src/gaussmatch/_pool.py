@@ -4,12 +4,10 @@
 task)`` for every task, in task order.  The workers are forked from the
 caller, so they inherit ``state``, and everything else the caller holds,
 without pickling; only the tasks and their results cross a pipe.  The
-work runs serially, in the calling process, when it may use one CPU, when
-the platform lacks ``sched_getaffinity`` or the ``fork`` start method,
-when another Python thread is alive (forking a threaded process can
-deadlock), or when the caller is a daemonic process.  ``multiprocessing``
-is imported only on the parallel path.  A worker that dies, say at a
-signal, raises ChildProcessError instead of leaving the caller waiting.
+work runs serially, in the calling process, where ``worker_count`` says.
+``multiprocessing`` is imported only on the parallel path.  A worker that
+dies, say at a signal, raises ChildProcessError instead of leaving the
+caller waiting.
 """
 
 from __future__ import annotations

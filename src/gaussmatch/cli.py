@@ -337,28 +337,19 @@ def _resolve_mean_tokens(spec_text: str, data_mean: np.ndarray):
     tokens = [t.strip() for t in spec_text.split(";") if t.strip()]
     if not tokens:
         raise _UsageError("--means must name at least one mean")
-    dim = data_mean.size
     resolved = []
     for token in tokens:
         if token == "mean":
             resolved.append((token, np.array(data_mean)))
             continue
-        if "," in token:
-            try:
-                vec = np.asarray([float(f) for f in token.split(",")], dtype=float)
-            except ValueError:
-                raise _UsageError(f"invalid mean token {token!r}") from None
-            if vec.size != dim:
-                raise InvalidInputError(
-                    f"mean {token!r} has length {vec.size}, data dimension is {dim}"
-                )
-            resolved.append((token, vec))
-            continue
         try:
-            value = float(token)
+            values = [float(f) for f in token.split(",")]
         except ValueError:
             raise _UsageError(f"invalid mean token {token!r}") from None
-        resolved.append((token, np.full(dim, value)))
+        # A scalar stands for that value in every coordinate; the library
+        # checks a vector's dimension.
+        vec = np.asarray(values) if len(values) > 1 else np.full(data_mean.size, values[0])
+        resolved.append((token, vec))
     return resolved
 
 

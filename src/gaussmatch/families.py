@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .gaussians import GaussianModel, Moments, _frozen, self_cross_entropy
-from .linalg import spd_power, symmetrize
+from .linalg import finite_vector, float_array, require_dim, spd_power, symmetrize
 
 
 class Family(str, Enum):
@@ -80,9 +80,7 @@ class FamilySpec:
         if kind in FIXED_MEAN_FAMILIES:
             if self.fixed_mean is None:
                 raise InvalidInputError(f"family {kind.value!r} requires a fixed mean")
-            mean = np.asarray(self.fixed_mean, dtype=float).reshape(-1)
-            if mean.size == 0 or not np.isfinite(mean).all():
-                raise InvalidInputError("fixed mean must be a nonempty finite vector")
+            mean = finite_vector(self.fixed_mean, "fixed mean")
             object.__setattr__(self, "fixed_mean", _frozen(mean))
         elif self.fixed_mean is not None:
             raise InvalidInputError(f"family {kind.value!r} does not take a fixed mean")
@@ -114,19 +112,12 @@ class RescalingTransform:
         """Transform a single vector or an (n, dim) array of row points.
 
         Raises InvalidInputError when a transformed value overflows."""
-        pts = np.asarray(points, dtype=float)
+        pts = float_array(points, "points")
+        if pts.ndim not in (1, 2):
+            raise InvalidInputError(f"expected a vector or (n, dim) points, got shape {pts.shape}")
+        require_dim(pts.shape[-1], self.shift.size, "points", "transform")
         if not np.isfinite(pts).all():
             raise InvalidInputError("points must be finite")
-        if pts.ndim == 1:
-            if pts.size != self.shift.size:
-                raise InvalidInputError(
-                    f"vector of length {pts.size} does not match transform "
-                    f"dimension {self.shift.size}"
-                )
-        elif pts.ndim != 2 or pts.shape[1] != self.shift.size:
-            raise InvalidInputError(
-                f"expected points of dimension {self.shift.size}, got shape {pts.shape}"
-            )
         with np.errstate(over="ignore", invalid="ignore"):
             out = (pts - self.shift) @ self.root_inv_cov
         if not np.isfinite(out).all():
@@ -274,7 +265,7 @@ def family_report(moments: Moments, fixed_means) -> list[ReportRow]:
     contribute one row per entry of ``fixed_means``.  Rows follow
     FAMILY_ORDER, with fixed means in the order given.
     """
-    means = [np.asarray(m, dtype=float).reshape(-1) for m in fixed_means]
+    means = [finite_vector(m, "fixed mean") for m in fixed_means]
     rows: list[ReportRow] = []
     for kind in FAMILY_ORDER:
         for m in means if kind in FIXED_MEAN_FAMILIES else [None]:
@@ -285,9 +276,5 @@ def family_report(moments: Moments, fixed_means) -> list[ReportRow]:
 
 def _pinned_offset(moments: Moments, spec: FamilySpec) -> np.ndarray:
     """d = m - m_Y for the pinned mean m, checked against the data dimension."""
-    if spec.fixed_mean.size != moments.dim:
-        raise InvalidInputError(
-            f"fixed mean of length {spec.fixed_mean.size} does not match "
-            f"data dimension {moments.dim}"
-        )
+    require_dim(spec.fixed_mean.size, moments.dim, "fixed mean", "data")
     return spec.fixed_mean - moments.mean

@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .linalg import EigenDecomposition, SpdFactor, require_nonnegative_definite
-from .linalg import spd_factor, sym_eigen, symmetrize
+from .linalg import EigenDecomposition, SpdFactor, finite_vector, float_array
+from .linalg import require_dim, require_nonnegative_definite, spd_factor, sym_eigen, symmetrize
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -39,7 +39,7 @@ def as_point_set(points) -> np.ndarray:
     One-dimensional input is treated as n scalar observations.  At least
     two points are required; entries must be finite.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = float_array(points, "points")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[1] == 0:
@@ -62,14 +62,9 @@ def _mean_and_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
 
     Raises InvalidInputError when either is malformed or their sizes differ.
     """
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    if mean.size == 0 or not np.isfinite(mean).all():
-        raise InvalidInputError("mean must be a nonempty finite vector")
+    mean = finite_vector(mean, "mean")
     cov = symmetrize(cov)
-    if cov.shape[0] != mean.size:
-        raise InvalidInputError(
-            f"covariance shape {cov.shape} does not match mean of length {mean.size}"
-        )
+    require_dim(cov.shape[0], mean.size, "covariance", "mean")
     return _frozen(mean), _frozen(cov)
 
 
@@ -140,20 +135,14 @@ def estimate_moments(points) -> Moments:
     pts = as_point_set(points)
     mean = pts.mean(axis=0)
     centered = pts - mean
-    cov = symmetrize(centered.T @ centered / pts.shape[0])
-    return Moments(mean=mean, cov=cov)
+    return Moments(mean=mean, cov=centered.T @ centered / pts.shape[0])
 
 
 def mahalanobis_sq(vector, cov) -> float:
     """Squared Mahalanobis norm ``v' inv(S) v`` of a vector under covariance S."""
-    v = np.asarray(vector, dtype=float).reshape(-1)
-    if not np.isfinite(v).all():
-        raise InvalidInputError("vector must be finite")
+    v = finite_vector(vector, "vector")
     s = symmetrize(cov)
-    if s.shape[0] != v.size:
-        raise InvalidInputError(
-            f"vector of length {v.size} does not match a {s.shape[0]}x{s.shape[0]} covariance"
-        )
+    require_dim(v.size, s.shape[0], "vector", "covariance")
     precision = spd_factor(s, name="covariance").precision
     return float(v @ precision @ v)
 
@@ -191,10 +180,7 @@ def match_score(moments: Moments, model: GaussianModel) -> float:
 
 def _model_terms(moments: Moments, model: GaussianModel) -> tuple[float, float, float]:
     """``||m - m_Y||_S^2``, ``tr(S^-1 S_Y)`` and ``ln det S`` for the model (m, S)."""
-    if moments.dim != model.dim:
-        raise InvalidInputError(
-            f"data dimension {moments.dim} does not match model dimension {model.dim}"
-        )
+    require_dim(model.dim, moments.dim, "model", "data")
     factor = model.factor
     diff = model.mean - moments.mean
     maha = float(diff @ factor.precision @ diff)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, ParseError
 from .gaussians import _mean_and_cov, as_point_set
-from .linalg import spd_factor
+from .linalg import float_array, spd_factor
 
 # --- CSV point sets ---------------------------------------------------------
 
@@ -71,7 +71,7 @@ def _decode_bulk(text: str):
         del rows[0]
     if len(rows) < 2:
         return None
-    if _fields_repeat(rows):
+    if _repeats(rows):
         return _decode_distinct(rows)
     try:
         points = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
@@ -80,15 +80,25 @@ def _decode_bulk(text: str):
     return points if np.isfinite(points).all() else None
 
 
-def _fields_repeat(rows: list[str]) -> bool:
-    """Whether at most half of the fields in about 64 rows spread over the text are distinct.
+def _repeats(rows) -> bool:
+    """Whether at most half of the values in about 64 rows spread over ``rows`` are distinct.
 
-    Spread, not the first rows, so that a file whose head repeats and whose
-    body does not keeps the C reader: the table of distinct fields would
-    hold a key and a float for nearly every field.
+    The one rule by which both CSV codecs choose a table of distinct values.
+    ``rows`` are the CSV lines a reader decodes, whose values are their
+    fields, or the points a writer encodes, whose values are the bit
+    patterns of their floats (float equality merges -0.0 with 0.0, whose
+    reprs differ).  Spread, not the first rows, so that an input whose head
+    repeats and whose body does not keeps the per-value path: the table
+    would hold nearly every value.  Counted with a set, not ``np.unique``,
+    whose sort code alone adds about 1 MB to the peak RSS of a process that
+    then takes the loop.
     """
-    sample = ",".join(rows[:: max(1, len(rows) // 64)]).split(",")
-    return 2 * len(set(sample)) <= len(sample)
+    sample = rows[:: max(1, len(rows) // 64)]
+    if isinstance(sample, np.ndarray):
+        values = np.ascontiguousarray(sample).view(np.int64).ravel().tolist()
+    else:
+        values = ",".join(sample).split(",")
+    return 2 * len(set(values)) <= len(values)
 
 
 class _FieldValues(dict):
@@ -173,7 +183,7 @@ def write_points_csv(points, destination) -> None:
     same bytes, in blocks of rows, each written as soon as it is formatted.
     When a write to a path fails part way, the partial file is removed.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = float_array(points, "points")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
@@ -196,7 +206,7 @@ def write_points_csv(points, destination) -> None:
 def _text_blocks(pts: np.ndarray):
     """Generator of the CSV text of the points, about ``_BLOCK_CELLS`` cells at a time."""
     table = None
-    if _repeats_enough(pts):
+    if _repeats(pts):
         # Keyed on bit patterns: float equality merges -0.0 with 0.0, whose reprs differ.
         bits = np.ascontiguousarray(pts).view(np.int64)
         distinct, inverse = np.unique(bits, return_inverse=True)
@@ -210,16 +220,6 @@ def _text_blocks(pts: np.ndarray):
         else:
             lines = map(",".join, table[codes[start : start + step]].tolist())
         yield "\n".join(lines) + "\n"
-
-
-def _repeats_enough(pts: np.ndarray) -> bool:
-    """Whether at most half of the cells in the first 64 rows have distinct bits.
-
-    Counted with a set, not ``np.unique``, whose sort code alone adds about
-    1 MB to the peak RSS of a process that then takes the loop.
-    """
-    sample = np.ascontiguousarray(pts[:64]).view(np.int64).ravel().tolist()
-    return 2 * len(set(sample)) <= len(sample)
 
 
 def _read_text(source) -> str:

@@ -4,7 +4,8 @@ Everything downstream (Mahalanobis distances, whitening, the closed-form
 family fits) funnels through these few routines, so they pin down the
 numerical conventions once: eigenvalues are reported in descending order,
 eigenvector signs are normalized, and positive definiteness is judged
-against a single relative floor.
+against a single relative floor.  They also hold the argument checks that
+every module shares: ``float_array``, ``finite_vector`` and ``require_dim``.
 """
 
 from __future__ import annotations
@@ -33,12 +34,38 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray  # orthonormal columns, column i pairs with values[i]
 
 
+def float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; InvalidInputError naming it when numpy cannot
+    convert it, as for a ragged list, a dict, text that is not a number or an
+    integer beyond the float range."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"{name} is not an array of numbers") from None
+
+
+def finite_vector(value, name: str) -> np.ndarray:
+    """``value`` flattened to a float vector; InvalidInputError naming it when the
+    vector is empty or holds a value that is not finite."""
+    vector = float_array(value, name).reshape(-1)
+    if vector.size == 0 or not np.isfinite(vector).all():
+        raise InvalidInputError(f"{name} must be a nonempty finite vector")
+    return vector
+
+
+def require_dim(size: int, dim: int, what: str, against: str) -> None:
+    """Raise InvalidInputError, naming both sides, unless ``what`` of dimension
+    ``size`` agrees with ``against`` of dimension ``dim``."""
+    if size != dim:
+        raise InvalidInputError(f"{what} has dimension {size}, {against} has dimension {dim}")
+
+
 def symmetrize(matrix) -> np.ndarray:
     """Return ``(M + M.T) / 2`` as a float array, validating the shape.
 
     Raises InvalidInputError when an entry of ``M`` or of the result is not
     finite; entries near the float maximum can overflow in the sum."""
-    m = np.asarray(matrix, dtype=float)
+    m = float_array(matrix, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,8 +150,11 @@ def spd_factor(matrix, eig: EigenDecomposition | None = None, name: str = "matri
     """Spectral factor of an SPD matrix from ``eig = sym_eigen(matrix)``; its inverse
     is built on the first read of ``precision``.
 
-    Raises SingularMatrixError below the positivity floor."""
+    Raises InvalidInputError for a 0x0 matrix, which has no spectrum to judge,
+    and SingularMatrixError below the positivity floor."""
     m = symmetrize(matrix)
+    if m.size == 0:
+        raise InvalidInputError(f"{name} is empty")
     if eig is None:
         eig = sym_eigen(m)
     require_positive_definite(float(eig.values[-1]), m, name)
@@ -167,18 +197,13 @@ def min_trace_assignment(target_spectrum, matrix) -> float:
     and is attained when A and B share eigenvectors with that pairing.
     B must be symmetric nonnegative definite.
     """
-    lam = np.asarray(target_spectrum, dtype=float).reshape(-1)
-    if lam.size == 0 or not np.isfinite(lam).all():
-        raise InvalidInputError("target spectrum must be a nonempty finite vector")
+    lam = finite_vector(target_spectrum, "target spectrum")
     if np.any(np.diff(lam) < 0.0):
         raise InvalidInputError("target spectrum must be in ascending order")
     if np.any(lam < 0.0):
         raise InvalidInputError("target spectrum must be nonnegative")
     b = symmetrize(matrix)
-    if b.shape[0] != lam.size:
-        raise InvalidInputError(
-            f"spectrum of length {lam.size} does not match a {b.shape[0]}x{b.shape[0]} matrix"
-        )
+    require_dim(lam.size, b.shape[0], "target spectrum", "matrix")
     beta = sym_eigen(b).values
     require_nonnegative_definite(beta)
     beta = np.clip(beta, 0.0, None)

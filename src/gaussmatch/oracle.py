@@ -23,10 +23,8 @@ pinned mean, in the calling process, then runs the (dataset, family) fits
 through ``_pool.forked_map``: one forked worker per CPU in
 ``os.sched_getaffinity(0)``, heaviest fits first, or serially in the
 calling process where that module says.  The workers inherit the
-datasets, and the parent folds their results in (dataset, family) order,
-so the checks and their counts are bit-identical to a serial run.  No
-option, argument or environment variable changes this.  A worker that
-dies raises ChildProcessError.
+datasets.  No option, argument or environment variable changes this.
+A worker that dies raises ChildProcessError.
 
 Each run builds its objective once (``_make_objective``) and evaluates it
 from the covariance the parameters describe, with no eigendecomposition:
@@ -43,7 +41,7 @@ factor is judged, and evaluated, through ``eigh`` of L @ L.T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +51,8 @@ from .families import FAMILY_ORDER, FIXED_MEAN_FAMILIES, Family, FamilySpec, Fit
 from .families import _pinned_offset
 from .gaussians import LOG_TWO_PI, GaussianModel, as_point_set, estimate_moments
 from .ingest import _check_seed
-from .linalg import EIGENVALUE_FLOOR_SCALE, eigenvalue_floor, require_positive_definite
+from .linalg import EIGENVALUE_FLOOR_SCALE, eigenvalue_floor, require_dim
+from .linalg import require_positive_definite
 
 # Nelder-Mead is reliable only in modest dimension; a full covariance in
 # dimension 8 already means 44 free parameters.
@@ -109,10 +108,7 @@ def empirical_cross_entropy(points, model: GaussianModel) -> float:
     test suite.
     """
     pts = as_point_set(points)
-    if pts.shape[1] != model.dim:
-        raise InvalidInputError(
-            f"points of dimension {pts.shape[1]} do not match model dimension {model.dim}"
-        )
+    require_dim(pts.shape[1], model.dim, "points", "model")
     value, smallest = _ce_terms(pts, model.mean, model.cov)
     require_positive_definite(smallest, model.cov, "model covariance")
     if not np.isfinite(value):
@@ -440,28 +436,18 @@ def verify_families(dims=(1, 2, 3, 4), trials: int = 50, seed: int = 0) -> list[
     # Forked workers inherit ``cases``, so a task sends two indices and its
     # result a float and a few counts.
     results = dict(zip(tasks, forked_map(_fit_case, cases, tasks, "an oracle")))
-    checks = {
-        kind: FamilyCheck(kind, trials, max_abs_diff=-math.inf, worst_margin=math.inf, passed=False)
-        for kind in FAMILY_ORDER
-    }
-    for t in range(trials):
-        for f_index, kind in enumerate(FAMILY_ORDER):
-            margin, runs = results[t, f_index]
-            converged, iterations, evaluations = zip(*runs)
-            check = checks[kind]
-            checks[kind] = replace(
-                check,
-                max_abs_diff=max(check.max_abs_diff, abs(margin)),
-                worst_margin=min(check.worst_margin, margin),
-                converged_restarts=check.converged_restarts + sum(converged),
-                restarts=check.restarts + len(runs),
-                iterations=check.iterations + sum(iterations),
-                evaluations=check.evaluations + sum(evaluations),
-            )
-    return [
-        replace(c, passed=(c.max_abs_diff <= ORACLE_ABS_TOL and c.worst_margin >= -ORACLE_MARGIN))
-        for c in checks.values()
-    ]
+    checks = []
+    for f_index, kind in enumerate(FAMILY_ORDER):
+        margins, runs = zip(*(results[t, f_index] for t in range(trials)))
+        converged, iterations, evaluations = zip(*(run for fit_runs in runs for run in fit_runs))
+        max_abs_diff, worst_margin = max(map(abs, margins)), min(margins)
+        checks.append(FamilyCheck(
+            kind, trials, max_abs_diff, worst_margin,
+            passed=max_abs_diff <= ORACLE_ABS_TOL and worst_margin >= -ORACLE_MARGIN,
+            converged_restarts=sum(converged), restarts=len(converged),
+            iterations=sum(iterations), evaluations=sum(evaluations),
+        ))
+    return checks
 
 
 def _fit_case(cases, task):

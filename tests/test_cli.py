@@ -323,6 +323,16 @@ class TestReport:
         assert run(["report", "--input", str(sample_csv), "--means", ";"]) == 1
         capsys.readouterr()
 
+    def test_mean_of_wrong_dimension_is_the_library_error(self, sample_csv):
+        # the CLI only parses --means; the pinned-mean check of the library reports it
+        result = subprocess.run(
+            [sys.executable, "-m", "gaussmatch.cli", "report", "--input", str(sample_csv),
+             "--means", "mean;1,2,3"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: fixed mean has dimension 3, data has dimension 2\n"
+
 
 class TestImageBlocks:
     def test_blocks_csv_feeds_report(self, tmp_path, capsys):

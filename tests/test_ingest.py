@@ -32,7 +32,7 @@ from gaussmatch import (
     write_ppm,
 )
 from gaussmatch import ingest
-from gaussmatch.ingest import _decode_bulk, _decode_lines, _fields_repeat, _repeats_enough
+from gaussmatch.ingest import _decode_bulk, _decode_lines, _repeats
 
 
 class TestReadPointsCsv:
@@ -151,8 +151,8 @@ _csv_text = st.lists(_csv_line, max_size=6).map("\n".join)
 
 
 def _table_path():
-    """Send every ``_decode_bulk`` call down the table path, in blocks of 3 cells."""
-    return mock.patch.multiple(ingest, _fields_repeat=lambda rows: True, _BLOCK_CELLS=3)
+    """Send every codec call down its table path, in blocks of 3 cells."""
+    return mock.patch.multiple(ingest, _repeats=lambda rows: True, _BLOCK_CELLS=3)
 
 
 def _check_matches_line_loop(rows, header, spacing, comment_every):
@@ -220,7 +220,7 @@ class TestBulkDecode:
         # every row twice, so that the fields repeat and take the table path,
         # which accepts what float() accepts, numpy's refusals included
         lines = [",".join(row).strip() for row in rows] * 2
-        assert _fields_repeat(lines)
+        assert _repeats(lines)
         text = "\n".join(lines) + "\n"
         bulk = _decode_bulk(text)
         assert bulk is not None
@@ -230,19 +230,19 @@ class TestBulkDecode:
         pixels = np.random.default_rng(0).integers(0, 256, (32, 32, 3)).astype(np.uint16)
         blocks = image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4).blocks
         white = whitening_transform(estimate_moments(blocks)).apply(blocks)
-        assert _fields_repeat(_written(blocks).splitlines())
-        assert not _fields_repeat(_written(white).splitlines())
+        assert _repeats(_written(blocks).splitlines())
+        assert not _repeats(_written(white).splitlines())
         # the sample spans the text, so a repeating head or tail is not enough
         head = ["0.5,1.5"] * 64
         tail = [f"{i},{-i}" for i in range(1000)]
-        assert not _fields_repeat(head + tail)
-        assert not _fields_repeat(tail + head)
-        assert _fields_repeat((head + tail[:60]) * 16)
+        assert not _repeats(head + tail)
+        assert not _repeats(tail + head)
+        assert _repeats((head + tail[:60]) * 16)
 
     @pytest.mark.parametrize("token", ["nan", "-inf", "1e999"])
     def test_table_path_refuses_non_finite(self, token):
         text = "1,2\n" * 20 + f"1,{token}\n" + "1,2\n" * 20
-        assert _fields_repeat(text.split("\n"))
+        assert _repeats(text.split("\n"))
         assert _decode_bulk(text) is None
         with pytest.raises(ParseError) as info:
             read_points_csv(io.StringIO(text))
@@ -257,7 +257,7 @@ class TestBulkDecode:
         else:
             lines[4096:] = ["1.5,2.5,-3.0,4.0,5.0"] * (len(lines) - 4096)
         text = "# comment\nx,y,z,w\n" + "\n".join(lines) + "\n"
-        assert _fields_repeat(lines)
+        assert _repeats(lines)
         assert _decode_bulk(text) is None
         with pytest.raises(ParseError) as bulk:
             read_points_csv(io.StringIO(text))
@@ -344,12 +344,12 @@ class TestWritePointsCsv:
     )
     @example(np.array([[0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0]] * 4))
     def test_table_path_matches_loop(self, points):
-        assert _repeats_enough(points)
+        assert _repeats(points)
         assert _written(points) == _loop_csv(points.tolist())
 
     def test_zero_signs_kept(self):
         points = np.array([[0.0, -0.0], [-0.0, 0.0]] * 4)
-        assert _repeats_enough(points)
+        assert _repeats(points)
         assert _written(points) == "0.0,-0.0\n-0.0,0.0\n" * 4
 
     @pytest.mark.parametrize("source", ["repeating", "distinct"])
@@ -402,19 +402,22 @@ class TestWritePointsCsv:
     def test_path_choice(self):
         pixels = np.random.default_rng(0).integers(0, 256, (32, 32, 3)).astype(np.uint16)
         blocks = image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4).blocks
-        assert _repeats_enough(blocks)
+        assert _repeats(blocks)
         white = whitening_transform(estimate_moments(blocks)).apply(blocks)
-        assert not _repeats_enough(white)
+        assert not _repeats(white)
         assert _written(white) == _loop_csv(white.tolist())
         assert _written(blocks) == _loop_csv(blocks.tolist())
 
-    def test_chooser_samples_the_first_64_rows(self):
-        head = np.zeros((64, 4))
-        tail = np.random.default_rng(0).normal(size=(1000, 4))
-        assert _repeats_enough(np.vstack([head, tail]))
-        assert not _repeats_enough(np.vstack([tail, head]))
-        assert _repeats_enough(np.array([[0.0], [0.0]]))  # half distinct
-        assert not _repeats_enough(np.array([[0.0], [-0.0]]))  # distinct bits
+    def test_chooser_samples_rows_spread_over_the_points(self):
+        # the reader's rule on the same sample: a repeating head or tail is not enough
+        head = np.tile([0.5, 1.5], (64, 1))
+        tail = np.column_stack([np.arange(1000.0), -np.arange(1000.0)])
+        for points, table in [(np.vstack([head, tail]), False), (np.vstack([tail, head]), False),
+                              (np.vstack([head, tail[:60]] * 16), True)]:
+            assert _repeats(points) is table
+            assert _written(points) == _loop_csv(points.tolist())
+        assert _repeats(np.array([[0.0], [0.0]]))  # half distinct
+        assert not _repeats(np.array([[0.0], [-0.0]]))  # distinct bits
 
 
 def _gradient_raster(width=16, height=8, maxval=255):

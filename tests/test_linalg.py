@@ -1,28 +1,36 @@
 """Symmetric eigen helpers, SPD powers, and the trace-minimization bound."""
 
+import io
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaussmatch import (
+    Family,
+    FamilySpec,
     GaussianModel,
+    GaussMatchError,
     InvalidInputError,
     Moments,
     SingularMatrixError,
+    as_point_set,
+    estimate_moments,
     log_det_spd,
+    mahalanobis_sq,
     min_trace_assignment,
     sample_gaussian,
     spd_power,
     sym_eigen,
     symmetrize,
     whitening_transform,
+    write_points_csv,
 )
-from gaussmatch.linalg import SpdFactor, spd_factor
+from gaussmatch.linalg import SpdFactor, finite_vector, float_array, require_dim, spd_factor
 from helpers import random_orthogonal, random_spd
 
 RECON_TOL = 1e-10
@@ -211,6 +219,18 @@ class TestLogDet:
         with pytest.raises(SingularMatrixError):
             log_det_spd(np.diag([1.0, 0.0]))
 
+    def test_empty_matrix_is_invalid(self):
+        # a 0x0 matrix has no smallest eigenvalue to judge
+        empty = np.zeros((0, 0))
+        with pytest.raises(InvalidInputError, match="^matrix is empty$"):
+            log_det_spd(empty)
+        with pytest.raises(InvalidInputError, match="^matrix is empty$"):
+            spd_power(empty, -1.0)
+        with pytest.raises(InvalidInputError, match="^vector must be a nonempty finite vector$"):
+            mahalanobis_sq([], empty)
+        assert sym_eigen(empty).values.shape == (0,)
+        assert spd_power(empty, 0.5).shape == (0, 0)
+
 
 def sampled_trace_min(target, matrix, rng, samples=2000):
     """Independent check: minimum of tr(Q diag(target) Q' B) over random rotations."""
@@ -327,3 +347,75 @@ class TestSymmetrize:
         else:
             with pytest.raises(InvalidInputError):
                 symmetrize(m)
+
+
+# Values that are no valid argument, or valid only in some places: text,
+# None, dicts, ragged and nested lists, empty arrays, values that are not
+# finite, and arrays of every small shape, the wrong dimension included.
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(),
+                     st.text(max_size=3), st.just(10**400))
+_bad_arguments = st.one_of(
+    _scalars,
+    st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=8),
+    st.dictionaries(st.text(max_size=2), _scalars, max_size=2),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+               elements=st.floats(width=64)),
+    st.sampled_from([[], [[]], np.zeros((0, 0)), np.zeros((2, 0)), [[1.0], [2.0, 3.0]],
+                     [1.0, [2.0]], [[[1.0]]], [np.nan, 0.0], [[np.inf, 0.0], [0.0, 1.0]],
+                     np.eye(3), np.ones(3), [1.0], [[4.0]]]),
+)
+
+_EYE = np.eye(2)
+
+# Each call puts the bad value in one argument and valid values in the others.
+_CHECKED_CALLS = {
+    "FamilySpec": lambda value: FamilySpec(Family.FIXED_MEAN, value),
+    "GaussianModel mean": lambda value: GaussianModel(value, _EYE),
+    "GaussianModel cov": lambda value: GaussianModel([0.0, 1.0], value),
+    "Moments mean": lambda value: Moments(value, _EYE),
+    "Moments cov": lambda value: Moments([0.0, 1.0], value),
+    "as_point_set": as_point_set,
+    "estimate_moments": estimate_moments,
+    "mahalanobis_sq vector": lambda value: mahalanobis_sq(value, _EYE),
+    "mahalanobis_sq cov": lambda value: mahalanobis_sq([1.0, 2.0], value),
+    "min_trace_assignment spectrum": lambda value: min_trace_assignment(value, _EYE),
+    "min_trace_assignment matrix": lambda value: min_trace_assignment([1.0, 2.0], value),
+    "symmetrize": symmetrize,
+    "sym_eigen": sym_eigen,
+    "spd_power negative": lambda value: spd_power(value, -0.5),
+    "spd_power nonnegative": lambda value: spd_power(value, 0.5),
+    "log_det_spd": log_det_spd,
+    "sample_gaussian mean": lambda value: sample_gaussian(value, _EYE, 4, 0),
+    "sample_gaussian cov": lambda value: sample_gaussian([0.0, 1.0], value, 4, 0),
+    "apply": lambda value: whitening_transform(GaussianModel([0.0, 1.0], _EYE)).apply(value),
+    "write_points_csv": lambda value: write_points_csv(value, io.StringIO()),
+}
+
+
+class TestArgumentChecks:
+    def test_messages(self):
+        with pytest.raises(InvalidInputError, match="^mean is not an array of numbers$"):
+            float_array([[1.0], [2.0, 3.0]], "mean")
+        with pytest.raises(InvalidInputError, match="^mean must be a nonempty finite vector$"):
+            finite_vector([1.0, np.nan], "mean")
+        assert finite_vector([[1.0], [2.0]], "mean").tolist() == [1.0, 2.0]
+        with pytest.raises(InvalidInputError,
+                           match="^model has dimension 3, data has dimension 2$"):
+            require_dim(3, 2, "model", "data")
+        require_dim(2, 2, "model", "data")
+
+    @pytest.mark.parametrize("call", sorted(_CHECKED_CALLS))
+    @given(_bad_arguments)
+    @example("abc")
+    @example([[1], [2, 3]])
+    @example(["x"])
+    @example(np.zeros((0, 0)))
+    @example({"a": 1.0})
+    @example(10**400)
+    def test_only_package_errors_escape(self, call, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                _CHECKED_CALLS[call](value)
+            except GaussMatchError:
+                pass

@@ -21,6 +21,31 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_each_argument_check_has_one_home():
+    # The vector, dimension and conversion checks are the helpers of
+    # linalg.py; a hand-written copy elsewhere would drift from them.
+    fragments = ("nonempty finite vector", "has dimension", "not an array of numbers")
+    homes = {fragment: [] for fragment in fragments}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        f_string_parts = {id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+                          for part in node.values}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                               for part in node.values)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in f_string_parts):
+                text = node.value
+            else:
+                continue
+            for fragment in fragments:
+                if fragment in text:
+                    homes[fragment].append(f"{path.name}:{node.lineno}")
+    assert {fragment: [place.split(":")[0] for place in places]
+            for fragment, places in homes.items()} == dict.fromkeys(fragments, ["linalg.py"]), homes
+
+
 def test_no_unreferenced_private_names():
     # A module-level _name that nothing loads is dead code.
     trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))

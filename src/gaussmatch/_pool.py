@@ -1,10 +1,11 @@
 """Ordered map over forked worker processes, one per CPU.
 
-``forked_map(function, state, tasks, label)`` returns ``function(state,
-task)`` for every task, in task order.  The workers are forked from the
-caller, so they inherit ``state``, and everything else the caller holds,
-without pickling; only the tasks and their results cross a pipe.  The
-work runs serially, in the calling process, where ``worker_count`` says.
+``forked_map(function, state, tasks)`` returns ``function(state, task)``
+for every task, in task order; ``verify`` runs its oracle fits through it.
+The workers are forked from the caller, so they inherit ``state``, and
+everything else the caller holds, without pickling; only the tasks and
+their results cross a pipe.  The work runs serially, in the calling
+process, where ``worker_count`` says.
 ``multiprocessing`` is imported only on the parallel path.  A worker that
 dies, say at a signal, raises ChildProcessError instead of leaving the
 caller waiting.
@@ -17,6 +18,9 @@ import threading
 
 # Seconds between checks that the forked workers are alive.
 _WORKER_CHECK_S = 0.5
+
+# The error when a worker has ended, say at a signal, followed by its exit code.
+_WORKER_ENDED = "an oracle worker process ended with exit code"
 
 
 def worker_count(tasks: int) -> int:
@@ -56,12 +60,12 @@ def _run(task):
     return function(state, task)
 
 
-def forked_map(function, state, tasks, label: str) -> list:
+def forked_map(function, state, tasks) -> list:
     """``function(state, task)`` for each task of the list, in task order.
 
     Across ``worker_count`` processes the first failure in task order is
     raised, as in a serial run, and a worker that has ended raises
-    ChildProcessError("<label> worker process ended with exit code <code>").
+    ChildProcessError("an oracle worker process ended with exit code <code>").
     The pool is closed, or on any error terminated, and joined before this
     returns.
     """
@@ -77,7 +81,7 @@ def forked_map(function, state, tasks, label: str) -> list:
     try:
         forked = set(multiprocessing.active_children()) - others
         found = pool.imap(_run, tasks, chunksize=1)
-        results = [_next_result(found, forked, label) for _ in tasks]
+        results = [_next_result(found, forked) for _ in tasks]
         pool.close()
     except BaseException:
         pool.terminate()
@@ -87,7 +91,7 @@ def forked_map(function, state, tasks, label: str) -> list:
     return results
 
 
-def _next_result(found, workers, label: str):
+def _next_result(found, workers):
     """The next result of a pool's ``imap``; ChildProcessError once one of its
     ``workers`` has ended, because the pool would wait for that task for ever."""
     import multiprocessing
@@ -98,6 +102,4 @@ def _next_result(found, workers, label: str):
         except multiprocessing.TimeoutError:
             ended = [worker.exitcode for worker in workers if worker.exitcode is not None]
             if ended:
-                raise ChildProcessError(
-                    f"{label} worker process ended with exit code {ended[0]}"
-                ) from None
+                raise ChildProcessError(f"{_WORKER_ENDED} {ended[0]}") from None

@@ -64,21 +64,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _vector(text: str) -> np.ndarray:
+def _floats(text: str, error: Exception) -> list[float]:
+    """The comma-separated numbers of ``text``; raises ``error`` when one is not a number."""
     try:
-        values = [float(f) for f in text.split(",")]
+        return [float(f) for f in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid vector {text!r}") from None
-    return np.asarray(values, dtype=float)
+        raise error from None
+
+
+def _vector(text: str) -> np.ndarray:
+    return np.asarray(_floats(text, argparse.ArgumentTypeError(f"invalid vector {text!r}")))
 
 
 def _matrix(text: str) -> np.ndarray:
-    rows = []
-    try:
-        for row in text.split(";"):
-            rows.append([float(f) for f in row.split(",")])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid matrix {text!r}") from None
+    error = argparse.ArgumentTypeError(f"invalid matrix {text!r}")
+    rows = [_floats(row, error) for row in text.split(";")]
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise argparse.ArgumentTypeError(f"ragged matrix {text!r}")
@@ -342,10 +342,7 @@ def _resolve_mean_tokens(spec_text: str, data_mean: np.ndarray):
         if token == "mean":
             resolved.append((token, np.array(data_mean)))
             continue
-        try:
-            values = [float(f) for f in token.split(",")]
-        except ValueError:
-            raise _UsageError(f"invalid mean token {token!r}") from None
+        values = _floats(token, _UsageError(f"invalid mean token {token!r}"))
         # A scalar stands for that value in every coordinate; the library
         # checks a vector's dimension.
         vec = np.asarray(values) if len(values) > 1 else np.full(data_mean.size, values[0])

@@ -75,7 +75,11 @@ class FamilySpec:
     fixed_mean: np.ndarray | None = None
 
     def __post_init__(self):
-        kind = Family(self.kind)
+        try:
+            kind = Family(self.kind)
+        except ValueError:
+            names = ", ".join(family.value for family in Family)
+            raise InvalidInputError(f"family must be one of {names}") from None
         object.__setattr__(self, "kind", kind)
         if kind in FIXED_MEAN_FAMILIES:
             if self.fixed_mean is None:

@@ -10,29 +10,29 @@ the package contract, not an implementation detail.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import os
 import stat
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, ParseError
 from .gaussians import _mean_and_cov, as_point_set
-from .linalg import float_array, spd_factor
+from .linalg import float_array, integer, spd_factor
 
 # --- CSV point sets ---------------------------------------------------------
 
-# Cells (rows times columns) in one block of a CSV that is decoded from its
-# distinct fields or written out, so that no copy of the whole text is
-# built.  On the 4096x192 image blocks (2-vCPU host), blocks of 2**10 to
-# 2**17 cells take the same time within noise, while the peak RSS of a
-# fresh process that reads the blocks or writes their whitened points
-# rises from about 2**15 cells on (2**14: 64.6 and 36.3 MB; 2**17: 75.8
-# and 51.2 MB).
+# Cells (rows times columns) in one block of a CSV that is decoded or
+# written out, so that no copy of the whole text is built and an error is
+# found by re-reading one block.  On the 4096x192 image blocks (2-vCPU
+# host), blocks of 2**10 to 2**17 cells take the same time within noise,
+# while the peak RSS of a fresh process that reads the blocks or writes
+# their whitened points rises from about 2**15 cells on (2**14: 64.6 and
+# 36.3 MB; 2**17: 75.8 and 51.2 MB).
 _BLOCK_CELLS = 2**14
 
 
@@ -47,37 +47,41 @@ def read_points_csv(source) -> np.ndarray:
     on text that is not UTF-8, on malformed rows and on values that are
     not finite, and InsufficientDataError for fewer than two points.
     """
-    text = _read_text(source)
-    points = _decode_bulk(text)
-    if points is None:
-        points = _decode_lines(text)
+    rows = _data_rows(_read_text(source))
+    lines = [line for _, line in rows]
+    width = lines[0].count(",") + 1 if lines else 0
+    # Both fast decoders accept only what the line loop accepts, with the
+    # same bits.  A block the decoder refuses, or whose values have another
+    # shape or are not all finite, is read again by the line loop, which
+    # names the line of its first error.
+    decode = partial(_decode_distinct, table=_FieldValues()) if _repeats(lines) else _decode_numpy
+    points = np.empty((len(rows), width))
+    step = _block_rows(width)
+    for start in range(0, len(rows), step):
+        block = points[start : start + step]
+        values = decode(lines[start : start + step], width)
+        if values is None or values.shape != block.shape or not np.isfinite(values).all():
+            values = _decode_lines(rows[start : start + step], width)
+        block[:] = values
+    if len(rows) < 2:
+        raise InsufficientDataError(f"need at least 2 points, got {len(rows)}")
     return as_point_set(points)
 
 
-def _decode_bulk(text: str):
-    """Decode all rows at C speed; None leaves the verdict to ``_decode_lines``.
+def _data_rows(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, stripped line) of each row that holds a point.
 
-    When the fields repeat a lot, as the 8-bit samples of image blocks do,
-    each distinct field is converted once, by the line loop's own
-    ``float``.  Otherwise numpy's C reader takes all rows; it strips the
-    same whitespace and reads a field with the same string-to-double
-    routine.  Either way, what this accepts, the line loop accepts with the
-    same bits.  Inputs it refuses (bad rows, values that are not finite,
-    and for numpy underscores or non-ASCII digits in numbers) fall through
-    to the line loop, which decides them and names the line of an error.
+    Blank lines and lines starting with '#' are dropped, and so is the first
+    remaining row when it is a header.
     """
-    rows = [line for raw in text.split("\n") if (line := raw.strip()) and not line.startswith("#")]
-    if rows and _is_header(rows[0]):
+    rows = [
+        (line_no, line)
+        for line_no, raw in enumerate(text.split("\n"), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+    if rows and _is_header(rows[0][1]):
         del rows[0]
-    if len(rows) < 2:
-        return None
-    if _repeats(rows):
-        return _decode_distinct(rows)
-    try:
-        points = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
-    except ValueError:
-        return None
-    return points if np.isfinite(points).all() else None
+    return rows
 
 
 def _repeats(rows) -> bool:
@@ -109,20 +113,31 @@ class _FieldValues(dict):
         return value
 
 
-def _decode_distinct(rows: list[str]):
-    """The rows, each distinct field converted once; None on a ragged row or a bad value."""
-    width = rows[0].count(",") + 1
-    if any(row.count(",") != width - 1 for row in rows):
+def _decode_distinct(lines: list[str], width: int, table: _FieldValues):
+    """The rows, each distinct field converted once by ``float`` through
+    ``table``; None on a row of another width or a field ``float`` refuses."""
+    if any(line.count(",") != width - 1 for line in lines):
         return None
-    step = _block_rows(width)
-    fields = itertools.chain.from_iterable(
-        ",".join(rows[start : start + step]).split(",") for start in range(0, len(rows), step)
-    )
+    fields = ",".join(lines).split(",")
     try:
-        points = np.fromiter(map(_FieldValues().__getitem__, fields), float, len(rows) * width)
+        points = np.fromiter(map(table.__getitem__, fields), float, len(fields))
     except ValueError:
         return None
-    return points.reshape(len(rows), width) if np.isfinite(points).all() else None
+    return points.reshape(len(lines), width)
+
+
+def _decode_numpy(lines: list[str], width: int):
+    """The rows by numpy's C reader, or None where it refuses one.
+
+    It strips the same whitespace as the line loop and reads a field with
+    the same string-to-double routine, but refuses underscores and
+    non-ASCII digits in numbers, which the line loop then takes.  The
+    reader checks the shape of the result against ``width``.
+    """
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
 
 
 def _block_rows(width: int) -> int:
@@ -130,36 +145,24 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_CELLS // max(width, 1))
 
 
-def _decode_lines(text: str) -> np.ndarray:
-    """Decode line by line: the reference for what is accepted, and the error path."""
-    rows: list[list[float]] = []
-    width = None
-    first_content = True
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if first_content:
-            first_content = False
-            if _is_header(line):
-                continue
-        fields = [f.strip() for f in line.split(",")]
+def _decode_lines(rows: list[tuple[int, str]], width: int) -> list[list[float]]:
+    """Decode numbered rows one by one: the reference for what is accepted.
+
+    Raises ParseError naming the first row with a field ``float`` refuses,
+    a value that is not finite or other than ``width`` fields.
+    """
+    points = []
+    for line_no, line in rows:
         try:
-            values = [float(f) for f in fields]
+            values = [float(f.strip()) for f in line.split(",")]
         except ValueError as exc:
             raise ParseError(f"could not parse row: {exc}", line=line_no) from None
         if not all(map(math.isfinite, values)):
             raise ParseError("row has a value that is not finite", line=line_no)
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ParseError(
-                f"row has {len(values)} fields, expected {width}", line=line_no
-            )
-        rows.append(values)
-    if len(rows) < 2:
-        raise InsufficientDataError(f"need at least 2 points, got {len(rows)}")
-    return np.asarray(rows, dtype=float)
+        if len(values) != width:
+            raise ParseError(f"row has {len(values)} fields, expected {width}", line=line_no)
+        points.append(values)
+    return points
 
 
 def _is_header(line: str) -> bool:
@@ -388,6 +391,7 @@ def image_to_blocks(raster: Raster, block_size: int = 8) -> ImageBlocks:
     right and bottom edges are discarded.  Channel values are divided by
     the raster's maxval, so every coordinate lies in [0, 1].
     """
+    block_size = integer(block_size, "block size")
     if block_size < 1:
         raise InvalidInputError("block size must be positive")
     pixels = np.asarray(raster.pixels)
@@ -460,9 +464,10 @@ def standard_normals(count: int, seed: int) -> np.ndarray:
     on a fraction of a percent of inputs.  The seed must be an integer in
     ``0..2**64-1``; any other value raises InvalidInputError.
     """
-    _check_seed(seed)
+    count = integer(count, "count")
     if count < 0:
         raise InvalidInputError("count must be nonnegative")
+    _check_seed(seed)
     pairs = (count + 1) // 2
     if pairs == 0:
         return np.empty(0)
@@ -486,6 +491,7 @@ def sample_gaussian(mean, cov, count: int, seed: int) -> np.ndarray:
     """
     _check_seed(seed)
     mean, cov = _mean_and_cov(mean, cov)
+    count = integer(count, "count")
     if count < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {count}")
     root = spd_factor(cov, name="covariance").power(0.5)

@@ -5,11 +5,13 @@ family fits) funnels through these few routines, so they pin down the
 numerical conventions once: eigenvalues are reported in descending order,
 eigenvector signs are normalized, and positive definiteness is judged
 against a single relative floor.  They also hold the argument checks that
-every module shares: ``float_array``, ``finite_vector`` and ``require_dim``.
+every module shares: ``float_array``, ``finite_vector``, ``require_dim`` and
+``integer``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -58,6 +60,14 @@ def require_dim(size: int, dim: int, what: str, against: str) -> None:
     ``size`` agrees with ``against`` of dimension ``dim``."""
     if size != dim:
         raise InvalidInputError(f"{what} has dimension {size}, {against} has dimension {dim}")
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int; InvalidInputError naming it unless it is an integer,
+    such as a count or a size.  Numpy integers count, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
 
 
 def symmetrize(matrix) -> np.ndarray:

@@ -51,7 +51,7 @@ from .families import FAMILY_ORDER, FIXED_MEAN_FAMILIES, Family, FamilySpec, Fit
 from .families import _pinned_offset
 from .gaussians import LOG_TWO_PI, GaussianModel, as_point_set, estimate_moments
 from .ingest import _check_seed
-from .linalg import EIGENVALUE_FLOOR_SCALE, eigenvalue_floor, require_dim
+from .linalg import EIGENVALUE_FLOOR_SCALE, eigenvalue_floor, integer, require_dim
 from .linalg import require_positive_definite
 
 # Nelder-Mead is reliable only in modest dimension; a full covariance in
@@ -413,9 +413,10 @@ def verify_families(dims=(1, 2, 3, 4), trials: int = 50, seed: int = 0) -> list[
     run in parallel across the CPUs available to the process, or serially
     where the module docstring says; the result is the same either way.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(integer(d, "dim") for d in dims)
     if not dims or min(dims) < 1 or max(dims) > MAX_ORACLE_DIM:
         raise InvalidInputError(f"dims must lie in 1..{MAX_ORACLE_DIM}")
+    trials = integer(trials, "trials")
     if trials < 1:
         raise InvalidInputError("trials must be positive")
     _check_seed(seed)
@@ -435,7 +436,7 @@ def verify_families(dims=(1, 2, 3, 4), trials: int = 50, seed: int = 0) -> list[
     )
     # Forked workers inherit ``cases``, so a task sends two indices and its
     # result a float and a few counts.
-    results = dict(zip(tasks, forked_map(_fit_case, cases, tasks, "an oracle")))
+    results = dict(zip(tasks, forked_map(_fit_case, cases, tasks)))
     checks = []
     for f_index, kind in enumerate(FAMILY_ORDER):
         margins, runs = zip(*(results[t, f_index] for t in range(trials)))

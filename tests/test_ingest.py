@@ -32,7 +32,13 @@ from gaussmatch import (
     write_ppm,
 )
 from gaussmatch import ingest
-from gaussmatch.ingest import _decode_bulk, _decode_lines, _repeats
+from gaussmatch.ingest import (
+    _data_rows,
+    _decode_distinct,
+    _decode_lines,
+    _decode_numpy,
+    _repeats,
+)
 
 
 class TestReadPointsCsv:
@@ -155,29 +161,58 @@ def _table_path():
     return mock.patch.multiple(ingest, _repeats=lambda rows: True, _BLOCK_CELLS=3)
 
 
-def _check_matches_line_loop(rows, header, spacing, comment_every):
+def _decode_table(lines, width):
+    """``_decode_distinct`` with a table of its own, as each read has."""
+    return _decode_distinct(lines, width, ingest._FieldValues())
+
+
+def _accepted(values, rows, width) -> bool:
+    """Whether the reader's loop keeps a fast decoder's ``values`` for ``rows``."""
+    return values is not None and values.shape == (len(rows), width) and np.isfinite(values).all()
+
+
+def _bits(points):
+    return np.asarray(points, dtype=float).view(np.uint64).tolist()
+
+
+def _check_matches_line_loop(decode, rows, header, spacing, comment_every):
     buffer = io.StringIO()
     write_points_csv(np.asarray(rows, dtype=float), buffer)
     text = _decorate(buffer.getvalue(), header, spacing, comment_every)
-    bulk = _decode_bulk(text)
-    assert bulk is not None
-    slow = _decode_lines(text)
-    assert bulk.dtype == slow.dtype == np.float64
-    assert bulk.shape == slow.shape == (len(rows), len(rows[0]))
-    assert bulk.view(np.uint64).tolist() == slow.view(np.uint64).tolist()
-    public = read_points_csv(io.StringIO(text))
-    assert public.view(np.uint64).tolist() == bulk.view(np.uint64).tolist()
+    numbered = _data_rows(text)
+    width = len(rows[0])
+    fast = decode([line for _, line in numbered], width)
+    assert _accepted(fast, numbered, width)
+    assert fast.dtype == np.float64
+    assert _bits(fast) == _bits(_decode_lines(numbered, width))
+    assert _bits(read_points_csv(io.StringIO(text))) == _bits(fast)
 
 
-def _check_same_verdict(text):
-    bulk = _decode_bulk(text)
+def _check_same_verdict(decode, text):
+    """``decode`` refuses the rows or gives the line loop's bits, and the reader
+    gives the line loop's points or its error."""
+    numbered = _data_rows(text)
+    if not numbered:
+        with pytest.raises(InsufficientDataError):
+            read_points_csv(io.StringIO(text))
+        return
+    width = numbered[0][1].count(",") + 1
+    fast = decode([line for _, line in numbered], width)
     try:
-        slow = _decode_lines(text)
-    except GaussMatchError:
-        assert bulk is None
+        slow = _decode_lines(numbered, width)
+    except ParseError as exc:
+        assert not _accepted(fast, numbered, width)
+        with pytest.raises(ParseError) as info:
+            read_points_csv(io.StringIO(text))
+        assert (str(info.value), info.value.line) == (str(exc), exc.line)
+        return
+    if _accepted(fast, numbered, width):
+        assert _bits(fast) == _bits(slow)
+    if len(slow) < 2:
+        with pytest.raises(InsufficientDataError):
+            read_points_csv(io.StringIO(text))
     else:
-        if bulk is not None:
-            assert bulk.view(np.uint64).tolist() == slow.view(np.uint64).tolist()
+        assert _bits(read_points_csv(io.StringIO(text))) == _bits(slow)
 
 
 _verdict_examples = [
@@ -188,23 +223,24 @@ _verdict_examples = [
 
 
 class TestBulkDecode:
-    """Both bulk paths agree bit for bit with the line loop they stand in for."""
+    """Each fast decoder agrees bit for bit with the line loop or refuses."""
 
     @given(_point_rows, *_decorations)
     def test_matches_line_loop(self, rows, header, spacing, comment_every):
-        _check_matches_line_loop(rows, header, spacing, comment_every)
+        _check_matches_line_loop(_decode_numpy, rows, header, spacing, comment_every)
 
     @given(_point_rows, *_decorations)
     def test_table_path_matches_line_loop(self, rows, header, spacing, comment_every):
         with _table_path():
-            _check_matches_line_loop(rows, header, spacing, comment_every)
+            _check_matches_line_loop(_decode_table, rows, header, spacing, comment_every)
 
     @given(_csv_text)
     @example(_verdict_examples[0])
     @example(_verdict_examples[1])
     @example(_verdict_examples[2])
     def test_accepted_text_decodes_the_same(self, text):
-        _check_same_verdict(text)
+        with mock.patch.object(ingest, "_repeats", lambda rows: False):
+            _check_same_verdict(_decode_numpy, text)
 
     @given(_csv_text)
     @example(_verdict_examples[0])
@@ -212,7 +248,7 @@ class TestBulkDecode:
     @example(_verdict_examples[2])
     def test_table_path_decodes_accepted_text_the_same(self, text):
         with _table_path():
-            _check_same_verdict(text)
+            _check_same_verdict(_decode_table, text)
 
     @given(st.lists(st.lists(st.sampled_from(_SPELLINGS), min_size=3, max_size=3), min_size=1,
                     max_size=32))
@@ -221,10 +257,10 @@ class TestBulkDecode:
         # which accepts what float() accepts, numpy's refusals included
         lines = [",".join(row).strip() for row in rows] * 2
         assert _repeats(lines)
-        text = "\n".join(lines) + "\n"
-        bulk = _decode_bulk(text)
-        assert bulk is not None
-        assert bulk.view(np.uint64).tolist() == _decode_lines(text).view(np.uint64).tolist()
+        numbered = _data_rows("\n".join(lines) + "\n")
+        fast = _decode_table([line for _, line in numbered], 3)
+        assert _accepted(fast, numbered, 3)
+        assert _bits(fast) == _bits(_decode_lines(numbered, 3))
 
     def test_path_choice(self):
         pixels = np.random.default_rng(0).integers(0, 256, (32, 32, 3)).astype(np.uint16)
@@ -243,7 +279,8 @@ class TestBulkDecode:
     def test_table_path_refuses_non_finite(self, token):
         text = "1,2\n" * 20 + f"1,{token}\n" + "1,2\n" * 20
         assert _repeats(text.split("\n"))
-        assert _decode_bulk(text) is None
+        numbered = _data_rows(text)
+        assert not _accepted(_decode_table([line for _, line in numbered], 2), numbered, 2)
         with pytest.raises(ParseError) as info:
             read_points_csv(io.StringIO(text))
         assert info.value.line == 21
@@ -258,13 +295,53 @@ class TestBulkDecode:
             lines[4096:] = ["1.5,2.5,-3.0,4.0,5.0"] * (len(lines) - 4096)
         text = "# comment\nx,y,z,w\n" + "\n".join(lines) + "\n"
         assert _repeats(lines)
-        assert _decode_bulk(text) is None
+        numbered = _data_rows(text)
+        step = ingest._block_rows(4)
+        first, last = numbered[:step], numbered[step:]
+        assert _accepted(_decode_table([line for _, line in first], 4), first, 4)
+        assert not _accepted(_decode_table([line for _, line in last], 4), last, 4)
         with pytest.raises(ParseError) as bulk:
             read_points_csv(io.StringIO(text))
         with pytest.raises(ParseError) as loop:
-            _decode_lines(text)
+            _decode_lines(numbered, 4)
         assert str(bulk.value) == str(loop.value)
         assert bulk.value.line == (len(lines) + 1 if fault == "bad field in the last block" else 4099)
+
+    @pytest.mark.parametrize("source", ["repeating", "distinct"])
+    def test_only_the_refused_block_is_reread(self, source):
+        rng = np.random.default_rng(5)
+        shape = (8192, 4)
+        points = rng.integers(0, 4, shape) / 2.0 if source == "repeating" else rng.normal(size=shape)
+        lines = _written(points).splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",1x"
+        text = "\n".join(lines) + "\n"
+        assert _repeats(lines) is (source == "repeating")
+        step = ingest._block_rows(4)
+        with mock.patch.object(ingest, "_decode_lines", wraps=_decode_lines) as spy:
+            with pytest.raises(ParseError) as info:
+                read_points_csv(io.StringIO(text))
+        assert info.value.line == 8192
+        assert spy.call_count == 1
+        reread, width = spy.call_args.args
+        assert width == 4
+        assert reread == _data_rows(text)[-step:] and len(reread) < len(lines)
+
+    @pytest.mark.parametrize("table", [True, False])
+    def test_ragged_rows_with_the_right_field_count(self, table):
+        # 2 + 3 + 1 fields are three rows of two, but rows 2 and 3 are ragged
+        text = "1,2\n3,4,5\n6\n7,8\n"
+        numbered = _data_rows(text)
+        lines = [line for _, line in numbered]
+        assert not _accepted(_decode_table(lines[:3], 2), numbered[:3], 2)
+        assert not _accepted(_decode_numpy(lines[:3], 2), numbered[:3], 2)
+        with mock.patch.object(ingest, "_repeats", lambda rows: table), pytest.raises(
+            ParseError
+        ) as info:
+            read_points_csv(io.StringIO(text))
+        with pytest.raises(ParseError) as loop:
+            _decode_lines(numbered, 2)
+        assert (str(info.value), info.value.line) == (str(loop.value), 2)
+        assert str(info.value) == "line 2: row has 3 fields, expected 2"
 
     @given(st.binary(max_size=200))
     def test_arbitrary_bytes_raise_only_package_errors(self, data):

@@ -17,20 +17,31 @@ from gaussmatch import (
     GaussMatchError,
     InvalidInputError,
     Moments,
+    Raster,
     SingularMatrixError,
     as_point_set,
     estimate_moments,
+    image_to_blocks,
     log_det_spd,
     mahalanobis_sq,
     min_trace_assignment,
     sample_gaussian,
     spd_power,
+    standard_normals,
     sym_eigen,
     symmetrize,
+    verify_families,
     whitening_transform,
     write_points_csv,
 )
-from gaussmatch.linalg import SpdFactor, finite_vector, float_array, require_dim, spd_factor
+from gaussmatch.linalg import (
+    SpdFactor,
+    finite_vector,
+    float_array,
+    integer,
+    require_dim,
+    spd_factor,
+)
 from helpers import random_orthogonal, random_spd
 
 RECON_TOL = 1e-10
@@ -366,6 +377,8 @@ _bad_arguments = st.one_of(
 )
 
 _EYE = np.eye(2)
+_SINGULAR = [[1.0, 0.0], [0.0, 0.0]]
+_RASTER = Raster(pixels=np.zeros((2, 2, 3), dtype=np.uint16), maxval=255)
 
 # Each call puts the bad value in one argument and valid values in the others.
 _CHECKED_CALLS = {
@@ -389,6 +402,34 @@ _CHECKED_CALLS = {
     "sample_gaussian cov": lambda value: sample_gaussian([0.0, 1.0], value, 4, 0),
     "apply": lambda value: whitening_transform(GaussianModel([0.0, 1.0], _EYE)).apply(value),
     "write_points_csv": lambda value: write_points_csv(value, io.StringIO()),
+    # Scalars; a valid value meets an error in a later argument, before any work.
+    "FamilySpec kind": FamilySpec,
+    "standard_normals count": lambda value: standard_normals(value, -1),
+    "sample_gaussian count": lambda value: sample_gaussian([0.0, 1.0], _SINGULAR, value, 0),
+    "image_to_blocks block size": lambda value: image_to_blocks(_RASTER, value),
+    "verify_families dim": lambda value: verify_families((value,), 0, 0),
+    "verify_families trials": lambda value: verify_families((1,), value, -1),
+}
+
+# The scalar arguments that escaped as bare ValueError or TypeError, with their messages.
+_SCALAR_CASES = {
+    "FamilySpec kind": (lambda: FamilySpec("bogus"), "family must be one of full, fixed-mean, "
+                        "isotropic, fixed-mean-isotropic, diagonal, fixed-mean-diagonal"),
+    "standard_normals text": (lambda: standard_normals("3", 0), "count must be an integer, got str"),
+    "standard_normals float": (lambda: standard_normals(2.5, 0),
+                               "count must be an integer, got float"),
+    "sample_gaussian": (lambda: sample_gaussian([0.0, 1.0], _EYE, "5", 0),
+                        "count must be an integer, got str"),
+    "image_to_blocks text": (lambda: image_to_blocks(_RASTER, "x"),
+                             "block size must be an integer, got str"),
+    "image_to_blocks float": (lambda: image_to_blocks(_RASTER, 2.5),
+                              "block size must be an integer, got float"),
+    "verify_families trials": (lambda: verify_families((1,), "2", 0),
+                               "trials must be an integer, got str"),
+    "verify_families dim text": (lambda: verify_families(("x",), 2, 0),
+                                 "dim must be an integer, got str"),
+    "verify_families dim float": (lambda: verify_families((1.5,), 2, 0),
+                                  "dim must be an integer, got float"),
 }
 
 
@@ -403,6 +444,19 @@ class TestArgumentChecks:
                            match="^model has dimension 3, data has dimension 2$"):
             require_dim(3, 2, "model", "data")
         require_dim(2, 2, "model", "data")
+        assert integer(np.int64(3), "count") == 3 and type(integer(np.uint8(3), "count")) is int
+        for value, got in [("3", "str"), (2.5, "float"), (True, "bool"), (np.float64(3.0), "float64")]:
+            with pytest.raises(InvalidInputError, match=f"^count must be an integer, got {got}$"):
+                integer(value, "count")
+        assert standard_normals(np.int64(3), np.uint8(0)).size == 3
+        assert image_to_blocks(_RASTER, np.int32(2)).blocks.shape == (1, 12)
+
+    @pytest.mark.parametrize("case", sorted(_SCALAR_CASES))
+    def test_scalar_messages(self, case):
+        call, message = _SCALAR_CASES[case]
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("call", sorted(_CHECKED_CALLS))
     @given(_bad_arguments)
@@ -412,6 +466,7 @@ class TestArgumentChecks:
     @example(np.zeros((0, 0)))
     @example({"a": 1.0})
     @example(10**400)
+    @example(2.5)
     def test_only_package_errors_escape(self, call, value):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -3,7 +3,7 @@
 
     mkdir -p /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
     python3 scripts/compare_outputs.py /tmp/parent/src src --workloads image-report small-cli \
-        --seeds 1 2 --damaged
+        --seeds 1 2
 
 For each workload and seed, the inputs are made by ``bench/workloads.build``
 and the workload's argument lists run in order as ``python -m
@@ -15,10 +15,10 @@ output file it names are hashed with SHA-256, and one line per output gives
 both hashes and whether they agree. BLAS runs on one thread, as in the
 benchmark.
 
-With ``--damaged``, ``report`` also runs on three damaged copies of each
-points CSV a workload reads: one with a bad field in its last row, one with
-a ragged row at the first block boundary of the reader (2**14 cells), or at
-its last row when the file is shorter, and one with ``nan`` in its middle
+Then ``report`` runs on three damaged copies of each points CSV the
+workload reads: one with a bad field in its last row, one with a ragged
+row at the first block boundary of the reader (2**14 cells), or at its
+last row when the file is shorter, and one with ``nan`` in its middle
 row.  So two trees are shown to agree on error text and exit code too.
 
 Exit status: 0 when every output and exit code agrees, 1 otherwise.
@@ -64,8 +64,7 @@ def _damaged(text: str) -> dict[str, str]:
     }
 
 
-def run_tree(tree: Path, name: str, seed: int, work: Path,
-             damaged: bool) -> list[tuple[str, str]]:
+def run_tree(tree: Path, name: str, seed: int, work: Path) -> list[tuple[str, str]]:
     """(label, digest) of each exit code, stdout, stderr and output file, in command order."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
@@ -90,8 +89,6 @@ def run_tree(tree: Path, name: str, seed: int, work: Path,
         run(f"{index}:{op.argv[0]}", op.argv, op.outputs)
         if "--input" in op.argv:
             inputs.append(Path(op.argv[op.argv.index("--input") + 1]))
-    if not damaged:
-        return outputs
     for path in dict.fromkeys(p for p in inputs if p.suffix == ".csv" and p.exists()):
         for kind, text in _damaged(path.read_text(encoding="utf-8")).items():
             copy = work / f"{kind}-{path.name}"
@@ -107,8 +104,6 @@ def main() -> int:
     parser.add_argument("--workloads", nargs="+", default=list(workloads.WORKLOADS),
                         choices=workloads.WORKLOADS)
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
-    parser.add_argument("--damaged", action="store_true",
-                        help="also run report on damaged copies of each points CSV")
     args = parser.parse_args()
     trees = [tree.resolve() for tree in (args.first, args.second)]
     for tree in trees:
@@ -120,8 +115,7 @@ def main() -> int:
         work = Path(scratch) / "work"
         for name in args.workloads:
             for seed in args.seeds:
-                first, second = (run_tree(tree, name, seed, work, args.damaged)
-                                 for tree in trees)
+                first, second = (run_tree(tree, name, seed, work) for tree in trees)
                 for (label, a), (_, b) in zip(first, second):
                     verdict = "same" if a == b else "DIFFERS"
                     differences += a != b

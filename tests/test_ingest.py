@@ -166,6 +166,12 @@ def _decode_table(lines, width):
     return _decode_distinct(lines, width, ingest._FieldValues())
 
 
+def _numbered(text):
+    """The (line number, line) pairs of the data rows of ``text``."""
+    numbers, lines = _data_rows(text)
+    return list(zip(numbers.tolist(), lines))
+
+
 def _accepted(values, rows, width) -> bool:
     """Whether the reader's loop keeps a fast decoder's ``values`` for ``rows``."""
     return values is not None and values.shape == (len(rows), width) and np.isfinite(values).all()
@@ -179,7 +185,7 @@ def _check_matches_line_loop(decode, rows, header, spacing, comment_every):
     buffer = io.StringIO()
     write_points_csv(np.asarray(rows, dtype=float), buffer)
     text = _decorate(buffer.getvalue(), header, spacing, comment_every)
-    numbered = _data_rows(text)
+    numbered = _numbered(text)
     width = len(rows[0])
     fast = decode([line for _, line in numbered], width)
     assert _accepted(fast, numbered, width)
@@ -191,7 +197,7 @@ def _check_matches_line_loop(decode, rows, header, spacing, comment_every):
 def _check_same_verdict(decode, text):
     """``decode`` refuses the rows or gives the line loop's bits, and the reader
     gives the line loop's points or its error."""
-    numbered = _data_rows(text)
+    numbered = _numbered(text)
     if not numbered:
         with pytest.raises(InsufficientDataError):
             read_points_csv(io.StringIO(text))
@@ -257,7 +263,7 @@ class TestBulkDecode:
         # which accepts what float() accepts, numpy's refusals included
         lines = [",".join(row).strip() for row in rows] * 2
         assert _repeats(lines)
-        numbered = _data_rows("\n".join(lines) + "\n")
+        numbered = _numbered("\n".join(lines) + "\n")
         fast = _decode_table([line for _, line in numbered], 3)
         assert _accepted(fast, numbered, 3)
         assert _bits(fast) == _bits(_decode_lines(numbered, 3))
@@ -279,7 +285,7 @@ class TestBulkDecode:
     def test_table_path_refuses_non_finite(self, token):
         text = "1,2\n" * 20 + f"1,{token}\n" + "1,2\n" * 20
         assert _repeats(text.split("\n"))
-        numbered = _data_rows(text)
+        numbered = _numbered(text)
         assert not _accepted(_decode_table([line for _, line in numbered], 2), numbered, 2)
         with pytest.raises(ParseError) as info:
             read_points_csv(io.StringIO(text))
@@ -295,7 +301,7 @@ class TestBulkDecode:
             lines[4096:] = ["1.5,2.5,-3.0,4.0,5.0"] * (len(lines) - 4096)
         text = "# comment\nx,y,z,w\n" + "\n".join(lines) + "\n"
         assert _repeats(lines)
-        numbered = _data_rows(text)
+        numbered = _numbered(text)
         step = ingest._block_rows(4)
         first, last = numbered[:step], numbered[step:]
         assert _accepted(_decode_table([line for _, line in first], 4), first, 4)
@@ -306,6 +312,26 @@ class TestBulkDecode:
             _decode_lines(numbered, 4)
         assert str(bulk.value) == str(loop.value)
         assert bulk.value.line == (len(lines) + 1 if fault == "bad field in the last block" else 4099)
+
+    @pytest.mark.parametrize("table", [True, False])
+    @pytest.mark.parametrize("fields", [1, 5])
+    def test_width_change_at_a_block(self, fields, table):
+        # numpy reads a block of rows of one field as (4096, 1), which would
+        # broadcast into the (4096, 4) block unless the loop checks its shape
+        lines = ["1.5,2.5,-3.0,4.0"] * 4096 + [",".join(["1.5"] * fields)] * 4096
+        text = "\n".join(lines) + "\n"
+        numbered = _numbered(text)
+        decode = _decode_table if table else _decode_numpy
+        assert _accepted(decode(lines[:4096], 4), numbered[:4096], 4)
+        assert not _accepted(decode(lines[4096:], 4), numbered[4096:], 4)
+        with mock.patch.object(ingest, "_repeats", lambda rows: table), pytest.raises(
+            ParseError
+        ) as info:
+            read_points_csv(io.StringIO(text))
+        assert (str(info.value), info.value.line) == (
+            f"line 4097: row has {fields} fields, expected 4",
+            4097,
+        )
 
     @pytest.mark.parametrize("source", ["repeating", "distinct"])
     def test_only_the_refused_block_is_reread(self, source):
@@ -324,13 +350,13 @@ class TestBulkDecode:
         assert spy.call_count == 1
         reread, width = spy.call_args.args
         assert width == 4
-        assert reread == _data_rows(text)[-step:] and len(reread) < len(lines)
+        assert reread == _numbered(text)[-step:] and len(reread) < len(lines)
 
     @pytest.mark.parametrize("table", [True, False])
     def test_ragged_rows_with_the_right_field_count(self, table):
         # 2 + 3 + 1 fields are three rows of two, but rows 2 and 3 are ragged
         text = "1,2\n3,4,5\n6\n7,8\n"
-        numbered = _data_rows(text)
+        numbered = _numbered(text)
         lines = [line for _, line in numbered]
         assert not _accepted(_decode_table(lines[:3], 2), numbered[:3], 2)
         assert not _accepted(_decode_numpy(lines[:3], 2), numbered[:3], 2)

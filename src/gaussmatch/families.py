@@ -32,8 +32,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidInputError
-from .gaussians import GaussianModel, Moments, _frozen, self_cross_entropy
-from .linalg import finite_vector, float_array, require_dim, spd_power, symmetrize
+from .gaussians import GaussianModel, Moments, self_cross_entropy
+from .linalg import finite_vector, float_array, frozen, require_dim, spd_power, symmetrize
 
 
 class Family(str, Enum):
@@ -85,7 +85,7 @@ class FamilySpec:
             if self.fixed_mean is None:
                 raise InvalidInputError(f"family {kind.value!r} requires a fixed mean")
             mean = finite_vector(self.fixed_mean, "fixed mean")
-            object.__setattr__(self, "fixed_mean", _frozen(mean))
+            object.__setattr__(self, "fixed_mean", frozen(mean))
         elif self.fixed_mean is not None:
             raise InvalidInputError(f"family {kind.value!r} does not take a fixed mean")
 

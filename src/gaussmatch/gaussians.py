@@ -15,7 +15,8 @@ the entropy of the moment-matched Gaussian gives the match score
 
 which is nonnegative and zero exactly when (m, S) = (m_Y, S_Y).  The score
 depends on the data only through its first two moments, so the routines
-here take a ``Moments`` summary rather than raw points.
+here take a ``Moments`` summary rather than raw points.  A ``Moments`` is
+itself a ``GaussianModel``: the moment-matched Nor(m_Y, S_Y).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
-from .linalg import EigenDecomposition, SpdFactor, finite_vector, float_array
+from .linalg import EigenDecomposition, SpdFactor, finite_vector, float_array, frozen
 from .linalg import require_dim, require_nonnegative_definite, spd_factor, sym_eigen, symmetrize
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -51,55 +52,6 @@ def as_point_set(points) -> np.ndarray:
     return pts
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
-def _mean_and_cov(mean, cov) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only copies of a nonempty finite mean and its symmetrized covariance.
-
-    Raises InvalidInputError when either is malformed or their sizes differ.
-    """
-    mean = finite_vector(mean, "mean")
-    cov = symmetrize(cov)
-    require_dim(cov.shape[0], mean.size, "covariance", "mean")
-    return _frozen(mean), _frozen(cov)
-
-
-@dataclass(frozen=True, eq=False)
-class Moments:
-    """Mean vector and covariance matrix summarizing a dataset.
-
-    S_Y is decomposed once, on construction; every fit shares ``factor``.
-    ``==`` compares identity.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean, cov = _mean_and_cov(self.mean, self.cov)
-        eig = sym_eigen(cov)
-        require_nonnegative_definite(eig.values, "covariance")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "_eigen", EigenDecomposition(*map(_frozen, eig)))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    @cached_property
-    def factor(self) -> SpdFactor:
-        """Spectrum, ``ln det S_Y`` and ``inv(S_Y)``, computed on first use.
-
-        Raises SingularMatrixError when S_Y is below the eigenvalue floor.
-        """
-        return spd_factor(self.cov, self._eigen, "data covariance")
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianModel:
     """Parameters (mean, covariance) of a Gaussian density.  ``==`` compares identity."""
@@ -108,9 +60,11 @@ class GaussianModel:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean, cov = _mean_and_cov(self.mean, self.cov)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        mean = finite_vector(self.mean, "mean")
+        cov = symmetrize(self.cov)
+        require_dim(cov.shape[0], mean.size, "covariance", "mean")
+        object.__setattr__(self, "mean", frozen(mean))
+        object.__setattr__(self, "cov", frozen(cov))
 
     @property
     def dim(self) -> int:
@@ -123,6 +77,28 @@ class GaussianModel:
         Raises SingularMatrixError when S is below the eigenvalue floor.
         """
         return spd_factor(self.cov, name="model covariance")
+
+
+class Moments(GaussianModel):
+    """Mean and covariance of a dataset: its moment-matched Gaussian Nor(m_Y, S_Y).
+
+    S_Y must be nonnegative definite.  It is decomposed once, on
+    construction; every fit shares ``factor``.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        eig = sym_eigen(self.cov)
+        require_nonnegative_definite(eig.values, "covariance")
+        object.__setattr__(self, "_eigen", EigenDecomposition(*map(frozen, eig)))
+
+    @cached_property
+    def factor(self) -> SpdFactor:
+        """Spectrum, ``ln det S_Y`` and ``inv(S_Y)`` from the decomposition made on construction.
+
+        Raises SingularMatrixError when S_Y is below the eigenvalue floor.
+        """
+        return spd_factor(self.cov, self._eigen, "data covariance")
 
 
 def estimate_moments(points) -> Moments:

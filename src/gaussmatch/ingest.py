@@ -11,9 +11,9 @@ the package contract, not an implementation detail.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import stat
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, ParseError
-from .gaussians import _mean_and_cov, as_point_set
-from .linalg import float_array, integer, spd_factor
+from .gaussians import GaussianModel, as_point_set
+from .linalg import float_array, integer, require_seed, spd_factor
 
 # --- CSV point sets ---------------------------------------------------------
 
@@ -341,16 +341,40 @@ def read_ppm(source) -> Raster:
     return Raster(pixels=pixels, maxval=maxval)
 
 
-def write_ppm(raster: Raster, destination) -> None:
-    """Encode a Raster as binary PPM (P6), 16-bit big-endian when maxval > 255."""
-    pixels = np.asarray(raster.pixels)
+def _checked_raster(raster: Raster) -> tuple[np.ndarray, int]:
+    """The pixels and maxval of a raster that ``read_ppm`` could have returned.
+
+    Raises InvalidInputError unless maxval is an integer in 1..65535 and the
+    pixels are a nonempty (height, width, 3) array of integers in 0..maxval.
+    """
+    maxval = integer(raster.maxval, "maxval", high=65535)
+    if maxval < 1:
+        raise InvalidInputError("maxval must be positive")
+    try:
+        pixels = np.asarray(raster.pixels)
+    except ValueError:  # nested sequences of unequal lengths
+        raise InvalidInputError("expected (height, width, 3) pixels, got ragged sequences") from None
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise InvalidInputError(f"expected (height, width, 3) pixels, got {pixels.shape}")
-    if pixels.min() < 0 or pixels.max() > raster.maxval:
+    if pixels.size == 0:
+        raise InvalidInputError("image has no pixels")
+    if not np.issubdtype(pixels.dtype, np.integer):
+        raise InvalidInputError(f"pixels must have an integer dtype, got {pixels.dtype}")
+    if pixels.min() < 0 or pixels.max() > maxval:
         raise InvalidInputError("pixel values must lie in [0, maxval]")
+    return pixels, maxval
+
+
+def write_ppm(raster: Raster, destination) -> None:
+    """Encode a Raster as binary PPM (P6), 16-bit big-endian when maxval > 255.
+
+    Raises InvalidInputError on a raster that ``read_ppm`` would not return,
+    so every file written reads back as the same raster.
+    """
+    pixels, maxval = _checked_raster(raster)
     height, width = pixels.shape[:2]
-    header = f"P6\n{width} {height}\n{raster.maxval}\n".encode("ascii")
-    dtype = np.dtype(">u2") if raster.maxval > 255 else np.dtype("u1")
+    header = f"P6\n{width} {height}\n{maxval}\n".encode("ascii")
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     body = pixels.astype(dtype).tobytes()
     if hasattr(destination, "write"):
         destination.write(header + body)
@@ -392,14 +416,13 @@ def image_to_blocks(raster: Raster, block_size: int = 8) -> ImageBlocks:
 
     Tiles are taken left to right, top to bottom; partial tiles at the
     right and bottom edges are discarded.  Channel values are divided by
-    the raster's maxval, so every coordinate lies in [0, 1].
+    the raster's maxval, so every coordinate lies in [0, 1]; the raster is
+    checked as ``write_ppm`` checks it.
     """
     block_size = integer(block_size, "block size")
     if block_size < 1:
         raise InvalidInputError("block size must be positive")
-    pixels = np.asarray(raster.pixels)
-    if pixels.ndim != 3 or pixels.shape[2] != 3:
-        raise InvalidInputError(f"expected (height, width, 3) pixels, got {pixels.shape}")
+    pixels, maxval = _checked_raster(raster)
     height, width = pixels.shape[:2]
     tiles_y, tiles_x = height // block_size, width // block_size
     if tiles_y == 0 or tiles_x == 0:
@@ -407,7 +430,7 @@ def image_to_blocks(raster: Raster, block_size: int = 8) -> ImageBlocks:
             f"image {width}x{height} is smaller than one {block_size}x{block_size} block"
         )
     cropped = pixels[: tiles_y * block_size, : tiles_x * block_size, :]
-    scaled = cropped.astype(float) / float(raster.maxval)
+    scaled = cropped.astype(float) / float(maxval)
     blocks = (
         scaled.reshape(tiles_y, block_size, tiles_x, block_size, 3)
         .transpose(0, 2, 1, 3, 4)
@@ -418,18 +441,15 @@ def image_to_blocks(raster: Raster, block_size: int = 8) -> ImageBlocks:
 
 # --- Seeded Gaussian sampling ------------------------------------------------
 
-# Seeds are unsigned 64-bit words; a larger or negative one is an error,
-# not an alias of another seed.
-_MAX_SEED = 2**64 - 1
+# Most variates one call may ask for: half the 8-byte values numpy can size
+# (sys.maxsize bytes), because the stream rounds a count up to whole pairs
+# of words and ``np.arange`` works out its length in doubles, which round
+# up near that limit.  A larger count is an argument error; a smaller one
+# that memory cannot hold is a MemoryError.
+_MAX_VARIATES = sys.maxsize // 16
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
-
-
-def _check_seed(seed) -> None:
-    """Raise InvalidInputError unless the seed is an integer in 0..2**64-1."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed <= _MAX_SEED):
-        raise InvalidInputError(f"seed must be an integer in 0..2**64-1, got {seed!r}")
 
 
 def _splitmix64(state: np.ndarray) -> np.ndarray:
@@ -464,13 +484,14 @@ def standard_normals(count: int, seed: int) -> np.ndarray:
     The result depends only on (count, seed), never on call history.  ``ln``,
     ``cos`` and ``sin`` come from the C math library through ``math``, as in
     the recipe; numpy's vectorised versions differ from it in the last bit
-    on a fraction of a percent of inputs.  The seed must be an integer in
-    ``0..2**64-1``; any other value raises InvalidInputError.
+    on a fraction of a percent of inputs.  The count must be an integer in
+    ``0..sys.maxsize // 16`` and the seed one in ``0..2**64-1``; any other
+    value raises InvalidInputError.
     """
-    count = integer(count, "count")
+    count = integer(count, "count", high=_MAX_VARIATES)
     if count < 0:
         raise InvalidInputError("count must be nonnegative")
-    _check_seed(seed)
+    require_seed(seed)
     pairs = (count + 1) // 2
     if pairs == 0:
         return np.empty(0)
@@ -490,14 +511,14 @@ def sample_gaussian(mean, cov, count: int, seed: int) -> np.ndarray:
 
     Points are mean + z @ cov**(1/2) with the symmetric square root and the
     ``standard_normals`` stream laid out row by row.  The covariance must be
-    positive definite, and the seed an integer in ``0..2**64-1``.
+    positive definite, the count at most ``standard_normals``'s bound divided
+    by the dimension, and the seed an integer in ``0..2**64-1``.
     """
-    _check_seed(seed)
-    mean, cov = _mean_and_cov(mean, cov)
-    count = integer(count, "count")
+    require_seed(seed)
+    model = GaussianModel(mean, cov)
+    count = integer(count, "count", high=_MAX_VARIATES // model.dim)
     if count < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {count}")
-    root = spd_factor(cov, name="covariance").power(0.5)
-    dim = mean.size
-    z = standard_normals(count * dim, seed).reshape(count, dim)
-    return mean + z @ root
+    root = spd_factor(model.cov, name="covariance").power(0.5)
+    z = standard_normals(count * model.dim, seed).reshape(count, model.dim)
+    return model.mean + z @ root

@@ -5,8 +5,9 @@ family fits) funnels through these few routines, so they pin down the
 numerical conventions once: eigenvalues are reported in descending order,
 eigenvector signs are normalized, and positive definiteness is judged
 against a single relative floor.  They also hold the argument checks that
-every module shares: ``float_array``, ``finite_vector``, ``require_dim`` and
-``integer``.
+every module shares: ``float_array``, ``finite_vector``, ``require_dim``,
+``integer`` (with an optional upper bound) and ``require_seed``, and
+``frozen``, the read-only copy in which models and families keep arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .errors import InvalidInputError, SingularMatrixError
 # Relative positivity floor: an SPD matrix counts as singular once its
 # smallest eigenvalue falls to 1e-10 times the mean of its spectrum.
 EIGENVALUE_FLOOR_SCALE = 1e-10
+
+# Seeds are unsigned 64-bit words; a larger or negative one is an error,
+# not an alias of another seed.
+_MAX_SEED = 2**64 - 1
 
 # Sign convention threshold: the first eigenvector component with magnitude
 # above this is made positive.
@@ -62,12 +67,33 @@ def require_dim(size: int, dim: int, what: str, against: str) -> None:
         raise InvalidInputError(f"{what} has dimension {size}, {against} has dimension {dim}")
 
 
-def integer(value, name: str) -> int:
+def integer(value, name: str, high: int | None = None) -> int:
     """``value`` as an int; InvalidInputError naming it unless it is an integer,
-    such as a count or a size.  Numpy integers count, bools do not."""
+    such as a count or a size, and at most ``high`` when that is given.  Numpy
+    integers count, bools do not.  The message leaves out a value above
+    ``high``, which can have more digits than ``str`` converts."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInputError(f"{name} must be an integer, got {type(value).__name__}")
+    if high is not None and value > high:
+        raise InvalidInputError(f"{name} must be at most {high}")
     return int(value)
+
+
+def require_seed(seed) -> None:
+    """Raise InvalidInputError unless ``seed`` is an integer in 0..2**64-1.
+    Numpy integers count, bools do not.  The message names an int of more
+    than 2048 bits by its length, since ``str`` may refuse its digits."""
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed <= _MAX_SEED):
+        long = isinstance(seed, int) and seed.bit_length() > 2048
+        got = f"an integer of {seed.bit_length()} bits" if long else repr(seed)
+        raise InvalidInputError(f"seed must be an integer in 0..2**64-1, got {got}")
+
+
+def frozen(array) -> np.ndarray:
+    """A read-only float copy of ``array``."""
+    out = np.array(array, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def symmetrize(matrix) -> np.ndarray:

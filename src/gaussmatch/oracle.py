@@ -48,11 +48,9 @@ import numpy as np
 from ._pool import forked_map
 from .errors import InvalidInputError, OracleConvergenceError
 from .families import FAMILY_ORDER, FIXED_MEAN_FAMILIES, Family, FamilySpec, FitResult, fit
-from .families import _pinned_offset
 from .gaussians import LOG_TWO_PI, GaussianModel, as_point_set, estimate_moments
-from .ingest import _check_seed
 from .linalg import EIGENVALUE_FLOOR_SCALE, eigenvalue_floor, integer, require_dim
-from .linalg import require_positive_definite
+from .linalg import require_positive_definite, require_seed
 
 # Nelder-Mead is reliable only in modest dimension; a full covariance in
 # dimension 8 already means 44 free parameters.
@@ -327,7 +325,7 @@ def oracle_minimize(points, spec: FamilySpec, seed: int = 0) -> FitResult:
     Raises OracleConvergenceError (carrying the best match value seen) when
     no restart converges within ``ORACLE_MAX_ITERATIONS``.
     """
-    _check_seed(seed)
+    require_seed(seed)
     pts = as_point_set(points)
     if pts.shape[1] > MAX_ORACLE_DIM:
         raise InvalidInputError(
@@ -335,8 +333,8 @@ def oracle_minimize(points, spec: FamilySpec, seed: int = 0) -> FitResult:
         )
     moments = estimate_moments(pts)
     if spec.fixed_mean is not None:
-        _pinned_offset(moments, spec)  # checks the pinned mean against the dimension
-    baseline = empirical_cross_entropy(pts, GaussianModel(moments.mean, moments.cov))
+        require_dim(spec.fixed_mean.size, moments.dim, "fixed mean", "data")
+    baseline = empirical_cross_entropy(pts, moments)
     return _oracle_fit(pts, moments, baseline, spec, seed)[0]
 
 
@@ -413,18 +411,23 @@ def verify_families(dims=(1, 2, 3, 4), trials: int = 50, seed: int = 0) -> list[
     run in parallel across the CPUs available to the process, or serially
     where the module docstring says; the result is the same either way.
     """
-    dims = tuple(integer(d, "dim") for d in dims)
+    try:
+        dims = tuple(integer(d, "dim") for d in dims)
+    except TypeError:  # dims is not iterable
+        raise InvalidInputError(
+            f"dims must be a sequence of integers, got {type(dims).__name__}"
+        ) from None
     if not dims or min(dims) < 1 or max(dims) > MAX_ORACLE_DIM:
         raise InvalidInputError(f"dims must lie in 1..{MAX_ORACLE_DIM}")
     trials = integer(trials, "trials")
     if trials < 1:
         raise InvalidInputError("trials must be positive")
-    _check_seed(seed)
+    require_seed(seed)
     cases = []
     for t in range(trials):
         pts = _verification_dataset(seed, t, dims)
         moments = estimate_moments(pts)
-        baseline = empirical_cross_entropy(pts, GaussianModel(moments.mean, moments.cov))
+        baseline = empirical_cross_entropy(pts, moments)
         rng = np.random.default_rng([seed, t, 1])
         pinned = pts.mean(axis=0) + rng.normal(0.0, 1.0, pts.shape[1])
         cases.append((pts, moments, baseline, pinned))

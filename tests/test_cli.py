@@ -91,6 +91,19 @@ class TestSynth:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    def test_count_numpy_cannot_size_is_data_error(self, tmp_path):
+        # numpy once refused 2**64 with a bare ValueError: a traceback and exit 1
+        out = tmp_path / "x.csv"
+        result = subprocess.run(
+            [sys.executable, "-O", "-W", "error", "-m", "gaussmatch.cli", "synth", "--mean=0",
+             "--cov=1", "--count", str(2**64), "--seed", "0", "--output", str(out)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"error: count must be at most {sys.maxsize // 16}\n"
+        assert result.stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_is_data_error(self, tmp_path, seed):
         # -1 once wrote the bytes of seed 2**64 - 1, and 2**64 those of seed 0

@@ -70,6 +70,22 @@ class TestEstimateMoments:
             assert (a != b) is True
             assert len({a, b}) == 2
 
+    def test_moments_are_the_moment_matched_model(self):
+        rng = np.random.default_rng(11)
+        mom = estimate_moments(rng.normal(size=(40, 3)))
+        assert isinstance(mom, GaussianModel)
+        copy = GaussianModel(mom.mean, mom.cov)
+        assert copy.mean.tobytes() == mom.mean.tobytes()
+        assert copy.cov.tobytes() == mom.cov.tobytes()
+        assert match_score(mom, mom) == match_score(mom, copy)
+        assert cross_entropy(mom, mom) == cross_entropy(mom, copy)
+        assert abs(match_score(mom, mom)) < 1e-12
+        singular = Moments(mean=[0.0, 0.0], cov=np.diag([1.0, 0.0]))
+        with pytest.raises(SingularMatrixError, match="^data covariance is singular"):
+            singular.factor
+        with pytest.raises(SingularMatrixError, match="^model covariance is singular"):
+            GaussianModel(singular.mean, singular.cov).factor
+
     def test_moments_reject_indefinite_cov(self):
         with pytest.raises(InvalidInputError):
             Moments(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, -1.0]])

@@ -588,6 +588,46 @@ class TestPpm:
         with pytest.raises(ParseError):
             read_ppm(io.BytesIO(b"P6\n1 1\n70000\n" + bytes(6)))
 
+    @given(st.integers(1, 65535).flatmap(lambda maxval: st.tuples(
+        arrays(st.sampled_from([np.uint8, np.uint16, np.int64]), st.tuples(
+            st.integers(1, 4), st.integers(1, 4), st.just(3)), elements=st.integers(0, min(maxval, 255))),
+        st.just(maxval))))
+    @example((np.full((1, 1, 3), 65535, dtype=np.uint16), 65535))
+    def test_written_files_read_back(self, case):
+        pixels, maxval = case
+        data = io.BytesIO()
+        write_ppm(Raster(pixels, maxval), data)
+        back = read_ppm(io.BytesIO(data.getvalue()))
+        assert back.maxval == maxval
+        assert np.array_equal(back.pixels, pixels)
+
+    @pytest.mark.parametrize("pixels, maxval, message", [
+        # 70000 once wrapped the samples mod 2**16 under a header read_ppm
+        # refuses, maxval 0 was written, and 1.7 was written as 1
+        (np.zeros((2, 2, 3), np.uint32), 70000, "maxval must be at most 65535"),
+        (np.zeros((2, 2, 3), np.uint16), 0, "maxval must be positive"),
+        (np.zeros((2, 2, 3), np.uint16), -3, "maxval must be positive"),
+        (np.zeros((2, 2, 3), np.uint16), 255.0, "maxval must be an integer, got float"),
+        (np.zeros((2, 2, 3), np.uint16), True, "maxval must be an integer, got bool"),
+        (np.full((2, 2, 3), 1.7), 255, "pixels must have an integer dtype, got float64"),
+        (np.ones((2, 2, 3), bool), 255, "pixels must have an integer dtype, got bool"),
+        (np.full((2, 2, 3), -1), 255, "pixel values must lie in [0, maxval]"),
+        (np.full((2, 2, 3), 256), 255, "pixel values must lie in [0, maxval]"),
+        (np.zeros((0, 2, 3), np.uint16), 255, "image has no pixels"),
+        (np.zeros((2, 2), np.uint16), 255, "expected (height, width, 3) pixels, got (2, 2)"),
+        ([[1], [2, 3]], 255, "expected (height, width, 3) pixels, got ragged sequences"),
+    ])
+    def test_rejects_raster_read_ppm_would_not_return(self, tmp_path, pixels, maxval, message):
+        # one check serves the writer and the tiler; the writer creates no file
+        path = tmp_path / "bad.ppm"
+        with pytest.raises(InvalidInputError) as info:
+            write_ppm(Raster(pixels, maxval), path)
+        assert str(info.value) == message
+        assert not path.exists()
+        with pytest.raises(InvalidInputError) as info:
+            image_to_blocks(Raster(pixels, maxval), 1)
+        assert str(info.value) == message
+
 
 @st.composite
 def _mutated_ppm(draw):
@@ -723,14 +763,36 @@ class TestStandardNormals:
     def test_seed_sensitivity(self):
         assert not np.array_equal(standard_normals(16, 1), standard_normals(16, 2))
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", None])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", None, True, False])
     def test_seed_outside_64_bits_is_rejected(self, seed):
-        # -1 once aliased 2**64 - 1, 2**64 aliased 0, 1.5 aliased 1, and "x"
-        # was a bare ValueError
-        with pytest.raises(InvalidInputError, match=r"seed must be an integer in 0\.\.2\*\*64-1"):
-            standard_normals(4, seed)
-        with pytest.raises(InvalidInputError, match=r"seed must be an integer in 0\.\.2\*\*64-1"):
-            sample_gaussian([0.0], [[1.0]], 4, seed)
+        # -1 once aliased 2**64 - 1, 2**64 aliased 0, 1.5 and True aliased 1,
+        # and "x" was a bare ValueError
+        message = f"seed must be an integer in 0..2**64-1, got {seed!r}"
+        for call in (lambda: standard_normals(4, seed),
+                     lambda: sample_gaussian([0.0], [[1.0]], 4, seed)):
+            with pytest.raises(InvalidInputError) as info:
+                call()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("count", [2**59, 2**60, 2**64, 10**400, 10**5000],
+                             ids=["2**59", "2**60", "2**64", "10**400", "10**5000"])
+    def test_count_numpy_cannot_size_is_rejected(self, count):
+        # from 2**60 on, numpy once refused these with a bare ValueError ("array
+        # is too big", "Maximum allowed size exceeded"); 2**59 read as out of memory
+        with pytest.raises(InvalidInputError) as info:
+            standard_normals(count, 0)
+        assert str(info.value) == f"count must be at most {sys.maxsize // 16}"
+        with pytest.raises(InvalidInputError) as info:
+            sample_gaussian([0.0, 0.0], np.eye(2), count // 2 + 1, 0)
+        assert str(info.value) == f"count must be at most {sys.maxsize // 32}"
+
+    def test_largest_count_is_left_to_the_allocator(self):
+        # numpy can size a count at the bound, but no machine can hold 2**59
+        # doubles, so the allocation fails at once without touching memory
+        with pytest.raises(MemoryError):
+            standard_normals(sys.maxsize // 16, 0)
+        with pytest.raises(MemoryError):
+            sample_gaussian([0.0, 0.0], np.eye(2), sys.maxsize // 32, 0)
 
     def test_largest_seed_and_numpy_integers(self):
         top = 2**64 - 1

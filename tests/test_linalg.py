@@ -33,13 +33,16 @@ from gaussmatch import (
     verify_families,
     whitening_transform,
     write_points_csv,
+    write_ppm,
 )
 from gaussmatch.linalg import (
     SpdFactor,
     finite_vector,
     float_array,
+    frozen,
     integer,
     require_dim,
+    require_seed,
     spd_factor,
 )
 from helpers import random_orthogonal, random_spd
@@ -407,7 +410,12 @@ _CHECKED_CALLS = {
     "standard_normals count": lambda value: standard_normals(value, -1),
     "sample_gaussian count": lambda value: sample_gaussian([0.0, 1.0], _SINGULAR, value, 0),
     "image_to_blocks block size": lambda value: image_to_blocks(_RASTER, value),
+    "verify_families dims": lambda value: verify_families(value, 0, 0),
     "verify_families dim": lambda value: verify_families((value,), 0, 0),
+    "write_ppm pixels": lambda value: write_ppm(Raster(value, 255), io.BytesIO()),
+    "write_ppm maxval": lambda value: write_ppm(_RASTER._replace(maxval=value), io.BytesIO()),
+    "image_to_blocks pixels": lambda value: image_to_blocks(Raster(value, 255), 1),
+    "image_to_blocks maxval": lambda value: image_to_blocks(_RASTER._replace(maxval=value), 1),
     "verify_families trials": lambda value: verify_families((1,), value, -1),
 }
 
@@ -430,6 +438,8 @@ _SCALAR_CASES = {
                                  "dim must be an integer, got str"),
     "verify_families dim float": (lambda: verify_families((1.5,), 2, 0),
                                   "dim must be an integer, got float"),
+    "verify_families dims int": (lambda: verify_families(3, 5, 0),
+                                 "dims must be a sequence of integers, got int"),
 }
 
 
@@ -448,6 +458,19 @@ class TestArgumentChecks:
         for value, got in [("3", "str"), (2.5, "float"), (True, "bool"), (np.float64(3.0), "float64")]:
             with pytest.raises(InvalidInputError, match=f"^count must be an integer, got {got}$"):
                 integer(value, "count")
+        assert integer(np.uint64(2**64 - 1), "count", high=2**64 - 1) == 2**64 - 1
+        for value in (2**64, 10**5000, np.uint64(2**64 - 1)):
+            with pytest.raises(InvalidInputError, match=f"^count must be at most {2**64 - 2}$"):
+                integer(value, "count", high=2**64 - 2)
+        require_seed(np.uint64(2**64 - 1))
+        for value in (True, -1, 2**64, 0.0, "0"):
+            with pytest.raises(InvalidInputError,
+                               match=r"^seed must be an integer in 0\.\.2\*\*64-1, got "):
+                require_seed(value)
+        with pytest.raises(InvalidInputError, match=r"got an integer of 16610 bits$"):
+            require_seed(-10**5000)
+        kept = frozen([1, 2])
+        assert kept.dtype == float and not kept.flags.writeable
         assert standard_normals(np.int64(3), np.uint8(0)).size == 3
         assert image_to_blocks(_RASTER, np.int32(2)).blocks.shape == (1, 12)
 

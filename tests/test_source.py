@@ -78,3 +78,18 @@ def test_all_lists_every_imported_name():
     namespace = {}
     exec("from gaussmatch import *", namespace)
     assert set(gaussmatch.__all__) <= set(namespace)
+
+
+def test_no_private_names_cross_modules():
+    # A module's _name is its own business; a name that other modules need is
+    # public, so that renaming a private helper never breaks another module.
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "gaussmatch")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []

@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     print(f"{'family':<22} {'M (population)':>16} {'M (sampled)':>16} {'abs diff':>12}")
     for exact, observed in zip(exact_rows, sampled_rows):
         diff = abs(exact.match - observed.match)
-        print(f"{exact.family.value:<22} {exact.match:16.6f} {observed.match:16.6f} {diff:12.2e}")
+        print(f"{exact.family.kind.value:<22} {exact.match:16.6f} {observed.match:16.6f} {diff:12.2e}")
     return 0
 
 

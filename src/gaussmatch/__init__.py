@@ -22,16 +22,9 @@ from .families import (
     Family,
     FamilySpec,
     FitResult,
-    ReportRow,
     RescalingTransform,
     family_report,
     fit,
-    fit_diagonal,
-    fit_fixed_mean,
-    fit_fixed_mean_diagonal,
-    fit_fixed_mean_isotropic,
-    fit_full,
-    fit_isotropic,
     fixed_mean_cov_inverse_form,
     whitening_transform,
 )
@@ -46,7 +39,6 @@ from .gaussians import (
     self_cross_entropy,
 )
 from .ingest import (
-    ImageBlocks,
     Raster,
     image_to_blocks,
     read_points_csv,
@@ -58,7 +50,6 @@ from .ingest import (
 )
 from .linalg import (
     EigenDecomposition,
-    log_det_spd,
     min_trace_assignment,
     spd_power,
     sym_eigen,
@@ -83,14 +74,12 @@ __all__ = [
     "FIXED_MEAN_FAMILIES",
     "GaussMatchError",
     "GaussianModel",
-    "ImageBlocks",
     "InsufficientDataError",
     "InvalidInputError",
     "Moments",
     "OracleConvergenceError",
     "ParseError",
     "Raster",
-    "ReportRow",
     "RescalingTransform",
     "SingularMatrixError",
     "as_point_set",
@@ -99,15 +88,8 @@ __all__ = [
     "estimate_moments",
     "family_report",
     "fit",
-    "fit_diagonal",
-    "fit_fixed_mean",
-    "fit_fixed_mean_diagonal",
-    "fit_fixed_mean_isotropic",
-    "fit_full",
-    "fit_isotropic",
     "fixed_mean_cov_inverse_form",
     "image_to_blocks",
-    "log_det_spd",
     "mahalanobis_sq",
     "match_score",
     "min_trace_assignment",

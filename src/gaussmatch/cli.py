@@ -21,6 +21,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import re
 import sys
 
@@ -53,12 +54,21 @@ class _Parser(argparse.ArgumentParser):
 
     An argument that starts with '-' and a digit, such as the vector
     '-1,2' or the means '-0.5;mean', is a value, not an option.  Stock
-    argparse reads only plain negative numbers that way.
+    argparse reads only plain negative numbers that way.  The value of
+    '--option=--' is the text '--'; some argparse versions drop it as the
+    end-of-options marker and hand the command an empty list instead.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
     def error(self, message):
         raise _UsageError(message)
@@ -282,8 +292,14 @@ def _cmd_transform(args) -> int:
     out = transform.apply(points)
     write_points_csv(out, args.output)
     if args.plot:
-        with open(args.plot, "w", encoding="utf-8") as handle:
-            handle.write(scatter_svg(out))
+        try:
+            with open(args.plot, "w", encoding="utf-8") as handle:
+                handle.write(scatter_svg(out))
+        except BaseException:
+            # No output is left behind a failed command.
+            if os.path.isfile(args.output):
+                os.remove(args.output)
+            raise
     return 0
 
 
@@ -293,8 +309,9 @@ def _cmd_report(args) -> int:
     labeled = _resolve_mean_tokens(args.means, moments.mean)
     # Each fixed-mean family has one row per mean, in the order given.
     labels = itertools.cycle(label for label, _ in labeled)
-    rows = [(row.family.value, "-" if row.fixed_mean is None else next(labels), row.match,
-             row.cross_entropy) for row in family_report(moments, [vec for _, vec in labeled])]
+    rows = [(row.family.kind.value, "-" if row.family.fixed_mean is None else next(labels),
+             row.match, row.cross_entropy)
+            for row in family_report(moments, [vec for _, vec in labeled])]
     text = _render_report(rows, args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -306,8 +323,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_image_blocks(args) -> int:
     raster = read_ppm(args.input)
-    blocks = image_to_blocks(raster, args.block)
-    write_points_csv(blocks.blocks, args.output)
+    write_points_csv(image_to_blocks(raster, args.block), args.output)
     return 0
 
 

@@ -10,17 +10,18 @@ Six families are supported, each a subset of the Gaussian densities on R^N:
     fixed-mean-diagonal   diagonal covariance, mean pinned to m
 
 For each family the minimizer of the cross-entropy (equivalently of the
-match score) has a closed form in the dataset moments, derived here in the
-docstrings of the individual ``fit_*`` functions.  ``whitening_transform``
-turns a fitted model into the affine map that sends it to the standard
-Gaussian.
+match score) has a closed form in the dataset moments; ``fit`` computes it
+for any family, and its docstring lists the six closed forms and where
+they come from.  ``family_report`` fits every family at once, and
+``whitening_transform`` turns a fitted model into the affine map that sends
+it to the standard Gaussian.
 
 Twin rule: each fixed-mean family is its free-mean twin with the second
 moments taken about the pinned mean m instead of m_Y.  With d = m - m_Y
 they are S_Y + d d' (the deflated-inverse form of the paper, by
 Sherman-Morrison), so the free fit is the case d = 0.  ``fit`` is the one
 closed-form path: it branches once on the covariance shape and adds the
-offset d only when the mean is pinned; every ``fit_*`` function calls it.
+offset d only when the mean is pinned.
 """
 
 from __future__ import annotations
@@ -134,6 +135,24 @@ def fit(moments: Moments, spec: FamilySpec) -> FitResult:
 
     The covariance shape is that of the free-mean twin; a pinned mean adds
     the offset d = m - m_Y to the second moments (see the module docstring).
+    With N the dimension and q = d' inv(S_Y) d, the optimum of each family is:
+
+    full                  Nor(m_Y, S_Y), the moment-matched Gaussian, M = 0.
+    fixed-mean            S = S_Y + d d', M = 1/2 ln(1 + q); the same S in the
+                          deflated-inverse form S_Y (S_Y - d d' / (1 + q))^-1 S_Y
+                          is ``fixed_mean_cov_inverse_form``.
+    isotropic             S = s I with s = tr(S_Y) / N, and
+                          M = N/2 ln(s) - 1/2 ln det S_Y, the log of the ratio
+                          of the arithmetic to the geometric mean of the
+                          eigenvalues of S_Y (nonnegative by AM-GM).
+    fixed-mean-isotropic  s = (tr(S_Y) + ||d||^2) / N, the mean squared
+                          deviation about m, and M as for isotropic.
+    diagonal              S = diag((S_Y)_ii): coordinates decouple, and
+                          M = 1/2 sum_i ln (S_Y)_ii - 1/2 ln det S_Y, nonnegative
+                          because the product of the diagonal entries of an
+                          SPD matrix dominates its determinant.
+    fixed-mean-diagonal   s_i = (S_Y)_ii + d_i^2, the second moment about m
+                          per coordinate, and M = 1/2 sum_i ln s_i - 1/2 ln det S_Y.
     """
     pinned = spec.fixed_mean is not None
     d = _pinned_offset(moments, spec) if pinned else None
@@ -155,27 +174,6 @@ def fit(moments: Moments, spec: FamilySpec) -> FitResult:
                      cross_entropy=float(match + self_cross_entropy(moments)), family=spec)
 
 
-def fit_full(moments: Moments) -> FitResult:
-    """Best unconstrained Gaussian: the moment-matched one, match score 0."""
-    return fit(moments, FamilySpec(Family.FULL))
-
-
-def fit_fixed_mean(moments: Moments, mean) -> FitResult:
-    """Best Gaussian with the mean pinned to ``mean``.
-
-    With d = m - m_Y and q = d' inv(S_Y) d, the optimal covariance is the
-    second moment about the pinned mean,
-
-        S = S_Y + d d',
-
-    and the match score is M = 1/2 ln(1 + q).  The same covariance can be
-    written as S_Y (S_Y - d d' / (1 + q))^-1 S_Y, which
-    ``fixed_mean_cov_inverse_form`` computes; the test suite checks that the
-    two forms agree.
-    """
-    return fit(moments, FamilySpec(Family.FIXED_MEAN, mean))
-
-
 def fixed_mean_cov_inverse_form(moments: Moments, mean) -> np.ndarray:
     """Fixed-mean optimal covariance via the deflated-inverse expression.
 
@@ -191,55 +189,6 @@ def fixed_mean_cov_inverse_form(moments: Moments, mean) -> np.ndarray:
     return symmetrize(moments.cov @ inverse @ moments.cov)
 
 
-def fit_isotropic(moments: Moments) -> FitResult:
-    """Best Gaussian with covariance s * I and free mean.
-
-    The mean is m_Y; minimizing over s gives s = tr(S_Y) / N and
-
-        M = N/2 ln( tr(S_Y) / N ) - 1/2 ln det S_Y,
-
-    the log of the ratio between the arithmetic and geometric means of the
-    eigenvalues of S_Y (nonnegative by the AM-GM inequality).
-    """
-    return fit(moments, FamilySpec(Family.ISOTROPIC))
-
-
-def fit_fixed_mean_isotropic(moments: Moments, mean) -> FitResult:
-    """Best Gaussian with covariance s * I and the mean pinned to ``mean``.
-
-    With d = m - m_Y, the optimal scale is the mean squared deviation about
-    the pinned mean, s = (tr(S_Y) + ||d||^2) / N, and
-
-        M = N/2 ln(s) - 1/2 ln det S_Y.
-    """
-    return fit(moments, FamilySpec(Family.FIXED_MEAN_ISOTROPIC, mean))
-
-
-def fit_diagonal(moments: Moments) -> FitResult:
-    """Best Gaussian with diagonal covariance and free mean.
-
-    Coordinates decouple: the optimal diagonal holds the per-coordinate
-    variances (S_Y)_ii, and
-
-        M = 1/2 sum_i ln (S_Y)_ii - 1/2 ln det S_Y,
-
-    nonnegative because the product of the diagonal entries of an SPD
-    matrix dominates its determinant.
-    """
-    return fit(moments, FamilySpec(Family.DIAGONAL))
-
-
-def fit_fixed_mean_diagonal(moments: Moments, mean) -> FitResult:
-    """Best Gaussian with diagonal covariance and the mean pinned to ``mean``.
-
-    Per coordinate the optimal variance is the second moment about the
-    pinned mean, s_i = (S_Y)_ii + d_i^2, and
-
-        M = 1/2 sum_i ln s_i - 1/2 ln det S_Y.
-    """
-    return fit(moments, FamilySpec(Family.FIXED_MEAN_DIAGONAL, mean))
-
-
 def whitening_transform(model: GaussianModel) -> RescalingTransform:
     """Affine map sending ``model`` to the standard Gaussian.
 
@@ -252,30 +201,14 @@ def whitening_transform(model: GaussianModel) -> RescalingTransform:
     return RescalingTransform(shift=np.array(model.mean), root_inv_cov=root_inv)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """One family-report line: family, pinned mean when any, M and Hx."""
-
-    family: Family
-    fixed_mean: np.ndarray | None
-    match: float
-    cross_entropy: float
-
-
-def family_report(moments: Moments, fixed_means) -> list[ReportRow]:
-    """Fit every family and tabulate match scores and cross-entropies.
-
-    Free-mean families contribute one row each; fixed-mean families
-    contribute one row per entry of ``fixed_means``.  Rows follow
+def family_report(moments: Moments, fixed_means) -> list[FitResult]:
+    """Fit every family: one FitResult per free-mean family and, for each
+    fixed-mean family, one per entry of ``fixed_means``.  Results follow
     FAMILY_ORDER, with fixed means in the order given.
     """
     means = [finite_vector(m, "fixed mean") for m in fixed_means]
-    rows: list[ReportRow] = []
-    for kind in FAMILY_ORDER:
-        for m in means if kind in FIXED_MEAN_FAMILIES else [None]:
-            res = fit(moments, FamilySpec(kind, m))
-            rows.append(ReportRow(kind, res.family.fixed_mean, res.match, res.cross_entropy))
-    return rows
+    return [fit(moments, FamilySpec(kind, m))
+            for kind in FAMILY_ORDER for m in (means if kind in FIXED_MEAN_FAMILIES else [None])]
 
 
 def _pinned_offset(moments: Moments, spec: FamilySpec) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Data ingestion: CSV point sets, PPM images, and seeded Gaussian sampling.
 
+``image_to_blocks`` cuts a ``Raster`` into the (tiles, 3 * b**2) matrix of
+its flattened b x b tiles, a point array like any other.
+
 The sampler is deliberately self-contained rather than delegating to a
 library generator: it derives every variate from a counter-based SplitMix64
 stream followed by the Box-Muller transform, so a (seed, index) pair maps
@@ -14,7 +17,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress
 from typing import NamedTuple
@@ -393,31 +395,16 @@ def _read_bytes(source) -> bytes:
         return handle.read()
 
 
-@dataclass(frozen=True)
-class ImageBlocks:
-    """Square image tiles flattened into rows of a point matrix.
-
-    Each row holds one ``block_size`` x ``block_size`` tile, flattened
-    pixel-major with the channel index fastest, scaled to [0, 1].  An 8x8
-    RGB tile therefore becomes a vector of dimension 192.
-    """
-
-    block_size: int
-    channels: int
-    blocks: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.block_size * self.block_size * self.channels
-
-
-def image_to_blocks(raster: Raster, block_size: int = 8) -> ImageBlocks:
-    """Cut an image into non-overlapping square tiles, row-major order.
+def image_to_blocks(raster: Raster, block_size: int = 8) -> np.ndarray:
+    """Cut an image into non-overlapping square tiles, one row of the result each.
 
     Tiles are taken left to right, top to bottom; partial tiles at the
-    right and bottom edges are discarded.  Channel values are divided by
-    the raster's maxval, so every coordinate lies in [0, 1]; the raster is
-    checked as ``write_ppm`` checks it.
+    right and bottom edges are discarded.  Each row holds one tile,
+    flattened pixel-major with the channel index fastest, so the result has
+    shape (tiles, 3 * block_size**2): an 8x8 RGB tile is a vector of
+    dimension 192.  Channel values are divided by the raster's maxval, so
+    every coordinate lies in [0, 1]; the raster is checked as ``write_ppm``
+    checks it.
     """
     block_size = integer(block_size, "block size")
     if block_size < 1:
@@ -431,12 +418,11 @@ def image_to_blocks(raster: Raster, block_size: int = 8) -> ImageBlocks:
         )
     cropped = pixels[: tiles_y * block_size, : tiles_x * block_size, :]
     scaled = cropped.astype(float) / float(maxval)
-    blocks = (
+    return (
         scaled.reshape(tiles_y, block_size, tiles_x, block_size, 3)
         .transpose(0, 2, 1, 3, 4)
         .reshape(tiles_y * tiles_x, block_size * block_size * 3)
     )
-    return ImageBlocks(block_size=block_size, channels=3, blocks=blocks)
 
 
 # --- Seeded Gaussian sampling ------------------------------------------------

@@ -4,10 +4,12 @@ Everything downstream (Mahalanobis distances, whitening, the closed-form
 family fits) funnels through these few routines, so they pin down the
 numerical conventions once: eigenvalues are reported in descending order,
 eigenvector signs are normalized, and positive definiteness is judged
-against a single relative floor.  They also hold the argument checks that
-every module shares: ``float_array``, ``finite_vector``, ``require_dim``,
-``integer`` (with an optional upper bound) and ``require_seed``, and
-``frozen``, the read-only copy in which models and families keep arrays.
+against a single relative floor, in ``spd_factor``, whose factor holds the
+spectrum, ``log_det``, precision and powers that every other module reads.
+They also hold the argument checks that every module shares:
+``float_array``, ``finite_vector``, ``require_dim``, ``integer`` (with an
+optional upper bound) and ``require_seed``, and ``frozen``, the read-only
+copy in which models and families keep arrays.
 """
 
 from __future__ import annotations
@@ -195,15 +197,6 @@ def spd_factor(matrix, eig: EigenDecomposition | None = None, name: str = "matri
         eig = sym_eigen(m)
     require_positive_definite(float(eig.values[-1]), m, name)
     return SpdFactor(eig.values, eig.vectors, float(np.log(eig.values).sum()))
-
-
-def log_det_spd(matrix) -> float:
-    """``ln det M`` for symmetric positive definite ``M``.
-
-    Raises SingularMatrixError when the smallest eigenvalue does not clear
-    the positivity floor.
-    """
-    return spd_factor(matrix).log_det
 
 
 def spd_power(matrix, exponent: float) -> np.ndarray:

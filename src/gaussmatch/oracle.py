@@ -56,6 +56,10 @@ from .linalg import require_positive_definite, require_seed
 # dimension 8 already means 44 free parameters.
 MAX_ORACLE_DIM = 8
 
+# Most trials of one verification: every dataset is built before the first
+# fit, so an unbounded count runs until the process is killed.
+MAX_VERIFY_TRIALS = 10_000
+
 # Agreement thresholds for oracle-vs-closed-form comparisons.
 ORACLE_ABS_TOL = 1e-4
 ORACLE_MARGIN = 1e-6
@@ -419,7 +423,7 @@ def verify_families(dims=(1, 2, 3, 4), trials: int = 50, seed: int = 0) -> list[
         ) from None
     if not dims or min(dims) < 1 or max(dims) > MAX_ORACLE_DIM:
         raise InvalidInputError(f"dims must lie in 1..{MAX_ORACLE_DIM}")
-    trials = integer(trials, "trials")
+    trials = integer(trials, "trials", high=MAX_VERIFY_TRIALS)
     if trials < 1:
         raise InvalidInputError("trials must be positive")
     require_seed(seed)

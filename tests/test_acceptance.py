@@ -68,7 +68,7 @@ def suite_datasets():
 def test_criterion_01_zero_match(suite_datasets):
     for pts in suite_datasets:
         mom = gm.estimate_moments(pts)
-        res = gm.fit_full(mom)
+        res = gm.fit(mom, gm.FamilySpec(gm.Family.FULL))
         assert abs(res.match) <= 1e-12
         assert abs(gm.match_score(mom, res.model)) <= 1e-12
     models = 0
@@ -106,7 +106,7 @@ def test_criterion_03_pinned_mean_forms():
         direct = mom.cov + np.outer(d, d)
         alt = gm.fixed_mean_cov_inverse_form(mom, m)
         assert np.linalg.norm(alt - direct) <= 1e-8 * np.linalg.norm(direct)
-        res = gm.fit_fixed_mean(mom, m)
+        res = gm.fit(mom, gm.FamilySpec(gm.Family.FIXED_MEAN, m))
         q = float(d @ np.linalg.solve(mom.cov, d))
         assert abs(res.match - 0.5 * math.log1p(q)) <= 1e-10
 
@@ -114,7 +114,7 @@ def test_criterion_03_pinned_mean_forms():
 @criterion(4, "univariate scale rule")
 def test_criterion_04_univariate_rule():
     mom = gm.estimate_moments([-1.0, 1.0])
-    res = gm.fit_fixed_mean_isotropic(mom, [1.0])
+    res = gm.fit(mom, gm.FamilySpec(gm.Family.FIXED_MEAN_ISOTROPIC, [1.0]))
     assert abs(res.model.cov[0, 0] - 2.0) <= 1e-12
     assert abs(res.match - 0.5 * math.log(2.0)) <= 1e-12
     # pinning the mean at zero, whitening divides by the root mean square
@@ -122,7 +122,8 @@ def test_criterion_04_univariate_rule():
         rng = np.random.default_rng([777, trial])
         y = rng.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.5, 2.0), int(rng.integers(5, 200)))
         rms = math.sqrt(float(np.mean(y * y)))
-        fitted = gm.fit_fixed_mean_isotropic(gm.estimate_moments(y), [0.0])
+        spec = gm.FamilySpec(gm.Family.FIXED_MEAN_ISOTROPIC, [0.0])
+        fitted = gm.fit(gm.estimate_moments(y), spec)
         transform = gm.whitening_transform(fitted.model)
         np.testing.assert_allclose(
             transform.apply(y.reshape(-1, 1)).ravel(), y / rms, rtol=1e-12, atol=1e-14
@@ -134,8 +135,8 @@ def test_criterion_05_population_example():
     pts = gm.sample_gaussian([3.0, 4.0], [[1.0, 0.3], [0.3, 0.6]], 100_000, seed=7)
     mom = gm.estimate_moments(pts)
     origin = np.zeros(2)
-    fm = gm.fit_fixed_mean(mom, origin).match
-    fmi = gm.fit_fixed_mean_isotropic(mom, origin).match
+    fm = gm.fit(mom, gm.FamilySpec(gm.Family.FIXED_MEAN, origin)).match
+    fmi = gm.fit(mom, gm.FamilySpec(gm.Family.FIXED_MEAN_ISOTROPIC, origin)).match
     assert abs(fm - 1.68198) <= 0.05, fm
     assert abs(fmi - 2.92444) <= 0.05, fmi
 
@@ -147,12 +148,12 @@ def test_criterion_06_nesting(suite_datasets):
         mom = gm.estimate_moments(pts)
         rng = np.random.default_rng([8888, index])
         m = mom.mean + rng.normal(0.0, 1.5, mom.dim)
-        m_full = gm.fit_full(mom).match
-        m_fm = gm.fit_fixed_mean(mom, m).match
-        m_fm_diag = gm.fit_fixed_mean_diagonal(mom, m).match
-        m_fm_iso = gm.fit_fixed_mean_isotropic(mom, m).match
-        m_diag = gm.fit_diagonal(mom).match
-        m_iso = gm.fit_isotropic(mom).match
+        m_full = gm.fit(mom, gm.FamilySpec(gm.Family.FULL)).match
+        m_fm = gm.fit(mom, gm.FamilySpec(gm.Family.FIXED_MEAN, m)).match
+        m_fm_diag = gm.fit(mom, gm.FamilySpec(gm.Family.FIXED_MEAN_DIAGONAL, m)).match
+        m_fm_iso = gm.fit(mom, gm.FamilySpec(gm.Family.FIXED_MEAN_ISOTROPIC, m)).match
+        m_diag = gm.fit(mom, gm.FamilySpec(gm.Family.DIAGONAL)).match
+        m_iso = gm.fit(mom, gm.FamilySpec(gm.Family.ISOTROPIC)).match
         assert m_full <= m_fm + tol
         assert m_fm <= m_fm_diag + tol
         assert m_fm_diag <= m_fm_iso + tol
@@ -171,8 +172,8 @@ def test_criterion_07_image_table():
     raster = gm.read_ppm(IMAGE_PATH)
     assert raster.pixels.shape == (512, 512, 3)
     blocks = gm.image_to_blocks(raster, block_size=8)
-    assert blocks.blocks.shape == (4096, 192)
-    mom = gm.estimate_moments(blocks.blocks)
+    assert blocks.shape == (4096, 192)
+    mom = gm.estimate_moments(blocks)
 
     table = {}
     for label, pinned in (
@@ -181,9 +182,9 @@ def test_criterion_07_image_table():
         ("zero", np.zeros(192)),
     ):
         table[label] = (
-            gm.fit_fixed_mean(mom, pinned).match,
-            gm.fit_fixed_mean_diagonal(mom, pinned).match,
-            gm.fit_fixed_mean_isotropic(mom, pinned).match,
+            gm.fit(mom, gm.FamilySpec(gm.Family.FIXED_MEAN, pinned)).match,
+            gm.fit(mom, gm.FamilySpec(gm.Family.FIXED_MEAN_DIAGONAL, pinned)).match,
+            gm.fit(mom, gm.FamilySpec(gm.Family.FIXED_MEAN_ISOTROPIC, pinned)).match,
         )
 
     # pinning at the data mean costs nothing
@@ -206,7 +207,7 @@ def test_criterion_07_image_table():
 def test_criterion_08_whitening(suite_datasets):
     for pts in suite_datasets:
         mom = gm.estimate_moments(pts)
-        transform = gm.whitening_transform(gm.fit_full(mom).model)
+        transform = gm.whitening_transform(gm.fit(mom, gm.FamilySpec(gm.Family.FULL)).model)
         out = gm.estimate_moments(transform.apply(pts))
         assert np.abs(out.mean).max() < 1e-9
         assert np.abs(out.cov - np.eye(mom.dim)).max() <= 1e-9

@@ -1,29 +1,44 @@
 """Command-line behavior: pipelines, formats, and exit codes."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussmatch import (
     GaussMatchError,
     ParseError,
+    Raster,
     cross_entropy,
     estimate_moments,
     family_report,
     match_score,
     read_points_csv,
+    sample_gaussian,
     write_points_csv,
+    write_ppm,
 )
-from gaussmatch.cli import _dims, fit_from_document, fit_to_document, run, scatter_svg
+from gaussmatch.cli import (
+    _dims,
+    build_parser,
+    fit_from_document,
+    fit_to_document,
+    run,
+    scatter_svg,
+)
 from gaussmatch.oracle import FamilyCheck
 from gaussmatch.families import Family
 
@@ -315,7 +330,7 @@ class TestReport:
         moments = estimate_moments(read_points_csv(sample_csv))
         rows = family_report(moments, [np.full(2, 0.5), moments.mean, np.array([1.0, -2.0])])
         assert [(r[0], r[2], r[3]) for r in table] == [
-            (row.family.value, repr(row.match), repr(row.cross_entropy)) for row in rows
+            (row.family.kind.value, repr(row.match), repr(row.cross_entropy)) for row in rows
         ]
         assert [(r[0], r[1]) for r in table if r[1] != "-"] == [
             (family, label)
@@ -436,6 +451,16 @@ class TestVerify:
         )
         assert result.returncode == 2
         assert result.stderr == f"error: seed must be an integer in 0..2**64-1, got {seed}\n"
+        assert result.stdout == ""
+
+    def test_trials_above_bound_is_data_error(self):
+        # an unbounded count built datasets until the process was killed
+        result = subprocess.run(
+            [sys.executable, "-m", "gaussmatch.cli", "verify", "--trials", str(10**20)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: trials must be at most 10000\n"
         assert result.stdout == ""
 
 
@@ -659,3 +684,132 @@ class TestEntryPoint:
             [sys.executable, "-m", "gaussmatch.cli"], capture_output=True, text=True
         )
         assert result.returncode == 1
+
+
+def _cli_options():
+    """Each subcommand of the CLI's own parser with its options."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a for a in sub._actions if a.option_strings and a.dest != "help"]
+            for name, sub in commands.choices.items()}
+
+
+_CLI_OPTIONS = _cli_options()
+# Text that no option takes as written.
+_HOSTILE = st.sampled_from(["", " ", "nan", "inf", "-inf", "1e999", "-1e999", ",", ";", ",;",
+                            "1,", ";1", "-", "--", "x", "1..", "..", "0x10"])
+_FIELD = st.sampled_from(["0", "1", "-2.5", "3", "0.5", "nan", "inf", "1e999", "", " ", "x"])
+_VECTOR = st.lists(_FIELD, min_size=1, max_size=3).map(",".join)
+# Well-formed values, two-dimensional where the data are.  Valid ones stay
+# small (counts <= 10**4, dims <= 3, trials <= 2); larger ones lie above the
+# bounds of the library, so that no example runs long.
+_VALUES = {
+    "mean": st.sampled_from(["3,4", "0,0", "-1,2", "1e-320,1e300"]),
+    "cov": st.sampled_from(["1,0.3;0.3,0.6", "1,2;2,1", "1,0;0,0", "4,0;0,1e-300"]),
+    "means": st.lists(st.sampled_from(["mean", "0.5", "-1,2", "1,2,3"]),
+                      min_size=1, max_size=3).map(";".join),
+    "count": st.one_of(st.integers(-3, 10**4), st.integers(2**60, 10**30)).map(str),
+    "seed": st.one_of(st.integers(-3, 3), st.integers(2**64 - 2, 2**64 + 2),
+                      st.integers(10**20, 10**30)).map(str),
+    "trials": st.one_of(st.integers(-2, 2), st.integers(10_001, 10**30)).map(str),
+    "block": st.one_of(st.integers(-2, 9), st.integers(10**6, 10**30)).map(str),
+    "dims": st.one_of(st.sampled_from(["1", "2", "3", "1..3", "2,3", "1,1", "0", "3..1",
+                                       "-1..2", "1..99"]),
+                      st.integers(9, 10**30).map(str)),
+}
+# Malformed values beside the hostile text, for the options that parse lists.
+_ROUGH = {
+    "mean": st.just("2") | _VECTOR,
+    "cov": st.just("2") | st.lists(_VECTOR, min_size=1, max_size=3).map(";".join),
+    "means": st.lists(st.just("mean") | _VECTOR, min_size=1, max_size=3).map(";".join),
+}
+# Input files by name (see ``cli_files``); outputs are made per example.
+_INPUTS = ("points", "model", "model3", "image", "empty", "bad", "dir", "missing")
+_OUTPUTS = ("fresh", "dir", "missing-parent", "existing", "")
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Input files of every kind the CLI reads, valid and not, by name."""
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    files = {name: root / name for name in _INPUTS}
+    write_points_csv(sample_gaussian([3.0, 4.0], [[1.0, 0.3], [0.3, 0.6]], 40, 0),
+                     files["points"])
+    write_points_csv(sample_gaussian(np.zeros(3), np.eye(3), 40, 0), root / "points3")
+    for model, points in (("model", "points"), ("model3", "points3")):
+        assert run(["fit", "--input", str(root / points), "--family", "full",
+                    "--output", str(files[model])]) == 0
+    pixels = np.random.default_rng(0).integers(0, 256, (16, 16, 3)).astype(np.uint16)
+    write_ppm(Raster(pixels=pixels, maxval=255), files["image"])
+    files["empty"].write_text("")
+    files["bad"].write_text("1,2\nx,3\n")
+    files["dir"].mkdir()
+    files["existing"] = root / "existing"
+    files["existing"].write_text("kept\n")
+    return files
+
+
+class TestCommandLineFuzz:
+    """Any command line built from the parser's own options ends in a documented
+    exit code and message, never a traceback, and leaves no output behind an error."""
+
+    @pytest.mark.parametrize("command", sorted(_CLI_OPTIONS))
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_exit_code_without_traceback(self, cli_files, command, data):
+        # A clean command line has every required option and well-formed values,
+        # so that it gets past argparse, and its inputs are valid; each output
+        # is a fresh path or a directory.
+        clean = data.draw(st.booleans())
+        work = Path(tempfile.mkdtemp(dir=cli_files["dir"].parent))
+        try:
+            argv, fresh = [command], []
+            for action in _CLI_OPTIONS[command]:
+                # verify's default dims and trials would run the full check; a required
+                # option is left out of 1 in 10 command lines that are not clean
+                if action.dest in ("dims", "trials") or (clean and action.required):
+                    pass
+                elif not data.draw(st.integers(0, 9).map(lambda i: i < 9) if action.required
+                                   else st.booleans()):
+                    continue
+                if action.dest in ("input", "model") and clean:
+                    kind = "image" if command == "image-blocks" else "points"
+                    value = str(cli_files["model" if action.dest == "model" else kind])
+                elif action.dest in ("input", "model"):
+                    # hostile text names no file in the working directory
+                    value = data.draw(st.sampled_from(_INPUTS) | _HOSTILE)
+                    value = str(cli_files[value]) if value in _INPUTS else value
+                elif action.dest in ("output", "plot"):
+                    kind = data.draw(st.sampled_from(_OUTPUTS[:2] if clean else _OUTPUTS))
+                    paths = {"fresh": work / action.dest, "dir": cli_files["dir"],
+                             "missing-parent": work / "missing" / action.dest,
+                             "existing": cli_files["existing"], "": ""}
+                    value = str(paths[kind])
+                    if kind == "fresh":
+                        fresh.append(paths[kind])
+                elif action.choices:
+                    unknown = () if clean else ("", "bogus")
+                    value = data.draw(st.sampled_from([*action.choices, *unknown]))
+                elif clean:
+                    value = data.draw(_VALUES[action.dest])
+                else:
+                    value = data.draw(st.one_of(_VALUES[action.dest], _HOSTILE,
+                                                _ROUGH.get(action.dest, _HOSTILE)))
+                option = action.option_strings[0]
+                argv += data.draw(st.sampled_from([[option, value], [f"{option}={value}"]]))
+            if not clean:
+                argv += data.draw(st.sampled_from([[], ["--bogus"], ["extra"], ["--input"]]))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            stderr = err.getvalue()
+            assert code in ((0, 1, 2, 3) if command == "verify" else (0, 1, 2)), (argv, code)
+            assert "Traceback" not in stderr
+            assert (code == 1) == stderr.startswith("usage error:"), (argv, code, stderr)
+            if code == 2:
+                assert stderr.startswith("error: "), (argv, stderr)
+            if code != 0:
+                assert [path for path in fresh if path.exists()] == [], (argv, code, stderr)
+            assert cli_files["existing"].exists()
+        finally:
+            shutil.rmtree(work)

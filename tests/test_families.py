@@ -21,13 +21,8 @@ from gaussmatch import (
     estimate_moments,
     family_report,
     fit,
-    fit_diagonal,
-    fit_fixed_mean,
-    fit_fixed_mean_diagonal,
-    fit_fixed_mean_isotropic,
-    fit_full,
-    fit_isotropic,
     fixed_mean_cov_inverse_form,
+    image_to_blocks,
     mahalanobis_sq,
     match_score,
     self_cross_entropy,
@@ -35,6 +30,7 @@ from gaussmatch import (
     whitening_transform,
 )
 from helpers import random_moments, random_orthogonal, random_spd
+from test_pipeline import synthetic_photo
 
 # Worked 2D example used throughout: mean (3, 4), cov [[1, .3], [.3, .6]],
 # so det = 0.51, trace = 1.6, and ||mean||^2_cov = 14.2/0.51.
@@ -45,7 +41,7 @@ ORIGIN = np.zeros(2)
 
 class TestFitFull:
     def test_returns_moment_matched_model(self):
-        res = fit_full(EX_MOM)
+        res = fit(EX_MOM, FamilySpec(Family.FULL))
         np.testing.assert_array_equal(res.model.mean, EX_MOM.mean)
         np.testing.assert_array_equal(res.model.cov, EX_MOM.cov)
         assert res.match == 0.0
@@ -54,13 +50,13 @@ class TestFitFull:
 
 class TestFitFixedMean:
     def test_worked_example(self):
-        res = fit_fixed_mean(EX_MOM, ORIGIN)
+        res = fit(EX_MOM, FamilySpec(Family.FIXED_MEAN, ORIGIN))
         expected_cov = np.array([[1.0, 0.3], [0.3, 0.6]]) + np.outer([3.0, 4.0], [3.0, 4.0])
         np.testing.assert_allclose(res.model.cov, expected_cov, rtol=1e-12)
         assert res.match == pytest.approx(0.5 * math.log1p(EX_Q), rel=1e-13)
 
     def test_at_data_mean_recovers_full(self):
-        res = fit_fixed_mean(EX_MOM, EX_MOM.mean)
+        res = fit(EX_MOM, FamilySpec(Family.FIXED_MEAN, EX_MOM.mean))
         assert res.match == pytest.approx(0.0, abs=1e-14)
         np.testing.assert_allclose(res.model.cov, EX_MOM.cov, rtol=1e-12)
 
@@ -80,7 +76,7 @@ class TestFitFixedMean:
             n = int(rng.integers(1, 6))
             mom = random_moments(rng, n)
             m = mom.mean + rng.normal(0.0, 2.0, n)
-            res = fit_fixed_mean(mom, m)
+            res = fit(mom, FamilySpec(Family.FIXED_MEAN, m))
             assert abs(res.match - match_score(mom, res.model)) <= 1e-10
 
     def test_monotone_along_ray(self):
@@ -88,7 +84,8 @@ class TestFitFixedMean:
         mom = random_moments(rng, 3)
         direction = rng.normal(0.0, 1.0, 3)
         matches = [
-            fit_fixed_mean(mom, mom.mean + t * direction).match for t in np.linspace(0, 4, 9)
+            fit(mom, FamilySpec(Family.FIXED_MEAN, mom.mean + t * direction)).match
+            for t in np.linspace(0, 4, 9)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(matches, matches[1:]))
 
@@ -97,16 +94,17 @@ class TestFitFixedMean:
         rng = np.random.default_rng(23)
         mom = random_moments(rng, 3)
         m = mom.mean + rng.normal(0.0, 1.0, 3)
-        base = fit_fixed_mean(mom, m).match
+        base = fit(mom, FamilySpec(Family.FIXED_MEAN, m)).match
         a = rng.normal(0.0, 1.0, (3, 3)) + 3.0 * np.eye(3)
         b = rng.normal(0.0, 1.0, 3)
         mapped = Moments(mean=a @ mom.mean + b, cov=a @ mom.cov @ a.T)
-        assert fit_fixed_mean(mapped, a @ m + b).match == pytest.approx(base, rel=1e-9)
+        pinned = fit(mapped, FamilySpec(Family.FIXED_MEAN, a @ m + b))
+        assert pinned.match == pytest.approx(base, rel=1e-9)
 
 
 class TestFitIsotropic:
     def test_worked_example(self):
-        res = fit_isotropic(EX_MOM)
+        res = fit(EX_MOM, FamilySpec(Family.ISOTROPIC))
         np.testing.assert_allclose(res.model.cov, 0.8 * np.eye(2), rtol=1e-12)
         np.testing.assert_array_equal(res.model.mean, EX_MOM.mean)
         expected = 0.5 * (2.0 * math.log(0.8) - math.log(0.51))
@@ -114,21 +112,21 @@ class TestFitIsotropic:
 
     def test_zero_match_iff_already_isotropic(self):
         mom = Moments(mean=[1.0, -1.0], cov=2.5 * np.eye(2))
-        assert fit_isotropic(mom).match == pytest.approx(0.0, abs=1e-14)
+        assert fit(mom, FamilySpec(Family.ISOTROPIC)).match == pytest.approx(0.0, abs=1e-14)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(31)
         mom = random_moments(rng, 4)
         q = random_orthogonal(rng, 4)
         rotated = Moments(mean=q @ mom.mean, cov=q @ mom.cov @ q.T)
-        assert fit_isotropic(rotated).match == pytest.approx(
-            fit_isotropic(mom).match, rel=1e-10
+        assert fit(rotated, FamilySpec(Family.ISOTROPIC)).match == pytest.approx(
+            fit(mom, FamilySpec(Family.ISOTROPIC)).match, rel=1e-10
         )
 
 
 class TestFitFixedMeanIsotropic:
     def test_worked_example(self):
-        res = fit_fixed_mean_isotropic(EX_MOM, ORIGIN)
+        res = fit(EX_MOM, FamilySpec(Family.FIXED_MEAN_ISOTROPIC, ORIGIN))
         # s = (trace + ||d||^2) / N = (1.6 + 25) / 2
         np.testing.assert_allclose(res.model.cov, 13.3 * np.eye(2), rtol=1e-12)
         expected = 0.5 * (2.0 * math.log(13.3) - math.log(0.51))
@@ -136,35 +134,35 @@ class TestFitFixedMeanIsotropic:
 
     def test_univariate_pm_one_at_mean_one(self):
         mom = estimate_moments([-1.0, 1.0])
-        res = fit_fixed_mean_isotropic(mom, [1.0])
+        res = fit(mom, FamilySpec(Family.FIXED_MEAN_ISOTROPIC, [1.0]))
         assert res.model.cov[0, 0] == pytest.approx(2.0, abs=1e-14)
         assert res.match == pytest.approx(0.5 * math.log(2.0), abs=1e-14)
 
 
 class TestFitDiagonal:
     def test_worked_example(self):
-        res = fit_diagonal(EX_MOM)
+        res = fit(EX_MOM, FamilySpec(Family.DIAGONAL))
         np.testing.assert_allclose(res.model.cov, np.diag([1.0, 0.6]), rtol=1e-12)
         expected = 0.5 * (math.log(0.6) - math.log(0.51))
         assert res.match == pytest.approx(expected, rel=1e-12)
 
     def test_zero_match_for_diagonal_data(self):
         mom = Moments(mean=[0.0, 1.0], cov=np.diag([2.0, 3.0]))
-        assert fit_diagonal(mom).match == pytest.approx(0.0, abs=1e-14)
+        assert fit(mom, FamilySpec(Family.DIAGONAL)).match == pytest.approx(0.0, abs=1e-14)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(37)
         mom = random_moments(rng, 4)
         perm = rng.permutation(4)
         shuffled = Moments(mean=mom.mean[perm], cov=mom.cov[np.ix_(perm, perm)])
-        assert fit_diagonal(shuffled).match == pytest.approx(
-            fit_diagonal(mom).match, rel=1e-11
+        assert fit(shuffled, FamilySpec(Family.DIAGONAL)).match == pytest.approx(
+            fit(mom, FamilySpec(Family.DIAGONAL)).match, rel=1e-11
         )
 
 
 class TestFitFixedMeanDiagonal:
     def test_worked_example(self):
-        res = fit_fixed_mean_diagonal(EX_MOM, ORIGIN)
+        res = fit(EX_MOM, FamilySpec(Family.FIXED_MEAN_DIAGONAL, ORIGIN))
         np.testing.assert_allclose(res.model.cov, np.diag([10.0, 16.6]), rtol=1e-12)
         expected = 0.5 * (math.log(10.0) + math.log(16.6) - math.log(0.51))
         assert res.match == pytest.approx(expected, rel=1e-12)
@@ -178,7 +176,7 @@ class TestOptimalityByPerturbation:
 
     def test_isotropic(self):
         mom = self._moments(41)
-        best = fit_isotropic(mom)
+        best = fit(mom, FamilySpec(Family.ISOTROPIC))
         rng = np.random.default_rng(42)
         s_opt = best.model.cov[0, 0]
         for _ in range(60):
@@ -191,7 +189,7 @@ class TestOptimalityByPerturbation:
     def test_fixed_mean(self):
         mom = self._moments(43)
         m = mom.mean + np.array([1.0, -0.5, 0.25])
-        best = fit_fixed_mean(mom, m)
+        best = fit(mom, FamilySpec(Family.FIXED_MEAN, m))
         rng = np.random.default_rng(44)
         for _ in range(60):
             rival = GaussianModel(mean=m, cov=best.model.cov + 0.2 * random_spd(rng, 3))
@@ -206,8 +204,8 @@ class TestOptimalityByPerturbation:
         mom = self._moments(45)
         m = mom.mean + np.array([0.5, 0.0, -1.0])
         rng = np.random.default_rng(46)
-        free = fit_diagonal(mom)
-        pinned = fit_fixed_mean_diagonal(mom, m)
+        free = fit(mom, FamilySpec(Family.DIAGONAL))
+        pinned = fit(mom, FamilySpec(Family.FIXED_MEAN_DIAGONAL, m))
         for _ in range(60):
             scales = np.exp(rng.normal(0.0, 0.4, 3))
             rival_free = GaussianModel(
@@ -226,12 +224,12 @@ class TestNesting:
         n = int(rng.integers(1, 6))
         mom = random_moments(rng, n)
         m = mom.mean + rng.normal(0.0, 1.5, n)
-        m_full = fit_full(mom).match
-        m_fm = fit_fixed_mean(mom, m).match
-        m_iso = fit_isotropic(mom).match
-        m_fm_iso = fit_fixed_mean_isotropic(mom, m).match
-        m_diag = fit_diagonal(mom).match
-        m_fm_diag = fit_fixed_mean_diagonal(mom, m).match
+        m_full = fit(mom, FamilySpec(Family.FULL)).match
+        m_fm = fit(mom, FamilySpec(Family.FIXED_MEAN, m)).match
+        m_iso = fit(mom, FamilySpec(Family.ISOTROPIC)).match
+        m_fm_iso = fit(mom, FamilySpec(Family.FIXED_MEAN_ISOTROPIC, m)).match
+        m_diag = fit(mom, FamilySpec(Family.DIAGONAL)).match
+        m_fm_diag = fit(mom, FamilySpec(Family.FIXED_MEAN_DIAGONAL, m)).match
         tol = 1e-9
         assert m_full <= m_fm + tol
         assert m_fm <= m_fm_diag + tol
@@ -263,12 +261,12 @@ class TestDispatch:
         with pytest.raises(InvalidInputError):
             FamilySpec(Family.FULL, ORIGIN)
         with pytest.raises(InvalidInputError):
-            fit_fixed_mean(EX_MOM, [1.0, 2.0, 3.0])
+            fit(EX_MOM, FamilySpec(Family.FIXED_MEAN, [1.0, 2.0, 3.0]))
 
     def test_singular_data_covariance(self):
         mom = Moments(mean=[0.0, 0.0], cov=np.diag([1.0, 0.0]))
         with pytest.raises(SingularMatrixError):
-            fit_isotropic(mom)
+            fit(mom, FamilySpec(Family.ISOTROPIC))
 
 
 class TestWhitening:
@@ -291,7 +289,7 @@ class TestWhitening:
             n = int(rng.integers(1, 6))
             pts = rng.normal(0.0, 2.0, (40, n)) @ random_spd(rng, n)
             mom = estimate_moments(pts)
-            t = whitening_transform(fit_full(mom).model)
+            t = whitening_transform(fit(mom, FamilySpec(Family.FULL)).model)
             out_mom = estimate_moments(t.apply(pts))
             assert np.abs(out_mom.mean).max() < 1e-9
             assert np.abs(out_mom.cov - np.eye(n)).max() < 1e-9
@@ -367,7 +365,7 @@ class TestSharedFactor:
     def test_singular_covariance_fails_only_when_fitted(self):
         mom = Moments(mean=[0.0, 0.0], cov=np.diag([1.0, 0.0]))
         with pytest.raises(SingularMatrixError) as info:
-            fit_isotropic(mom)
+            fit(mom, FamilySpec(Family.ISOTROPIC))
         assert info.value.smallest_eigenvalue == 0.0
         assert info.value.floor == pytest.approx(0.5e-10, rel=1e-12)
 
@@ -380,12 +378,13 @@ class TestTwinRule:
         rng = np.random.default_rng(seed)
         mom = random_moments(rng, int(rng.integers(1, 7)))
         twins = (
-            (fit_fixed_mean, fit_full),
-            (fit_fixed_mean_isotropic, fit_isotropic),
-            (fit_fixed_mean_diagonal, fit_diagonal),
+            (Family.FIXED_MEAN, Family.FULL),
+            (Family.FIXED_MEAN_ISOTROPIC, Family.ISOTROPIC),
+            (Family.FIXED_MEAN_DIAGONAL, Family.DIAGONAL),
         )
-        for fit_pinned, fit_free in twins:
-            pinned, free = fit_pinned(mom, mom.mean), fit_free(mom)
+        for pinned_kind, free_kind in twins:
+            pinned = fit(mom, FamilySpec(pinned_kind, mom.mean))
+            free = fit(mom, FamilySpec(free_kind))
             assert pinned.match == free.match
             assert pinned.cross_entropy == free.cross_entropy
             np.testing.assert_array_equal(pinned.model.mean, free.model.mean)
@@ -395,7 +394,7 @@ class TestTwinRule:
 class TestFamilyReport:
     def test_row_order_and_counts(self):
         rows = family_report(EX_MOM, [EX_MOM.mean, ORIGIN])
-        kinds = [r.family for r in rows]
+        kinds = [r.family.kind for r in rows]
         assert kinds == [
             Family.FULL,
             Family.FIXED_MEAN,
@@ -407,15 +406,30 @@ class TestFamilyReport:
             Family.FIXED_MEAN_DIAGONAL,
             Family.FIXED_MEAN_DIAGONAL,
         ]
-        assert rows[0].fixed_mean is None
-        np.testing.assert_array_equal(rows[1].fixed_mean, EX_MOM.mean)
-        np.testing.assert_array_equal(rows[2].fixed_mean, ORIGIN)
+        assert rows[0].family.fixed_mean is None
+        np.testing.assert_array_equal(rows[1].family.fixed_mean, EX_MOM.mean)
+        np.testing.assert_array_equal(rows[2].family.fixed_mean, ORIGIN)
 
     def test_rows_match_individual_fits(self):
         rows = family_report(EX_MOM, [ORIGIN])
-        by_kind = {r.family: r for r in rows if r.fixed_mean is not None}
-        assert by_kind[Family.FIXED_MEAN].match == fit_fixed_mean(EX_MOM, ORIGIN).match
+        by_kind = {r.family.kind: r for r in rows if r.family.fixed_mean is not None}
+        assert (
+            by_kind[Family.FIXED_MEAN].match
+            == fit(EX_MOM, FamilySpec(Family.FIXED_MEAN, ORIGIN)).match
+        )
         assert (
             by_kind[Family.FIXED_MEAN_ISOTROPIC].match
-            == fit_fixed_mean_isotropic(EX_MOM, ORIGIN).match
+            == fit(EX_MOM, FamilySpec(Family.FIXED_MEAN_ISOTROPIC, ORIGIN)).match
         )
+
+    def test_each_row_is_fit_of_its_family(self):
+        # the 8x8 RGB tiles of the synthetic photo, pinned as in the image report
+        mom = estimate_moments(image_to_blocks(synthetic_photo()))
+        rows = family_report(mom, [mom.mean, np.full(192, 0.5), np.zeros(192)])
+        assert len(rows) == 12
+        for row in rows:
+            alone = fit(mom, row.family)
+            assert row.match == alone.match
+            assert row.cross_entropy == alone.cross_entropy
+            assert row.model.mean.tobytes() == alone.model.mean.tobytes()
+            assert row.model.cov.tobytes() == alone.model.cov.tobytes()

@@ -270,7 +270,7 @@ class TestBulkDecode:
 
     def test_path_choice(self):
         pixels = np.random.default_rng(0).integers(0, 256, (32, 32, 3)).astype(np.uint16)
-        blocks = image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4).blocks
+        blocks = image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4)
         white = whitening_transform(estimate_moments(blocks)).apply(blocks)
         assert _repeats(_written(blocks).splitlines())
         assert not _repeats(_written(white).splitlines())
@@ -504,7 +504,7 @@ class TestWritePointsCsv:
 
     def test_path_choice(self):
         pixels = np.random.default_rng(0).integers(0, 256, (32, 32, 3)).astype(np.uint16)
-        blocks = image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4).blocks
+        blocks = image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4)
         assert _repeats(blocks)
         white = whitening_transform(estimate_moments(blocks)).apply(blocks)
         assert not _repeats(white)
@@ -582,7 +582,7 @@ class TestPpm:
 
     def test_sample_at_maxval_scales_to_one(self):
         raster = read_ppm(io.BytesIO(b"P6 8 8 100\n" + bytes([100]) * (8 * 8 * 3)))
-        assert image_to_blocks(raster).blocks.max() == 1.0
+        assert image_to_blocks(raster).max() == 1.0
 
     def test_rejects_oversized_maxval(self):
         with pytest.raises(ParseError):
@@ -669,15 +669,15 @@ class TestImageBlocks:
     def test_single_block_image(self):
         raster = Raster(pixels=np.full((8, 8, 3), 128, dtype=np.uint16), maxval=255)
         blocks = image_to_blocks(raster)
-        assert blocks.blocks.shape == (1, 192)
-        assert blocks.dim == 192
-        np.testing.assert_allclose(blocks.blocks, 128.0 / 255.0)
+        assert blocks.shape == (1, 192)
+        assert blocks.shape[1] == 192
+        np.testing.assert_allclose(blocks, 128.0 / 255.0)
 
     def test_partial_tiles_discarded(self):
         raster = Raster(pixels=np.zeros((10, 10, 3), dtype=np.uint16), maxval=255)
-        assert image_to_blocks(raster).blocks.shape == (1, 192)
+        assert image_to_blocks(raster).shape == (1, 192)
         raster = Raster(pixels=np.zeros((16, 8, 3), dtype=np.uint16), maxval=255)
-        assert image_to_blocks(raster).blocks.shape == (2, 192)
+        assert image_to_blocks(raster).shape == (2, 192)
 
     def test_row_major_block_order(self):
         # tile (ty, tx) is filled with value ty*2 + tx; rows must follow that order
@@ -687,7 +687,7 @@ class TestImageBlocks:
                 pixels[ty * 8 : (ty + 1) * 8, tx * 8 : (tx + 1) * 8, :] = ty * 2 + tx
         blocks = image_to_blocks(Raster(pixels=pixels, maxval=255))
         for index in range(4):
-            np.testing.assert_allclose(blocks.blocks[index], index / 255.0)
+            np.testing.assert_allclose(blocks[index], index / 255.0)
 
     def test_pixel_major_channel_minor_layout(self):
         pixels = np.zeros((8, 8, 3), dtype=np.uint16)
@@ -695,16 +695,16 @@ class TestImageBlocks:
         pixels[0, 1] = (40, 50, 60)
         pixels[1, 0] = (70, 80, 90)
         blocks = image_to_blocks(Raster(pixels=pixels, maxval=255))
-        row = blocks.blocks[0] * 255.0
+        row = blocks[0] * 255.0
         np.testing.assert_allclose(row[0:3], [10, 20, 30])
         np.testing.assert_allclose(row[3:6], [40, 50, 60])   # next pixel in the row
         np.testing.assert_allclose(row[24:27], [70, 80, 90])  # second pixel row
-        assert row.min() >= 0.0 and blocks.blocks.max() <= 1.0
+        assert row.min() >= 0.0 and blocks.max() <= 1.0
 
     def test_custom_block_size(self):
         raster = _gradient_raster(width=9, height=6, maxval=255)
         blocks = image_to_blocks(raster, block_size=3)
-        assert blocks.blocks.shape == (6, 27)
+        assert blocks.shape == (6, 27)
 
     def test_too_small_image(self):
         raster = Raster(pixels=np.zeros((4, 4, 3), dtype=np.uint16), maxval=255)
@@ -714,7 +714,7 @@ class TestImageBlocks:
     def test_gray_16bit_scaling(self):
         raster = Raster(pixels=np.full((8, 8, 3), 65535, dtype=np.uint16), maxval=65535)
         blocks = image_to_blocks(raster)
-        np.testing.assert_allclose(blocks.blocks, 1.0)
+        np.testing.assert_allclose(blocks, 1.0)
 
 
 def _reference_splitmix_normals(count, seed):

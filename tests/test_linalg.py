@@ -22,7 +22,6 @@ from gaussmatch import (
     as_point_set,
     estimate_moments,
     image_to_blocks,
-    log_det_spd,
     mahalanobis_sq,
     min_trace_assignment,
     sample_gaussian,
@@ -225,19 +224,19 @@ class TestSpdPower:
 
 class TestLogDet:
     def test_example(self):
-        assert log_det_spd(np.array([[1.0, 0.3], [0.3, 0.6]])) == pytest.approx(
+        assert spd_factor(np.array([[1.0, 0.3], [0.3, 0.6]])).log_det == pytest.approx(
             math.log(0.51), rel=1e-12
         )
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            log_det_spd(np.diag([1.0, 0.0]))
+            spd_factor(np.diag([1.0, 0.0])).log_det
 
     def test_empty_matrix_is_invalid(self):
         # a 0x0 matrix has no smallest eigenvalue to judge
         empty = np.zeros((0, 0))
         with pytest.raises(InvalidInputError, match="^matrix is empty$"):
-            log_det_spd(empty)
+            spd_factor(empty).log_det
         with pytest.raises(InvalidInputError, match="^matrix is empty$"):
             spd_power(empty, -1.0)
         with pytest.raises(InvalidInputError, match="^vector must be a nonempty finite vector$"):
@@ -400,7 +399,7 @@ _CHECKED_CALLS = {
     "sym_eigen": sym_eigen,
     "spd_power negative": lambda value: spd_power(value, -0.5),
     "spd_power nonnegative": lambda value: spd_power(value, 0.5),
-    "log_det_spd": log_det_spd,
+    "spd_factor": lambda value: spd_factor(value).log_det,
     "sample_gaussian mean": lambda value: sample_gaussian(value, _EYE, 4, 0),
     "sample_gaussian cov": lambda value: sample_gaussian([0.0, 1.0], value, 4, 0),
     "apply": lambda value: whitening_transform(GaussianModel([0.0, 1.0], _EYE)).apply(value),
@@ -434,6 +433,8 @@ _SCALAR_CASES = {
                               "block size must be an integer, got float"),
     "verify_families trials": (lambda: verify_families((1,), "2", 0),
                                "trials must be an integer, got str"),
+    "verify_families trials bound": (lambda: verify_families((1,), 10**20, 0),
+                                     "trials must be at most 10000"),
     "verify_families dim text": (lambda: verify_families(("x",), 2, 0),
                                  "dim must be an integer, got str"),
     "verify_families dim float": (lambda: verify_families((1.5,), 2, 0),
@@ -472,7 +473,7 @@ class TestArgumentChecks:
         kept = frozen([1, 2])
         assert kept.dtype == float and not kept.flags.writeable
         assert standard_normals(np.int64(3), np.uint8(0)).size == 3
-        assert image_to_blocks(_RASTER, np.int32(2)).blocks.shape == (1, 12)
+        assert image_to_blocks(_RASTER, np.int32(2)).shape == (1, 12)
 
     @pytest.mark.parametrize("case", sorted(_SCALAR_CASES))
     def test_scalar_messages(self, case):

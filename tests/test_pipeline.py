@@ -33,17 +33,17 @@ def test_image_report_structure(tmp_path):
     assert np.array_equal(decoded.pixels, raster.pixels)
 
     blocks = gm.image_to_blocks(decoded, block_size=8)
-    assert blocks.blocks.shape == (4096, 192)
-    assert blocks.blocks.min() >= 0.0 and blocks.blocks.max() <= 1.0
+    assert blocks.shape == (4096, 192)
+    assert blocks.min() >= 0.0 and blocks.max() <= 1.0
 
-    mom = gm.estimate_moments(blocks.blocks)
+    mom = gm.estimate_moments(blocks)
     means = [mom.mean, np.full(192, 0.5), np.zeros(192)]
     rows = gm.family_report(mom, means)
     assert len(rows) == 3 + 3 * len(means)
 
     by_family = {}
     for row in rows:
-        by_family.setdefault(row.family, []).append(row.match)
+        by_family.setdefault(row.family.kind, []).append(row.match)
 
     # the full fit is exact, pinning at the data mean costs nothing
     assert by_family[gm.Family.FULL][0] == 0.0
@@ -60,7 +60,7 @@ def test_image_report_structure(tmp_path):
     assert by_family[gm.Family.DIAGONAL][0] <= by_family[gm.Family.ISOTROPIC][0] + 1e-9
 
     # whitening the tile cloud through the full fit normalizes it
-    transform = gm.whitening_transform(gm.fit_full(mom).model)
-    white = gm.estimate_moments(transform.apply(blocks.blocks))
+    transform = gm.whitening_transform(gm.fit(mom, gm.FamilySpec(gm.Family.FULL)).model)
+    white = gm.estimate_moments(transform.apply(blocks))
     assert np.abs(white.mean).max() < 1e-9
     assert np.abs(white.cov - np.eye(192)).max() < 1e-8

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import os
@@ -39,7 +38,8 @@ from .families import (
     whitening_transform,
 )
 from .gaussians import GaussianModel, cross_entropy, estimate_moments, match_score
-from .ingest import image_to_blocks, read_points_csv, read_ppm, sample_gaussian, write_points_csv
+from .ingest import image_to_blocks, output_file, read_points_csv, read_ppm, read_text
+from .ingest import sample_gaussian, write_points_csv
 from .oracle import MAX_ORACLE_DIM, verify_families
 
 MODEL_SCHEMA_VERSION = "1"
@@ -241,22 +241,14 @@ def fit_from_document(doc: dict) -> FitResult:
         raise ParseError(f"malformed model document: {exc}") from None
 
 
-def _write_model(result: FitResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(fit_to_document(result), handle, indent=2)
-        handle.write("\n")
-
-
 def _read_model(path: str) -> FitResult:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"model file is not UTF-8: {exc.reason}") from None
-        except RecursionError:
-            raise ParseError("model file is nested too deeply") from None
-        except ValueError as exc:  # malformed JSON, or an integer beyond the digit limit
-            raise ParseError(f"invalid JSON in model file: {exc}") from None
+    text = read_text(path)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ParseError("model file is nested too deeply") from None
+    except ValueError as exc:  # malformed JSON, or an integer beyond the digit limit
+        raise ParseError(f"invalid JSON in model file: {exc}") from None
     return fit_from_document(doc)
 
 
@@ -272,7 +264,9 @@ def _cmd_fit(args) -> int:
     points = read_points_csv(args.input)
     moments = estimate_moments(points)
     result = fit(moments, FamilySpec(family, args.mean))
-    _write_model(result, args.output)
+    with output_file(args.output) as handle:
+        json.dump(fit_to_document(result), handle, indent=2)
+        handle.write("\n")
     return 0
 
 
@@ -293,10 +287,11 @@ def _cmd_transform(args) -> int:
     write_points_csv(out, args.output)
     if args.plot:
         try:
-            with open(args.plot, "w", encoding="utf-8") as handle:
+            with output_file(args.plot) as handle:
                 handle.write(scatter_svg(out))
         except BaseException:
-            # No output is left behind a failed command.
+            # output_file removes the plot; the points file goes too, so
+            # that no output is left behind a failed command.
             if os.path.isfile(args.output):
                 os.remove(args.output)
             raise
@@ -312,12 +307,8 @@ def _cmd_report(args) -> int:
     rows = [(row.family.kind.value, "-" if row.family.fixed_mean is None else next(labels),
              row.match, row.cross_entropy)
             for row in family_report(moments, [vec for _, vec in labeled])]
-    text = _render_report(rows, args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
+    with output_file(args.output or sys.stdout) as handle:
+        _render_report(rows, args.format, handle)
     return 0
 
 
@@ -366,14 +357,14 @@ def _resolve_mean_tokens(spec_text: str, data_mean: np.ndarray):
     return resolved
 
 
-def _render_report(rows, fmt: str) -> str:
+def _render_report(rows, fmt: str, handle) -> None:
+    """Write the table of (family, mean label, M, Hx) rows to ``handle``."""
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["family", "mean", "match", "cross_entropy"])
         for family, label, match, ce in rows:
             writer.writerow([family, label, repr(match), repr(ce)])
-        return buffer.getvalue()
+        return
     widths = (
         max(len("family"), *(len(r[0]) for r in rows)),
         max(len("mean"), *(len(r[1]) for r in rows)),
@@ -381,13 +372,17 @@ def _render_report(rows, fmt: str) -> str:
     lines = [f"{'family':<{widths[0]}}  {'mean':<{widths[1]}}  {'M':>14}  {'Hx':>14}"]
     for family, label, match, ce in rows:
         lines.append(f"{family:<{widths[0]}}  {label:<{widths[1]}}  {match:14.6g}  {ce:14.6g}")
-    return "\n".join(lines) + "\n"
+    handle.write("\n".join(lines) + "\n")
 
 
 # --- SVG scatter --------------------------------------------------------------
 
+# Side of the square picture and the margin inside it, in pixels.
+_SVG_SIZE = 640
+_SVG_MARGIN = 40
 
-def scatter_svg(points: np.ndarray, size: int = 640, margin: int = 40) -> str:
+
+def scatter_svg(points: np.ndarray) -> str:
     """Static SVG scatter of the first two coordinates with a unit axes cross.
 
     The cross marks the segments [-1, 1] on both axes through the origin,
@@ -404,18 +399,18 @@ def scatter_svg(points: np.ndarray, size: int = 640, margin: int = 40) -> str:
     span = (hi - lo) or 1.0
     lo -= 0.05 * span
     hi += 0.05 * span
-    scale = (size - 2 * margin) / (hi - lo)
+    scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / (hi - lo)
 
     def sx(value: float) -> float:
-        return margin + (value - lo) * scale
+        return _SVG_MARGIN + (value - lo) * scale
 
     def sy(value: float) -> float:
-        return size - margin - (value - lo) * scale
+        return _SVG_SIZE - _SVG_MARGIN - (value - lo) * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
         f'<line x1="{sx(-1):.2f}" y1="{sy(0):.2f}" x2="{sx(1):.2f}" y2="{sy(0):.2f}" '
         f'stroke="#444444" stroke-width="1.5"/>',
         f'<line x1="{sx(0):.2f}" y1="{sy(-1):.2f}" x2="{sx(0):.2f}" y2="{sy(1):.2f}" '

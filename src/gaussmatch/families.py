@@ -155,20 +155,27 @@ def fit(moments: Moments, spec: FamilySpec) -> FitResult:
                           per coordinate, and M = 1/2 sum_i ln s_i - 1/2 ln det S_Y.
     """
     pinned = spec.fixed_mean is not None
-    d = _pinned_offset(moments, spec) if pinned else None
     n, log_det = moments.dim, moments.factor.log_det
-    if spec.shape is Family.FULL:
-        # A literal 0.0: 0.5 * log1p(q) at d = 0 can be -0.0.
-        cov, match = moments.cov, 0.0
-        if pinned:
-            q = float(d @ moments.factor.precision @ d)
-            cov, match = symmetrize(moments.cov + np.outer(d, d)), 0.5 * math.log1p(q)
-    elif spec.shape is Family.ISOTROPIC:
-        scale = (float(np.trace(moments.cov)) + (float(d @ d) if pinned else 0.0)) / n
-        cov, match = scale * np.eye(n), 0.5 * (n * math.log(scale) - log_det)
-    else:
-        variances = np.diag(moments.cov) + d * d if pinned else np.diag(moments.cov)
-        cov, match = np.diag(variances), 0.5 * (float(np.log(variances).sum()) - log_det)
+    # The terms in d overflow for a pinned mean far from the data; such a
+    # fit is refused below, and a finite one has the same bits either way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _pinned_offset(moments, spec) if pinned else None
+        if spec.shape is Family.FULL:
+            # A literal 0.0: 0.5 * log1p(q) at d = 0 can be -0.0.
+            cov, match = moments.cov, 0.0
+            if pinned:
+                q = float(d @ moments.factor.precision @ d)
+                cov, match = moments.cov + np.outer(d, d), 0.5 * math.log1p(q)
+        elif spec.shape is Family.ISOTROPIC:
+            scale = (float(np.trace(moments.cov)) + (float(d @ d) if pinned else 0.0)) / n
+            cov, match = scale * np.eye(n), 0.5 * (n * math.log(scale) - log_det)
+        else:
+            variances = np.diag(moments.cov) + d * d if pinned else np.diag(moments.cov)
+            cov, match = np.diag(variances), 0.5 * (float(np.log(variances).sum()) - log_det)
+    if pinned and not (math.isfinite(match) and np.isfinite(cov).all()):
+        raise InvalidInputError(
+            "fixed mean is so far from the data that its fit overflows the float range"
+        )
     model = GaussianModel(mean=spec.fixed_mean if pinned else moments.mean, cov=cov)
     return FitResult(model=model, match=float(match),
                      cross_entropy=float(match + self_cross_entropy(moments)), family=spec)

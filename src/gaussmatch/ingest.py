@@ -1,5 +1,13 @@
 """Data ingestion: CSV point sets, PPM images, and seeded Gaussian sampling.
 
+Files are opened in two places.  ``_read_bytes`` reads a file whole:
+``read_ppm`` takes its bytes as they are, and ``read_text`` decodes them as
+UTF-8, naming the line of a byte that is not UTF-8 and skipping one
+byte-order mark, for the points CSV and the model JSON.  ``output_file``
+opens every file the package writes (points CSV, PPM image, model JSON,
+report and SVG plot) and removes it when its write fails part way, at the
+final close included.
+
 ``image_to_blocks`` cuts a ``Raster`` into the (tiles, 3 * b**2) matrix of
 its flattened b x b tiles, a point array like any other.
 
@@ -17,6 +25,7 @@ import math
 import os
 import stat
 import sys
+from contextlib import contextmanager
 from functools import partial
 from itertools import compress
 from typing import NamedTuple
@@ -26,6 +35,82 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidInputError, ParseError
 from .gaussians import GaussianModel, as_point_set
 from .linalg import float_array, integer, require_seed, spd_factor
+
+# --- Files ------------------------------------------------------------------
+
+
+@contextmanager
+def output_file(destination, binary: bool = False):
+    """Context manager giving a stream to write ``destination`` through.
+
+    An open stream is handed back as it is, and left open.  A path is
+    opened for UTF-8 text, or for bytes when ``binary`` is true, and closed
+    when the block ends; when the block or the final close raises, the file
+    is removed if it is a regular file (not a device or a pipe), so that a
+    write that fails part way leaves no partial file behind.
+    """
+    if hasattr(destination, "write"):
+        yield destination
+        return
+    handle = open(destination, "wb" if binary else "w", encoding=None if binary else "utf-8")
+    regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        if regular:
+            os.remove(destination)
+        raise
+
+
+def read_text(source) -> str:
+    """The whole text of a path or stream.
+
+    A path is read like a file opened in text mode, with CRLF and CR line
+    ends turned into LF; a stream's text is taken as it is.  One leading
+    byte-order mark (U+FEFF), as spreadsheet programs write, is dropped.
+    Bytes that are not UTF-8 raise ParseError with the line they are on.
+    """
+    if hasattr(source, "read"):
+        try:
+            data = source.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"text is not UTF-8: {exc.reason}") from None
+        if isinstance(data, str):
+            return data.removeprefix("\ufeff")
+        universal = False
+    else:
+        data, universal = _read_bytes(source), True
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        if universal:
+            head = _universal_newlines(head)
+        raise ParseError(
+            f"text is not UTF-8 (byte 0x{data[exc.start]:02x}: {exc.reason})",
+            line=head.count("\n") + 1,
+        ) from None
+    text = text.removeprefix("\ufeff")
+    return _universal_newlines(text) if universal else text
+
+
+def _universal_newlines(text: str) -> str:
+    if "\r" not in text:
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_bytes(source) -> bytes:
+    """The whole content of a path or binary stream."""
+    if hasattr(source, "read"):
+        data = source.read()
+        if isinstance(data, str):
+            raise InvalidInputError("PPM input must be a binary stream or a path")
+        return data
+    with open(os.fspath(source), "rb") as handle:
+        return handle.read()
+
 
 # --- CSV point sets ---------------------------------------------------------
 
@@ -50,7 +135,7 @@ def read_points_csv(source) -> np.ndarray:
     on text that is not UTF-8, on malformed rows and on values that are
     not finite, and InsufficientDataError for fewer than two points.
     """
-    numbers, lines = _data_rows(_read_text(source))
+    numbers, lines = _data_rows(read_text(source))
     width = lines[0].count(",") + 1 if lines else 0
     # Both fast decoders accept only what the line loop accepts, with the
     # same bits.  A block the decoder refuses, or whose values have another
@@ -189,26 +274,18 @@ def write_points_csv(points, destination) -> None:
     ``repr`` runs once per distinct value and rows are joined from that
     table; otherwise each value is formatted in turn.  Both paths write the
     same bytes, in blocks of rows, each written as soon as it is formatted.
-    When a write to a path fails part way, the partial file is removed.
+    ``destination`` is a path or an open text stream; a path is written
+    through ``output_file``, so a write that fails part way, at the final
+    close included, leaves no file.
     """
     pts = float_array(points, "points")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
         raise InvalidInputError(f"expected an (n, dim) array, got shape {pts.shape}")
-    if hasattr(destination, "write"):
+    with output_file(destination) as handle:
         for block in _text_blocks(pts):
-            destination.write(block)
-        return
-    with open(destination, "w", encoding="utf-8") as handle:
-        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
-        try:
-            for block in _text_blocks(pts):
-                handle.write(block)
-        except BaseException:
-            if regular:
-                os.remove(destination)
-            raise
+            handle.write(block)
 
 
 def _text_blocks(pts: np.ndarray):
@@ -228,46 +305,6 @@ def _text_blocks(pts: np.ndarray):
         else:
             lines = map(",".join, table[codes[start : start + step]].tolist())
         yield "\n".join(lines) + "\n"
-
-
-def _read_text(source) -> str:
-    """The whole text of a path or stream.
-
-    A path is read like a file opened in text mode, with CRLF and CR line
-    ends turned into LF; a stream's text is taken as it is.  One leading
-    byte-order mark (U+FEFF), as spreadsheet programs write, is dropped.
-    Bytes that are not UTF-8 raise ParseError with the line they are on.
-    """
-    if hasattr(source, "read"):
-        try:
-            data = source.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"text is not UTF-8: {exc.reason}") from None
-        if isinstance(data, str):
-            return data.removeprefix("\ufeff")
-        universal = False
-    else:
-        with open(os.fspath(source), "rb") as handle:
-            data = handle.read()
-        universal = True
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start].decode("utf-8")
-        if universal:
-            head = _universal_newlines(head)
-        raise ParseError(
-            f"text is not UTF-8 (byte 0x{data[exc.start]:02x}: {exc.reason})",
-            line=head.count("\n") + 1,
-        ) from None
-    text = text.removeprefix("\ufeff")
-    return _universal_newlines(text) if universal else text
-
-
-def _universal_newlines(text: str) -> str:
-    if "\r" not in text:
-        return text
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # --- PPM images -------------------------------------------------------------
@@ -371,28 +408,18 @@ def write_ppm(raster: Raster, destination) -> None:
     """Encode a Raster as binary PPM (P6), 16-bit big-endian when maxval > 255.
 
     Raises InvalidInputError on a raster that ``read_ppm`` would not return,
-    so every file written reads back as the same raster.
+    so every file written reads back as the same raster.  ``destination``
+    is a path or an open binary stream; a path is written through
+    ``output_file``, so a write that fails part way, at the final close
+    included, leaves no file.
     """
     pixels, maxval = _checked_raster(raster)
     height, width = pixels.shape[:2]
     header = f"P6\n{width} {height}\n{maxval}\n".encode("ascii")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     body = pixels.astype(dtype).tobytes()
-    if hasattr(destination, "write"):
-        destination.write(header + body)
-    else:
-        with open(destination, "wb") as handle:
-            handle.write(header + body)
-
-
-def _read_bytes(source) -> bytes:
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, str):
-            raise InvalidInputError("PPM input must be a binary stream or a path")
-        return data
-    with open(os.fspath(source), "rb") as handle:
-        return handle.read()
+    with output_file(destination, binary=True) as handle:
+        handle.write(header + body)
 
 
 def image_to_blocks(raster: Raster, block_size: int = 8) -> np.ndarray:

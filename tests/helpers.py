@@ -1,4 +1,7 @@
-"""Shared random-object builders for the test suite. All seeded, all numpy."""
+"""Shared helpers for the test suite: seeded random objects, and a run under a file size limit."""
+
+import subprocess
+import sys
 
 import numpy as np
 
@@ -27,3 +30,15 @@ def random_dataset(rng, dim, count):
     cov = random_spd(rng, dim, spread=2.5)
     chol = np.linalg.cholesky(cov)
     return rng.normal(0.0, 2.0, dim) + rng.standard_normal((count, dim)) @ chol.T
+
+
+def run_with_file_size_limit(limit, code, *args):
+    """Run Python ``code`` with ``args`` as ``sys.argv[1:]`` in a fresh interpreter
+    whose writes past ``limit`` bytes of a file fail with EFBIG, as at a full disk."""
+    script = (
+        "import resource, signal\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, resource.RLIM_INFINITY))\n"
+    ) + code
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True)

@@ -41,6 +41,7 @@ from gaussmatch.cli import (
 )
 from gaussmatch.oracle import FamilyCheck
 from gaussmatch.families import Family
+from helpers import run_with_file_size_limit
 
 
 @pytest.fixture()
@@ -294,6 +295,39 @@ class TestTransform:
         assert not out.exists()
 
 
+_RUN_CLI = "import sys\nfrom gaussmatch import cli\nsys.exit(cli.run(sys.argv[1:]))\n"
+
+
+class TestFailedWrite:
+    """A write that a file size limit ends part way, as a full disk would, is
+    exit 2 with one line, and leaves no file behind."""
+
+    def _check(self, limit, argv, *outputs):
+        result = run_with_file_size_limit(limit, _RUN_CLI, *argv)
+        assert (result.returncode, result.stderr) == (2, "error: [Errno 27] File too large\n")
+        assert [path for path in outputs if path.exists()] == []
+
+    def test_fit_model(self, tmp_path):
+        # a 30-dimensional full fit is a model JSON of about 26 KB
+        points, model = tmp_path / "p.csv", tmp_path / "m.json"
+        write_points_csv(np.random.default_rng(5).normal(size=(40, 30)), points)
+        self._check(20_000, ["fit", "--input", points, "--family", "full", "--output", model],
+                    model)
+
+    def test_report_output(self, sample_csv, tmp_path):
+        # the table of about 400 bytes fails at the flush when the file is closed
+        table = tmp_path / "table.txt"
+        self._check(200, ["report", "--input", sample_csv, "--output", table], table)
+
+    def test_transform_plot(self, sample_csv, tmp_path):
+        # the points (about 78 KB) are written, the plot (about 152 KB) is not
+        model, out, svg = tmp_path / "m.json", tmp_path / "w.csv", tmp_path / "w.svg"
+        assert run(["fit", "--input", str(sample_csv), "--family", "full",
+                    "--output", str(model)]) == 0
+        self._check(100_000, ["transform", "--input", sample_csv, "--model", model,
+                              "--output", out, "--plot", svg], out, svg)
+
+
 class TestReport:
     def test_text_table(self, sample_csv, capsys):
         assert run(["report", "--input", str(sample_csv), "--means", "mean;0;3,4"]) == 0
@@ -514,6 +548,25 @@ def _bad_model_files(valid: dict) -> dict[str, bytes]:
 
 
 class TestBadModelInput:
+    def test_byte_order_mark_is_skipped(self, sample_csv, tmp_path, capsys):
+        # a model file is read as a points CSV is
+        model = tmp_path / "m.json"
+        assert run(["fit", "--input", str(sample_csv), "--family", "isotropic",
+                    "--output", str(model)]) == 0
+        assert run(["score", "--input", str(sample_csv), "--model", str(model)]) == 0
+        plain = capsys.readouterr().out
+        model.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+        assert run(["score", "--input", str(sample_csv), "--model", str(model)]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_not_utf8_names_the_line(self, sample_csv, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_bytes(b'{\r\n  "family": "\xff"\r\n}\r\n')
+        assert run(["score", "--input", str(sample_csv), "--model", str(model)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: text is not UTF-8 (byte 0xff: invalid start byte)\n"
+        )
+
     @pytest.mark.parametrize("case", ["not-utf8", "nested", "huge-match", "huge-mean",
                                       "long-integer"])
     def test_exit_2_without_traceback(self, sample_csv, tmp_path, case):
@@ -580,6 +633,29 @@ class TestOverflowingCovariance:
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ") and "overflow" in result.stderr
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
+
+class TestFarPinnedMean:
+    """A pinned mean whose fit overflows the float range is one data error,
+    without a warning, and no file is written."""
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--family", "fixed-mean-isotropic", "--mean", "1e-320,1e300"],
+        ["report", "--means", "1e300"],
+    ], ids=["fit", "report"])
+    def test_exit_2_under_warnings_as_errors(self, tmp_path, command):
+        points, out = tmp_path / "p.csv", tmp_path / "out"
+        write_points_csv(np.random.default_rng(1).normal(size=(40, 2)), points)
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gaussmatch.cli", *command,
+             "--input", str(points), "--output", str(out)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: fixed mean is so far from the data that its fit overflows the float range\n"
+        )
+        assert not out.exists()
 
 
 class TestModelDocumentFuzz:
@@ -749,6 +825,7 @@ def cli_files(tmp_path_factory):
     return files
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCommandLineFuzz:
     """Any command line built from the parser's own options ends in a documented
     exit code and message, never a traceback, and leaves no output behind an error."""

@@ -433,3 +433,26 @@ class TestFamilyReport:
             assert row.cross_entropy == alone.cross_entropy
             assert row.model.mean.tobytes() == alone.model.mean.tobytes()
             assert row.model.cov.tobytes() == alone.model.cov.tobytes()
+
+
+class TestFarPinnedMean:
+    """A pinned mean whose fit overflows the float range is refused without a warning."""
+
+    MESSAGE = "^fixed mean is so far from the data that its fit overflows the float range$"
+
+    @pytest.mark.parametrize("kind", [f.value for f in FAMILY_ORDER if f in FIXED_MEAN_FAMILIES])
+    def test_overflowing_covariance(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=self.MESSAGE):
+                fit(EX_MOM, FamilySpec(kind, [1e-320, 1e300]))
+
+    def test_overflowing_match(self):
+        # S_Y + d d' is finite, but q = d' inv(S_Y) d is not
+        tight = Moments(mean=[0.0, 0.0], cov=[[1e-300, 0.0], [0.0, 1e-300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=self.MESSAGE):
+                fit(tight, FamilySpec(Family.FIXED_MEAN, [1e10, 0.0]))
+            assert math.isclose(fit(tight, FamilySpec(Family.FIXED_MEAN, [1e-140, 0.0])).match,
+                                0.5 * math.log1p(1e20))

@@ -39,6 +39,7 @@ from gaussmatch.ingest import (
     _decode_numpy,
     _repeats,
 )
+from helpers import run_with_file_size_limit
 
 
 class TestReadPointsCsv:
@@ -502,6 +503,25 @@ class TestWritePointsCsv:
         assert result.stderr == "error: [Errno 27] File too large\n"
         assert not out.exists()
 
+    def test_write_failing_at_close_leaves_no_file(self, tmp_path):
+        # the whole CSV fits in the write buffer, so its one write is the flush at close
+        points = np.random.default_rng(13).normal(size=(40, 2))
+        text = io.StringIO()
+        write_points_csv(points, text)
+        size = len(text.getvalue())
+        assert size < io.DEFAULT_BUFFER_SIZE
+        out = tmp_path / "p.csv"
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from gaussmatch import write_points_csv\n"
+            "write_points_csv(np.random.default_rng(13).normal(size=(40, 2)), sys.argv[1])\n"
+        )
+        result = run_with_file_size_limit(size - 10, code, out)
+        assert result.returncode == 1
+        assert result.stderr.endswith("OSError: [Errno 27] File too large\n")
+        assert not out.exists()
+
     def test_path_choice(self):
         pixels = np.random.default_rng(0).integers(0, 256, (32, 32, 3)).astype(np.uint16)
         blocks = image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4)
@@ -547,6 +567,21 @@ class TestPpm:
         back = read_ppm(path)
         assert back.maxval == 65535
         assert np.array_equal(back.pixels, raster.pixels)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # the 64x64 image is 12 KB, more than the limit and the write buffer
+        out = tmp_path / "img.ppm"
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from gaussmatch import Raster, write_ppm\n"
+            "pixels = np.zeros((64, 64, 3), dtype=np.uint16)\n"
+            "write_ppm(Raster(pixels=pixels, maxval=255), sys.argv[1])\n"
+        )
+        result = run_with_file_size_limit(5000, code, out)
+        assert result.returncode == 1
+        assert result.stderr.endswith("OSError: [Errno 27] File too large\n")
+        assert not out.exists()
 
     def test_header_comments(self):
         body = bytes([10, 20, 30, 40, 50, 60])

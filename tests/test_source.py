@@ -46,6 +46,26 @@ def test_each_argument_check_has_one_home():
             for fragment, places in homes.items()} == dict.fromkeys(fragments, ["linalg.py"]), homes
 
 
+def test_files_are_opened_in_one_place():
+    # ingest.output_file and ingest._read_bytes decide how a file is opened,
+    # decoded and removed after a failed write; another open() would skip them.
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and "open" in (getattr(child.func, "id", None),
+                                                          getattr(child.func, "attr", None)):
+                found.append(owner)
+            visit(child, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    assert sorted(found) == ["ingest._read_bytes", "ingest.output_file"]
+
+
 def test_no_unreferenced_private_names():
     # A module-level _name that nothing loads is dead code.
     trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))

@@ -38,7 +38,11 @@ from .linalg import finite_vector, float_array, frozen, require_dim, spd_power, 
 
 
 class Family(str, Enum):
-    """Constrained Gaussian families, named as on the command line."""
+    """Constrained Gaussian families, named as on the command line.
+
+    The members are in presentation order: each free-mean family, then its
+    fixed-mean twin.
+    """
 
     FULL = "full"
     FIXED_MEAN = "fixed-mean"
@@ -57,15 +61,7 @@ FREE_TWIN = {
 
 FIXED_MEAN_FAMILIES = frozenset(FREE_TWIN)
 
-# Canonical presentation order: free-mean family, then its fixed-mean twin.
-FAMILY_ORDER = (
-    Family.FULL,
-    Family.FIXED_MEAN,
-    Family.ISOTROPIC,
-    Family.FIXED_MEAN_ISOTROPIC,
-    Family.DIAGONAL,
-    Family.FIXED_MEAN_DIAGONAL,
-)
+FAMILY_ORDER = tuple(Family)
 
 
 @dataclass(frozen=True)
@@ -158,6 +154,8 @@ def fit(moments: Moments, spec: FamilySpec) -> FitResult:
     n, log_det = moments.dim, moments.factor.log_det
     # The terms in d overflow for a pinned mean far from the data; such a
     # fit is refused below, and a finite one has the same bits either way.
+    # The refusal takes in every covariance that GaussianModel refuses: one
+    # whose (S + S') / 2 overflows.
     with np.errstate(over="ignore", invalid="ignore"):
         d = _pinned_offset(moments, spec) if pinned else None
         if spec.shape is Family.FULL:
@@ -172,7 +170,8 @@ def fit(moments: Moments, spec: FamilySpec) -> FitResult:
         else:
             variances = np.diag(moments.cov) + d * d if pinned else np.diag(moments.cov)
             cov, match = np.diag(variances), 0.5 * (float(np.log(variances).sum()) - log_det)
-    if pinned and not (math.isfinite(match) and np.isfinite(cov).all()):
+        overflows = pinned and not (math.isfinite(match) and np.isfinite(cov + cov.T).all())
+    if overflows:
         raise InvalidInputError(
             "fixed mean is so far from the data that its fit overflows the float range"
         )

@@ -1,12 +1,12 @@
 """Data ingestion: CSV point sets, PPM images, and seeded Gaussian sampling.
 
-Files are opened in two places.  ``_read_bytes`` reads a file whole:
-``read_ppm`` takes its bytes as they are, and ``read_text`` decodes them as
-UTF-8, naming the line of a byte that is not UTF-8 and skipping one
-byte-order mark, for the points CSV and the model JSON.  ``output_file``
-opens every file the package writes (points CSV, PPM image, model JSON,
-report and SVG plot) and removes it when its write fails part way, at the
-final close included.
+Files are opened in two places.  ``_read_bytes`` reads a path or a stream
+whole, and is the one place that tells the two apart: ``read_ppm`` takes
+its bytes as they are, and ``read_text`` decodes them as UTF-8, naming the
+line of a byte that is not UTF-8 and skipping one byte-order mark, for the
+points CSV and the model JSON.  ``output_file`` opens every file the
+package writes (points CSV, PPM image, model JSON, report and SVG plot)
+and removes it when its write fails part way, at the final close included.
 
 ``image_to_blocks`` cuts a ``Raster`` into the (tiles, 3 * b**2) matrix of
 its flattened b x b tiles, a point array like any other.
@@ -71,28 +71,24 @@ def read_text(source) -> str:
     byte-order mark (U+FEFF), as spreadsheet programs write, is dropped.
     Bytes that are not UTF-8 raise ParseError with the line they are on.
     """
-    if hasattr(source, "read"):
-        try:
-            data = source.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"text is not UTF-8: {exc.reason}") from None
-        if isinstance(data, str):
-            return data.removeprefix("\ufeff")
-        universal = False
-    else:
-        data, universal = _read_bytes(source), True
+    try:
+        data, from_path = _read_bytes(source)
+    except UnicodeDecodeError as exc:  # a text stream's own decoding
+        raise ParseError(f"text is not UTF-8: {exc.reason}") from None
+    if isinstance(data, str):
+        return data.removeprefix("\ufeff")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start].decode("utf-8")
-        if universal:
+        if from_path:
             head = _universal_newlines(head)
         raise ParseError(
             f"text is not UTF-8 (byte 0x{data[exc.start]:02x}: {exc.reason})",
             line=head.count("\n") + 1,
         ) from None
     text = text.removeprefix("\ufeff")
-    return _universal_newlines(text) if universal else text
+    return _universal_newlines(text) if from_path else text
 
 
 def _universal_newlines(text: str) -> str:
@@ -101,15 +97,12 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _read_bytes(source) -> bytes:
-    """The whole content of a path or binary stream."""
+def _read_bytes(source):
+    """(content, from_path): a path's bytes, or whatever a stream's ``read()`` gives."""
     if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, str):
-            raise InvalidInputError("PPM input must be a binary stream or a path")
-        return data
+        return source.read(), False
     with open(os.fspath(source), "rb") as handle:
-        return handle.read()
+        return handle.read(), True
 
 
 # --- CSV point sets ---------------------------------------------------------
@@ -324,7 +317,9 @@ def read_ppm(source) -> Raster:
     header, whose width, height and maxval are ASCII decimal digits.
     Raises ParseError on anything malformed, a sample above maxval included.
     """
-    data = _read_bytes(source)
+    data, _ = _read_bytes(source)
+    if isinstance(data, str):
+        raise InvalidInputError("PPM input must be a binary stream or a path")
     pos = 0
 
     def next_token(position: int):

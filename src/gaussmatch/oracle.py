@@ -26,13 +26,15 @@ calling process where that module says.  The workers inherit the
 datasets.  No option, argument or environment variable changes this.
 A worker that dies raises ChildProcessError.
 
-Each run builds its objective once (``_make_objective``) and evaluates it
-from the covariance the parameters describe, with no eigendecomposition:
-elementwise from the variances for the diagonal and isotropic families,
-and from the factor L (``log det = 2 * sum(log diag L)``, one linear
-solve of the centred points) for the full family.  A covariance must
-clear the positivity floor of :mod:`gaussmatch.linalg`, exactly as an
-``eigh`` of it would decide.  The variances are their own spectrum.  A
+A parameter vector is turned into a mean and a covariance factor in one
+place, ``_unpack``; the objective and the final model of a fit both
+decode through it.  Each run builds its objective once
+(``_make_objective``) and evaluates it from that factor, with no
+eigendecomposition: elementwise from the variances for the diagonal and
+isotropic families, and from the factor L (``log det = 2 * sum(log diag
+L)``, one linear solve of the centred points) for the full family.  A
+covariance must clear the positivity floor of :mod:`gaussmatch.linalg`,
+exactly as an ``eigh`` of it would decide.  The variances are their own spectrum.  A
 factor L passes when the AM-GM lower bound ``det * ((n-1)/tr)**(n-1)`` on
 the smallest eigenvalue of L @ L.T beats the floor twice over; any other
 factor is judged, and evaluated, through ``eigh`` of L @ L.T.
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -81,6 +84,10 @@ _XATOL = 1e-6
 _BOUND_SLACK = 2.0
 _TRACE_RANGE = (1e-290, 1e290)
 
+# Indices of the entries below the diagonal of an n x n matrix, per
+# dimension the oracle accepts.
+_BELOW_DIAGONAL = {n: np.tril_indices(n, -1) for n in range(1, MAX_ORACLE_DIM + 1)}
+
 
 def _ce_terms(pts: np.ndarray, mean: np.ndarray, cov: np.ndarray):
     """Empirical cross-entropy of the points and the smallest eigenvalue of cov.
@@ -118,29 +125,42 @@ def empirical_cross_entropy(points, model: GaussianModel) -> float:
     return float(value)
 
 
-def _mean_cov_from_params(spec: FamilySpec, n: int, params: np.ndarray):
-    """Map an unconstrained parameter vector to (mean, cov) for the family.
+def _unpack(spec: FamilySpec, n: int, params: np.ndarray):
+    """Decode an unconstrained parameter vector into (mean, factor).
 
-    A free mean takes the first n parameters; the rest describe the
-    covariance.  Scale parameters live on the log axis and covariances are
-    assembled as L @ L.T with a positive diagonal, so every parameter vector
-    maps to a symmetric positive definite covariance inside the family.
+    The one decoder of the parameter layout.  A free mean takes the first n
+    parameters; the rest describe the covariance on the log axis.  The
+    factor is the vector of variances for the diagonal and isotropic
+    families (all infinite at an isotropic log-scale of 709 or more, where
+    ``math.exp`` overflows), and for the full family the lower-triangular L
+    of the covariance L @ L.T: the log of its diagonal, then its entries
+    below the diagonal row by row.  Sets no numpy error state.
     """
     if spec.fixed_mean is None:
         mean, rest = params[:n], params[n:]
     else:
         mean, rest = spec.fixed_mean, params
+    shape = spec.shape
+    if shape is Family.FULL:
+        lower = np.zeros((n, n))
+        lower.flat[:: n + 1] = np.exp(rest[:n])
+        lower[_BELOW_DIAGONAL[n]] = rest[n:]
+        return mean, lower
+    if shape is Family.ISOTROPIC:
+        return mean, np.full(n, math.exp(rest[0]) if rest[0] < 709.0 else math.inf)
+    return mean, np.exp(rest)
+
+
+def _mean_cov_from_params(spec: FamilySpec, n: int, params: np.ndarray):
+    """Map an unconstrained parameter vector to (mean, cov) for the family.
+
+    The covariance is L @ L.T with a positive diagonal, or the diagonal
+    matrix of the variances, from ``_unpack``; so every parameter vector
+    maps to a symmetric positive definite covariance inside the family.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.shape is Family.FULL:
-            lower = np.zeros((n, n))
-            lower[np.diag_indices(n)] = np.exp(rest[:n])
-            lower[np.tril_indices(n, -1)] = rest[n:]
-            cov = lower @ lower.T
-        elif spec.shape is Family.ISOTROPIC:
-            log_scale = rest[0]
-            cov = math.exp(log_scale) * np.eye(n) if log_scale < 709.0 else np.full((n, n), np.inf)
-        else:
-            cov = np.diag(np.exp(rest))
+        mean, factor = _unpack(spec, n, params)
+        cov = factor @ factor.T if spec.shape is Family.FULL else np.diag(factor)
     return np.asarray(mean, dtype=float), cov
 
 
@@ -171,66 +191,48 @@ def _initial_point(spec: FamilySpec, moments, n: int):
 def _make_objective(pts: np.ndarray, spec: FamilySpec):
     """Build the Nelder-Mead objective for one family and one point set.
 
-    The returned function maps a parameter vector (see
-    ``_mean_cov_from_params``) to the empirical cross-entropy of ``pts``,
-    or to ``inf`` wherever ``_ce_terms`` on the same covariance rejects it
-    or gives a value that is not finite.  It never sets numpy error
-    states; call it under ``np.errstate`` to silence overflow warnings at
-    extreme parameters.  The module docstring says how each family is
-    evaluated and how the floor is decided.
+    The returned function decodes a parameter vector with ``_unpack``, the
+    one decoder, and maps it to the empirical cross-entropy of ``pts``, or
+    to ``inf`` wherever ``_ce_terms`` on the same covariance rejects it or
+    gives a value that is not finite.  It never sets numpy error states;
+    call it under ``np.errstate`` to silence overflow warnings at extreme
+    parameters.  The module docstring says how each family is evaluated
+    and how the floor is decided.
     """
-    count, n = pts.shape
-    start = n if spec.fixed_mean is None else 0
-    fixed_centred = None if start else pts - spec.fixed_mean
-    const = n * LOG_TWO_PI
-
-    def centred(params):
-        return pts - params[:n] if start else fixed_centred
-
-    def value_from(log_det: float, z: np.ndarray) -> float:
-        value = 0.5 * (const + log_det + float(np.einsum("ij,ij->", z, z)) / count)
-        return value if math.isfinite(value) else math.inf
-
-    def scaled(params, var: np.ndarray) -> float:
-        if not var.min() > EIGENVALUE_FLOOR_SCALE * (float(var.sum()) / n):
-            return math.inf
-        return value_from(float(np.log(var).sum()), centred(params) / np.sqrt(var))
-
-    if spec.shape is Family.DIAGONAL:
-        return lambda params: scaled(params, np.exp(params[start:]))
-    if spec.shape is Family.ISOTROPIC:
-        # log_scale >= 709 maps to an infinite covariance in _mean_cov_from_params.
-        return lambda params: (
-            scaled(params, np.full(n, math.exp(params[start])))
-            if params[start] < 709.0 else math.inf
-        )
-
-    diag = np.diag_indices(n)
-    rows, cols = np.tril_indices(n, -1)
+    n = pts.shape[1]
     # log of the AM-GM bound minus log of the slackened floor is
     # log_det + bound_const - n * log(tr).
     bound_const = (n - 1) * math.log(max(n - 1, 1)) - math.log(
         _BOUND_SLACK * EIGENVALUE_FLOOR_SCALE / n
     )
+    fixed_centred = None if spec.fixed_mean is None else pts - spec.fixed_mean
+    return partial(_objective, pts, spec, fixed_centred, bound_const)
 
-    def full(params):
-        log_diag = params[start : start + n]
-        lower = np.zeros((n, n))
-        lower[diag] = np.exp(log_diag)
-        lower[rows, cols] = params[start + n :]
-        tr = float(np.einsum("ij,ij->", lower, lower))
-        log_det = 2.0 * float(log_diag.sum())
+
+def _objective(pts, spec, fixed_centred, bound_const, params) -> float:
+    """The function ``_make_objective`` returns, with its bound arguments first."""
+    count, n = pts.shape
+    mean, factor = _unpack(spec, n, params)
+    centred = pts - mean if fixed_centred is None else fixed_centred
+    if factor.ndim == 2:  # the full family's L
+        # The log-diagonal of L heads the last n(n+1)/2 parameters.
+        log_det = 2.0 * float(params[-(n * (n + 1) // 2) :][:n].sum())
+        tr = float(np.einsum("ij,ij->", factor, factor))
         if not (
             _TRACE_RANGE[0] < tr < _TRACE_RANGE[1]
             and log_det + bound_const > n * math.log(tr)
         ):
-            mean, cov = _mean_cov_from_params(spec, n, params)
-            value, _ = _ce_terms(pts, mean, cov)
+            value, _ = _ce_terms(pts, mean, factor @ factor.T)
             return value if value is not None and np.isfinite(value) else math.inf
         # The bound keeps every diagonal entry of L normal, so L is invertible.
-        return value_from(log_det, np.linalg.solve(lower, centred(params).T))
-
-    return full
+        z = np.linalg.solve(factor, centred.T)
+    else:
+        if not factor.min() > EIGENVALUE_FLOOR_SCALE * (float(factor.sum()) / n):
+            return math.inf
+        log_det = float(np.log(factor).sum())
+        z = centred / np.sqrt(factor)
+    value = 0.5 * (n * LOG_TWO_PI + log_det + float(np.einsum("ij,ij->", z, z)) / count)
+    return value if math.isfinite(value) else math.inf
 
 
 class _BudgetSpent(Exception):

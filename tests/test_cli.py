@@ -642,7 +642,8 @@ class TestFarPinnedMean:
     @pytest.mark.parametrize("command", [
         ["fit", "--family", "fixed-mean-isotropic", "--mean", "1e-320,1e300"],
         ["report", "--means", "1e300"],
-    ], ids=["fit", "report"])
+        ["fit", "--family", "fixed-mean-diagonal", "--mean", "1.3e154,0"],
+    ], ids=["fit", "report", "fit-symmetrized"])
     def test_exit_2_under_warnings_as_errors(self, tmp_path, command):
         points, out = tmp_path / "p.csv", tmp_path / "out"
         write_points_csv(np.random.default_rng(1).normal(size=(40, 2)), points)
@@ -656,6 +657,20 @@ class TestFarPinnedMean:
             "error: fixed mean is so far from the data that its fit overflows the float range\n"
         )
         assert not out.exists()
+
+    def test_isotropic_scale_near_the_float_maximum_fits(self, tmp_path):
+        points, out = tmp_path / "p.csv", tmp_path / "model.json"
+        write_points_csv(np.random.default_rng(1).normal(size=(40, 2)), points)
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gaussmatch.cli", "fit",
+             "--family", "fixed-mean-isotropic", "--mean", "1.3e154,0",
+             "--input", str(points), "--output", str(out)],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        doc = json.loads(out.read_text())
+        assert math.isclose(doc["covariance"][0][0], 8.45e307, rel_tol=1e-3)
+        assert math.isfinite(doc["match"])
 
 
 class TestModelDocumentFuzz:

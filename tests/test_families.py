@@ -456,3 +456,25 @@ class TestFarPinnedMean:
                 fit(tight, FamilySpec(Family.FIXED_MEAN, [1e10, 0.0]))
             assert math.isclose(fit(tight, FamilySpec(Family.FIXED_MEAN, [1e-140, 0.0])).match,
                                 0.5 * math.log1p(1e20))
+
+    # 40 2-D points near the origin: pinned at about 1e154, d d' is finite
+    # but S + S' is not, and the fixed-mean M stays finite at 9.5e153.
+    NEAR_ORIGIN = estimate_moments(np.random.default_rng(1).normal(size=(40, 2)))
+
+    @pytest.mark.parametrize("kind, mean", [
+        (Family.FIXED_MEAN, [9.5e153, 0.0]),
+        (Family.FIXED_MEAN_DIAGONAL, [1.3e154, 0.0]),
+    ])
+    def test_covariance_overflowing_when_symmetrized(self, kind, mean):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=self.MESSAGE):
+                fit(self.NEAR_ORIGIN, FamilySpec(kind, mean))
+
+    def test_isotropic_scale_near_the_float_maximum_fits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit(self.NEAR_ORIGIN, FamilySpec(Family.FIXED_MEAN_ISOTROPIC, [1.3e154, 0.0]))
+        scale = (float(np.trace(self.NEAR_ORIGIN.cov)) + 1.3e154**2) / 2
+        assert result.model.cov[0, 0] == scale and math.isclose(scale, 8.45e307, rel_tol=1e-3)
+        assert math.isfinite(result.match)

@@ -34,11 +34,12 @@ from gaussmatch import _pool, cli, oracle
 from gaussmatch.families import FAMILY_ORDER, FIXED_MEAN_FAMILIES
 from gaussmatch.oracle import (
     _ce_terms,
+    _initial_point,
     _make_objective,
     _mean_cov_from_params,
     _oracle_fit,
 )
-from helpers import random_dataset
+from helpers import random_dataset, random_moments
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -469,6 +470,24 @@ class TestSerialFallback:
             child.join(timeout=60)
         assert not child.is_alive()
         assert child.exitcode == 0
+
+
+class TestInitialPoint:
+    """The starting point encodes what the decoder reads back."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("kind", FAMILY_ORDER)
+    def test_decodes_to_mean_and_average_variance(self, kind, n):
+        rng = np.random.default_rng([23, n])
+        moments = random_moments(rng, n)
+        pinned = rng.normal(0.0, 1.0, n)
+        spec = FamilySpec(kind, pinned if kind in FIXED_MEAN_FAMILIES else None)
+        params, step = _initial_point(spec, moments, n)
+        mean, cov = _mean_cov_from_params(spec, n, params)
+        assert step.shape == params.shape
+        assert np.array_equal(mean, pinned if spec.fixed_mean is not None else moments.mean)
+        expected = float(np.trace(moments.cov)) / n * np.eye(n)
+        assert np.allclose(cov, expected, rtol=1e-12, atol=0.0)
 
 
 def _reference_objective(pts, spec, params):

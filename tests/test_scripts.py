@@ -34,3 +34,38 @@ def test_population_demo_prints_one_line_per_family():
     assert [fields[1] for fields in table] == [f"{row.match:.6f}" for row in exact]
     # the README's worked example: M of the fixed-mean isotropic family at the origin
     assert table[3][1] == "2.924436"
+
+
+def test_code_lines_counts_code_outside_docstrings(tmp_path):
+    counter = _load("code_lines")
+    module = tmp_path / "sample.py"
+    module.write_text(
+        '"""Module docstring.\n\nTwo paragraphs."""\n'
+        "# a comment\n"
+        "\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "\n"
+        "def f(\n"
+        "    x,\n"
+        "):\n"
+        '    """Function docstring."""\n'
+        '    text = """two\n'
+        'lines"""\n'
+        "    return text\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        "    '''Class docstring.'''\n"
+        "\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    # import, def f( / x, / ):, the two lines of text, return, class, pass
+    assert counter.code_lines(module.read_text(encoding="utf-8")) == 9
+    (tmp_path / "empty.py").write_text('"""Only a docstring."""\n', encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert counter.main([str(tmp_path)]) == 0
+    assert out.getvalue().splitlines() == [f"{tmp_path / 'empty.py'} 0",
+                                           f"{module} 9", "total 9"]

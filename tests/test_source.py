@@ -113,3 +113,35 @@ def test_no_private_names_cross_modules():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_oracle_parameters_have_one_decoder():
+    # oracle._unpack alone knows where the mean ends, how L is assembled
+    # and where an isotropic log-scale is cut; a second copy would drift.
+    # The objective reads only the log-diagonal of L, which heads the last
+    # n(n+1)/2 parameters, so that ln det is exact.
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Constant) and child.value == 709.0:
+                found.append(f"{owner} 709.0")
+            elif isinstance(child, ast.Call) and "tril_indices" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.append(f"{owner} tril_indices")
+            elif isinstance(child, ast.Subscript) and isinstance(child.slice, ast.Slice) and (
+                getattr(child.value, "id", None) == "params"
+            ):
+                found.append(f"{owner} params[{ast.unparse(child.slice)}]")
+            visit(child, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    assert sorted(found) == [
+        "oracle tril_indices", "oracle._objective params[-(n * (n + 1) // 2):]",
+        "oracle._unpack 709.0", "oracle._unpack params[:n]", "oracle._unpack params[n:]",
+    ], found

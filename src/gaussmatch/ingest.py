@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import stat
 import sys
 from contextlib import contextmanager
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, ParseError
-from .gaussians import GaussianModel, as_point_set
+from .gaussians import GaussianModel
 from .linalg import float_array, integer, require_seed, spd_factor
 
 # --- Files ------------------------------------------------------------------
@@ -146,7 +147,7 @@ def read_points_csv(source) -> np.ndarray:
         block[:] = values
     if len(lines) < 2:
         raise InsufficientDataError(f"need at least 2 points, got {len(lines)}")
-    return as_point_set(points)
+    return points
 
 
 def _data_rows(text: str) -> tuple[np.ndarray, list[str]]:
@@ -310,41 +311,46 @@ class Raster(NamedTuple):
     maxval: int
 
 
+# A PPM header comment, from '#' to CR or LF, or a header token: a run of
+# bytes other than space, tab, CR and LF that does not start with '#'.  A
+# search skips the whitespace between them in constant memory; skipping it
+# and the comments by a repeated group costs the regex engine about 120
+# bytes of stack per whitespace byte or comment (2.6 GB on a 23 MB header).
+_PPM_TOKEN = re.compile(rb"#[^\r\n]*|([^ \t\r\n#][^ \t\r\n]*)")
+# Largest maxval of the format, whose samples are at most two bytes.
+_MAX_MAXVAL = 65535
+
+
+def _sample_type(maxval: int) -> np.dtype:
+    """PPM sample type: one byte up to maxval 255, else two bytes big-endian."""
+    return np.dtype(">u2" if maxval > 255 else "u1")
+
+
 def read_ppm(source) -> Raster:
     """Decode a binary PPM (magic ``P6``) image.
 
     Supports 8-bit and big-endian 16-bit samples and '#' comments in the
     header, whose width, height and maxval are ASCII decimal digits.
-    Raises ParseError on anything malformed, a sample above maxval included.
+    Raises ParseError on anything malformed, a sample above maxval included,
+    and InvalidInputError on a text stream.
     """
-    data, _ = _read_bytes(source)
+    try:
+        data, _ = _read_bytes(source)
+    except UnicodeDecodeError:  # a text stream's own decoding
+        data = ""
     if isinstance(data, str):
         raise InvalidInputError("PPM input must be a binary stream or a path")
-    pos = 0
-
-    def next_token(position: int):
-        while position < len(data):
-            byte = data[position]
-            if byte in b" \t\r\n":
-                position += 1
-            elif byte == ord("#"):
-                while position < len(data) and data[position] not in b"\r\n":
-                    position += 1
-            else:
-                break
-        if position >= len(data):
-            raise ParseError("unexpected end of PPM header")
-        start = position
-        while position < len(data) and data[position] not in b" \t\r\n":
-            position += 1
-        return data[start:position], position
-
-    magic, pos = next_token(pos)
-    if magic != b"P6":
-        raise ParseError(f"unsupported image magic {magic!r}, expected b'P6'")
+    tokens = (match for match in _PPM_TOKEN.finditer(data) if match[1])
     header: list[int] = []
-    for name in ("width", "height", "maxval"):
-        token, pos = next_token(pos)
+    for name in ("magic", "width", "height", "maxval"):
+        match = next(tokens, None)
+        if match is None:
+            raise ParseError("unexpected end of PPM header")
+        token, pos = match[1], match.end()
+        if name == "magic":
+            if token != b"P6":
+                raise ParseError(f"unsupported image magic {token!r}, expected b'P6'")
+            continue
         if not token.isdigit():  # bytes.isdigit is ASCII only; int() also takes '+', '_'
             raise ParseError(f"invalid {name} field {token!r}")
         try:
@@ -355,18 +361,15 @@ def read_ppm(source) -> Raster:
             raise ParseError(f"{name} must be positive, got {value}")
         header.append(value)
     width, height, maxval = header
-    if maxval > 65535:
-        raise ParseError(f"maxval {maxval} out of range (max 65535)")
-    if pos >= len(data) or data[pos] not in b" \t\r\n":
+    if maxval > _MAX_MAXVAL:
+        raise ParseError(f"maxval {maxval} out of range (max {_MAX_MAXVAL})")
+    if pos == len(data):  # a token ends at whitespace or at the end of the data
         raise ParseError("missing whitespace after maxval")
-    pos += 1  # exactly one whitespace byte separates header and raster
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    dtype = _sample_type(maxval)
     needed = width * height * 3 * dtype.itemsize
-    raster = data[pos : pos + needed]
+    raster = data[pos + 1 : pos + 1 + needed]  # after the one whitespace byte that ends the header
     if len(raster) < needed:
-        raise ParseError(
-            f"truncated raster: expected {needed} bytes, found {len(raster)}"
-        )
+        raise ParseError(f"truncated raster: expected {needed} bytes, found {len(raster)}")
     samples = np.frombuffer(raster, dtype=dtype)
     top = int(samples.max())
     if top > maxval:
@@ -381,7 +384,7 @@ def _checked_raster(raster: Raster) -> tuple[np.ndarray, int]:
     Raises InvalidInputError unless maxval is an integer in 1..65535 and the
     pixels are a nonempty (height, width, 3) array of integers in 0..maxval.
     """
-    maxval = integer(raster.maxval, "maxval", high=65535)
+    maxval = integer(raster.maxval, "maxval", high=_MAX_MAXVAL)
     if maxval < 1:
         raise InvalidInputError("maxval must be positive")
     try:
@@ -411,8 +414,7 @@ def write_ppm(raster: Raster, destination) -> None:
     pixels, maxval = _checked_raster(raster)
     height, width = pixels.shape[:2]
     header = f"P6\n{width} {height}\n{maxval}\n".encode("ascii")
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    body = pixels.astype(dtype).tobytes()
+    body = pixels.astype(_sample_type(maxval)).tobytes()
     with output_file(destination, binary=True) as handle:
         handle.write(header + body)
 

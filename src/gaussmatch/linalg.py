@@ -24,7 +24,8 @@ import numpy as np
 from .errors import InvalidInputError, SingularMatrixError
 
 # Relative positivity floor: an SPD matrix counts as singular once its
-# smallest eigenvalue falls to 1e-10 times the mean of its spectrum.
+# smallest eigenvalue falls to 1e-10 times the mean of its spectrum, and a
+# spectrum is negative beyond rounding below -1e-10 times its largest magnitude.
 EIGENVALUE_FLOOR_SCALE = 1e-10
 
 # Seeds are unsigned 64-bit words; a larger or negative one is an error,
@@ -157,8 +158,9 @@ def require_positive_definite(smallest: float, matrix: np.ndarray, name: str = "
 
 def require_nonnegative_definite(values: np.ndarray, name: str = "matrix") -> None:
     """Raise InvalidInputError when the descending spectrum ``values`` is negative
-    beyond rounding: its smallest entry below -1e-10 * max(1, largest entry)."""
-    if float(values[-1]) < -1e-10 * max(1.0, float(values[0])):
+    beyond rounding: its smallest entry below -EIGENVALUE_FLOOR_SCALE times the
+    largest eigenvalue magnitude, so that the rule holds at any scale."""
+    if float(values[-1]) < -EIGENVALUE_FLOOR_SCALE * max(float(values[0]), -float(values[-1])):
         raise InvalidInputError(
             f"{name} must be nonnegative definite (smallest eigenvalue {values[-1]:.3e})"
         )

@@ -606,6 +606,16 @@ class TestPpm:
                        b"P6\n\xd9\xa1 1\n255\n", b"P6\n" + b"9" * 5000 + b" 1\n255\n"):
             with pytest.raises(ParseError):
                 read_ppm(io.BytesIO(header + bytes(30)))
+        with pytest.raises(ParseError, match="width must be positive, got 0"):
+            read_ppm(io.BytesIO(b"P6\n0 1\n255\n" + bytes(30)))
+
+    @pytest.mark.parametrize("raster", [b"\xff\xff\xff", b"abc"], ids=["not-utf-8", "utf-8"])
+    def test_text_stream_is_refused(self, raster):
+        # a text stream whose bytes do not decode once raised UnicodeDecodeError from its read()
+        stream = io.TextIOWrapper(io.BytesIO(b"P6\n1 1\n255\n" + raster), encoding="utf-8")
+        with pytest.raises(InvalidInputError) as info:
+            read_ppm(stream)
+        assert str(info.value) == "PPM input must be a binary stream or a path"
 
     @pytest.mark.parametrize("header, sample", [(b"P6 8 8 100\n", bytes([200])),
                                                 (b"P6 8 8 300\n", (301).to_bytes(2, "big"))])
@@ -797,6 +807,10 @@ class TestStandardNormals:
 
     def test_seed_sensitivity(self):
         assert not np.array_equal(standard_normals(16, 1), standard_normals(16, 2))
+
+    def test_zero_count_is_empty(self):
+        z = standard_normals(0, seed=5)
+        assert z.shape == (0,) and z.dtype == np.float64
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "x", None, True, False])
     def test_seed_outside_64_bits_is_rejected(self, seed):

@@ -318,16 +318,21 @@ class TestMinTraceAssignment:
     def test_semidefinite_judged_as_by_moments(self):
         # eigh leaves the zero eigenvalue of 1e8 * Q diag(0, 1, 2, 3) Q' at up
         # to about -1e-7: negative by rounding only, relative to 3e8.
+        # The rule is relative at every scale: powers of two scale the
+        # spectrum exactly, and a negative eigenvalue 1e5 times the positive
+        # one is refused however small both are.
         rng = np.random.default_rng(10)
         lam = [0.0, 1.0, 2.0, 3.0]
         for _ in range(200):
             q = random_orthogonal(rng, 4)
             b = 1e8 * (q * np.array(lam)) @ q.T
-            Moments(np.zeros(4), b)
-            assert min_trace_assignment(lam, b) == pytest.approx(4e8, rel=1e-9)
+            for scale in (1.0, 2.0**-400, 2.0**400):
+                Moments(np.zeros(4), scale * b)
+                assert min_trace_assignment(lam, scale * b) == pytest.approx(4e8 * scale, rel=1e-9)
         for reject in (lambda m: Moments(np.zeros(2), m), lambda m: min_trace_assignment(lam[:2], m)):
-            with pytest.raises(InvalidInputError, match="nonnegative definite"):
-                reject(np.diag([1.0, -1.0]))
+            for matrix in (np.diag([1.0, -1.0]), np.diag([1e-20, -1e-15])):
+                with pytest.raises(InvalidInputError, match="nonnegative definite"):
+                    reject(matrix)
 
 
 class TestSymmetrize:

@@ -175,7 +175,9 @@ def _reference_case(index: int):
 
     Cycles through plain quadratics, quadratics rounded to 2 decimals (so
     that vertices tie), and quadratics that are infinite on a half-space,
-    each under a budget of 3, 20 and 5000 iterations.
+    each under a budget of 1, 3, 20 and 5000 iterations.  One iteration
+    is 10 evaluations, which a problem of 10 or more parameters spends
+    inside its first simplex.
     """
     rng = np.random.default_rng([2012, index])
     n = int(rng.integers(1, 15))
@@ -193,7 +195,7 @@ def _reference_case(index: int):
             return math.inf
         return value
 
-    max_iterations = (3, 20, 5000)[index // 3 % 3]
+    max_iterations = (1, 3, 20, 5000)[index // 3 % 4]
     x0 = centre + rng.normal(0.0, 2.0, n)
     if kind == 2 and max_iterations == 5000:
         # A simplex stuck in the infinite half shrinks until the budget runs

@@ -145,3 +145,21 @@ def test_oracle_parameters_have_one_decoder():
         "oracle tril_indices", "oracle._objective params[-(n * (n + 1) // 2):]",
         "oracle._unpack 709.0", "oracle._unpack params[:n]", "oracle._unpack params[n:]",
     ], found
+
+
+def test_ppm_format_rules_have_one_home():
+    # The sample type and the maxval bound are each written once, for the
+    # reader, the writer and the raster check; the header is read by one
+    # token pattern, not a nested scanner.
+    found = {">u2": [], 65535: []}
+    nested = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) in (str, int) and node.value in found:
+                found[node.value].append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef) and node.name == "read_ppm":
+                nested += [f"{path.name}:{child.lineno}" for child in ast.walk(node) if child is not node
+                           and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert {key: len(places) for key, places in found.items()} == {">u2": 1, 65535: 1}, found
+    assert nested == []

@@ -15,11 +15,18 @@ output file it names are hashed with SHA-256, and one line per output gives
 both hashes and whether they agree. BLAS runs on one thread, as in the
 benchmark.
 
-Then ``report`` runs on three damaged copies of each points CSV the
+Then ``report`` runs on six damaged copies of each points CSV the
 workload reads: one with a bad field in its last row, one with a ragged
 row at the first block boundary of the reader (2**14 cells), or at its
-last row when the file is shorter, and one with ``nan`` in its middle
-row.  So two trees are shown to agree on error text and exit code too.
+last row when the file is shorter, one with ``nan`` in its middle row,
+one with CRLF line ends, one with a UTF-8 byte-order mark and one with a
+byte that is not UTF-8 in its last row.  So two trees are shown to agree
+on error text and exit code too.
+
+Every command is started by ``bench/spawn.py``, a small launcher, so that
+its peak resident set (``ru_maxrss``) is its own and not that of this
+process.  With ``--peak-rss`` each command's peak is printed for both
+trees; peaks are reported, not compared.
 
 Exit status: 0 when every output and exit code agrees, 1 otherwise.
 ``bench/`` is only read.
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -47,54 +55,70 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _damaged(text: str) -> dict[str, str]:
-    """Damaged copies of the text of a points CSV with no header, by kind."""
+def _damaged(text: str) -> dict[str, bytes]:
+    """Damaged copies of the text of a points CSV with no header, by kind, as bytes."""
     lines = text.splitlines()
     width = lines[0].count(",") + 1
 
-    def edit(index: int, change) -> str:
+    def edit(index: int, change) -> bytes:
         copy = list(lines)
         copy[index] = change(copy[index])
-        return "\n".join(copy) + "\n"
+        return ("\n".join(copy) + "\n").encode("utf-8")
 
+    data = ("\n".join(lines) + "\n").encode("utf-8")
     return {
         "bad-last": edit(-1, lambda row: row + "x"),
         "ragged-block": edit(min(2**14 // width, len(lines) - 1), lambda row: row + ",0"),
         "nan-middle": edit(len(lines) // 2, lambda row: "nan" + row[len(row.split(",")[0]):]),
+        "crlf": data.replace(b"\n", b"\r\n"),
+        "bom": b"\xef\xbb\xbf" + data,
+        "not-utf8-last": data[:-1] + b"\xff\n",
     }
 
 
-def run_tree(tree: Path, name: str, seed: int, work: Path) -> list[tuple[str, str]]:
-    """(label, digest) of each exit code, stdout, stderr and output file, in command order."""
+def run_tree(tree: Path, name: str, seed: int, work: Path):
+    """(label, digest) of each exit code, stdout, stderr and output file, in command
+    order, and (label, peak RSS in MB) of each command."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     workload = workloads.build(name, seed, work)
     env = dict(os.environ, PYTHONPATH=str(tree))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    outputs = []
+    launcher = subprocess.Popen([sys.executable, str(ROOT / "bench" / "spawn.py")],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                                env=env, cwd=work)
+    stdout, stderr = work / "stdout.txt", work / "stderr.txt"
+    outputs, peaks = [], []
 
     def run(label: str, argv: list[str], files=()) -> None:
-        proc = subprocess.run([sys.executable, "-m", "gaussmatch.cli", *argv],
-                              capture_output=True, env=env, cwd=work)
-        outputs.append((f"{label} exit", str(proc.returncode)))
-        outputs.append((f"{label} stdout", _digest(proc.stdout)))
-        outputs.append((f"{label} stderr", _digest(proc.stderr)))
+        request = [[sys.executable, "-m", "gaussmatch.cli", *argv], str(stdout), str(stderr)]
+        launcher.stdin.write(json.dumps(request) + "\n")
+        launcher.stdin.flush()
+        code, _, peak = json.loads(launcher.stdout.readline())
+        outputs.append((f"{label} exit", str(code)))
+        outputs.append((f"{label} stdout", _digest(stdout.read_bytes())))
+        outputs.append((f"{label} stderr", _digest(stderr.read_bytes())))
         for path in files:
             digest = _digest(path.read_bytes()) if path.exists() else "missing"
             outputs.append((f"{label} {path.name}", digest))
+        peaks.append((label, peak))
 
-    inputs = []
-    for index, op in enumerate(workload.operations, start=1):
-        run(f"{index}:{op.argv[0]}", op.argv, op.outputs)
-        if "--input" in op.argv:
-            inputs.append(Path(op.argv[op.argv.index("--input") + 1]))
-    for path in dict.fromkeys(p for p in inputs if p.suffix == ".csv" and p.exists()):
-        for kind, text in _damaged(path.read_text(encoding="utf-8")).items():
-            copy = work / f"{kind}-{path.name}"
-            copy.write_text(text, encoding="utf-8")
-            run(f"{kind} {path.name}", ["report", "--input", str(copy), "--format", "csv"])
-    return outputs
+    try:
+        inputs = []
+        for index, op in enumerate(workload.operations, start=1):
+            run(f"{index}:{op.argv[0]}", op.argv, op.outputs)
+            if "--input" in op.argv:
+                inputs.append(Path(op.argv[op.argv.index("--input") + 1]))
+        for path in dict.fromkeys(p for p in inputs if p.suffix == ".csv" and p.exists()):
+            for kind, data in _damaged(path.read_text(encoding="utf-8")).items():
+                copy = work / f"{kind}-{path.name}"
+                copy.write_bytes(data)
+                run(f"{kind} {path.name}", ["report", "--input", str(copy), "--format", "csv"])
+    finally:
+        launcher.stdin.close()
+        launcher.wait()
+    return outputs, peaks
 
 
 def main() -> int:
@@ -104,6 +128,8 @@ def main() -> int:
     parser.add_argument("--workloads", nargs="+", default=list(workloads.WORKLOADS),
                         choices=workloads.WORKLOADS)
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
+    parser.add_argument("--peak-rss", action="store_true",
+                        help="print each command's peak resident set for both trees")
     args = parser.parse_args()
     trees = [tree.resolve() for tree in (args.first, args.second)]
     for tree in trees:
@@ -115,11 +141,15 @@ def main() -> int:
         work = Path(scratch) / "work"
         for name in args.workloads:
             for seed in args.seeds:
-                first, second = (run_tree(tree, name, seed, work) for tree in trees)
+                (first, first_peaks), (second, second_peaks) = (
+                    run_tree(tree, name, seed, work) for tree in trees)
                 for (label, a), (_, b) in zip(first, second):
                     verdict = "same" if a == b else "DIFFERS"
                     differences += a != b
                     print(f"{verdict:8} {name} seed {seed} {label:40} {a[:16]} {b[:16]}")
+                if args.peak_rss:
+                    for (label, a), (_, b) in zip(first_peaks, second_peaks):
+                        print(f"peak-rss {name} seed {seed} {label:40} {a:7.1f} MB {b:7.1f} MB")
     print(f"{differences} difference(s)")
     return 1 if differences else 0
 

@@ -283,7 +283,7 @@ def _cmd_transform(args) -> int:
     points = read_points_csv(args.input)
     stored = _read_model(args.model)
     transform = whitening_transform(stored.model)
-    out = transform.apply(points)
+    out = transform.apply(points, overwrite=True)
     write_points_csv(out, args.output)
     if args.plot:
         try:

@@ -109,18 +109,23 @@ class RescalingTransform:
     shift: np.ndarray
     root_inv_cov: np.ndarray
 
-    def apply(self, points) -> np.ndarray:
+    def apply(self, points, overwrite: bool = False) -> np.ndarray:
         """Transform a single vector or an (n, dim) array of row points.
 
-        Raises InvalidInputError when a transformed value overflows."""
+        With ``overwrite`` the result is written over the points when they
+        are a writable C-ordered float array, and the points are lost: the
+        transform then holds two arrays of their size at once, not three.
+        The result has the same bits either way.  Raises InvalidInputError
+        when a transformed value overflows."""
         pts = float_array(points, "points")
         if pts.ndim not in (1, 2):
             raise InvalidInputError(f"expected a vector or (n, dim) points, got shape {pts.shape}")
         require_dim(pts.shape[-1], self.shift.size, "points", "transform")
         if not np.isfinite(pts).all():
             raise InvalidInputError("points must be finite")
+        reuse = overwrite and pts.flags.writeable and pts.flags.c_contiguous
         with np.errstate(over="ignore", invalid="ignore"):
-            out = (pts - self.shift) @ self.root_inv_cov
+            out = np.matmul(pts - self.shift, self.root_inv_cov, out=pts if reuse else None)
         if not np.isfinite(out).all():
             raise InvalidInputError("transformed points overflow the float range")
         return out

@@ -1,12 +1,15 @@
 """Data ingestion: CSV point sets, PPM images, and seeded Gaussian sampling.
 
-Files are opened in two places.  ``_read_bytes`` reads a path or a stream
-whole, and is the one place that tells the two apart: ``read_ppm`` takes
-its bytes as they are, and ``read_text`` decodes them as UTF-8, naming the
-line of a byte that is not UTF-8 and skipping one byte-order mark, for the
-points CSV and the model JSON.  ``output_file`` opens every file the
-package writes (points CSV, PPM image, model JSON, report and SVG plot)
-and removes it when its write fails part way, at the final close included.
+Files are opened in two places.  ``_read_chunks`` reads a path or a
+stream a chunk at a time: ``read_ppm`` takes the bytes of one whole read as
+they are, and ``_text_pieces`` decodes the chunks as UTF-8 as they arrive,
+cut at line ends, naming the line of a byte that is not UTF-8 and skipping
+one byte-order mark.  ``read_text`` joins those pieces for the model JSON;
+``read_points_csv`` decodes them a block of rows at a time, so that it
+never holds the bytes or the text of a whole file.  ``output_file`` opens
+every file the package writes (points CSV, PPM image, model JSON, report
+and SVG plot) and removes it when its write fails part way, at the final
+close included.
 
 ``image_to_blocks`` cuts a ``Raster`` into the (tiles, 3 * b**2) matrix of
 its flattened b x b tiles, a point array like any other.
@@ -72,38 +75,78 @@ def read_text(source) -> str:
     byte-order mark (U+FEFF), as spreadsheet programs write, is dropped.
     Bytes that are not UTF-8 raise ParseError with the line they are on.
     """
+    return "".join(_text_pieces(source))
+
+
+# Bytes, or characters of a text stream, read at a time.  Text is decoded
+# one such chunk at a time, cut at its last line end, so that neither the
+# bytes nor the text of a whole file is held at once.
+_CHUNK_SIZE = 2**16
+
+
+def _read_chunks(source, size: int, newlines: bool = False):
+    """Generator of the content of a path or stream, ``size`` bytes at a time.
+
+    A stream's chunks are what its ``read(size)`` gives, bytes or str; a
+    path is read as bytes, with its CRLF and CR line ends turned into LF
+    when ``newlines`` is true, as text mode turns them.  The last chunk is
+    empty, so that even an empty stream shows whether it gives bytes.
+    """
+    if hasattr(source, "read"):
+        while chunk := source.read(size):
+            yield chunk
+        yield chunk
+        return
+    with open(os.fspath(source), "rb") as handle:
+        held = b""  # a CR that ends a chunk, until the next shows whether LF follows it
+        while chunk := handle.read(size):
+            if newlines and (held or b"\r" in chunk):
+                chunk = held + chunk
+                held = chunk[-1:] if chunk.endswith(b"\r") else b""
+                chunk = chunk[: len(chunk) - len(held)].replace(b"\r\n", b"\n")
+                chunk = chunk.replace(b"\r", b"\n")
+            yield chunk
+        if held:
+            yield b"\n"
+        yield b""
+
+
+def _text_pieces(source):
+    """Generator of the text ``read_text`` returns, in pieces that end at a LF, but the last.
+
+    The source is read ``_CHUNK_SIZE`` bytes at a time, and each piece is
+    decoded as soon as a line end closes it; multi-byte UTF-8 characters
+    hold no LF byte, so a piece is cut between characters.  Only the new
+    chunk is searched for a LF, and the parts of a line that several chunks
+    hold are joined once, so that a long line costs time linear in its length.
+    """
+    line = 1  # the line the next piece starts on
+    start = True  # no text has been given yet, so a byte-order mark may come
+    head = []  # the parts of a line read so far, before its end
     try:
-        data, from_path = _read_bytes(source)
+        for chunk in _read_chunks(source, _CHUNK_SIZE, newlines=True):
+            newline = b"\n" if isinstance(chunk, bytes) else "\n"
+            # the empty last chunk ends the text, whether or not a line end does
+            cut = chunk.rfind(newline) + 1
+            if chunk and not cut:
+                head.append(chunk)
+                continue
+            piece = chunk[:0].join([*head, chunk[:cut]])
+            head = [chunk[cut:]]
+            if isinstance(piece, bytes):
+                try:
+                    piece = piece.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(
+                        f"text is not UTF-8 (byte 0x{piece[exc.start]:02x}: {exc.reason})",
+                        line=line + piece.count(b"\n", 0, exc.start),
+                    ) from None
+            if start and piece:
+                piece, start = piece.removeprefix("\ufeff"), False
+            line += piece.count("\n")
+            yield piece
     except UnicodeDecodeError as exc:  # a text stream's own decoding
         raise ParseError(f"text is not UTF-8: {exc.reason}") from None
-    if isinstance(data, str):
-        return data.removeprefix("\ufeff")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start].decode("utf-8")
-        if from_path:
-            head = _universal_newlines(head)
-        raise ParseError(
-            f"text is not UTF-8 (byte 0x{data[exc.start]:02x}: {exc.reason})",
-            line=head.count("\n") + 1,
-        ) from None
-    text = text.removeprefix("\ufeff")
-    return _universal_newlines(text) if from_path else text
-
-
-def _universal_newlines(text: str) -> str:
-    if "\r" not in text:
-        return text
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def _read_bytes(source):
-    """(content, from_path): a path's bytes, or whatever a stream's ``read()`` gives."""
-    if hasattr(source, "read"):
-        return source.read(), False
-    with open(os.fspath(source), "rb") as handle:
-        return handle.read(), True
 
 
 # --- CSV point sets ---------------------------------------------------------
@@ -113,8 +156,8 @@ def _read_bytes(source):
 # found by re-reading one block.  On the 4096x192 image blocks (2-vCPU
 # host), blocks of 2**10 to 2**17 cells take the same time within noise,
 # while the peak RSS of a fresh process that reads the blocks or writes
-# their whitened points rises from about 2**15 cells on (2**14: 64.6 and
-# 36.3 MB; 2**17: 75.8 and 51.2 MB).
+# their whitened points rises from about 2**15 cells on (2**14: 38.9 and
+# 39.2 MB; 2**17: 56.2 and 51.7 MB).
 _BLOCK_CELLS = 2**14
 
 
@@ -128,56 +171,104 @@ def read_points_csv(source) -> np.ndarray:
     fields is a number.  Raises ParseError (with the 1-based line number)
     on text that is not UTF-8, on malformed rows and on values that are
     not finite, and InsufficientDataError for fewer than two points.
+
+    The text is read and decoded a chunk at a time, and its rows a block
+    at a time, into an array that doubles as it fills, so that the memory
+    taken beyond the result is bounded by the chunk and block sizes and
+    the longest line.
     """
-    numbers, lines = _data_rows(read_text(source))
-    width = lines[0].count(",") + 1 if lines else 0
-    # Both fast decoders accept only what the line loop accepts, with the
-    # same bits.  A block the decoder refuses, or whose values have another
-    # shape or are not all finite, is read again by the line loop, which
-    # names the line of its first error.
-    decode = partial(_decode_distinct, table=_FieldValues()) if _repeats(lines) else _decode_numpy
-    points = np.empty((len(lines), width))
-    step = _block_rows(width)
-    for start in range(0, len(lines), step):
-        rows = slice(start, start + step)
-        block = points[rows]
-        values = decode(lines[rows], width)
-        if values is None or values.shape != block.shape or not np.isfinite(values).all():
-            values = _decode_lines(list(zip(numbers[rows].tolist(), lines[rows])), width)
-        block[:] = values
-    if len(lines) < 2:
-        raise InsufficientDataError(f"need at least 2 points, got {len(lines)}")
+    pieces = _text_pieces(source)
+    try:
+        points = _decode_blocks(_data_rows(pieces))
+    except ParseError:
+        # Bytes that are not UTF-8 are the error of the file wherever they
+        # are, as they are for a reader of its whole text, so the rest is
+        # decoded before a malformed row is reported.
+        for _ in pieces:
+            pass
+        raise
+    if len(points) < 2:
+        raise InsufficientDataError(f"need at least 2 points, got {len(points)}")
     return points
 
 
-def _data_rows(text: str) -> tuple[np.ndarray, list[str]]:
-    """1-based line numbers and stripped lines of the rows that hold points.
+def _data_rows(pieces):
+    """Generator of blocks of the rows that hold points, from pieces of text
+    that end at line ends: each block is a list of 1-based line numbers and
+    one of the stripped lines.
 
     Blank lines and lines starting with '#' are dropped, and so is the first
-    remaining row when it is a header.  The numbers are one int64 array, not
-    a tuple beside each line, so that a tall file costs 8 bytes a row for
-    them (a (number, line) tuple and its int take about 90).
+    remaining row when it is a header.  A block holds ``_block_rows`` rows
+    for the width of the first row, and the last block what is left.
     """
-    lines = [raw.strip() for raw in text.split("\n")]
-    kept = [line and line[0] != "#" for line in lines]
-    numbers = np.flatnonzero(np.fromiter(kept, bool, len(kept))) + 1
-    lines = list(compress(lines, kept))
-    if lines and _is_header(lines[0]):
-        numbers = numbers[1:]
-        del lines[0]
-    return numbers, lines
+    numbers, lines = [], []
+    line = 1  # the line the next piece starts on
+    header = True  # no row has been kept yet
+    step = 0
+    for text in pieces:
+        raw = [part.strip() for part in text.split("\n")]
+        kept = [part and part[0] != "#" for part in raw]
+        numbers += compress(range(line, line + len(raw)), kept)
+        lines += compress(raw, kept)
+        line += len(raw) - 1
+        if header and lines:
+            header = False
+            if _is_header(lines[0]):
+                del numbers[0], lines[0]
+        if lines and not step:
+            step = _block_rows(lines[0].count(",") + 1)
+        while lines and len(lines) >= step:
+            yield numbers[:step], lines[:step]
+            del numbers[:step], lines[:step]
+    if lines:
+        yield numbers, lines
+
+
+def _decode_blocks(blocks) -> np.ndarray:
+    """The points of ``_data_rows`` blocks, filled into an array of one
+    block's rows that doubles when full and is cut to size at the end.
+
+    Both fast decoders accept only what the line loop accepts, with the
+    same bits.  A block the decoder refuses, or whose values have another
+    shape or are not all finite, is read again by the line loop, which
+    names the line of its first error.  The decoder is chosen once, by
+    ``_repeats`` on the first block; a table of distinct fields that
+    outgrows ``_BLOCK_CELLS`` values, as one for a file whose head repeats
+    and whose body does not would, is left for numpy's reader.
+    """
+    points = np.empty((0, 0))
+    count = 0
+    for numbers, lines in blocks:
+        if not count:
+            width = lines[0].count(",") + 1
+            table = _FieldValues()
+            decode = partial(_decode_distinct, table=table) if _repeats(lines) else _decode_numpy
+            points = np.empty((len(lines), width))
+        values = decode(lines, width)
+        if values is None or values.shape != (len(lines), width) or not np.isfinite(values).all():
+            values = _decode_lines(list(zip(numbers, lines)), width)
+        if count + len(lines) > len(points):
+            points.resize((2 * len(points), width), refcheck=False)
+        points[count : count + len(lines)] = values
+        count += len(lines)
+        if len(table) > _BLOCK_CELLS:
+            decode = _decode_numpy
+    points.resize((count, points.shape[1]), refcheck=False)
+    return points
 
 
 def _repeats(rows) -> bool:
     """Whether at most half of the values in about 64 rows spread over ``rows`` are distinct.
 
-    The one rule by which both CSV codecs choose a table of distinct values.
-    ``rows`` are the CSV lines a reader decodes, whose values are their
-    fields, or the points a writer encodes, whose values are the bit
-    patterns of their floats (float equality merges -0.0 with 0.0, whose
-    reprs differ).  Spread, not the first rows, so that an input whose head
-    repeats and whose body does not keeps the per-value path: the table
-    would hold nearly every value.  Counted with a set, not ``np.unique``,
+    The one rule by which both CSV codecs choose a table of distinct values,
+    once for each file.  ``rows`` are the first block of CSV lines a reader
+    decodes, whose values are their fields, or all the points a writer
+    encodes, whose values are the bit patterns of their floats (float
+    equality merges -0.0 with 0.0, whose reprs differ).  Spread, not the
+    first rows, so that points whose head repeats and whose body does not
+    keep the per-value path: the table would hold nearly every value.  The
+    reader, which sees only its first block, leaves a table that outgrows
+    a block for numpy's reader instead.  Counted with a set, not ``np.unique``,
     whose sort code alone adds about 1 MB to the peak RSS of a process that
     then takes the loop.
     """
@@ -283,21 +374,29 @@ def write_points_csv(points, destination) -> None:
 
 
 def _text_blocks(pts: np.ndarray):
-    """Generator of the CSV text of the points, about ``_BLOCK_CELLS`` cells at a time."""
-    table = None
-    if _repeats(pts):
-        # Keyed on bit patterns: float equality merges -0.0 with 0.0, whose reprs differ.
-        bits = np.ascontiguousarray(pts).view(np.int64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        table = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-        codes = inverse.reshape(pts.shape)
+    """Generator of the CSV text of the points, about ``_BLOCK_CELLS`` cells at a time.
+
+    On the table path each block's distinct values are found by ``np.unique``
+    on their bit patterns, since float equality merges -0.0 with 0.0, whose
+    reprs differ; one dict from bit pattern to ``repr``, shared by all
+    blocks, runs ``repr`` once per distinct value of the whole array.
+    """
+    reprs = {} if _repeats(pts) else None
     step = _block_rows(pts.shape[1])
     # An empty point set is one empty line, as "\n".join of no rows plus "\n".
     for start in range(0, max(len(pts), 1), step):
-        if table is None:
-            lines = [",".join(map(repr, row)) for row in pts[start : start + step].tolist()]
+        block = pts[start : start + step]
+        if reprs is None:
+            lines = [",".join(map(repr, row)) for row in block.tolist()]
         else:
-            lines = map(",".join, table[codes[start : start + step]].tolist())
+            distinct, inverse = np.unique(np.ascontiguousarray(block).view(np.int64),
+                                          return_inverse=True)
+            keys = distinct.tolist()
+            for key, value in zip(keys, distinct.view(np.float64).tolist()):
+                if key not in reprs:
+                    reprs[key] = repr(value)
+            table = np.array([reprs[key] for key in keys], dtype=object)
+            lines = map(",".join, table[inverse.reshape(block.shape)].tolist())
         yield "\n".join(lines) + "\n"
 
 
@@ -335,11 +434,12 @@ def read_ppm(source) -> Raster:
     and InvalidInputError on a text stream.
     """
     try:
-        data, _ = _read_bytes(source)
+        chunks = list(_read_chunks(source, -1))  # the whole content, then the empty chunk
     except UnicodeDecodeError:  # a text stream's own decoding
-        data = ""
-    if isinstance(data, str):
+        chunks = [""]
+    if isinstance(chunks[-1], str):
         raise InvalidInputError("PPM input must be a binary stream or a path")
+    data = b"".join(chunks[:-1])  # no copy of the one chunk a whole read gives
     tokens = (match for match in _PPM_TOKEN.finditer(data) if match[1])
     header: list[int] = []
     for name in ("magic", "width", "height", "maxval"):

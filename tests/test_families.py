@@ -300,6 +300,26 @@ class TestWhitening:
         pts = np.array([[0.0, 0.0], [1.0, 2.0]])
         np.testing.assert_allclose(t.apply(pts)[1], t.apply(pts[1]), rtol=1e-14)
 
+    def test_overwrite_gives_the_same_bits(self):
+        rng = np.random.default_rng(48)
+        model = GaussianModel(mean=rng.normal(size=24), cov=random_spd(rng, 24))
+        t = whitening_transform(model)
+        big = rng.normal(size=(300, 24))
+        frozen = big.copy()
+        frozen.flags.writeable = False
+        # C-ordered arrays of rows and a vector are written over; a Fortran
+        # array, a strided view, a read-only array and a list are not
+        for points, reused in [(big.copy(), True), (big[5].copy(), True),
+                               (np.asfortranarray(big), False), (big[::2], False),
+                               (frozen, False), (big.tolist(), False)]:
+            expected = t.apply(points)
+            kept = np.array(points, copy=True)
+            out = t.apply(points, overwrite=True)
+            assert out.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+            assert (out is points) is reused
+            if not reused:
+                assert np.array_equal(np.asarray(points), kept)
+
     def test_rejects_singular_model(self):
         with pytest.raises(SingularMatrixError):
             whitening_transform(GaussianModel(mean=[0.0, 0.0], cov=np.diag([1.0, 0.0])))

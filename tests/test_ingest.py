@@ -1,9 +1,12 @@
 """CSV round trips, PPM decoding, block extraction, and the seeded sampler."""
 
 import io
+import itertools
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -38,6 +41,7 @@ from gaussmatch.ingest import (
     _decode_lines,
     _decode_numpy,
     _repeats,
+    read_text,
 )
 from helpers import run_with_file_size_limit
 
@@ -169,8 +173,7 @@ def _decode_table(lines, width):
 
 def _numbered(text):
     """The (line number, line) pairs of the data rows of ``text``."""
-    numbers, lines = _data_rows(text)
-    return list(zip(numbers.tolist(), lines))
+    return [row for numbers, lines in _data_rows([text]) for row in zip(numbers, lines)]
 
 
 def _accepted(values, rows, width) -> bool:
@@ -282,6 +285,19 @@ class TestBulkDecode:
         assert not _repeats(tail + head)
         assert _repeats((head + tail[:60]) * 16)
 
+    def test_table_that_outgrows_a_block_is_left(self):
+        # the first block repeats, so the reader takes the table path; the
+        # rest does not, and the table is left once it holds more than a
+        # block of values, after the second block
+        step = ingest._block_rows(2)
+        lines = ["0.5,1.5"] * step + [f"{i},{-i}" for i in range(4 * step)]
+        text = "\n".join(lines) + "\n"
+        assert _repeats(lines[:step])
+        with mock.patch.object(ingest, "_decode_distinct", wraps=_decode_distinct) as spy:
+            points = read_points_csv(io.StringIO(text))
+        assert spy.call_count == 2
+        assert _bits(points) == _bits(_decode_lines(_numbered(text), 2))
+
     @pytest.mark.parametrize("token", ["nan", "-inf", "1e999"])
     def test_table_path_refuses_non_finite(self, token):
         text = "1,2\n" * 20 + f"1,{token}\n" + "1,2\n" * 20
@@ -377,6 +393,147 @@ class TestBulkDecode:
         except GaussMatchError:
             return
         assert pts.ndim == 2 and pts.shape[0] >= 2 and np.isfinite(pts).all()
+
+
+def _outcome(read, source):
+    """The bits of the points ``read`` returns, or its error's class, message and line."""
+    try:
+        return _bits(read(source))
+    except GaussMatchError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _read_whole_text(source):
+    """The reference reader: the whole text, then the line loop over its data rows."""
+    numbered = _numbered(read_text(source))
+    width = numbered[0][1].count(",") + 1 if numbered else 0
+    points = _decode_lines(numbered, width)
+    if len(points) < 2:
+        raise InsufficientDataError(f"need at least 2 points, got {len(points)}")
+    return points
+
+
+def _written_path(data, path):
+    path.write_bytes(data)
+    return path
+
+
+_SOURCES = {
+    "path": _written_path,
+    "binary stream": lambda data, path: io.BytesIO(data),
+    "text stream": lambda data, path: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+}
+
+
+def _check_chunked_reads(data, path):
+    """Reading ``data`` 1, 2, 3 or 7 bytes (or characters) at a time, in blocks
+    of as many cells or of the usual size, gives the whole-text reader's bits
+    or error, from a path and from either stream."""
+    assert len(data) < ingest._CHUNK_SIZE  # so that the reference reads the whole text at once
+    for kind, make in _SOURCES.items():
+        expected = _outcome(_read_whole_text, make(data, path))
+        for size, cells in itertools.product((1, 2, 3, 7), (None, ingest._BLOCK_CELLS)):
+            with mock.patch.multiple(ingest, _CHUNK_SIZE=size, _BLOCK_CELLS=cells or size):
+                assert _outcome(read_points_csv, make(data, path)) == expected, (kind, size, cells)
+
+
+_line_end = st.sampled_from(["\n", "\r\n", "\r"])
+# Lines with characters of two, three and four UTF-8 bytes, some of them
+# digits float() takes, and a byte-order mark that does not start the text.
+_wide_line = st.sampled_from(
+    ["1,\u0661", "\u00e9,1", "2,\U0001d7d9", "# \u20ac", "\U0001d7d9,\u0662", "\ufeff1,2"]
+)
+
+
+@st.composite
+def _csv_bytes(draw):
+    """CSV bytes: mixed line ends, maybe a byte-order mark, maybe a late byte that is not UTF-8."""
+    lines = draw(st.lists(st.one_of(_csv_line, _wide_line), max_size=10))
+    text = "".join(line + draw(_line_end) for line in lines)
+    data = (("\ufeff" if draw(st.booleans()) else "") + text).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(len(data) // 2, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\xe9", b"\x80", b"\xf0\x9f"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+class TestChunkBoundaries:
+    """The chunked reader agrees with a reader of the whole text at every cut."""
+
+    @given(_csv_bytes())
+    @example(b"1,2\r\n3,4\r\n5,6\r\n")  # a CR at a chunk's end, its LF in the next
+    @example(b"1,2\r3,4\r5,6")
+    @example(b"\xef\xbb\xbfx,y\n1,2\n3,4\n")
+    @example("1,\u0661\n\u20ac,2\n3,\U0001d7d9\n".encode("utf-8"))
+    # a malformed row early and a byte that is not UTF-8 late: the byte is the error
+    @example(b"1,2\n3,4,5\n" + b"6,7\n" * 10 + b"8,\xff9\n")
+    def test_matches_whole_text(self, tmp_path_factory, data):
+        _check_chunked_reads(data, tmp_path_factory.mktemp("chunks") / "p.csv")
+
+    @given(_point_rows, *_decorations, _line_end, st.booleans())
+    def test_written_points_match_whole_text(self, tmp_path_factory, rows, header, spacing,
+                                             comment_every, end, bom):
+        text = _decorate(_written(np.asarray(rows, dtype=float)), header, spacing, comment_every)
+        data = (("\ufeff" if bom else "") + text.replace("\n", end)).encode("utf-8")
+        _check_chunked_reads(data, tmp_path_factory.mktemp("chunks") / "p.csv")
+
+
+class _Discard:
+    """A text stream that drops what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def _traced_peak(call):
+    """The peak of the memory traced by ``tracemalloc`` during ``call()``, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_reader_holds_the_points_and_a_bounded_rest(self, tmp_path):
+        # 2**18 rows of 4.5 MB of text: a reader of the whole text holds it
+        # as bytes, as str and as 2**18 line strings, about 26 MB beside the
+        # 4 MB of points; a chunked one holds a chunk and a block of rows,
+        # under 64 chunks of memory whatever the length of the file.
+        path = tmp_path / "tall.csv"
+        path.write_text("".join(f"{i},{-i}.5\n" for i in range(2**18)), encoding="utf-8")
+        peak, points = _traced_peak(lambda: read_points_csv(path))
+        assert points.shape == (2**18, 2) and points[-1].tolist() == [2**18 - 1, 0.5 - 2**18]
+        assert peak <= points.nbytes + 64 * ingest._CHUNK_SIZE
+
+    def test_array_holds_the_rows_read(self, tmp_path):
+        # 10**4 comment lines and two rows of 2000 values: an array of a row
+        # for each line of the file would take 160 MB
+        path = tmp_path / "wide.csv"
+        path.write_text("#\n" * 10**4 + ("0.5," * 1999 + "1\n") * 2, encoding="utf-8")
+        peak, points = _traced_peak(lambda: read_points_csv(path))
+        assert points.shape == (2, 2000)
+        assert peak <= points.nbytes + 64 * ingest._CHUNK_SIZE
+
+    @pytest.mark.parametrize("kind", list(_SOURCES))
+    def test_line_without_an_end_reads_in_linear_time(self, tmp_path, kind):
+        # 4 MiB read 64 bytes at a time with no line end: joining each chunk
+        # to the part of the line read so far would copy about 137 GB
+        source = _SOURCES[kind](b"1,2;" * 2**20, tmp_path / "line.csv")
+        start = time.perf_counter()
+        with mock.patch.object(ingest, "_CHUNK_SIZE", 64), pytest.raises(ParseError):
+            read_points_csv(source)
+        assert time.perf_counter() - start < 2
+
+    def test_writer_tables_one_block_at_a_time(self):
+        # np.unique over the whole array would allocate its int64 inverse,
+        # as large as the points, and a sorted copy beside it
+        points = np.random.default_rng(6).integers(0, 4, (2**17, 8)) / 4.0
+        assert _repeats(points)
+        peak, _ = _traced_peak(lambda: write_points_csv(points, _Discard()))
+        assert peak < points.nbytes / 4
 
 
 class TestCsvRoundTrip:

@@ -47,7 +47,7 @@ def test_each_argument_check_has_one_home():
 
 
 def test_files_are_opened_in_one_place():
-    # ingest.output_file and ingest._read_bytes decide how a file is opened,
+    # ingest.output_file and ingest._read_chunks decide how a file is opened,
     # decoded and removed after a failed write; another open() would skip them.
     found = []
 
@@ -63,7 +63,7 @@ def test_files_are_opened_in_one_place():
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
-    assert sorted(found) == ["ingest._read_bytes", "ingest.output_file"]
+    assert sorted(found) == ["ingest._read_chunks", "ingest.output_file"]
 
 
 def test_no_unreferenced_private_names():

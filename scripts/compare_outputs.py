@@ -17,8 +17,9 @@ benchmark.
 
 Then ``report`` runs on six damaged copies of each points CSV the
 workload reads: one with a bad field in its last row, one with a ragged
-row at the first block boundary of the reader (2**14 cells), or at its
-last row when the file is shorter, one with ``nan`` in its middle row,
+row at the first boundary between the pieces the reader decodes (the
+first row that ends past 64 KiB), or at its last row when the file is
+shorter, one with ``nan`` in its middle row,
 one with CRLF line ends, one with a UTF-8 byte-order mark and one with a
 byte that is not UTF-8 in its last row.  So two trees are shown to agree
 on error text and exit code too.
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -58,7 +60,8 @@ def _digest(data: bytes) -> str:
 def _damaged(text: str) -> dict[str, bytes]:
     """Damaged copies of the text of a points CSV with no header, by kind, as bytes."""
     lines = text.splitlines()
-    width = lines[0].count(",") + 1
+    ends = itertools.accumulate(len(line.encode("utf-8")) + 1 for line in lines)
+    boundary = next((index for index, end in enumerate(ends) if end > 2**16), len(lines) - 1)
 
     def edit(index: int, change) -> bytes:
         copy = list(lines)
@@ -68,7 +71,7 @@ def _damaged(text: str) -> dict[str, bytes]:
     data = ("\n".join(lines) + "\n").encode("utf-8")
     return {
         "bad-last": edit(-1, lambda row: row + "x"),
-        "ragged-block": edit(min(2**14 // width, len(lines) - 1), lambda row: row + ",0"),
+        "ragged-block": edit(boundary, lambda row: row + ",0"),
         "nan-middle": edit(len(lines) // 2, lambda row: "nan" + row[len(row.split(",")[0]):]),
         "crlf": data.replace(b"\n", b"\r\n"),
         "bom": b"\xef\xbb\xbf" + data,

@@ -5,8 +5,8 @@ stream a chunk at a time: ``read_ppm`` takes the bytes of one whole read as
 they are, and ``_text_pieces`` decodes the chunks as UTF-8 as they arrive,
 cut at line ends, naming the line of a byte that is not UTF-8 and skipping
 one byte-order mark.  ``read_text`` joins those pieces for the model JSON;
-``read_points_csv`` decodes them a block of rows at a time, so that it
-never holds the bytes or the text of a whole file.  ``output_file`` opens
+``read_points_csv`` decodes the rows of each piece as it arrives, so that
+it never holds the bytes or the text of a whole file.  ``output_file`` opens
 every file the package writes (points CSV, PPM image, model JSON, report
 and SVG plot) and removes it when its write fails part way, at the final
 close included.
@@ -151,13 +151,13 @@ def _text_pieces(source):
 
 # --- CSV point sets ---------------------------------------------------------
 
-# Cells (rows times columns) in one block of a CSV that is decoded or
-# written out, so that no copy of the whole text is built and an error is
-# found by re-reading one block.  On the 4096x192 image blocks (2-vCPU
-# host), blocks of 2**10 to 2**17 cells take the same time within noise,
-# while the peak RSS of a fresh process that reads the blocks or writes
-# their whitened points rises from about 2**15 cells on (2**14: 38.9 and
-# 39.2 MB; 2**17: 56.2 and 51.7 MB).
+# Cells (rows times columns) in one block of a CSV that is written out, so
+# that no copy of the whole text is built; also the most values the
+# reader's table of distinct fields may hold, and the cells of the first
+# capacity of the array it fills.  On the 4096x192 image blocks (2-vCPU
+# host), written blocks of 2**10 to 2**17 cells take the same time within
+# noise, while the memory traced while writing their whitened points grows
+# from about 2**15 cells on (2**14: 1.5 MiB; 2**17: 11.5 MiB).
 _BLOCK_CELLS = 2**14
 
 
@@ -172,10 +172,10 @@ def read_points_csv(source) -> np.ndarray:
     on text that is not UTF-8, on malformed rows and on values that are
     not finite, and InsufficientDataError for fewer than two points.
 
-    The text is read and decoded a chunk at a time, and its rows a block
-    at a time, into an array that doubles as it fills, so that the memory
-    taken beyond the result is bounded by the chunk and block sizes and
-    the longest line.
+    The text is read a chunk at a time, and the rows of each piece that a
+    line end closes are decoded as it arrives, into an array that doubles
+    as it fills, so that the memory taken beyond the result is bounded by
+    the chunk size and the longest line.
     """
     pieces = _text_pieces(source)
     try:
@@ -193,48 +193,42 @@ def read_points_csv(source) -> np.ndarray:
 
 
 def _data_rows(pieces):
-    """Generator of blocks of the rows that hold points, from pieces of text
-    that end at line ends: each block is a list of 1-based line numbers and
-    one of the stripped lines.
+    """Generator of the rows that hold points, one block for each piece of
+    text that ends at a line end and holds such a row: a list of their
+    1-based line numbers and one of the stripped rows.
 
     Blank lines and lines starting with '#' are dropped, and so is the first
-    remaining row when it is a header.  A block holds ``_block_rows`` rows
-    for the width of the first row, and the last block what is left.
+    remaining row when it is a header.
     """
-    numbers, lines = [], []
     line = 1  # the line the next piece starts on
     header = True  # no row has been kept yet
-    step = 0
     for text in pieces:
         raw = [part.strip() for part in text.split("\n")]
         kept = [part and part[0] != "#" for part in raw]
-        numbers += compress(range(line, line + len(raw)), kept)
-        lines += compress(raw, kept)
+        numbers = list(compress(range(line, line + len(raw)), kept))
+        lines = list(compress(raw, kept))
         line += len(raw) - 1
         if header and lines:
             header = False
             if _is_header(lines[0]):
                 del numbers[0], lines[0]
-        if lines and not step:
-            step = _block_rows(lines[0].count(",") + 1)
-        while lines and len(lines) >= step:
-            yield numbers[:step], lines[:step]
-            del numbers[:step], lines[:step]
-    if lines:
-        yield numbers, lines
+        if lines:
+            yield numbers, lines
 
 
 def _decode_blocks(blocks) -> np.ndarray:
-    """The points of ``_data_rows`` blocks, filled into an array of one
-    block's rows that doubles when full and is cut to size at the end.
+    """The points of ``_data_rows`` blocks, one for each piece of text.
 
-    Both fast decoders accept only what the line loop accepts, with the
-    same bits.  A block the decoder refuses, or whose values have another
-    shape or are not all finite, is read again by the line loop, which
-    names the line of its first error.  The decoder is chosen once, by
-    ``_repeats`` on the first block; a table of distinct fields that
-    outgrows ``_BLOCK_CELLS`` values, as one for a file whose head repeats
-    and whose body does not would, is left for numpy's reader.
+    They fill an array of ``_block_rows`` rows, or of the first block's
+    rows when it holds more, that doubles when full, or grows to hold a
+    block larger than that, and is cut to size at the end.  Both fast
+    decoders accept only what the line loop accepts, with the same bits.
+    A block the decoder refuses, or whose values have another shape or are
+    not all finite, is read again by the line loop, which names the line
+    of its first error.  The decoder is chosen once, by ``_repeats`` on the
+    first block; a table of distinct fields that outgrows ``_BLOCK_CELLS``
+    values, as one for a file whose head repeats and whose body does not
+    would, is left for numpy's reader.
     """
     points = np.empty((0, 0))
     count = 0
@@ -243,12 +237,12 @@ def _decode_blocks(blocks) -> np.ndarray:
             width = lines[0].count(",") + 1
             table = _FieldValues()
             decode = partial(_decode_distinct, table=table) if _repeats(lines) else _decode_numpy
-            points = np.empty((len(lines), width))
+            points = np.empty((max(_block_rows(width), len(lines)), width))
         values = decode(lines, width)
         if values is None or values.shape != (len(lines), width) or not np.isfinite(values).all():
             values = _decode_lines(list(zip(numbers, lines)), width)
         if count + len(lines) > len(points):
-            points.resize((2 * len(points), width), refcheck=False)
+            points.resize((max(2 * len(points), count + len(lines)), width), refcheck=False)
         points[count : count + len(lines)] = values
         count += len(lines)
         if len(table) > _BLOCK_CELLS:
@@ -262,15 +256,15 @@ def _repeats(rows) -> bool:
 
     The one rule by which both CSV codecs choose a table of distinct values,
     once for each file.  ``rows`` are the first block of CSV lines a reader
-    decodes, whose values are their fields, or all the points a writer
-    encodes, whose values are the bit patterns of their floats (float
-    equality merges -0.0 with 0.0, whose reprs differ).  Spread, not the
-    first rows, so that points whose head repeats and whose body does not
-    keep the per-value path: the table would hold nearly every value.  The
-    reader, which sees only its first block, leaves a table that outgrows
-    a block for numpy's reader instead.  Counted with a set, not ``np.unique``,
-    whose sort code alone adds about 1 MB to the peak RSS of a process that
-    then takes the loop.
+    decodes, the rows of one piece of text, whose values are their fields,
+    or all the points a writer encodes, whose values are the bit patterns
+    of their floats (float equality merges -0.0 with 0.0, whose reprs
+    differ).  Spread, not the first rows, so that points whose head repeats
+    and whose body does not keep the per-value path: the table would hold
+    nearly every value.  The reader, which sees only its first block,
+    leaves a table that outgrows ``_BLOCK_CELLS`` values for numpy's reader
+    instead.  Counted with a set, not ``np.unique``, whose sort code alone
+    adds about 1 MB to the peak RSS of a process that then takes the loop.
     """
     sample = rows[:: max(1, len(rows) // 64)]
     if isinstance(sample, np.ndarray):
@@ -541,12 +535,13 @@ def image_to_blocks(raster: Raster, block_size: int = 8) -> np.ndarray:
             f"image {width}x{height} is smaller than one {block_size}x{block_size} block"
         )
     cropped = pixels[: tiles_y * block_size, : tiles_x * block_size, :]
-    scaled = cropped.astype(float) / float(maxval)
-    return (
-        scaled.reshape(tiles_y, block_size, tiles_x, block_size, 3)
+    # the tiles are gathered as integers, so that one float array is made
+    tiles = (
+        cropped.reshape(tiles_y, block_size, tiles_x, block_size, 3)
         .transpose(0, 2, 1, 3, 4)
         .reshape(tiles_y * tiles_x, block_size * block_size * 3)
     )
+    return tiles / float(maxval)
 
 
 # --- Seeded Gaussian sampling ------------------------------------------------

@@ -125,10 +125,12 @@ def empirical_cross_entropy(points, model: GaussianModel) -> float:
     return float(value)
 
 
-def _unpack(spec: FamilySpec, n: int, params: np.ndarray):
+def _unpack(shape: Family, fixed_mean, n: int, params: np.ndarray):
     """Decode an unconstrained parameter vector into (mean, factor).
 
-    The one decoder of the parameter layout.  A free mean takes the first n
+    The one decoder of the parameter layout, for a family of covariance
+    ``shape`` (a ``FamilySpec.shape``) whose mean is pinned at
+    ``fixed_mean``, or free when it is None.  A free mean takes the first n
     parameters; the rest describe the covariance on the log axis.  The
     factor is the vector of variances for the diagonal and isotropic
     families (all infinite at an isotropic log-scale of 709 or more, where
@@ -136,11 +138,10 @@ def _unpack(spec: FamilySpec, n: int, params: np.ndarray):
     of the covariance L @ L.T: the log of its diagonal, then its entries
     below the diagonal row by row.  Sets no numpy error state.
     """
-    if spec.fixed_mean is None:
+    if fixed_mean is None:
         mean, rest = params[:n], params[n:]
     else:
-        mean, rest = spec.fixed_mean, params
-    shape = spec.shape
+        mean, rest = fixed_mean, params
     if shape is Family.FULL:
         lower = np.zeros((n, n))
         lower.flat[:: n + 1] = np.exp(rest[:n])
@@ -159,7 +160,7 @@ def _mean_cov_from_params(spec: FamilySpec, n: int, params: np.ndarray):
     maps to a symmetric positive definite covariance inside the family.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, factor = _unpack(spec, n, params)
+        mean, factor = _unpack(spec.shape, spec.fixed_mean, n, params)
         cov = factor @ factor.T if spec.shape is Family.FULL else np.diag(factor)
     return np.asarray(mean, dtype=float), cov
 
@@ -206,13 +207,14 @@ def _make_objective(pts: np.ndarray, spec: FamilySpec):
         _BOUND_SLACK * EIGENVALUE_FLOOR_SCALE / n
     )
     fixed_centred = None if spec.fixed_mean is None else pts - spec.fixed_mean
-    return partial(_objective, pts, spec, fixed_centred, bound_const)
+    # the shape and the pinned mean are looked up once, not at each evaluation
+    return partial(_objective, pts, spec.shape, spec.fixed_mean, fixed_centred, bound_const)
 
 
-def _objective(pts, spec, fixed_centred, bound_const, params) -> float:
+def _objective(pts, shape, fixed_mean, fixed_centred, bound_const, params) -> float:
     """The function ``_make_objective`` returns, with its bound arguments first."""
     count, n = pts.shape
-    mean, factor = _unpack(spec, n, params)
+    mean, factor = _unpack(shape, fixed_mean, n, params)
     centred = pts - mean if fixed_centred is None else fixed_centred
     if factor.ndim == 2:  # the full family's L
         # The log-diagonal of L heads the last n(n+1)/2 parameters.

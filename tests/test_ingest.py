@@ -166,6 +166,11 @@ def _table_path():
     return mock.patch.multiple(ingest, _repeats=lambda rows: True, _BLOCK_CELLS=3)
 
 
+def _pieces_of(rows, line):
+    """Cut text whose lines are as long as ``line`` into pieces of ``rows`` lines each."""
+    return mock.patch.object(ingest, "_CHUNK_SIZE", rows * (len(line) + 1))
+
+
 def _decode_table(lines, width):
     """``_decode_distinct`` with a table of its own, as each read has."""
     return _decode_distinct(lines, width, ingest._FieldValues())
@@ -286,17 +291,31 @@ class TestBulkDecode:
         assert _repeats((head + tail[:60]) * 16)
 
     def test_table_that_outgrows_a_block_is_left(self):
-        # the first block repeats, so the reader takes the table path; the
-        # rest does not, and the table is left once it holds more than a
-        # block of values, after the second block
-        step = ingest._block_rows(2)
-        lines = ["0.5,1.5"] * step + [f"{i},{-i}" for i in range(4 * step)]
+        # the first piece repeats, so the reader takes the table path; the
+        # rest does not, and each of its pieces adds _BLOCK_CELLS distinct
+        # values, so the table is left once it holds more than _BLOCK_CELLS
+        # values, after the second piece
+        step = ingest._BLOCK_CELLS // 2
+        lines = ["0.500,1.500"] * step + [f"{i:05d},{99999 - i:05d}" for i in range(4 * step)]
         text = "\n".join(lines) + "\n"
         assert _repeats(lines[:step])
-        with mock.patch.object(ingest, "_decode_distinct", wraps=_decode_distinct) as spy:
+        with _pieces_of(step, lines[0]), mock.patch.object(
+            ingest, "_decode_distinct", wraps=_decode_distinct
+        ) as spy:
             points = read_points_csv(io.StringIO(text))
-        assert spy.call_count == 2
+        assert [len(call.args[0]) for call in spy.call_args_list] == [step, step]
         assert _bits(points) == _bits(_decode_lines(_numbered(text), 2))
+
+    def test_array_grows_past_doubling_for_a_large_piece(self):
+        # the first piece holds one row, the second ten: doubling the first
+        # capacity, of one row, would leave no room for them
+        text = "1,2\n#" + "c" * 64 + "\n" + "3,4\n" * 10
+        with mock.patch.multiple(ingest, _CHUNK_SIZE=64, _BLOCK_CELLS=2), mock.patch.object(
+            ingest, "_decode_numpy", wraps=_decode_numpy
+        ) as spy:
+            points = read_points_csv(io.StringIO(text))
+        assert [len(call.args[0]) for call in spy.call_args_list] == [1, 10]
+        assert points.tolist() == [[1, 2]] + [[3, 4]] * 10
 
     @pytest.mark.parametrize("token", ["nan", "-inf", "1e999"])
     def test_table_path_refuses_non_finite(self, token):
@@ -310,20 +329,21 @@ class TestBulkDecode:
 
     @pytest.mark.parametrize("fault", ["bad field in the last block", "width change at a block"])
     def test_errors_across_blocks(self, fault):
-        # 8192 rows of 4 repeating fields span two blocks of 4096 rows
-        lines = ["1.5,2.5,-3.0,4.0"] * (2 * ingest._BLOCK_CELLS // 4)
+        # 8192 rows of 4 repeating fields, read in pieces of the header and
+        # 4096 rows
+        lines = ["1.5,2.5,-3.0,4.0"] * 8192
         if fault == "bad field in the last block":
             lines[-2] = "1.5,2.5,1x,4.0"
         else:
             lines[4096:] = ["1.5,2.5,-3.0,4.0,5.0"] * (len(lines) - 4096)
-        text = "# comment\nx,y,z,w\n" + "\n".join(lines) + "\n"
+        head = "# comment\nx,y,z,w\n" + "\n".join(lines[:4096]) + "\n"
+        text = head + "\n".join(lines[4096:]) + "\n"
         assert _repeats(lines)
         numbered = _numbered(text)
-        step = ingest._block_rows(4)
-        first, last = numbered[:step], numbered[step:]
+        first, last = numbered[:4096], numbered[4096:]
         assert _accepted(_decode_table([line for _, line in first], 4), first, 4)
         assert not _accepted(_decode_table([line for _, line in last], 4), last, 4)
-        with pytest.raises(ParseError) as bulk:
+        with mock.patch.object(ingest, "_CHUNK_SIZE", len(head)), pytest.raises(ParseError) as bulk:
             read_points_csv(io.StringIO(text))
         with pytest.raises(ParseError) as loop:
             _decode_lines(numbered, 4)
@@ -333,17 +353,17 @@ class TestBulkDecode:
     @pytest.mark.parametrize("table", [True, False])
     @pytest.mark.parametrize("fields", [1, 5])
     def test_width_change_at_a_block(self, fields, table):
-        # numpy reads a block of rows of one field as (4096, 1), which would
-        # broadcast into the (4096, 4) block unless the loop checks its shape
+        # numpy reads a piece of rows of one field as (n, 1), which would
+        # broadcast into n rows of 4 unless the loop checks its shape
         lines = ["1.5,2.5,-3.0,4.0"] * 4096 + [",".join(["1.5"] * fields)] * 4096
         text = "\n".join(lines) + "\n"
         numbered = _numbered(text)
         decode = _decode_table if table else _decode_numpy
         assert _accepted(decode(lines[:4096], 4), numbered[:4096], 4)
         assert not _accepted(decode(lines[4096:], 4), numbered[4096:], 4)
-        with mock.patch.object(ingest, "_repeats", lambda rows: table), pytest.raises(
-            ParseError
-        ) as info:
+        with _pieces_of(4096, lines[0]), mock.patch.object(
+            ingest, "_repeats", lambda rows: table
+        ), pytest.raises(ParseError) as info:
             read_points_csv(io.StringIO(text))
         assert (str(info.value), info.value.line) == (
             f"line 4097: row has {fields} fields, expected 4",
@@ -352,22 +372,29 @@ class TestBulkDecode:
 
     @pytest.mark.parametrize("source", ["repeating", "distinct"])
     def test_only_the_refused_block_is_reread(self, source):
+        # 8192 rows of equal length, read in pieces of 1024 rows; the last
+        # row, in the last piece, has a bad field
         rng = np.random.default_rng(5)
         shape = (8192, 4)
-        points = rng.integers(0, 4, shape) / 2.0 if source == "repeating" else rng.normal(size=shape)
-        lines = _written(points).splitlines()
+        if source == "repeating":
+            lines = _written(rng.integers(0, 4, shape) / 2.0).splitlines()
+        else:
+            lines = [",".join(f"{x:+.15e}" for x in row) for row in rng.normal(size=shape)]
+        assert len(set(map(len, lines))) == 1
+        step = 1024
         lines[-1] = lines[-1].rsplit(",", 1)[0] + ",1x"
         text = "\n".join(lines) + "\n"
         assert _repeats(lines) is (source == "repeating")
-        step = ingest._block_rows(4)
-        with mock.patch.object(ingest, "_decode_lines", wraps=_decode_lines) as spy:
+        with _pieces_of(step, lines[0]), mock.patch.object(
+            ingest, "_decode_lines", wraps=_decode_lines
+        ) as spy:
             with pytest.raises(ParseError) as info:
                 read_points_csv(io.StringIO(text))
         assert info.value.line == 8192
         assert spy.call_count == 1
         reread, width = spy.call_args.args
         assert width == 4
-        assert reread == _numbered(text)[-step:] and len(reread) < len(lines)
+        assert reread == _numbered(text)[-step:]
 
     @pytest.mark.parametrize("table", [True, False])
     def test_ragged_rows_with_the_right_field_count(self, table):
@@ -917,6 +944,15 @@ class TestImageBlocks:
         raster = Raster(pixels=np.full((8, 8, 3), 65535, dtype=np.uint16), maxval=65535)
         blocks = image_to_blocks(raster)
         np.testing.assert_allclose(blocks, 1.0)
+
+    def test_one_float_copy_of_the_image(self):
+        # scaling the image before gathering its tiles holds two float
+        # copies of it, twice the result; gathering the integer samples
+        # first adds a quarter of it
+        pixels = np.random.default_rng(8).integers(0, 256, (512, 512, 3)).astype(np.uint16)
+        peak, blocks = _traced_peak(lambda: image_to_blocks(Raster(pixels=pixels, maxval=255)))
+        assert blocks.shape == (4096, 192)
+        assert peak < 1.5 * blocks.nbytes
 
 
 def _reference_splitmix_normals(count, seed):

@@ -15,14 +15,14 @@ output file it names are hashed with SHA-256, and one line per output gives
 both hashes and whether they agree. BLAS runs on one thread, as in the
 benchmark.
 
-Then ``report`` runs on six damaged copies of each points CSV the
+Then ``report`` runs on seven damaged copies of each points CSV the
 workload reads: one with a bad field in its last row, one with a ragged
 row at the first boundary between the pieces the reader decodes (the
 first row that ends past 64 KiB), or at its last row when the file is
-shorter, one with ``nan`` in its middle row,
-one with CRLF line ends, one with a UTF-8 byte-order mark and one with a
-byte that is not UTF-8 in its last row.  So two trees are shown to agree
-on error text and exit code too.
+shorter, one with ``nan`` in its middle row, one with CRLF line ends,
+one with lone CR line ends, one with a UTF-8 byte-order mark and one
+with a byte that is not UTF-8 in its last row.  So two trees are shown
+to agree on error text and exit code too.
 
 Every command is started by ``bench/spawn.py``, a small launcher, so that
 its peak resident set (``ru_maxrss``) is its own and not that of this
@@ -74,6 +74,7 @@ def _damaged(text: str) -> dict[str, bytes]:
         "ragged-block": edit(boundary, lambda row: row + ",0"),
         "nan-middle": edit(len(lines) // 2, lambda row: "nan" + row[len(row.split(",")[0]):]),
         "crlf": data.replace(b"\n", b"\r\n"),
+        "cr": data.replace(b"\n", b"\r"),
         "bom": b"\xef\xbb\xbf" + data,
         "not-utf8-last": data[:-1] + b"\xff\n",
     }

@@ -1,15 +1,17 @@
 """Data ingestion: CSV point sets, PPM images, and seeded Gaussian sampling.
 
-Files are opened in two places.  ``_read_chunks`` reads a path or a
+Files are opened in two places.  ``_read_chunks`` only reads a path or a
 stream a chunk at a time: ``read_ppm`` takes the bytes of one whole read as
-they are, and ``_text_pieces`` decodes the chunks as UTF-8 as they arrive,
-cut at line ends, naming the line of a byte that is not UTF-8 and skipping
-one byte-order mark.  ``read_text`` joins those pieces for the model JSON;
-``read_points_csv`` decodes the rows of each piece as it arrives, so that
-it never holds the bytes or the text of a whole file.  ``output_file`` opens
-every file the package writes (points CSV, PPM image, model JSON, report
-and SVG plot) and removes it when its write fails part way, at the final
-close included.
+they are.  ``_text_pieces`` alone knows where a line ends and which line it
+is: it cuts the chunks at line ends, turns a path's CRLF and CR into LF,
+decodes each piece as UTF-8 as it arrives, naming the line of a byte that
+is not UTF-8, skips one byte-order mark, and gives each piece with the
+number of its first line.  ``read_text`` joins those pieces for the model
+JSON; ``read_points_csv`` decodes the rows of each piece as it arrives, so
+that it never holds the bytes or the text of a whole file.
+``output_file`` opens every file the package writes (points CSV, PPM
+image, model JSON, report and SVG plot) and removes it when its write
+fails part way, at the final close included.
 
 ``image_to_blocks`` cuts a ``Raster`` into the (tiles, 3 * b**2) matrix of
 its flattened b x b tiles, a point array like any other.
@@ -29,7 +31,7 @@ import os
 import re
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from functools import partial
 from itertools import compress
 from typing import NamedTuple
@@ -68,14 +70,14 @@ def output_file(destination, binary: bool = False):
 
 
 def read_text(source) -> str:
-    """The whole text of a path or stream.
+    """The whole text of a path or stream, as ``_text_pieces`` gives it.
 
-    A path is read like a file opened in text mode, with CRLF and CR line
-    ends turned into LF; a stream's text is taken as it is.  One leading
-    byte-order mark (U+FEFF), as spreadsheet programs write, is dropped.
-    Bytes that are not UTF-8 raise ParseError with the line they are on.
+    A path's CRLF and CR line ends are turned into LF, as text mode turns
+    them; a stream's text is taken as it is.  One leading byte-order mark
+    (U+FEFF), as spreadsheet programs write, is dropped.  Bytes that are
+    not UTF-8 raise ParseError with the line they are on.
     """
-    return "".join(_text_pieces(source))
+    return "".join(piece for _, piece in _text_pieces(source))
 
 
 # Bytes, or characters of a text stream, read at a time.  Text is decoded
@@ -84,55 +86,51 @@ def read_text(source) -> str:
 _CHUNK_SIZE = 2**16
 
 
-def _read_chunks(source, size: int, newlines: bool = False):
+def _read_chunks(source, size: int):
     """Generator of the content of a path or stream, ``size`` bytes at a time.
 
     A stream's chunks are what its ``read(size)`` gives, bytes or str; a
-    path is read as bytes, with its CRLF and CR line ends turned into LF
-    when ``newlines`` is true, as text mode turns them.  The last chunk is
-    empty, so that even an empty stream shows whether it gives bytes.
+    path is read as bytes.  The last chunk is empty, and no other is, so
+    that even an empty stream shows whether it gives bytes.
     """
-    if hasattr(source, "read"):
-        while chunk := source.read(size):
+    opened = nullcontext(source) if hasattr(source, "read") else open(os.fspath(source), "rb")
+    with opened as handle:
+        while chunk := handle.read(size):
             yield chunk
         yield chunk
-        return
-    with open(os.fspath(source), "rb") as handle:
-        held = b""  # a CR that ends a chunk, until the next shows whether LF follows it
-        while chunk := handle.read(size):
-            if newlines and (held or b"\r" in chunk):
-                chunk = held + chunk
-                held = chunk[-1:] if chunk.endswith(b"\r") else b""
-                chunk = chunk[: len(chunk) - len(held)].replace(b"\r\n", b"\n")
-                chunk = chunk.replace(b"\r", b"\n")
-            yield chunk
-        if held:
-            yield b"\n"
-        yield b""
 
 
 def _text_pieces(source):
-    """Generator of the text ``read_text`` returns, in pieces that end at a LF, but the last.
+    """Generator of (first line, piece) for the text ``read_text`` returns,
+    in pieces that end at a LF, but the last; lines are numbered from 1.
 
-    The source is read ``_CHUNK_SIZE`` bytes at a time, and each piece is
-    decoded as soon as a line end closes it; multi-byte UTF-8 characters
-    hold no LF byte, so a piece is cut between characters.  Only the new
-    chunk is searched for a LF, and the parts of a line that several chunks
-    hold are joined once, so that a long line costs time linear in its length.
+    The source is read ``_CHUNK_SIZE`` bytes at a time.  A stream's chunk is
+    cut after its last LF.  A path's chunk is cut after its last LF or after
+    its last CR that is not its final byte, so that a CR at a chunk's end
+    waits to show whether a LF follows it, and the piece's CRLF and CR line
+    ends are turned into LF before it is decoded.  Line-end bytes are not
+    part of a multi-byte UTF-8 character, so a piece is cut, and converted,
+    between characters.  Only the new chunk is searched for a line end, and
+    the parts of a line that several chunks hold are joined once, so that a
+    long line costs time linear in its length.
     """
+    path = not hasattr(source, "read")
     line = 1  # the line the next piece starts on
     start = True  # no text has been given yet, so a byte-order mark may come
     head = []  # the parts of a line read so far, before its end
     try:
-        for chunk in _read_chunks(source, _CHUNK_SIZE, newlines=True):
-            newline = b"\n" if isinstance(chunk, bytes) else "\n"
+        for chunk in _read_chunks(source, _CHUNK_SIZE):
             # the empty last chunk ends the text, whether or not a line end does
-            cut = chunk.rfind(newline) + 1
+            cut = chunk.rfind(b"\n" if isinstance(chunk, bytes) else "\n") + 1
+            if path:
+                cut = max(cut, chunk.rfind(b"\r", 0, -1) + 1)
             if chunk and not cut:
                 head.append(chunk)
                 continue
             piece = chunk[:0].join([*head, chunk[:cut]])
             head = [chunk[cut:]]
+            if path and b"\r" in piece:  # a search for CRLF is ~50x slower than for CR
+                piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             if isinstance(piece, bytes):
                 try:
                     piece = piece.decode("utf-8")
@@ -143,8 +141,8 @@ def _text_pieces(source):
                     ) from None
             if start and piece:
                 piece, start = piece.removeprefix("\ufeff"), False
+            yield line, piece
             line += piece.count("\n")
-            yield piece
     except UnicodeDecodeError as exc:  # a text stream's own decoding
         raise ParseError(f"text is not UTF-8: {exc.reason}") from None
 
@@ -193,21 +191,20 @@ def read_points_csv(source) -> np.ndarray:
 
 
 def _data_rows(pieces):
-    """Generator of the rows that hold points, one block for each piece of
-    text that ends at a line end and holds such a row: a list of their
-    1-based line numbers and one of the stripped rows.
+    """Generator of the rows that hold points, one block for each
+    ``_text_pieces`` piece that holds such a row: a list of their 1-based
+    line numbers, counted from the piece's first line, and one of the
+    stripped rows.
 
     Blank lines and lines starting with '#' are dropped, and so is the first
     remaining row when it is a header.
     """
-    line = 1  # the line the next piece starts on
     header = True  # no row has been kept yet
-    for text in pieces:
+    for line, text in pieces:
         raw = [part.strip() for part in text.split("\n")]
         kept = [part and part[0] != "#" for part in raw]
         numbers = list(compress(range(line, line + len(raw)), kept))
         lines = list(compress(raw, kept))
-        line += len(raw) - 1
         if header and lines:
             header = False
             if _is_header(lines[0]):

@@ -39,6 +39,7 @@ from gaussmatch.cli import (
     run,
     scatter_svg,
 )
+from gaussmatch import ingest
 from gaussmatch.oracle import FamilyCheck
 from gaussmatch.families import Family
 from helpers import run_with_file_size_limit
@@ -533,6 +534,25 @@ class TestBadCsvInput:
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: line {line}: ")
         assert "Traceback" not in result.stderr
+
+    def test_lone_cr_chunk_keeps_the_whole_file_error(self, tmp_path):
+        # the last chunk read is the lone CR that ends a line with a cut
+        # character: the line is decoded with its end, as in the whole text
+        data = b"1,2\n" * 16383 + b"3,\xe2\x82\r"
+        assert len(data) == ingest._CHUNK_SIZE + 1
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as caught:
+            data.decode("utf-8")
+        at, reason = caught.value.start, caught.value.reason
+        lines = data.replace(b"\r", b"\n").count(b"\n", 0, at) + 1
+        result = subprocess.run(
+            [sys.executable, "-m", "gaussmatch.cli", "report", "--input", str(path)],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (
+            2, f"error: line {lines}: text is not UTF-8 (byte 0x{data[at]:02x}: {reason})\n"
+        )
 
 
 def _bad_model_files(valid: dict) -> dict[str, bytes]:

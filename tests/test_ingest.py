@@ -178,7 +178,7 @@ def _decode_table(lines, width):
 
 def _numbered(text):
     """The (line number, line) pairs of the data rows of ``text``."""
-    return [row for numbers, lines in _data_rows([text]) for row in zip(numbers, lines)]
+    return [row for numbers, lines in _data_rows([(1, text)]) for row in zip(numbers, lines)]
 
 
 def _accepted(values, rows, width) -> bool:
@@ -495,6 +495,8 @@ class TestChunkBoundaries:
     @example("1,\u0661\n\u20ac,2\n3,\U0001d7d9\n".encode("utf-8"))
     # a malformed row early and a byte that is not UTF-8 late: the byte is the error
     @example(b"1,2\n3,4,5\n" + b"6,7\n" * 10 + b"8,\xff9\n")
+    # a CR alone in a chunk, after bytes that are not UTF-8: their line is decoded with its end
+    @example(b"1,2\n3\xe9\r\n")
     def test_matches_whole_text(self, tmp_path_factory, data):
         _check_chunked_reads(data, tmp_path_factory.mktemp("chunks") / "p.csv")
 

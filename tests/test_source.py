@@ -1,9 +1,11 @@
 """Rules about the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import gaussmatch
+from gaussmatch import ingest
 
 PACKAGE = Path(gaussmatch.__file__).parent
 
@@ -145,6 +147,29 @@ def test_oracle_parameters_have_one_decoder():
         "oracle tril_indices", "oracle._objective params[-(n * (n + 1) // 2):]",
         "oracle._unpack 709.0", "oracle._unpack params[:n]", "oracle._unpack params[n:]",
     ], found
+
+
+def test_line_ends_have_one_home():
+    # ingest._text_pieces alone cuts a path's text at CR as well as LF and
+    # turns its CRLF and CR into LF; ingest._read_chunks only reads.  The raw
+    # pattern _PPM_TOKEN holds a backslash and an "r", not a CR.
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, bytes) and (
+                b"\r" in child.value
+            ):
+                found.append(f"{owner}:{child.lineno}")
+            visit(child, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    assert found and {place.split(":")[0] for place in found} == {"ingest._text_pieces"}, found
+    assert list(inspect.signature(ingest._read_chunks).parameters) == ["source", "size"]
 
 
 def test_ppm_format_rules_have_one_home():

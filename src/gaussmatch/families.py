@@ -217,7 +217,12 @@ def family_report(moments: Moments, fixed_means) -> list[FitResult]:
     fixed-mean family, one per entry of ``fixed_means``.  Results follow
     FAMILY_ORDER, with fixed means in the order given.
     """
-    means = [finite_vector(m, "fixed mean") for m in fixed_means]
+    try:
+        means = [finite_vector(m, "fixed mean") for m in fixed_means]
+    except TypeError:  # fixed_means is not iterable
+        raise InvalidInputError(
+            f"fixed_means must be a sequence of vectors, got {type(fixed_means).__name__}"
+        ) from None
     return [fit(moments, FamilySpec(kind, m))
             for kind in FAMILY_ORDER for m in (means if kind in FIXED_MEAN_FAMILIES else [None])]
 

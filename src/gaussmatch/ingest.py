@@ -129,8 +129,8 @@ def _text_pieces(source):
                 continue
             piece = chunk[:0].join([*head, chunk[:cut]])
             head = [chunk[cut:]]
-            if path and b"\r" in piece:  # a search for CRLF is ~50x slower than for CR
-                piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if path and b"\r" in piece:  # the regex pass costs ~20x a search for CR
+                piece = re.sub(rb"\r\n?", b"\n", piece)
             if isinstance(piece, bytes):
                 try:
                     piece = piece.decode("utf-8")
@@ -150,12 +150,12 @@ def _text_pieces(source):
 # --- CSV point sets ---------------------------------------------------------
 
 # Cells (rows times columns) in one block of a CSV that is written out, so
-# that no copy of the whole text is built; also the most values the
-# reader's table of distinct fields may hold, and the cells of the first
-# capacity of the array it fills.  On the 4096x192 image blocks (2-vCPU
-# host), written blocks of 2**10 to 2**17 cells take the same time within
-# noise, while the memory traced while writing their whitened points grows
-# from about 2**15 cells on (2**14: 1.5 MiB; 2**17: 11.5 MiB).
+# that no copy of the whole text is built; also the most values either
+# codec's table of distinct values may hold before it is left.  On the
+# 4096x192 image blocks (2-vCPU host), written blocks of 2**10 to 2**17
+# cells take the same time within noise, while the memory traced while
+# writing their whitened points grows from about 2**15 cells on (2**14:
+# 1.5 MiB; 2**17: 11.5 MiB).
 _BLOCK_CELLS = 2**14
 
 
@@ -216,16 +216,14 @@ def _data_rows(pieces):
 def _decode_blocks(blocks) -> np.ndarray:
     """The points of ``_data_rows`` blocks, one for each piece of text.
 
-    They fill an array of ``_block_rows`` rows, or of the first block's
-    rows when it holds more, that doubles when full, or grows to hold a
-    block larger than that, and is cut to size at the end.  Both fast
-    decoders accept only what the line loop accepts, with the same bits.
-    A block the decoder refuses, or whose values have another shape or are
-    not all finite, is read again by the line loop, which names the line
-    of its first error.  The decoder is chosen once, by ``_repeats`` on the
-    first block; a table of distinct fields that outgrows ``_BLOCK_CELLS``
-    values, as one for a file whose head repeats and whose body does not
-    would, is left for numpy's reader.
+    They fill an array of the first block's rows that doubles when full,
+    or grows to hold a block larger than that, and is cut to size at the
+    end.  Both fast decoders accept only what the line loop accepts, with
+    the same bits.  A block the decoder refuses, or whose values have
+    another shape or are not all finite, is read again by the line loop,
+    which names the line of its first error.  The table of distinct fields
+    is taken and left by ``_repeats``'s rule; otherwise numpy's reader
+    decodes.
     """
     points = np.empty((0, 0))
     count = 0
@@ -234,7 +232,6 @@ def _decode_blocks(blocks) -> np.ndarray:
             width = lines[0].count(",") + 1
             table = _FieldValues()
             decode = partial(_decode_distinct, table=table) if _repeats(lines) else _decode_numpy
-            points = np.empty((max(_block_rows(width), len(lines)), width))
         values = decode(lines, width)
         if values is None or values.shape != (len(lines), width) or not np.isfinite(values).all():
             values = _decode_lines(list(zip(numbers, lines)), width)
@@ -248,26 +245,20 @@ def _decode_blocks(blocks) -> np.ndarray:
     return points
 
 
-def _repeats(rows) -> bool:
-    """Whether at most half of the values in about 64 rows spread over ``rows`` are distinct.
+def _repeats(lines: list[str]) -> bool:
+    """Whether at most half of the comma-separated values in ``lines`` are distinct.
 
-    The one rule by which both CSV codecs choose a table of distinct values,
-    once for each file.  ``rows`` are the first block of CSV lines a reader
-    decodes, the rows of one piece of text, whose values are their fields,
-    or all the points a writer encodes, whose values are the bit patterns
-    of their floats (float equality merges -0.0 with 0.0, whose reprs
-    differ).  Spread, not the first rows, so that points whose head repeats
-    and whose body does not keep the per-value path: the table would hold
-    nearly every value.  The reader, which sees only its first block,
-    leaves a table that outgrows ``_BLOCK_CELLS`` values for numpy's reader
-    instead.  Counted with a set, not ``np.unique``, whose sort code alone
-    adds about 1 MB to the peak RSS of a process that then takes the loop.
+    The one table rule of both CSV codecs.  Each asks it once per file, of
+    the CSV lines of the first block it handles: the reader of one piece's
+    rows, the writer of its first block, formatted value by value.  When
+    they repeat, the codec converts each distinct value once through a
+    table, and leaves that table for good once it holds more than
+    ``_BLOCK_CELLS`` values, as one for a file whose head repeats and whose
+    body does not would.  Counted on text with a set, so that ``np.unique``,
+    whose sort code alone adds about 1 MB to the peak RSS of a process,
+    never runs on a file whose first block is distinct.
     """
-    sample = rows[:: max(1, len(rows) // 64)]
-    if isinstance(sample, np.ndarray):
-        values = np.ascontiguousarray(sample).view(np.int64).ravel().tolist()
-    else:
-        values = ",".join(sample).split(",")
+    values = ",".join(lines).split(",")
     return 2 * len(set(values)) <= len(values)
 
 
@@ -304,11 +295,6 @@ def _decode_numpy(lines: list[str], width: int):
         return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
     except ValueError:
         return None
-
-
-def _block_rows(width: int) -> int:
-    """Rows in a block of about ``_BLOCK_CELLS`` cells, at least one."""
-    return max(1, _BLOCK_CELLS // max(width, 1))
 
 
 def _decode_lines(rows: list[tuple[int, str]], width: int) -> list[list[float]]:
@@ -367,13 +353,15 @@ def write_points_csv(points, destination) -> None:
 def _text_blocks(pts: np.ndarray):
     """Generator of the CSV text of the points, about ``_BLOCK_CELLS`` cells at a time.
 
-    On the table path each block's distinct values are found by ``np.unique``
-    on their bit patterns, since float equality merges -0.0 with 0.0, whose
-    reprs differ; one dict from bit pattern to ``repr``, shared by all
-    blocks, runs ``repr`` once per distinct value of the whole array.
+    The first block is formatted value by value; the later ones take the
+    table as ``_repeats``'s rule has it.  The table finds a block's distinct
+    values by ``np.unique`` on their bit patterns, since float equality
+    merges -0.0 with 0.0, whose reprs differ, and keeps one dict from bit
+    pattern to ``repr`` across blocks, so that ``repr`` runs once per
+    distinct value.
     """
-    reprs = {} if _repeats(pts) else None
-    step = _block_rows(pts.shape[1])
+    reprs = None  # the table, from the second block on
+    step = max(1, _BLOCK_CELLS // max(pts.shape[1], 1))
     # An empty point set is one empty line, as "\n".join of no rows plus "\n".
     for start in range(0, max(len(pts), 1), step):
         block = pts[start : start + step]
@@ -388,7 +376,12 @@ def _text_blocks(pts: np.ndarray):
                     reprs[key] = repr(value)
             table = np.array([reprs[key] for key in keys], dtype=object)
             lines = map(",".join, table[inverse.reshape(block.shape)].tolist())
-        yield "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n"
+        if not start and _repeats(lines):
+            reprs = {}
+        elif reprs is not None and len(reprs) > _BLOCK_CELLS:
+            reprs = None
+        yield text
 
 
 # --- PPM images -------------------------------------------------------------

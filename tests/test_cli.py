@@ -221,6 +221,18 @@ class TestFitScore:
                     "--mean", "0,0,0", "--output", out]) == 2
         capsys.readouterr()
 
+    def test_option_value_of_two_dashes_is_a_file_name(self, sample_csv, tmp_path, monkeypatch,
+                                                        capsys):
+        # '--option=--' names the file '--'; stock argparse would hand the
+        # command an empty list, as if '--' ended the options
+        monkeypatch.chdir(tmp_path)
+        shutil.copyfile(sample_csv, "--")
+        assert run(["report", "--input=--"]) == 0
+        assert "fixed-mean" in capsys.readouterr().out
+        (tmp_path / "--").unlink()
+        assert run(["fit", "--input", str(sample_csv), "--family", "full", "--output=--"]) == 0
+        assert json.loads((tmp_path / "--").read_text(encoding="utf-8"))["family"] == "full"
+
     def test_tampered_schema_version(self, sample_csv, tmp_path, capsys):
         model = tmp_path / "m.json"
         assert run(["fit", "--input", str(sample_csv), "--family", "full",

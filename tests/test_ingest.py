@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -283,7 +284,7 @@ class TestBulkDecode:
         white = whitening_transform(estimate_moments(blocks)).apply(blocks)
         assert _repeats(_written(blocks).splitlines())
         assert not _repeats(_written(white).splitlines())
-        # the sample spans the text, so a repeating head or tail is not enough
+        # every line of the first block counts, so a repeating head or tail is not enough
         head = ["0.5,1.5"] * 64
         tail = [f"{i},{-i}" for i in range(1000)]
         assert not _repeats(head + tail)
@@ -310,7 +311,7 @@ class TestBulkDecode:
         # the first piece holds one row, the second ten: doubling the first
         # capacity, of one row, would leave no room for them
         text = "1,2\n#" + "c" * 64 + "\n" + "3,4\n" * 10
-        with mock.patch.multiple(ingest, _CHUNK_SIZE=64, _BLOCK_CELLS=2), mock.patch.object(
+        with mock.patch.object(ingest, "_CHUNK_SIZE", 64), mock.patch.object(
             ingest, "_decode_numpy", wraps=_decode_numpy
         ) as spy:
             points = read_points_csv(io.StringIO(text))
@@ -515,6 +516,22 @@ class _Discard:
         return len(text)
 
 
+@contextmanager
+def _unique_calls():
+    """A list that gains an entry at each call of ``np.unique`` in the block.
+
+    The arguments are not kept, so that counting holds no block alive."""
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return unique(*args, **kwargs)
+
+    with mock.patch.object(np, "unique", counted):
+        yield calls
+
+
 def _traced_peak(call):
     """The peak of the memory traced by ``tracemalloc`` during ``call()``, and its result."""
     tracemalloc.start()
@@ -560,9 +577,23 @@ class TestBoundedMemory:
         # np.unique over the whole array would allocate its int64 inverse,
         # as large as the points, and a sorted copy beside it
         points = np.random.default_rng(6).integers(0, 4, (2**17, 8)) / 4.0
-        assert _repeats(points)
-        peak, _ = _traced_peak(lambda: write_points_csv(points, _Discard()))
+        with _unique_calls() as calls:
+            peak, _ = _traced_peak(lambda: write_points_csv(points, _Discard()))
+        assert len(calls) == points.size // ingest._BLOCK_CELLS - 1  # every block but the first
         assert peak < points.nbytes / 4
+
+    def test_writer_leaves_a_table_that_outgrows_a_block(self):
+        # two constant columns beside a distinct one: the first block's lines
+        # repeat, so the writer takes the table from the second block on, and
+        # leaves it during the fourth, once it holds more than _BLOCK_CELLS
+        # values; a table of every value would hold 2**17 reprs (about 19 MiB)
+        points = np.zeros((2**17, 3))
+        points[:, 1] = 1.0
+        points[:, 2] = np.random.default_rng(7).normal(size=2**17)
+        with _unique_calls() as calls:
+            peak, _ = _traced_peak(lambda: write_points_csv(points, _Discard()))
+        assert len(calls) == 3
+        assert peak < 8 * 2**20
 
 
 class TestCsvRoundTrip:
@@ -634,13 +665,21 @@ class TestWritePointsCsv:
     )
     @example(np.array([[0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0]] * 4))
     def test_table_path_matches_loop(self, points):
-        assert _repeats(points)
-        assert _written(points) == _loop_csv(points.tolist())
+        # blocks of half the array or less, so that the table writes from the
+        # second on, with room for every value of the pool
+        cells = max(len(_POOL), points.size // 2)
+        with mock.patch.multiple(ingest, _repeats=lambda lines: True, _BLOCK_CELLS=cells), \
+                _unique_calls() as calls:
+            assert _written(points) == _loop_csv(points.tolist())
+        assert calls
 
-    def test_zero_signs_kept(self):
+    def test_zero_signs_kept(self, monkeypatch):
+        # blocks of two rows: the first repeats, the other three are tabled
+        monkeypatch.setattr(ingest, "_BLOCK_CELLS", 4)
         points = np.array([[0.0, -0.0], [-0.0, 0.0]] * 4)
-        assert _repeats(points)
-        assert _written(points) == "0.0,-0.0\n-0.0,0.0\n" * 4
+        with _unique_calls() as calls:
+            assert _written(points) == "0.0,-0.0\n-0.0,0.0\n" * 4
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("source", ["repeating", "distinct"])
     def test_shapes_and_layouts(self, source):
@@ -708,25 +747,35 @@ class TestWritePointsCsv:
         assert result.stderr.endswith("OSError: [Errno 27] File too large\n")
         assert not out.exists()
 
-    def test_path_choice(self):
+    def test_path_choice(self, monkeypatch):
+        # four blocks of 16 rows: the 8-bit samples repeat, so the last three
+        # blocks are tabled, and the whitened points do not
         pixels = np.random.default_rng(0).integers(0, 256, (32, 32, 3)).astype(np.uint16)
         blocks = image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4)
-        assert _repeats(blocks)
         white = whitening_transform(estimate_moments(blocks)).apply(blocks)
-        assert not _repeats(white)
-        assert _written(white) == _loop_csv(white.tolist())
-        assert _written(blocks) == _loop_csv(blocks.tolist())
+        monkeypatch.setattr(ingest, "_BLOCK_CELLS", blocks.size // 4)
+        for points, tabled in [(blocks, 3), (white, 0)]:
+            with _unique_calls() as calls:
+                assert _written(points) == _loop_csv(points.tolist())
+            assert len(calls) == tabled
 
-    def test_chooser_samples_rows_spread_over_the_points(self):
-        # the reader's rule on the same sample: a repeating head or tail is not enough
-        head = np.tile([0.5, 1.5], (64, 1))
-        tail = np.column_stack([np.arange(1000.0), -np.arange(1000.0)])
-        for points, table in [(np.vstack([head, tail]), False), (np.vstack([tail, head]), False),
-                              (np.vstack([head, tail[:60]] * 16), True)]:
-            assert _repeats(points) is table
-            assert _written(points) == _loop_csv(points.tolist())
-        assert _repeats(np.array([[0.0], [0.0]]))  # half distinct
-        assert not _repeats(np.array([[0.0], [-0.0]]))  # distinct bits
+    def test_table_rule_reads_the_first_block(self):
+        # a repeating head over a distinct body: the head fills the first
+        # block, but at 2**14 cells, where that block is the whole array, so
+        # the table writes from the second block until it holds more than
+        # _BLOCK_CELLS values, two rows into the body.  A distinct head keeps
+        # the per-value loop throughout.
+        head = np.full((64, 2), 0.5)
+        body = np.column_stack([np.arange(1000.0), -np.arange(1000.0)])
+        for block_cells, tabled in [(3, 65), (8, 16), (2**14, 0)]:
+            for points, count in [(np.vstack([head, body]), tabled),
+                                  (np.vstack([body, head]), 0)]:
+                with mock.patch.object(ingest, "_BLOCK_CELLS", block_cells), \
+                        _unique_calls() as calls:
+                    assert _written(points) == _loop_csv(points.tolist())
+                assert len(calls) == count, block_cells
+        assert _repeats(["0.0", "0.0"])  # half distinct
+        assert not _repeats(["0.0", "-0.0"])  # distinct reprs
 
 
 def _gradient_raster(width=16, height=8, maxval=255):

@@ -21,6 +21,7 @@ from gaussmatch import (
     SingularMatrixError,
     as_point_set,
     estimate_moments,
+    family_report,
     image_to_blocks,
     mahalanobis_sq,
     min_trace_assignment,
@@ -386,6 +387,7 @@ _bad_arguments = st.one_of(
 _EYE = np.eye(2)
 _SINGULAR = [[1.0, 0.0], [0.0, 0.0]]
 _RASTER = Raster(pixels=np.zeros((2, 2, 3), dtype=np.uint16), maxval=255)
+_MOMENTS = estimate_moments([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
 
 # Each call puts the bad value in one argument and valid values in the others.
 _CHECKED_CALLS = {
@@ -446,6 +448,10 @@ _SCALAR_CASES = {
                                   "dim must be an integer, got float"),
     "verify_families dims int": (lambda: verify_families(3, 5, 0),
                                  "dims must be a sequence of integers, got int"),
+    "family_report fixed_means None": (lambda: family_report(_MOMENTS, None),
+                                       "fixed_means must be a sequence of vectors, got NoneType"),
+    "family_report fixed_means int": (lambda: family_report(_MOMENTS, 5),
+                                      "fixed_means must be a sequence of vectors, got int"),
 }
 
 

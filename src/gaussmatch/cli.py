@@ -387,7 +387,8 @@ def scatter_svg(points: np.ndarray) -> str:
 
     The cross marks the segments [-1, 1] on both axes through the origin,
     the natural scale after whitening.  One-dimensional input is drawn
-    along the x axis.
+    along the x axis.  Raises InvalidInputError when the drawn range
+    overflows the float range.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -399,6 +400,8 @@ def scatter_svg(points: np.ndarray) -> str:
     span = (hi - lo) or 1.0
     lo -= 0.05 * span
     hi += 0.05 * span
+    if not np.isfinite(hi - lo):
+        raise InvalidInputError("points are too far apart to plot within the float range")
     scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / (hi - lo)
 
     def sx(value: float) -> float:

@@ -155,9 +155,18 @@ def match_score(moments: Moments, model: GaussianModel) -> float:
 
 
 def _model_terms(moments: Moments, model: GaussianModel) -> tuple[float, float, float]:
-    """``||m - m_Y||_S^2``, ``tr(S^-1 S_Y)`` and ``ln det S`` for the model (m, S)."""
+    """``||m - m_Y||_S^2``, ``tr(S^-1 S_Y)`` and ``ln det S`` for the model (m, S).
+
+    Raises InvalidInputError, without a numpy warning, when the first two
+    overflow the float range, as for a model mean far from the data."""
     require_dim(model.dim, moments.dim, "model", "data")
     factor = model.factor
-    diff = model.mean - moments.mean
-    maha = float(diff @ factor.precision @ diff)
-    return maha, float(np.sum(factor.precision * moments.cov)), factor.log_det
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = model.mean - moments.mean
+        maha = float(diff @ factor.precision @ diff)
+        trace_term = float(np.sum(factor.precision * moments.cov))
+    if not math.isfinite(maha + trace_term):
+        raise InvalidInputError(
+            "model is so far from the data that its score overflows the float range"
+        )
+    return maha, trace_term, factor.log_det

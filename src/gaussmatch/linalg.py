@@ -156,34 +156,58 @@ def require_positive_definite(smallest: float, matrix: np.ndarray, name: str = "
         )
 
 
-def require_nonnegative_definite(values: np.ndarray, name: str = "matrix") -> None:
-    """Raise InvalidInputError when the descending spectrum ``values`` is negative
-    beyond rounding: its smallest entry below -EIGENVALUE_FLOOR_SCALE times the
-    largest eigenvalue magnitude, so that the rule holds at any scale."""
-    if float(values[-1]) < -EIGENVALUE_FLOOR_SCALE * max(float(values[0]), -float(values[-1])):
+def require_nonnegative_definite(values: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """The descending spectrum ``values`` with its stray negative entries clipped
+    to 0.  Raises InvalidInputError when the spectrum is negative beyond rounding:
+    its smallest entry below -EIGENVALUE_FLOOR_SCALE times the largest eigenvalue
+    magnitude, so that the rule holds at any scale.  An empty spectrum passes."""
+    if values.size and values[-1] < -EIGENVALUE_FLOOR_SCALE * max(values[0], -values[-1]):
         raise InvalidInputError(
             f"{name} must be nonnegative definite (smallest eigenvalue {values[-1]:.3e})"
         )
+    return np.clip(values, 0.0, None)
+
+
+def _spectral_power(vectors: np.ndarray, values: np.ndarray, exponent: float, name: str):
+    """``V diag(lam**t) V.T``, symmetrized; InvalidInputError naming ``name`` when an
+    entry overflows the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        powered = (vectors * values ** exponent) @ vectors.T
+    return _finite_symmetric(powered, f"power {exponent:g} of the {name}")
+
+
+def _finite_symmetric(product: np.ndarray, what: str) -> np.ndarray:
+    """``symmetrize(product)``; InvalidInputError saying that ``what`` overflows the
+    float range when an entry of ``product`` is not finite."""
+    if not np.isfinite(product).all():
+        raise InvalidInputError(f"{what} overflows the float range")
+    return symmetrize(product)
 
 
 @dataclass(frozen=True, eq=False)
 class SpdFactor:
-    """Spectral factor of a symmetric positive definite matrix S."""
+    """Spectral factor of a symmetric positive definite matrix S.
+
+    The inverse and the powers raise InvalidInputError, naming S, when an
+    entry overflows the float range, as for a subnormal spectrum."""
 
     values: np.ndarray   # eigenvalues, descending, all above the floor
     vectors: np.ndarray  # orthonormal columns, column i pairs with values[i]
     log_det: float       # ln det S
+    name: str            # what S is, for error messages
 
     @cached_property
     def precision(self) -> np.ndarray:
         """``inv(S)``, symmetrized and read-only, computed on first read."""
-        precision = symmetrize((self.vectors / self.values) @ self.vectors.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            precision = (self.vectors / self.values) @ self.vectors.T
+        precision = _finite_symmetric(precision, f"inverse of the {self.name}")
         precision.flags.writeable = False
         return precision
 
     def power(self, exponent: float) -> np.ndarray:
         """``S**t`` by the spectral map ``V diag(lam**t) V.T``, symmetrized."""
-        return symmetrize((self.vectors * self.values ** exponent) @ self.vectors.T)
+        return _spectral_power(self.vectors, self.values, exponent, self.name)
 
 
 def spd_factor(matrix, eig: EigenDecomposition | None = None, name: str = "matrix") -> SpdFactor:
@@ -198,7 +222,7 @@ def spd_factor(matrix, eig: EigenDecomposition | None = None, name: str = "matri
     if eig is None:
         eig = sym_eigen(m)
     require_positive_definite(float(eig.values[-1]), m, name)
-    return SpdFactor(eig.values, eig.vectors, float(np.log(eig.values).sum()))
+    return SpdFactor(eig.values, eig.vectors, float(np.log(eig.values).sum()), name)
 
 
 def spd_power(matrix, exponent: float) -> np.ndarray:
@@ -206,14 +230,16 @@ def spd_power(matrix, exponent: float) -> np.ndarray:
 
     Negative exponents require the matrix to be positive definite above the
     eigenvalue floor; SingularMatrixError is raised otherwise.  Nonnegative
-    exponents tolerate a semidefinite input by clamping stray negative
-    eigenvalues to zero.
+    exponents take a nonnegative definite input, as ``min_trace_assignment``
+    does, and clamp its stray negative eigenvalues to zero; an empty matrix
+    gives an empty result.  A power that overflows the float range raises
+    InvalidInputError.
     """
     if exponent < 0.0:
         return spd_factor(matrix).power(exponent)
     eig = sym_eigen(matrix)
-    powered = np.clip(eig.values, 0.0, None) ** exponent
-    return symmetrize((eig.vectors * powered) @ eig.vectors.T)
+    return _spectral_power(eig.vectors, require_nonnegative_definite(eig.values), exponent,
+                           "matrix")
 
 
 def min_trace_assignment(target_spectrum, matrix) -> float:
@@ -235,8 +261,6 @@ def min_trace_assignment(target_spectrum, matrix) -> float:
         raise InvalidInputError("target spectrum must be nonnegative")
     b = symmetrize(matrix)
     require_dim(lam.size, b.shape[0], "target spectrum", "matrix")
-    beta = sym_eigen(b).values
-    require_nonnegative_definite(beta)
-    beta = np.clip(beta, 0.0, None)
+    beta = require_nonnegative_definite(sym_eigen(b).values)
     # lam ascending, beta descending: the anti-aligned pairing.
     return float(lam @ beta)

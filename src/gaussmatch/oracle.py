@@ -26,18 +26,20 @@ calling process where that module says.  The workers inherit the
 datasets.  No option, argument or environment variable changes this.
 A worker that dies raises ChildProcessError.
 
-A parameter vector is turned into a mean and a covariance factor in one
-place, ``_unpack``; the objective and the final model of a fit both
-decode through it.  Each run builds its objective once
-(``_make_objective``) and evaluates it from that factor, with no
-eigendecomposition: elementwise from the variances for the diagonal and
-isotropic families, and from the factor L (``log det = 2 * sum(log diag
-L)``, one linear solve of the centred points) for the full family.  A
-covariance must clear the positivity floor of :mod:`gaussmatch.linalg`,
-exactly as an ``eigh`` of it would decide.  The variances are their own spectrum.  A
-factor L passes when the AM-GM lower bound ``det * ((n-1)/tr)**(n-1)`` on
-the smallest eigenvalue of L @ L.T beats the floor twice over; any other
-factor is judged, and evaluated, through ``eigh`` of L @ L.T.
+A parameter vector is read in one place, ``_unpack``, which turns it
+into a mean, a covariance factor and the log-determinant of the
+covariance; the objective and the final model of a fit both decode
+through it, and ``_initial_point`` writes its blocks in the same order.
+Each run builds its objective once (``_make_objective``) and evaluates it
+from that factor and log-determinant, with no eigendecomposition:
+elementwise from the variances for the diagonal and isotropic families,
+and by one linear solve of the centred points with the factor L for the
+full family.  A covariance must clear the positivity floor of
+:mod:`gaussmatch.linalg`, exactly as an ``eigh`` of it would decide.  The
+variances are their own spectrum.  A factor L passes when the AM-GM lower
+bound ``det * ((n-1)/tr)**(n-1)`` on the smallest eigenvalue of L @ L.T
+beats the floor twice over; any other factor is judged, and evaluated,
+through ``eigh`` of L @ L.T.
 """
 
 from __future__ import annotations
@@ -126,9 +128,9 @@ def empirical_cross_entropy(points, model: GaussianModel) -> float:
 
 
 def _unpack(shape: Family, fixed_mean, n: int, params: np.ndarray):
-    """Decode an unconstrained parameter vector into (mean, factor).
+    """Decode an unconstrained parameter vector into (mean, factor, log_det).
 
-    The one decoder of the parameter layout, for a family of covariance
+    The one reader of the parameter layout, for a family of covariance
     ``shape`` (a ``FamilySpec.shape``) whose mean is pinned at
     ``fixed_mean``, or free when it is None.  A free mean takes the first n
     parameters; the rest describe the covariance on the log axis.  The
@@ -136,7 +138,9 @@ def _unpack(shape: Family, fixed_mean, n: int, params: np.ndarray):
     families (all infinite at an isotropic log-scale of 709 or more, where
     ``math.exp`` overflows), and for the full family the lower-triangular L
     of the covariance L @ L.T: the log of its diagonal, then its entries
-    below the diagonal row by row.  Sets no numpy error state.
+    below the diagonal row by row.  ``log_det`` is ln det of the covariance:
+    the sum of the log-variances, or twice the sum of L's log-diagonal as
+    the parameters hold it, so that it is exact.  Sets no numpy error state.
     """
     if fixed_mean is None:
         mean, rest = params[:n], params[n:]
@@ -146,10 +150,12 @@ def _unpack(shape: Family, fixed_mean, n: int, params: np.ndarray):
         lower = np.zeros((n, n))
         lower.flat[:: n + 1] = np.exp(rest[:n])
         lower[_BELOW_DIAGONAL[n]] = rest[n:]
-        return mean, lower
+        return mean, lower, 2.0 * float(rest[:n].sum())
     if shape is Family.ISOTROPIC:
-        return mean, np.full(n, math.exp(rest[0]) if rest[0] < 709.0 else math.inf)
-    return mean, np.exp(rest)
+        variances = np.full(n, math.exp(rest[0]) if rest[0] < 709.0 else math.inf)
+    else:
+        variances = np.exp(rest)
+    return mean, variances, float(np.log(variances).sum())
 
 
 def _mean_cov_from_params(spec: FamilySpec, n: int, params: np.ndarray):
@@ -159,41 +165,38 @@ def _mean_cov_from_params(spec: FamilySpec, n: int, params: np.ndarray):
     matrix of the variances, from ``_unpack``; so every parameter vector
     maps to a symmetric positive definite covariance inside the family.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, factor = _unpack(spec.shape, spec.fixed_mean, n, params)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean, factor, _ = _unpack(spec.shape, spec.fixed_mean, n, params)
         cov = factor @ factor.T if spec.shape is Family.FULL else np.diag(factor)
     return np.asarray(mean, dtype=float), cov
 
 
 def _initial_point(spec: FamilySpec, moments, n: int):
-    """Starting parameter vector and a per-parameter perturbation scale."""
+    """Starting parameter vector and a per-parameter perturbation scale.
+
+    Both follow the blocks ``_unpack`` reads, for a mean variance s of the
+    data: a free mean at the data mean; the log-axis entries (one for the
+    isotropic family) at ln s, or ½ ln s for L; the entries below L's
+    diagonal at 0.
+    """
     scale = max(float(np.trace(moments.cov)) / n, 1e-12)
-    log_scale = math.log(scale)
-    mean_sigma = 0.35 * math.sqrt(scale)
-    parts, sigmas = [], []
-    if spec.fixed_mean is None:
-        parts.append(np.asarray(moments.mean, dtype=float))
-        sigmas.append(np.full(n, mean_sigma))
-    if spec.shape is Family.FULL:
-        tril = n * (n - 1) // 2
-        parts.append(np.full(n, 0.5 * log_scale))
-        sigmas.append(np.full(n, 0.35))
-        parts.append(np.zeros(tril))
-        sigmas.append(np.full(tril, 0.35 * math.sqrt(scale)))
-    elif spec.shape is Family.ISOTROPIC:
-        parts.append(np.array([log_scale]))
-        sigmas.append(np.array([0.35]))
-    else:
-        parts.append(np.full(n, log_scale))
-        sigmas.append(np.full(n, 0.35))
-    return np.concatenate(parts), np.concatenate(sigmas)
+    full = spec.shape is Family.FULL
+    blocks = (
+        (moments.mean if spec.fixed_mean is None else np.empty(0), 0.35 * math.sqrt(scale)),
+        (np.full(1 if spec.shape is Family.ISOTROPIC else n,
+                 (0.5 if full else 1.0) * math.log(scale)), 0.35),
+        (np.zeros(n * (n - 1) // 2 if full else 0), 0.35 * math.sqrt(scale)),
+    )
+    return (np.concatenate([start for start, _ in blocks]),
+            np.concatenate([np.full(start.size, sigma) for start, sigma in blocks]))
 
 
 def _make_objective(pts: np.ndarray, spec: FamilySpec):
     """Build the Nelder-Mead objective for one family and one point set.
 
-    The returned function decodes a parameter vector with ``_unpack``, the
-    one decoder, and maps it to the empirical cross-entropy of ``pts``, or
+    The returned function takes the mean, factor and log-determinant of a
+    parameter vector from ``_unpack``, the one reader of the vector, and
+    maps them to the empirical cross-entropy of ``pts``, or
     to ``inf`` wherever ``_ce_terms`` on the same covariance rejects it or
     gives a value that is not finite.  It never sets numpy error states;
     call it under ``np.errstate`` to silence overflow warnings at extreme
@@ -212,13 +215,13 @@ def _make_objective(pts: np.ndarray, spec: FamilySpec):
 
 
 def _objective(pts, shape, fixed_mean, fixed_centred, bound_const, params) -> float:
-    """The function ``_make_objective`` returns, with its bound arguments first."""
+    """The function ``_make_objective`` returns, with its bound arguments first.
+
+    Reads ``params`` only through ``_unpack``."""
     count, n = pts.shape
-    mean, factor = _unpack(shape, fixed_mean, n, params)
+    mean, factor, log_det = _unpack(shape, fixed_mean, n, params)
     centred = pts - mean if fixed_centred is None else fixed_centred
     if factor.ndim == 2:  # the full family's L
-        # The log-diagonal of L heads the last n(n+1)/2 parameters.
-        log_det = 2.0 * float(params[-(n * (n + 1) // 2) :][:n].sum())
         tr = float(np.einsum("ij,ij->", factor, factor))
         if not (
             _TRACE_RANGE[0] < tr < _TRACE_RANGE[1]
@@ -231,7 +234,6 @@ def _objective(pts, shape, fixed_mean, fixed_centred, bound_const, params) -> fl
     else:
         if not factor.min() > EIGENVALUE_FLOOR_SCALE * (float(factor.sum()) / n):
             return math.inf
-        log_det = float(np.log(factor).sum())
         z = centred / np.sqrt(factor)
     value = 0.5 * (n * LOG_TWO_PI + log_det + float(np.einsum("ij,ij->", z, z)) / count)
     return value if math.isfinite(value) else math.inf

@@ -307,6 +307,25 @@ class TestTransform:
         assert result.stderr == "error: transformed points overflow the float range\n"
         assert not out.exists()
 
+    def test_plot_whose_range_overflows_is_a_data_error(self, tmp_path):
+        # the drawn range 1e308 - (-1e308) is beyond the float range; under
+        # warnings as errors it is exit 2, one line, and neither file
+        pts = tmp_path / "wide.csv"
+        pts.write_text("1e308,0\n-1e308,1\n0,2\n")
+        model = tmp_path / "unit.json"
+        model.write_text(json.dumps(dict(_VALID_DOC, mean=[0.0, 0.0],
+                                         covariance=[[1.0, 0.0], [0.0, 1.0]])))
+        out, svg = tmp_path / "w.csv", tmp_path / "w.svg"
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gaussmatch.cli", "transform", "--input",
+             str(pts), "--model", str(model), "--output", str(out), "--plot", str(svg)],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (
+            2, "error: points are too far apart to plot within the float range\n"
+        )
+        assert not out.exists() and not svg.exists()
+
 
 _RUN_CLI = "import sys\nfrom gaussmatch import cli\nsys.exit(cli.run(sys.argv[1:]))\n"
 
@@ -665,6 +684,27 @@ class TestOverflowingCovariance:
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ") and "overflow" in result.stderr
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
+
+class TestScoreOverflow:
+    """A model whose score overflows the float range is one data error, without a warning."""
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"mean": [1e300, -1e300]},
+         "model is so far from the data that its score overflows the float range"),
+        ({"covariance": [[1e-310, 0.0], [0.0, 1e-310]]},
+         "inverse of the model covariance overflows the float range"),
+    ], ids=["far-mean", "subnormal-covariance"])
+    def test_exit_2_under_warnings_as_errors(self, tmp_path, changes, message):
+        points, model = tmp_path / "p.csv", tmp_path / "m.json"
+        points.write_text("1,0\n-1,0\n0,1\n0,-1\n")
+        model.write_text(json.dumps({**_VALID_DOC, **changes}))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gaussmatch.cli", "score",
+             "--input", str(points), "--model", str(model)],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr, result.stdout) == (2, f"error: {message}\n", "")
 
 
 class TestFarPinnedMean:

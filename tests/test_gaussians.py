@@ -1,6 +1,7 @@
 """Moment estimation, cross-entropy closed forms, and the match score."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,3 +226,19 @@ class TestMatchScore:
         mom = Moments(mean=[0.0, 0.0], cov=np.eye(2))
         with pytest.raises(SingularMatrixError):
             match_score(mom, GaussianModel(mean=[0.0, 0.0], cov=np.diag([1.0, 0.0])))
+
+    @pytest.mark.parametrize("mean, cov, message", [
+        ([1e300, -1e300], 0.5 * np.eye(2),
+         "^model is so far from the data that its score overflows the float range$"),
+        # positive definite by the relative floor, but its inverse is beyond the float range
+        ([0.0, 0.0], 1e-310 * np.eye(2),
+         "^inverse of the model covariance overflows the float range$"),
+    ], ids=["far-mean", "subnormal-covariance"])
+    def test_overflow_is_refused_without_warning(self, mean, cov, message):
+        mom = estimate_moments([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        model = GaussianModel(mean=mean, cov=cov)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for score in (match_score, cross_entropy):
+                with pytest.raises(InvalidInputError, match=message):
+                    score(mom, model)

@@ -222,6 +222,24 @@ class TestSpdPower:
         m = np.diag([1.0, 0.0])
         np.testing.assert_allclose(spd_power(m, 0.5), np.diag([1.0, 0.0]), atol=1e-15)
 
+    @pytest.mark.parametrize("exponent", [0.0, 0.5, 2.0])
+    def test_nonnegative_power_refuses_indefinite(self, exponent):
+        # the rule min_trace_assignment and Moments apply, not a silent clip
+        m = [[1.0, 0.0], [0.0, -5.0]]
+        message = r"^matrix must be nonnegative definite \(smallest eigenvalue -5.000e\+00\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            spd_power(m, exponent)
+        with pytest.raises(InvalidInputError, match=message):
+            min_trace_assignment([1.0, 2.0], m)
+
+    @pytest.mark.parametrize("diagonal, exponent", [([1e200, 1.0], 2.0), ([1e-200, 1e-200], -2.0)])
+    def test_overflowing_power_is_refused_without_warning(self, diagonal, exponent):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"^power {exponent:g} of the matrix overflows the float range$"
+            with pytest.raises(InvalidInputError, match=message):
+                spd_power(np.diag(diagonal), exponent)
+
 
 class TestLogDet:
     def test_example(self):

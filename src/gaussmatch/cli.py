@@ -20,7 +20,6 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import re
 import sys
 
@@ -40,6 +39,7 @@ from .families import (
 from .gaussians import GaussianModel, cross_entropy, estimate_moments, match_score
 from .ingest import image_to_blocks, output_file, read_points_csv, read_ppm, read_text
 from .ingest import sample_gaussian, write_points_csv
+from .linalg import float_array, within_float_range
 from .oracle import MAX_ORACLE_DIM, verify_families
 
 MODEL_SCHEMA_VERSION = "1"
@@ -282,19 +282,18 @@ def _cmd_score(args) -> int:
 def _cmd_transform(args) -> int:
     points = read_points_csv(args.input)
     stored = _read_model(args.model)
-    transform = whitening_transform(stored.model)
-    out = transform.apply(points, overwrite=True)
-    write_points_csv(out, args.output)
-    if args.plot:
-        try:
-            with output_file(args.plot) as handle:
-                handle.write(scatter_svg(out))
-        except BaseException:
-            # output_file removes the plot; the points file goes too, so
-            # that no output is left behind a failed command.
-            if os.path.isfile(args.output):
-                os.remove(args.output)
-            raise
+    out = whitening_transform(stored.model).apply(points, overwrite=True)
+    if not args.plot:
+        write_points_csv(out, args.output)
+        return 0
+    svg = scatter_svg(out)
+    # The plot is opened first and written last, inside the points block:
+    # a plot that cannot be opened leaves an existing points file alone, and
+    # a failed write at either output removes both.
+    with output_file(args.plot) as plot, output_file(args.output) as handle:
+        write_points_csv(out, handle)
+        plot.write(svg)
+        plot.flush()
     return 0
 
 
@@ -387,10 +386,11 @@ def scatter_svg(points: np.ndarray) -> str:
 
     The cross marks the segments [-1, 1] on both axes through the origin,
     the natural scale after whitening.  One-dimensional input is drawn
-    along the x axis.  Raises InvalidInputError when the drawn range
-    overflows the float range.
+    along the x axis.  Raises InvalidInputError when the points are not a
+    nonempty (n, dim) array of numbers, or when the drawn range overflows
+    the float range.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = float_array(points, "points")
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise InvalidInputError("scatter_svg expects a nonempty (n, dim) array")
     x = pts[:, 0]
@@ -400,9 +400,9 @@ def scatter_svg(points: np.ndarray) -> str:
     span = (hi - lo) or 1.0
     lo -= 0.05 * span
     hi += 0.05 * span
-    if not np.isfinite(hi - lo):
-        raise InvalidInputError("points are too far apart to plot within the float range")
-    scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / (hi - lo)
+    width = within_float_range(lambda: hi - lo,
+                               "points are too far apart to plot within the float range")
+    scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / width
 
     def sx(value: float) -> float:
         return _SVG_MARGIN + (value - lo) * scale

@@ -20,8 +20,8 @@ Twin rule: each fixed-mean family is its free-mean twin with the second
 moments taken about the pinned mean m instead of m_Y.  With d = m - m_Y
 they are S_Y + d d' (the deflated-inverse form of the paper, by
 Sherman-Morrison), so the free fit is the case d = 0.  ``fit`` is the one
-closed-form path: it branches once on the covariance shape and adds the
-offset d only when the mean is pinned.
+closed-form path: its ``_optimum`` branches once on the covariance shape
+and adds the offset d only when the mean is pinned.
 """
 
 from __future__ import annotations
@@ -29,12 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .gaussians import GaussianModel, Moments, self_cross_entropy
 from .linalg import finite_vector, float_array, frozen, require_dim, spd_power, symmetrize
+from .linalg import within_float_range
 
 
 class Family(str, Enum):
@@ -62,6 +64,8 @@ FREE_TWIN = {
 FIXED_MEAN_FAMILIES = frozenset(FREE_TWIN)
 
 FAMILY_ORDER = tuple(Family)
+
+_FAR_MEAN = "fixed mean is so far from the data that its fit overflows the float range"
 
 
 @dataclass(frozen=True)
@@ -123,12 +127,9 @@ class RescalingTransform:
         require_dim(pts.shape[-1], self.shift.size, "points", "transform")
         if not np.isfinite(pts).all():
             raise InvalidInputError("points must be finite")
-        reuse = overwrite and pts.flags.writeable and pts.flags.c_contiguous
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.matmul(pts - self.shift, self.root_inv_cov, out=pts if reuse else None)
-        if not np.isfinite(out).all():
-            raise InvalidInputError("transformed points overflow the float range")
-        return out
+        out = pts if overwrite and pts.flags.writeable and pts.flags.c_contiguous else None
+        return within_float_range(lambda: np.matmul(pts - self.shift, self.root_inv_cov, out=out),
+                                  "transformed points overflow the float range")
 
 
 def fit(moments: Moments, spec: FamilySpec) -> FitResult:
@@ -154,35 +155,42 @@ def fit(moments: Moments, spec: FamilySpec) -> FitResult:
                           SPD matrix dominates its determinant.
     fixed-mean-diagonal   s_i = (S_Y)_ii + d_i^2, the second moment about m
                           per coordinate, and M = 1/2 sum_i ln s_i - 1/2 ln det S_Y.
+
+    A pinned mean so far from the data that its fit overflows the float
+    range raises InvalidInputError.
     """
     pinned = spec.fixed_mean is not None
-    n, log_det = moments.dim, moments.factor.log_det
-    # The terms in d overflow for a pinned mean far from the data; such a
-    # fit is refused below, and a finite one has the same bits either way.
-    # The refusal takes in every covariance that GaussianModel refuses: one
-    # whose (S + S') / 2 overflows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = _pinned_offset(moments, spec) if pinned else None
-        if spec.shape is Family.FULL:
-            # A literal 0.0: 0.5 * log1p(q) at d = 0 can be -0.0.
-            cov, match = moments.cov, 0.0
-            if pinned:
-                q = float(d @ moments.factor.precision @ d)
-                cov, match = moments.cov + np.outer(d, d), 0.5 * math.log1p(q)
-        elif spec.shape is Family.ISOTROPIC:
-            scale = (float(np.trace(moments.cov)) + (float(d @ d) if pinned else 0.0)) / n
-            cov, match = scale * np.eye(n), 0.5 * (n * math.log(scale) - log_det)
-        else:
-            variances = np.diag(moments.cov) + d * d if pinned else np.diag(moments.cov)
-            cov, match = np.diag(variances), 0.5 * (float(np.log(variances).sum()) - log_det)
-        overflows = pinned and not (math.isfinite(match) and np.isfinite(cov + cov.T).all())
-    if overflows:
-        raise InvalidInputError(
-            "fixed mean is so far from the data that its fit overflows the float range"
-        )
+    # The terms in d overflow for a pinned mean far from the data; a finite
+    # fit has the same bits either way.
+    cov, match, _ = (within_float_range(partial(_optimum, moments, spec), _FAR_MEAN) if pinned
+                     else _optimum(moments, spec))
     model = GaussianModel(mean=spec.fixed_mean if pinned else moments.mean, cov=cov)
     return FitResult(model=model, match=float(match),
                      cross_entropy=float(match + self_cross_entropy(moments)), family=spec)
+
+
+def _optimum(moments: Moments, spec: FamilySpec):
+    """(S, M, S + S') of the family's optimum, by the closed form of its
+    covariance shape, with d = m - m_Y added when the mean is pinned.
+
+    S + S' is there to be checked: a pinned fit is refused whenever
+    GaussianModel would refuse S, as one whose (S + S') / 2 overflows."""
+    pinned = spec.fixed_mean is not None
+    n, log_det = moments.dim, moments.factor.log_det
+    d = _pinned_offset(moments, spec) if pinned else None
+    if spec.shape is Family.FULL:
+        # A literal 0.0: 0.5 * log1p(q) at d = 0 can be -0.0.
+        cov, match = moments.cov, 0.0
+        if pinned:
+            q = float(d @ moments.factor.precision @ d)
+            cov, match = moments.cov + np.outer(d, d), 0.5 * math.log1p(q)
+    elif spec.shape is Family.ISOTROPIC:
+        scale = (float(np.trace(moments.cov)) + (float(d @ d) if pinned else 0.0)) / n
+        cov, match = scale * np.eye(n), 0.5 * (n * math.log(scale) - log_det)
+    else:
+        variances = np.diag(moments.cov) + d * d if pinned else np.diag(moments.cov)
+        cov, match = np.diag(variances), 0.5 * (float(np.log(variances).sum()) - log_det)
+    return cov, match, cov + cov.T
 
 
 def fixed_mean_cov_inverse_form(moments: Moments, mean) -> np.ndarray:
@@ -191,13 +199,14 @@ def fixed_mean_cov_inverse_form(moments: Moments, mean) -> np.ndarray:
     Computes S_Y (S_Y - d d' / (1 + q))^-1 S_Y, which is algebraically equal
     to S_Y + d d' but exercises a different numerical path.  Raises
     SingularMatrixError when the deflated matrix is not invertible at
-    working precision.
+    working precision, and InvalidInputError, as ``fit`` does, when a
+    fixed mean far from the data makes a term overflow the float range.
     """
     d = _pinned_offset(moments, FamilySpec(Family.FIXED_MEAN, mean))
-    q = float(d @ moments.factor.precision @ d)
-    deflated = symmetrize(moments.cov - np.outer(d, d) / (1.0 + q))
+    q = within_float_range(lambda: float(d @ moments.factor.precision @ d), _FAR_MEAN)
+    deflated = within_float_range(lambda: moments.cov - np.outer(d, d) / (1.0 + q), _FAR_MEAN)
     inverse = spd_power(deflated, -1.0)
-    return symmetrize(moments.cov @ inverse @ moments.cov)
+    return symmetrize(within_float_range(lambda: moments.cov @ inverse @ moments.cov, _FAR_MEAN))
 
 
 def whitening_transform(model: GaussianModel) -> RescalingTransform:

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidInputError
 from .linalg import EigenDecomposition, SpdFactor, finite_vector, float_array, frozen
 from .linalg import require_dim, require_nonnegative_definite, spd_factor, sym_eigen, symmetrize
+from .linalg import within_float_range
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -106,21 +107,30 @@ def estimate_moments(points) -> Moments:
 
     The covariance uses the 1/n divisor: it is the second central moment of
     the empirical distribution, which is what the cross-entropy formulas
-    integrate against.
+    integrate against.  Points so large that the mean or the covariance
+    overflows the float range raise InvalidInputError.
     """
     pts = as_point_set(points)
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    return Moments(mean=mean, cov=centered.T @ centered / pts.shape[0])
+
+    def moments():
+        mean = pts.mean(axis=0)
+        centered = pts - mean
+        return mean, centered.T @ centered / pts.shape[0]
+
+    return Moments(*within_float_range(
+        moments, "points are too large: their covariance overflows the float range"))
 
 
 def mahalanobis_sq(vector, cov) -> float:
-    """Squared Mahalanobis norm ``v' inv(S) v`` of a vector under covariance S."""
+    """Squared Mahalanobis norm ``v' inv(S) v`` of a vector under covariance S.
+
+    Raises InvalidInputError when the norm overflows the float range."""
     v = finite_vector(vector, "vector")
     s = symmetrize(cov)
     require_dim(v.size, s.shape[0], "vector", "covariance")
     precision = spd_factor(s, name="covariance").precision
-    return float(v @ precision @ v)
+    return within_float_range(lambda: float(v @ precision @ v),
+                              "vector is too long: its Mahalanobis norm overflows the float range")
 
 
 def cross_entropy(moments: Moments, model: GaussianModel) -> float:
@@ -161,12 +171,13 @@ def _model_terms(moments: Moments, model: GaussianModel) -> tuple[float, float, 
     overflow the float range, as for a model mean far from the data."""
     require_dim(model.dim, moments.dim, "model", "data")
     factor = model.factor
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def terms():
         diff = model.mean - moments.mean
         maha = float(diff @ factor.precision @ diff)
         trace_term = float(np.sum(factor.precision * moments.cov))
-    if not math.isfinite(maha + trace_term):
-        raise InvalidInputError(
-            "model is so far from the data that its score overflows the float range"
-        )
-    return maha, trace_term, factor.log_det
+        # the sum is checked too: the score adds the two
+        return maha, trace_term, factor.log_det, maha + trace_term
+
+    return within_float_range(
+        terms, "model is so far from the data that its score overflows the float range")[:3]

@@ -8,8 +8,9 @@ against a single relative floor, in ``spd_factor``, whose factor holds the
 spectrum, ``log_det``, precision and powers that every other module reads.
 They also hold the argument checks that every module shares:
 ``float_array``, ``finite_vector``, ``require_dim``, ``integer`` (with an
-optional upper bound) and ``require_seed``, and ``frozen``, the read-only
-copy in which models and families keep arrays.
+optional upper bound) and ``require_seed``, ``frozen``, the read-only
+copy in which models and families keep arrays, and ``within_float_range``,
+through which every refusal of a result beyond the float range goes.
 """
 
 from __future__ import annotations
@@ -99,6 +100,21 @@ def frozen(array) -> np.ndarray:
     return out
 
 
+def within_float_range(compute, message: str):
+    """``compute()``, run with numpy's overflow and invalid-value warnings off.
+
+    Raises InvalidInputError(message) unless every value of the result, an
+    array, a float or a tuple of them, is finite.  Every overflow refusal of
+    the package goes through here, so that an overflow ends in one named
+    error and never in a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = compute()
+    values = result if isinstance(result, tuple) else (result,)
+    if not all(np.isfinite(value).all() for value in values):
+        raise InvalidInputError(message)
+    return result
+
+
 def symmetrize(matrix) -> np.ndarray:
     """Return ``(M + M.T) / 2`` as a float array, validating the shape.
 
@@ -107,19 +123,15 @@ def symmetrize(matrix) -> np.ndarray:
     m = float_array(matrix, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym = (m + m.T) / 2.0
-    if not np.isfinite(sym).all():
-        if not np.isfinite(m).all():
-            raise InvalidInputError("matrix entries must be finite")
-        raise InvalidInputError("matrix entries overflow when symmetrized")
-    return sym
+    if not np.isfinite(m).all():
+        raise InvalidInputError("matrix entries must be finite")
+    return within_float_range(lambda: (m + m.T) / 2.0, "matrix entries overflow when symmetrized")
 
 
-def eigenvalue_floor(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue still treated as strictly positive for ``matrix``."""
-    n = matrix.shape[0]
-    return EIGENVALUE_FLOOR_SCALE * (float(np.trace(matrix)) / n)
+def eigenvalue_floor(trace: float, n: int) -> float:
+    """Smallest eigenvalue still treated as strictly positive for an n x n
+    matrix of trace ``trace``."""
+    return EIGENVALUE_FLOOR_SCALE * (trace / n)
 
 
 def sym_eigen(matrix) -> EigenDecomposition:
@@ -147,8 +159,11 @@ def sym_eigen(matrix) -> EigenDecomposition:
 
 def require_positive_definite(smallest: float, matrix: np.ndarray, name: str = "matrix") -> None:
     """Raise SingularMatrixError unless ``smallest``, the smallest eigenvalue of
-    ``matrix``, clears its floor.  A NaN never does."""
-    floor = eigenvalue_floor(matrix)
+    ``matrix``, clears its floor.  A NaN never does.  A matrix whose trace
+    overflows the float range raises InvalidInputError."""
+    trace = within_float_range(lambda: float(np.trace(matrix)),
+                               f"{name} is too large: its trace overflows the float range")
+    floor = eigenvalue_floor(trace, matrix.shape[0])
     if not smallest > floor:
         raise SingularMatrixError(
             f"{name} is singular at working precision "
@@ -171,17 +186,9 @@ def require_nonnegative_definite(values: np.ndarray, name: str = "matrix") -> np
 def _spectral_power(vectors: np.ndarray, values: np.ndarray, exponent: float, name: str):
     """``V diag(lam**t) V.T``, symmetrized; InvalidInputError naming ``name`` when an
     entry overflows the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        powered = (vectors * values ** exponent) @ vectors.T
-    return _finite_symmetric(powered, f"power {exponent:g} of the {name}")
-
-
-def _finite_symmetric(product: np.ndarray, what: str) -> np.ndarray:
-    """``symmetrize(product)``; InvalidInputError saying that ``what`` overflows the
-    float range when an entry of ``product`` is not finite."""
-    if not np.isfinite(product).all():
-        raise InvalidInputError(f"{what} overflows the float range")
-    return symmetrize(product)
+    powered = within_float_range(lambda: (vectors * values ** exponent) @ vectors.T,
+                                 f"power {exponent:g} of the {name} overflows the float range")
+    return symmetrize(powered)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,11 +206,9 @@ class SpdFactor:
     @cached_property
     def precision(self) -> np.ndarray:
         """``inv(S)``, symmetrized and read-only, computed on first read."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            precision = (self.vectors / self.values) @ self.vectors.T
-        precision = _finite_symmetric(precision, f"inverse of the {self.name}")
-        precision.flags.writeable = False
-        return precision
+        precision = within_float_range(lambda: (self.vectors / self.values) @ self.vectors.T,
+                                       f"inverse of the {self.name} overflows the float range")
+        return frozen(symmetrize(precision))
 
     def power(self, exponent: float) -> np.ndarray:
         """``S**t`` by the spectral map ``V diag(lam**t) V.T``, symmetrized."""
@@ -252,7 +257,8 @@ def min_trace_assignment(target_spectrum, matrix) -> float:
         min tr(A B) = sum_i  lam_i^ascending * beta_i^descending
 
     and is attained when A and B share eigenvectors with that pairing.
-    B must be symmetric nonnegative definite.
+    B must be symmetric nonnegative definite.  A minimum beyond the float
+    range raises InvalidInputError.
     """
     lam = finite_vector(target_spectrum, "target spectrum")
     if np.any(np.diff(lam) < 0.0):
@@ -263,4 +269,5 @@ def min_trace_assignment(target_spectrum, matrix) -> float:
     require_dim(lam.size, b.shape[0], "target spectrum", "matrix")
     beta = require_nonnegative_definite(sym_eigen(b).values)
     # lam ascending, beta descending: the anti-aligned pairing.
-    return float(lam @ beta)
+    return within_float_range(lambda: float(lam @ beta),
+                              "spectra are too large: their minimum trace overflows the float range")

@@ -55,7 +55,7 @@ from .errors import InvalidInputError, OracleConvergenceError
 from .families import FAMILY_ORDER, FIXED_MEAN_FAMILIES, Family, FamilySpec, FitResult, fit
 from .gaussians import LOG_TWO_PI, GaussianModel, as_point_set, estimate_moments
 from .linalg import EIGENVALUE_FLOOR_SCALE, eigenvalue_floor, integer, require_dim
-from .linalg import require_positive_definite, require_seed
+from .linalg import require_positive_definite, require_seed, within_float_range
 
 # Nelder-Mead is reliable only in modest dimension; a full covariance in
 # dimension 8 already means 44 free parameters.
@@ -101,9 +101,11 @@ def _ce_terms(pts: np.ndarray, mean: np.ndarray, cov: np.ndarray):
     except np.linalg.LinAlgError:
         return None, math.nan
     smallest = float(values[0]) if np.isfinite(values).all() else math.nan
-    if not smallest > eigenvalue_floor(cov):
-        return None, smallest
+    # The trace can overflow too; its floor is then inf, and
+    # empirical_cross_entropy refuses the covariance by name.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if not smallest > eigenvalue_floor(float(np.trace(cov)), cov.shape[0]):
+            return None, smallest
         z = ((pts - mean) @ vectors) / np.sqrt(values)
         quad = float(np.einsum("ij,ij->", z, z)) / pts.shape[0]
         n = pts.shape[1]
@@ -116,15 +118,15 @@ def empirical_cross_entropy(points, model: GaussianModel) -> float:
 
     Agrees with the closed-form ``cross_entropy`` of the dataset moments;
     the two are computed along different paths and are compared in the
-    test suite.
+    test suite.  A log-density beyond the float range raises
+    InvalidInputError.
     """
     pts = as_point_set(points)
     require_dim(pts.shape[1], model.dim, "points", "model")
     value, smallest = _ce_terms(pts, model.mean, model.cov)
     require_positive_definite(smallest, model.cov, "model covariance")
-    if not np.isfinite(value):
-        raise InvalidInputError("log-density of the points under the model is not finite")
-    return float(value)
+    return within_float_range(lambda: float(value),
+                              "log-density of the points under the model is not finite")
 
 
 def _unpack(shape: Family, fixed_mean, n: int, params: np.ndarray):
@@ -232,7 +234,7 @@ def _objective(pts, shape, fixed_mean, fixed_centred, bound_const, params) -> fl
         # The bound keeps every diagonal entry of L normal, so L is invertible.
         z = np.linalg.solve(factor, centred.T)
     else:
-        if not factor.min() > EIGENVALUE_FLOOR_SCALE * (float(factor.sum()) / n):
+        if not factor.min() > eigenvalue_floor(float(factor.sum()), n):
             return math.inf
         z = centred / np.sqrt(factor)
     value = 0.5 * (n * LOG_TWO_PI + log_det + float(np.einsum("ij,ij->", z, z)) / count)

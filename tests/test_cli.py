@@ -327,6 +327,19 @@ class TestTransform:
         assert not out.exists() and not svg.exists()
 
 
+    def test_plot_that_cannot_be_opened_keeps_an_existing_points_file(
+        self, sample_csv, tmp_path, capsys
+    ):
+        model, keep = tmp_path / "m.json", tmp_path / "keep.csv"
+        assert run(["fit", "--input", str(sample_csv), "--family", "full",
+                    "--output", str(model)]) == 0
+        keep.write_text("1,2\n")
+        assert run(["transform", "--input", str(sample_csv), "--model", str(model), "--output",
+                    str(keep), "--plot", str(tmp_path / "missing" / "p.svg")]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert keep.read_text() == "1,2\n"
+
+
 _RUN_CLI = "import sys\nfrom gaussmatch import cli\nsys.exit(cli.run(sys.argv[1:]))\n"
 
 
@@ -542,6 +555,13 @@ class TestScatterSvg:
         with pytest.raises(InvalidInputError):
             scatter_svg(np.empty((0, 2)))
 
+    @pytest.mark.parametrize("points", [[[1.0], [1.0, 2.0]], "abc"], ids=["ragged", "text"])
+    def test_rejects_what_is_not_an_array_of_numbers(self, points):
+        from gaussmatch import InvalidInputError
+
+        with pytest.raises(InvalidInputError, match="^points is not an array of numbers$"):
+            scatter_svg(points)
+
 
 class TestBadCsvInput:
     @pytest.mark.parametrize(
@@ -743,6 +763,28 @@ class TestFarPinnedMean:
         doc = json.loads(out.read_text())
         assert math.isclose(doc["covariance"][0][0], 8.45e307, rel_tol=1e-3)
         assert math.isfinite(doc["match"])
+
+
+class TestHugePoints:
+    """Finite points so large that their covariance overflows the float range
+    are one data error, without a warning, and no file is written."""
+
+    @pytest.mark.parametrize("command", ["report", "fit", "score"])
+    def test_exit_2_under_warnings_as_errors(self, tmp_path, command):
+        points, model, out = tmp_path / "p.csv", tmp_path / "m.json", tmp_path / "out.json"
+        write_points_csv(np.random.default_rng(1).normal(size=(40, 2)) * 1e160, points)
+        model.write_text(json.dumps(_VALID_DOC))
+        options = {"report": [], "fit": ["--family", "full", "--output", str(out)],
+                   "score": ["--model", str(model)]}[command]
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gaussmatch.cli", command,
+             "--input", str(points), *options],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr, result.stdout) == (
+            2, "error: points are too large: their covariance overflows the float range\n", ""
+        )
+        assert not out.exists()
 
 
 class TestModelDocumentFuzz:

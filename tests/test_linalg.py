@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaussmatch import (
+    FIXED_MEAN_FAMILIES,
     Family,
     FamilySpec,
     GaussianModel,
@@ -20,11 +21,17 @@ from gaussmatch import (
     Raster,
     SingularMatrixError,
     as_point_set,
+    cross_entropy,
+    empirical_cross_entropy,
     estimate_moments,
     family_report,
+    fit,
+    fixed_mean_cov_inverse_form,
     image_to_blocks,
     mahalanobis_sq,
+    match_score,
     min_trace_assignment,
+    oracle_minimize,
     sample_gaussian,
     spd_power,
     standard_normals,
@@ -44,6 +51,7 @@ from gaussmatch.linalg import (
     require_dim,
     require_seed,
     spd_factor,
+    within_float_range,
 )
 from helpers import random_orthogonal, random_spd
 
@@ -527,3 +535,92 @@ class TestArgumentChecks:
                 _CHECKED_CALLS[call](value)
             except GaussMatchError:
                 pass
+
+
+# Data of dimension 3 and a covariance of it, each to be multiplied by a scale.
+_POINTS = np.array([[1.0, 0.0, 0.5], [-1.0, 0.2, 0.0], [0.0, 1.0, -0.5],
+                    [0.3, -1.0, 1.0], [0.5, 0.5, 0.5]])
+_MEAN = np.array([1.0, -2.0, 0.5])
+_COV = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
+
+# Public numeric functions on data scaled by s: means, spreads and pinned means
+# of order s, and a covariance of order s against a vector of order s or 1.
+_SCALED_CALLS = {
+    "estimate_moments": lambda s: estimate_moments(_POINTS * s),
+    "family_report": lambda s: family_report(Moments(_MEAN * s, _COV * s), [np.full(3, s)]),
+    "family_report of points": lambda s: family_report(estimate_moments(_POINTS * s),
+                                                       [np.full(3, s)]),
+    "match_score": lambda s: match_score(Moments(_MEAN * s, _COV * s),
+                                         GaussianModel(np.full(3, s), _COV)),
+    "cross_entropy": lambda s: cross_entropy(Moments(_MEAN * s, _COV * s),
+                                             GaussianModel(-_MEAN * s, _COV / s)),
+    "mahalanobis_sq far vector": lambda s: mahalanobis_sq(np.full(3, s), _COV),
+    "mahalanobis_sq scaled covariance": lambda s: mahalanobis_sq(np.ones(3), _COV * s),
+    "fixed_mean_cov_inverse_form": lambda s: fixed_mean_cov_inverse_form(
+        Moments(_MEAN * s, _COV * s), -_MEAN * s),
+    "fixed_mean_cov_inverse_form far mean": lambda s: fixed_mean_cov_inverse_form(
+        Moments(_MEAN, _COV), _MEAN * s),
+    "min_trace_assignment": lambda s: min_trace_assignment([s, 2 * s, 3 * s], _COV * s),
+    "spd_power -1": lambda s: spd_power(_COV * s, -1.0),
+    "spd_power 0.5": lambda s: spd_power(_COV * s, 0.5),
+    "spd_power 2": lambda s: spd_power(_COV * s, 2.0),
+    "sample_gaussian": lambda s: sample_gaussian(_MEAN * s, _COV * s, 10, 0),
+    "whitening apply": lambda s: whitening_transform(GaussianModel(np.zeros(3), _COV / s)).apply(
+        _POINTS * s),
+    "empirical_cross_entropy": lambda s: empirical_cross_entropy(
+        _POINTS * s, GaussianModel(_MEAN * s, _COV * s)),
+    "oracle_minimize": lambda s: oracle_minimize(_POINTS * s, FamilySpec(Family.FULL)),
+    **{f"fit {kind.value}": (lambda kind: lambda s: fit(
+        Moments(_MEAN * s, _COV * s),
+        FamilySpec(kind, np.full(3, s) if kind in FIXED_MEAN_FAMILIES else None)))(kind)
+       for kind in Family},
+}
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e200, 1e-200, 1e300])
+    @pytest.mark.parametrize("case", sorted(_SCALED_CALLS))
+    def test_scaled_data_raises_only_package_errors(self, case, scale):
+        # warnings as errors: an overflow ends in a package error, never in a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                _SCALED_CALLS[case](scale)
+            except GaussMatchError:
+                pass
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: estimate_moments(_POINTS * 1e160),
+         "points are too large: their covariance overflows the float range"),
+        (lambda: mahalanobis_sq([1e300, -1e300], np.eye(2)),
+         "vector is too long: its Mahalanobis norm overflows the float range"),
+        (lambda: fixed_mean_cov_inverse_form(Moments(np.zeros(2), np.eye(2)), [1e200, 0.0]),
+         "fixed mean is so far from the data that its fit overflows the float range"),
+        # q is infinite while d d' is not: the d d' term must not drop silently
+        (lambda: fixed_mean_cov_inverse_form(Moments(np.zeros(2), 1e-300 * np.eye(2)), [1e5, 0.0]),
+         "fixed mean is so far from the data that its fit overflows the float range"),
+        (lambda: min_trace_assignment([1e160, 1e160], np.eye(2) * 1e160),
+         "spectra are too large: their minimum trace overflows the float range"),
+        (lambda: Moments(np.zeros(3), np.diag([8e307] * 3)).factor,
+         "data covariance is too large: its trace overflows the float range"),
+        (lambda: spd_power(np.diag([8e307] * 3), -1.0),
+         "matrix is too large: its trace overflows the float range"),
+    ], ids=["moments", "mahalanobis", "deflated-inverse", "deflated-inverse-q", "min-trace",
+            "trace", "trace-power"])
+    def test_refusals_name_the_cause(self, call, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError) as info:
+                call()
+        assert str(info.value) == message
+
+    def test_within_float_range_checks_every_value(self):
+        huge = np.array([1e300])
+        assert within_float_range(lambda: 2.0, "no") == 2.0
+        assert within_float_range(lambda: (1.0, huge), "no")[1] is huge
+        for compute in (lambda: huge * huge, lambda: (1.0, huge * huge),
+                        lambda: float(huge @ huge), lambda: (huge * huge - huge * huge, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInputError, match="^too big$"):
+                    within_float_range(compute, "too big")

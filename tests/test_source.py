@@ -10,6 +10,24 @@ from gaussmatch import ingest
 PACKAGE = Path(gaussmatch.__file__).parent
 
 
+def _places(matches):
+    """``module.function`` of every node of the package source that ``matches``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner.split('.')[0]}.{child.name}")
+                continue
+            if matches(child):
+                found.append(owner)
+            visit(child, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    return found
+
+
 def test_no_assert_statements():
     # python -O strips assert statements, so no check may depend on one.
     modules = sorted(PACKAGE.glob("*.py"))
@@ -60,20 +78,8 @@ def test_each_argument_check_has_one_home():
 def test_files_are_opened_in_one_place():
     # ingest.output_file and ingest._read_chunks decide how a file is opened,
     # decoded and removed after a failed write; another open() would skip them.
-    found = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{owner.split('.')[0]}.{child.name}")
-                continue
-            if isinstance(child, ast.Call) and "open" in (getattr(child.func, "id", None),
-                                                          getattr(child.func, "attr", None)):
-                found.append(owner)
-            visit(child, owner)
-
-    for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    found = _places(lambda node: isinstance(node, ast.Call) and "open" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
     assert sorted(found) == ["ingest._read_chunks", "ingest.output_file"]
 
 
@@ -196,3 +202,24 @@ def test_ppm_format_rules_have_one_home():
                            and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
     assert {key: len(places) for key, places in found.items()} == {">u2": 1, 65535: 1}, found
     assert nested == []
+
+
+def test_overflow_is_refused_in_one_place():
+    # linalg.within_float_range alone silences numpy's overflow warnings and
+    # refuses a result beyond the float range; the oracle's objective maps an
+    # overflow to inf by design, and the sampler's uint64 words wrap around.
+    found = _places(lambda node: isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "errstate")
+    assert sorted({place for place in found if not place.startswith("oracle.")}) == [
+        "ingest._stream_words", "linalg.within_float_range",
+    ], found
+
+
+def test_positivity_floor_is_written_once():
+    # linalg.eigenvalue_floor alone turns a trace into the floor; the oracle's
+    # AM-GM gate folds the scale into a constant.
+    found = _places(lambda node: isinstance(node, ast.Name)
+                    and node.id == "EIGENVALUE_FLOOR_SCALE" and isinstance(node.ctx, ast.Load))
+    assert sorted(found) == [
+        "linalg.eigenvalue_floor", "linalg.require_nonnegative_definite", "oracle._make_objective",
+    ], found

@@ -27,7 +27,10 @@ to agree on error text and exit code too.
 Every command is started by ``bench/spawn.py``, a small launcher, so that
 its peak resident set (``ru_maxrss``) is its own and not that of this
 process.  With ``--peak-rss`` each command's peak is printed for both
-trees; peaks are reported, not compared.
+trees, and then, for each workload and seed, the largest peak of the
+workload's own commands (the damaged copies left out) in each tree: the
+figure the benchmark reports as ``peak_rss_mb``.  Peaks are reported, not
+compared.
 
 Exit status: 0 when every output and exit code agrees, 1 otherwise.
 ``bench/`` is only read.
@@ -82,7 +85,8 @@ def _damaged(text: str) -> dict[str, bytes]:
 
 def run_tree(tree: Path, name: str, seed: int, work: Path):
     """(label, digest) of each exit code, stdout, stderr and output file, in command
-    order, and (label, peak RSS in MB) of each command."""
+    order, (label, peak RSS in MB) of each command, and the largest peak of the
+    workload's own commands."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     workload = workloads.build(name, seed, work)
@@ -114,6 +118,7 @@ def run_tree(tree: Path, name: str, seed: int, work: Path):
             run(f"{index}:{op.argv[0]}", op.argv, op.outputs)
             if "--input" in op.argv:
                 inputs.append(Path(op.argv[op.argv.index("--input") + 1]))
+        workload_peak = max(peak for _, peak in peaks)
         for path in dict.fromkeys(p for p in inputs if p.suffix == ".csv" and p.exists()):
             for kind, data in _damaged(path.read_text(encoding="utf-8")).items():
                 copy = work / f"{kind}-{path.name}"
@@ -122,10 +127,10 @@ def run_tree(tree: Path, name: str, seed: int, work: Path):
     finally:
         launcher.stdin.close()
         launcher.wait()
-    return outputs, peaks
+    return outputs, peaks, workload_peak
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("first", type=Path, help="source tree holding the gaussmatch package")
     parser.add_argument("second", type=Path, help="source tree to compare with the first")
@@ -134,7 +139,7 @@ def main() -> int:
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--peak-rss", action="store_true",
                         help="print each command's peak resident set for both trees")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in (args.first, args.second)]
     for tree in trees:
         if not (tree / "gaussmatch" / "__init__.py").is_file():
@@ -145,7 +150,7 @@ def main() -> int:
         work = Path(scratch) / "work"
         for name in args.workloads:
             for seed in args.seeds:
-                (first, first_peaks), (second, second_peaks) = (
+                (first, first_peaks, first_max), (second, second_peaks, second_max) = (
                     run_tree(tree, name, seed, work) for tree in trees)
                 for (label, a), (_, b) in zip(first, second):
                     verdict = "same" if a == b else "DIFFERS"
@@ -154,6 +159,8 @@ def main() -> int:
                 if args.peak_rss:
                     for (label, a), (_, b) in zip(first_peaks, second_peaks):
                         print(f"peak-rss {name} seed {seed} {label:40} {a:7.1f} MB {b:7.1f} MB")
+                    print(f"peak-rss {name} seed {seed} {'workload':40} "
+                          f"{first_max:7.1f} MB {second_max:7.1f} MB")
     print(f"{differences} difference(s)")
     return 1 if differences else 0
 

@@ -36,7 +36,7 @@ from .families import (
     fit,
     whitening_transform,
 )
-from .gaussians import GaussianModel, cross_entropy, estimate_moments, match_score
+from .gaussians import GaussianModel, cross_entropy, match_score, moments_in_place
 from .ingest import image_to_blocks, output_file, read_points_csv, read_ppm, read_text
 from .ingest import sample_gaussian, write_points_csv
 from .linalg import float_array, within_float_range
@@ -261,8 +261,7 @@ def _cmd_fit(args) -> int:
         raise _UsageError(f"family {family.value!r} requires --mean")
     if family not in FIXED_MEAN_FAMILIES and args.mean is not None:
         raise _UsageError(f"family {family.value!r} does not take --mean")
-    points = read_points_csv(args.input)
-    moments = estimate_moments(points)
+    moments = moments_in_place(read_points_csv(args.input))
     result = fit(moments, FamilySpec(family, args.mean))
     with output_file(args.output) as handle:
         json.dump(fit_to_document(result), handle, indent=2)
@@ -271,8 +270,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    points = read_points_csv(args.input)
-    moments = estimate_moments(points)
+    moments = moments_in_place(read_points_csv(args.input))
     stored = _read_model(args.model)
     print(f"M {match_score(moments, stored.model)!r}")
     print(f"Hx {cross_entropy(moments, stored.model)!r}")
@@ -280,9 +278,10 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    points = read_points_csv(args.input)
-    stored = _read_model(args.model)
-    out = whitening_transform(stored.model).apply(points, overwrite=True)
+    # The model is read first: the whitening map is built before the points
+    # are, and a bad model is the error reported when both files are bad.
+    whiten = whitening_transform(_read_model(args.model).model)
+    out = whiten.apply(read_points_csv(args.input), overwrite=True)
     if not args.plot:
         write_points_csv(out, args.output)
         return 0
@@ -298,8 +297,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    points = read_points_csv(args.input)
-    moments = estimate_moments(points)
+    moments = moments_in_place(read_points_csv(args.input))
     labeled = _resolve_mean_tokens(args.means, moments.mean)
     # Each fixed-mean family has one row per mean, in the order given.
     labels = itertools.cycle(label for label, _ in labeled)

@@ -65,6 +65,12 @@ FIXED_MEAN_FAMILIES = frozenset(FREE_TWIN)
 
 FAMILY_ORDER = tuple(Family)
 
+# Cells (rows times columns) of one block of rows that
+# ``RescalingTransform.apply`` whitens at a time: as many as the CSV writer
+# formats in one block, so that whitening in place adds no more memory than
+# writing does.
+_BLOCK_CELLS = 2**14
+
 _FAR_MEAN = "fixed mean is so far from the data that its fit overflows the float range"
 
 
@@ -116,11 +122,14 @@ class RescalingTransform:
     def apply(self, points, overwrite: bool = False) -> np.ndarray:
         """Transform a single vector or an (n, dim) array of row points.
 
-        With ``overwrite`` the result is written over the points when they
-        are a writable C-ordered float array, and the points are lost: the
-        transform then holds two arrays of their size at once, not three.
-        The result has the same bits either way.  Raises InvalidInputError
-        when a transformed value overflows."""
+        The rows are whitened a block of at most about ``_BLOCK_CELLS`` cells
+        at a time, the blocks as even as their count allows, and each
+        block's ``block - shift`` is the only temporary.  With ``overwrite``
+        the result is written over the points when they are a writable
+        C-ordered float array, and the points are lost: the transform then
+        holds one array of their size and a block.  The result has the same
+        bits either way.  Raises InvalidInputError when a transformed value
+        overflows."""
         pts = float_array(points, "points")
         if pts.ndim not in (1, 2):
             raise InvalidInputError(f"expected a vector or (n, dim) points, got shape {pts.shape}")
@@ -128,8 +137,21 @@ class RescalingTransform:
         if not np.isfinite(pts).all():
             raise InvalidInputError("points must be finite")
         out = pts if overwrite and pts.flags.writeable and pts.flags.c_contiguous else None
-        return within_float_range(lambda: np.matmul(pts - self.shift, self.root_inv_cov, out=out),
+        return within_float_range(partial(self._whiten, pts, out),
                                   "transformed points overflow the float range")
+
+    def _whiten(self, pts: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """``(pts - shift) @ root_inv_cov`` written into ``out``, or a new array
+        when it is None, by row blocks; a vector is one row."""
+        out = np.empty(pts.shape) if out is None else out
+        rows, out_rows = (a.reshape(-1, self.shift.size) for a in (pts, out))
+        # Even blocks leave no short last block, whose product BLAS can take
+        # by another kernel than a longer one's.
+        count = -(-len(rows) // max(1, _BLOCK_CELLS // self.shift.size))
+        bounds = [len(rows) * i // count for i in range(count + 1)]
+        for start, stop in zip(bounds, bounds[1:]):
+            np.matmul(rows[start:stop] - self.shift, self.root_inv_cov, out=out_rows[start:stop])
+        return out
 
 
 def fit(moments: Moments, spec: FamilySpec) -> FitResult:

@@ -108,14 +108,28 @@ def estimate_moments(points) -> Moments:
     The covariance uses the 1/n divisor: it is the second central moment of
     the empirical distribution, which is what the cross-entropy formulas
     integrate against.  Points so large that the mean or the covariance
-    overflows the float range raise InvalidInputError.
+    overflows the float range raise InvalidInputError.  The points are
+    never written: ``moments_in_place`` works on a copy of them when
+    ``as_point_set`` hands back the caller's own memory.
     """
     pts = as_point_set(points)
+    # numpy builds a new array from a list or tuple; may_share_memory would
+    # build a second one to compare with.
+    if not isinstance(points, (list, tuple)) and np.may_share_memory(pts, points):
+        pts = pts.copy(order="K")  # the points' layout, and so the product's bits
+    return moments_in_place(pts)
 
+
+def moments_in_place(pts: np.ndarray) -> Moments:
+    """``estimate_moments`` of an (n, dim) point set that the caller gives up,
+    as ``as_point_set`` or ``read_points_csv`` returns it.
+
+    The points are centred in place and so are lost, and no second array of
+    their size is made: the one home of the moments' formula."""
     def moments():
         mean = pts.mean(axis=0)
-        centered = pts - mean
-        return mean, centered.T @ centered / pts.shape[0]
+        np.subtract(pts, mean, out=pts)
+        return mean, pts.T @ pts / pts.shape[0]
 
     return Moments(*within_float_range(
         moments, "points are too large: their covariance overflows the float range"))

@@ -254,12 +254,16 @@ def _repeats(lines: list[str]) -> bool:
     they repeat, the codec converts each distinct value once through a
     table, and leaves that table for good once it holds more than
     ``_BLOCK_CELLS`` values, as one for a file whose head repeats and whose
-    body does not would.  Counted on text with a set, so that ``np.unique``,
-    whose sort code alone adds about 1 MB to the peak RSS of a process,
-    never runs on a file whose first block is distinct.
+    body does not would.  Counted on text with a set, a line at a time, so
+    that neither ``np.unique``, whose sort code alone adds about 1 MB to the
+    peak RSS of a process, nor a list of every field of the block is made.
     """
-    values = ",".join(lines).split(",")
-    return 2 * len(set(values)) <= len(values)
+    distinct, count = set(), 0
+    for line in lines:
+        fields = line.split(",")
+        distinct.update(fields)
+        count += len(fields)
+    return 2 * len(distinct) <= count
 
 
 class _FieldValues(dict):

@@ -125,8 +125,9 @@ def empirical_cross_entropy(points, model: GaussianModel) -> float:
     require_dim(pts.shape[1], model.dim, "points", "model")
     value, smallest = _ce_terms(pts, model.mean, model.cov)
     require_positive_definite(smallest, model.cov, "model covariance")
-    return within_float_range(lambda: float(value),
-                              "log-density of the points under the model is not finite")
+    return within_float_range(
+        lambda: float(value),
+        "points are too far from the model: their log-density overflows the float range")
 
 
 def _unpack(shape: Family, fixed_mean, n: int, params: np.ndarray):

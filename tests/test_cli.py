@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from gaussmatch.cli import (
     run,
     scatter_svg,
 )
-from gaussmatch import ingest
+from gaussmatch import cli, ingest
 from gaussmatch.oracle import FamilyCheck
 from gaussmatch.families import Family
 from helpers import run_with_file_size_limit
@@ -339,6 +340,23 @@ class TestTransform:
         assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
         assert keep.read_text() == "1,2\n"
 
+    @pytest.mark.parametrize("case", ["malformed", "singular"])
+    def test_a_bad_model_is_reported_before_bad_points(self, tmp_path, capsys, case):
+        # the model is read, and its whitening map built, before the points:
+        # a malformed or a missing points file is not the error reported
+        model, pts, out = tmp_path / "m.json", tmp_path / "p.csv", tmp_path / "w.csv"
+        if case == "malformed":
+            model.write_text("{")
+            pts.write_text("1,2\n3,x\n")
+            message = "error: invalid JSON in model file"
+        else:
+            model.write_text(json.dumps(dict(_VALID_DOC, covariance=[[1.0, 0.0], [0.0, 0.0]])))
+            message = "error: model covariance is singular at working precision"
+        assert run(["transform", "--input", str(pts), "--model", str(model),
+                    "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
 
 _RUN_CLI = "import sys\nfrom gaussmatch import cli\nsys.exit(cli.run(sys.argv[1:]))\n"
 
@@ -616,6 +634,52 @@ def _bad_model_files(valid: dict) -> dict[str, bytes]:
         "huge-mean": json.dumps(huge_mean).encode(),
         "long-integer": b'{"match": ' + b"1" * 5000 + b"}",
     }
+
+
+@pytest.fixture(scope="module")
+def tall_csv(tmp_path_factory):
+    """A CSV of 10**5 correlated 3-D points, 2.4 MB as an array, and its full fit."""
+    folder = tmp_path_factory.mktemp("tall")
+    rng = np.random.default_rng(61)
+    write_points_csv(rng.normal(size=(10**5, 3)) @ np.triu(np.ones((3, 3))), folder / "pts.csv")
+    assert run(["fit", "--input", str(folder / "pts.csv"), "--family", "full",
+                "--output", str(folder / "full.json")]) == 0
+    return folder
+
+
+class TestOneCopyOfThePoints:
+    """Once the points are read, a command holds no second array of them."""
+
+    @pytest.mark.parametrize("command", [
+        ["report", "--output", "{out}/table.txt"],
+        ["fit", "--family", "full", "--output", "{out}/fit.json"],
+        ["score", "--model", "{data}/full.json"],
+        ["transform", "--model", "{data}/full.json", "--output", "{out}/white.csv"],
+    ], ids=lambda command: command[0])
+    def test_traced_peak_after_the_read(self, tall_csv, tmp_path, monkeypatch, command):
+        # Numpy reports its buffers to tracemalloc.  The peak is reset as the
+        # reader returns, so that its own growth, bounded in test_ingest, is
+        # not counted.  A second array of the points would take the peak to
+        # twice their size; the allowance holds the 3x3 algebra, the bools of
+        # the finiteness checks (an eighth of the points) and one block of the
+        # writer, made small here so that the points outweigh it.
+        read, size = cli.read_points_csv, 10**5 * 3 * 8
+
+        def read_then_reset(source):
+            points = read(source)
+            tracemalloc.reset_peak()
+            return points
+
+        monkeypatch.setattr(cli, "read_points_csv", read_then_reset)
+        monkeypatch.setattr(ingest, "_BLOCK_CELLS", 2**10)
+        argv = [part.format(out=tmp_path, data=tall_csv) for part in command]
+        tracemalloc.start()
+        try:
+            assert run(argv + ["--input", str(tall_csv / "pts.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size + 2**19
 
 
 class TestBadModelInput:

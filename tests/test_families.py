@@ -1,6 +1,7 @@
 """Closed-form family fits: worked examples, optimality, nesting, whitening."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from gaussmatch import (
     spd_power,
     whitening_transform,
 )
+from gaussmatch import families
 from helpers import random_moments, random_orthogonal, random_spd
 from test_pipeline import synthetic_photo
 
@@ -319,6 +321,33 @@ class TestWhitening:
             assert (out is points) is reused
             if not reused:
                 assert np.array_equal(np.asarray(points), kept)
+
+    @pytest.mark.parametrize("dim", [2, 192])
+    def test_overwrite_gives_the_same_bits_at_block_edges(self, dim):
+        rng = np.random.default_rng(49)
+        t = whitening_transform(GaussianModel(mean=rng.normal(size=dim),
+                                              cov=random_spd(rng, dim)))
+        block = families._BLOCK_CELLS // dim
+        for rows in (1, block - 1, block, block + 1, 3 * block + 7):
+            points = rng.normal(size=(rows, dim))
+            expected = t.apply(points)
+            out = t.apply(points, overwrite=True)
+            assert out is points and out.tobytes() == expected.tobytes(), rows
+        vector = rng.normal(size=dim)
+        assert t.apply(vector.copy(), overwrite=True).tobytes() == t.apply(vector).tobytes()
+
+    def test_overwrite_holds_a_block_not_a_copy(self):
+        rng = np.random.default_rng(50)
+        t = whitening_transform(GaussianModel(mean=rng.normal(size=64), cov=random_spd(rng, 64)))
+        points = rng.normal(size=(4096, 64))
+        tracemalloc.start()
+        try:
+            t.apply(points, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2 MB of points: a block of them and the bools of a finiteness check
+        assert peak < families._BLOCK_CELLS * 8 + points.size + 2**16
 
     def test_rejects_singular_model(self):
         with pytest.raises(SingularMatrixError):

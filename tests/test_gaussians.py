@@ -1,6 +1,7 @@
 """Moment estimation, cross-entropy closed forms, and the match score."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from gaussmatch import (
     match_score,
     self_cross_entropy,
 )
+from gaussmatch.gaussians import moments_in_place
 from helpers import random_moments, random_spd
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -90,6 +92,41 @@ class TestEstimateMoments:
     def test_moments_reject_indefinite_cov(self):
         with pytest.raises(InvalidInputError):
             Moments(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, -1.0]])
+
+    def test_never_writes_its_argument(self):
+        # The moments centre a copy when as_point_set hands back the
+        # caller's memory, with the bits of a separate centred array.
+        rng = np.random.default_rng(62)
+        base = rng.normal(size=(301, 4)) * 1e3 + rng.normal(size=4)
+        locked = base.copy()
+        locked.flags.writeable = False
+        for points in (base, base[::-2, 1:], np.asfortranarray(base), locked, base[:, 0],
+                       base.tolist()):
+            kept = np.array(points)
+            pts = as_point_set(points)
+            centred = pts - pts.mean(axis=0)
+            expected = Moments(pts.mean(axis=0), centred.T @ centred / len(pts))
+            mom = estimate_moments(points)
+            assert np.asarray(points).tobytes() == kept.tobytes()
+            assert mom.mean.tobytes() == expected.mean.tobytes()
+            assert mom.cov.tobytes() == expected.cov.tobytes()
+
+    def test_in_place_centres_the_points_it_is_given(self):
+        rng = np.random.default_rng(63)
+        points = rng.normal(size=(20000, 8)) + 5.0
+        expected = estimate_moments(points)
+        centred = points - points.mean(axis=0)
+        tracemalloc.start()
+        try:
+            mom = moments_in_place(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mom.cov.tobytes() == expected.cov.tobytes()
+        assert points.tobytes() == centred.tobytes()
+        # no second array of the points' 1.3 MB: the mean, numpy's 64 KB
+        # reduction buffer, the 8x8 products and their decomposition
+        assert peak < points.nbytes // 4
 
 
 class TestMahalanobis:

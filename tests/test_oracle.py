@@ -76,7 +76,8 @@ class TestEmpiricalCrossEntropy:
             )
 
     def test_overflowing_log_density_is_not_called_singular(self):
-        with pytest.raises(InvalidInputError, match="not finite"):
+        with pytest.raises(InvalidInputError, match="points are too far from the model: "
+                           "their log-density overflows the float range"):
             empirical_cross_entropy(
                 [[0.0, 0.0], [1e200, 1e200]], GaussianModel(mean=[0.0, 0.0], cov=np.eye(2))
             )

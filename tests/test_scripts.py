@@ -3,6 +3,7 @@
 import contextlib
 import importlib.util
 import io
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -69,3 +70,31 @@ def test_code_lines_counts_code_outside_docstrings(tmp_path):
         assert counter.main([str(tmp_path)]) == 0
     assert out.getvalue().splitlines() == [f"{tmp_path / 'empty.py'} 0",
                                            f"{module} 9", "total 9"]
+
+
+def test_compare_outputs_prints_each_workload_peak(monkeypatch, capsys):
+    # Loading the script puts bench/ on sys.path and turns bytecode writing off.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    compare = _load("compare_outputs")
+
+    def build(name, seed, work):
+        # two short commands and no input CSV, so no damaged copies
+        synth = ["synth", "--mean", "0", "--cov", "1", "--count", "3", "--seed", str(seed)]
+        operations = [compare.workloads.Operation(synth + ["--output", str(work / f"{i}.csv")],
+                                                  [work / f"{i}.csv"], print)
+                      for i in range(2)]
+        return compare.workloads.Workload(name, operations, 1)
+
+    monkeypatch.setattr(compare.workloads, "build", build)
+    src = str(SCRIPTS.parent / "src")
+    assert compare.main([src, src, "--workloads", "small-cli", "--seeds", "4",
+                         "--peak-rss"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    peaks = [line.split() for line in lines if line.startswith("peak-rss")]
+    assert [fields[1:4] for fields in peaks] == [["small-cli", "seed", "4"]] * 3
+    assert [fields[4] for fields in peaks] == ["1:synth", "2:synth", "workload"]
+    # the workload line holds, for each tree, the largest peak of its commands
+    for column in (5, 7):
+        assert float(peaks[2][column]) == max(float(fields[column]) for fields in peaks[:2])
+    assert lines[-1] == "0 difference(s)"

@@ -112,7 +112,7 @@ def run_tree(tree: Path, name: str, seed: int, work: Path):
             outputs.append((f"{label} {path.name}", digest))
         peaks.append((label, peak))
 
-    try:
+    with launcher:  # closes its pipes, which ends it, and waits for it
         inputs = []
         for index, op in enumerate(workload.operations, start=1):
             run(f"{index}:{op.argv[0]}", op.argv, op.outputs)
@@ -124,9 +124,6 @@ def run_tree(tree: Path, name: str, seed: int, work: Path):
                 copy = work / f"{kind}-{path.name}"
                 copy.write_bytes(data)
                 run(f"{kind} {path.name}", ["report", "--input", str(copy), "--format", "csv"])
-    finally:
-        launcher.stdin.close()
-        launcher.wait()
     return outputs, peaks, workload_peak
 
 

@@ -171,9 +171,11 @@ def read_points_csv(source) -> np.ndarray:
     not finite, and InsufficientDataError for fewer than two points.
 
     The text is read a chunk at a time, and the rows of each piece that a
-    line end closes are decoded as it arrives, into an array that doubles
-    as it fills, so that the memory taken beyond the result is bounded by
-    the chunk size and the longest line.
+    line end closes are decoded as it arrives and appended to one buffer,
+    which grows by about an eighth, so that the memory taken beyond the
+    result is bounded by an eighth of it, the chunk size and the longest
+    line.  The points are a view of that buffer: writable and C-ordered,
+    but not the owner of their memory.
     """
     pieces = _text_pieces(source)
     try:
@@ -216,33 +218,29 @@ def _data_rows(pieces):
 def _decode_blocks(blocks) -> np.ndarray:
     """The points of ``_data_rows`` blocks, one for each piece of text.
 
-    They fill an array of the first block's rows that doubles when full,
-    or grows to hold a block larger than that, and is cut to size at the
-    end.  Both fast decoders accept only what the line loop accepts, with
-    the same bits.  A block the decoder refuses, or whose values have
-    another shape or are not all finite, is read again by the line loop,
-    which names the line of its first error.  The table of distinct fields
-    is taken and left by ``_repeats``'s rule; otherwise numpy's reader
-    decodes.
+    The decoded rows of each block are appended to one ``bytearray``, which
+    grows by about an eighth through ``realloc``, and the points are a
+    writable, C-ordered view of it.  Both fast decoders accept only what the
+    line loop accepts, with the same bits.  A block the decoder refuses, or
+    whose values have another shape or are not all finite, is read again by
+    the line loop, which names the line of its first error.  The table of
+    distinct fields is taken and left by ``_repeats``'s rule; otherwise
+    numpy's reader decodes.
     """
-    points = np.empty((0, 0))
-    count = 0
+    data = bytearray()
+    width = 1  # of the empty result, when no row holds a point
     for numbers, lines in blocks:
-        if not count:
+        if not data:
             width = lines[0].count(",") + 1
             table = _FieldValues()
             decode = partial(_decode_distinct, table=table) if _repeats(lines) else _decode_numpy
         values = decode(lines, width)
         if values is None or values.shape != (len(lines), width) or not np.isfinite(values).all():
             values = _decode_lines(list(zip(numbers, lines)), width)
-        if count + len(lines) > len(points):
-            points.resize((max(2 * len(points), count + len(lines)), width), refcheck=False)
-        points[count : count + len(lines)] = values
-        count += len(lines)
+        data += memoryview(values).cast("B")
         if len(table) > _BLOCK_CELLS:
             decode = _decode_numpy
-    points.resize((count, points.shape[1]), refcheck=False)
-    return points
+    return np.frombuffer(data).reshape(-1, width)
 
 
 def _repeats(lines: list[str]) -> bool:
@@ -301,7 +299,7 @@ def _decode_numpy(lines: list[str], width: int):
         return None
 
 
-def _decode_lines(rows: list[tuple[int, str]], width: int) -> list[list[float]]:
+def _decode_lines(rows: list[tuple[int, str]], width: int) -> np.ndarray:
     """Decode numbered rows one by one: the reference for what is accepted.
 
     Raises ParseError naming the first row with a field ``float`` refuses,
@@ -318,7 +316,7 @@ def _decode_lines(rows: list[tuple[int, str]], width: int) -> list[list[float]]:
         if len(values) != width:
             raise ParseError(f"row has {len(values)} fields, expected {width}", line=line_no)
         points.append(values)
-    return points
+    return np.array(points)
 
 
 def _is_header(line: str) -> bool:

@@ -123,6 +123,22 @@ class TestReadPointsCsv:
             read_points_csv(io.StringIO(text)), [[1000.0, 1.0], [0.5, -5.0], [2000.0, 7.0]]
         )
 
+    @pytest.mark.parametrize("text", [
+        "".join(f"{i},{-i}.5\n" for i in range(40)),  # numpy's reader
+        "0.5,1.5\n" * 40,  # the table of distinct fields
+        "".join(f"1_{i},{i}\n" for i in range(40)),  # the line loop
+    ])
+    def test_points_are_whitened_in_place(self, text):
+        # the commands centre and whiten the points they read in place, and
+        # copy them without a word unless the array is writable and C-ordered
+        with mock.patch.object(ingest, "_CHUNK_SIZE", 64):
+            points = read_points_csv(io.StringIO(text))
+        assert points.dtype == np.float64 and points.shape == (40, 2)
+        assert points.flags.writeable and points.flags.c_contiguous and points.flags.aligned
+        transform = whitening_transform(estimate_moments([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        white = transform.apply(points, overwrite=True)
+        assert np.shares_memory(white, points)
+
 
 def _decorate(text, header, spacing, comment_every):
     """Spread blank lines, comments, spaces and a header through CSV text."""
@@ -307,9 +323,9 @@ class TestBulkDecode:
         assert [len(call.args[0]) for call in spy.call_args_list] == [step, step]
         assert _bits(points) == _bits(_decode_lines(_numbered(text), 2))
 
-    def test_array_grows_past_doubling_for_a_large_piece(self):
-        # the first piece holds one row, the second ten: doubling the first
-        # capacity, of one row, would leave no room for them
+    def test_piece_larger_than_all_read_before_it(self):
+        # the first piece holds one row, the second ten, more than every row
+        # read before them: all eleven come back, in order
         text = "1,2\n#" + "c" * 64 + "\n" + "3,4\n" * 10
         with mock.patch.object(ingest, "_CHUNK_SIZE", 64), mock.patch.object(
             ingest, "_decode_numpy", wraps=_decode_numpy
@@ -543,16 +559,22 @@ def _traced_peak(call):
 
 
 class TestBoundedMemory:
-    def test_reader_holds_the_points_and_a_bounded_rest(self, tmp_path):
+    @pytest.mark.parametrize("rows", [2**18, 5212 * 2**5 + 1])
+    def test_reader_holds_the_points_and_a_bounded_rest(self, tmp_path, rows):
         # 2**18 rows of 4.5 MB of text: a reader of the whole text holds it
         # as bytes, as str and as 2**18 line strings, about 26 MB beside the
-        # 4 MB of points; a chunked one holds a chunk and a block of rows,
-        # under 64 chunks of memory whatever the length of the file.
+        # 4 MB of points; a chunked one holds a chunk, a block of its rows
+        # and their values, about 15 chunks of memory whatever the length of
+        # the file, and a buffer that grows by an eighth.  The first piece
+        # holds 5212 rows, so an array of them that doubled when full would
+        # hold about twice the points one row past its fifth doubling.
+        text = "".join(f"{i},{-i}.5\n" for i in range(rows))
+        assert text[: ingest._CHUNK_SIZE].count("\n") == 5212
         path = tmp_path / "tall.csv"
-        path.write_text("".join(f"{i},{-i}.5\n" for i in range(2**18)), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         peak, points = _traced_peak(lambda: read_points_csv(path))
-        assert points.shape == (2**18, 2) and points[-1].tolist() == [2**18 - 1, 0.5 - 2**18]
-        assert peak <= points.nbytes + 64 * ingest._CHUNK_SIZE
+        assert points.shape == (rows, 2) and points[-1].tolist() == [rows - 1, 0.5 - rows]
+        assert peak <= points.nbytes * 9 / 8 + 24 * ingest._CHUNK_SIZE
 
     def test_array_holds_the_rows_read(self, tmp_path):
         # 10**4 comment lines and two rows of 2000 values: an array of a row

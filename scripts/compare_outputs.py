@@ -15,6 +15,13 @@ output file it names are hashed with SHA-256, and one line per output gives
 both hashes and whether they agree. BLAS runs on one thread, as in the
 benchmark.
 
+When an output differs and both are UTF-8 texts that agree outside their
+numbers, a ``drift`` line follows: how many numbers they hold, how many of
+them are bit-identical, the largest absolute and relative difference of a
+pair of numbers, each with its line and column in the first tree's text,
+and the largest magnitude of a number, against which a difference in a
+covariance entry is read.
+
 Then ``report`` runs on seven damaged copies of each points CSV the
 workload reads: one with a bad field in its last row, one with a ragged
 row at the first boundary between the pieces the reader decodes (the
@@ -43,6 +50,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -56,8 +64,49 @@ sys.dont_write_bytecode = True  # leave bench/ as it is
 import workloads  # noqa: E402  (bench/workloads.py)
 
 
+# A decimal number as the package writes it: an int or a float repr.
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def drift(first: bytes, second: bytes) -> str | None:
+    """How far the numbers of two outputs lie apart, as the text of a drift
+    line; None unless both are UTF-8 and agree outside their numbers."""
+    try:
+        texts = first.decode("utf-8"), second.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    count = same = 0
+    largest, worst_abs, worst_rel = 0.0, (0.0, 0), (0.0, 0)
+    ends = (0, 0)
+    for pair in itertools.zip_longest(*map(_NUMBER.finditer, texts)):
+        if None in pair or texts[0][ends[0]:pair[0].start()] != texts[1][ends[1]:pair[1].start()]:
+            return None
+        ends = pair[0].end(), pair[1].end()
+        a, b = (float(match.group()) for match in pair)
+        count += 1
+        same += a.hex() == b.hex()
+        largest = max(largest, abs(a), abs(b))
+        difference = abs(a - b)
+        relative = difference / max(abs(a), abs(b)) if difference else 0.0
+        if difference > worst_abs[0]:
+            worst_abs = difference, pair[0].start()
+        if relative > worst_rel[0]:
+            worst_rel = relative, pair[0].start()
+    if texts[0][ends[0]:] != texts[1][ends[1]:]:
+        return None
+
+    def at(offset: int) -> str:
+        line = texts[0].count("\n", 0, offset) + 1
+        column = offset - texts[0].rfind("\n", 0, offset)
+        return f"line {line} col {column}"
+
+    return (f"{count} numbers, {same} bit-identical, largest abs difference {worst_abs[0]:.3g} "
+            f"at {at(worst_abs[1])}, largest rel difference {worst_rel[0]:.3g} "
+            f"at {at(worst_rel[1])}, largest magnitude {largest:.6g}")
 
 
 def _damaged(text: str) -> dict[str, bytes]:
@@ -84,7 +133,7 @@ def _damaged(text: str) -> dict[str, bytes]:
 
 
 def run_tree(tree: Path, name: str, seed: int, work: Path):
-    """(label, digest) of each exit code, stdout, stderr and output file, in command
+    """(label, bytes) of each exit code, stdout, stderr and output file, in command
     order, (label, peak RSS in MB) of each command, and the largest peak of the
     workload's own commands."""
     shutil.rmtree(work, ignore_errors=True)
@@ -104,12 +153,11 @@ def run_tree(tree: Path, name: str, seed: int, work: Path):
         launcher.stdin.write(json.dumps(request) + "\n")
         launcher.stdin.flush()
         code, _, peak = json.loads(launcher.stdout.readline())
-        outputs.append((f"{label} exit", str(code)))
-        outputs.append((f"{label} stdout", _digest(stdout.read_bytes())))
-        outputs.append((f"{label} stderr", _digest(stderr.read_bytes())))
+        outputs.append((f"{label} exit", str(code).encode()))
+        outputs.append((f"{label} stdout", stdout.read_bytes()))
+        outputs.append((f"{label} stderr", stderr.read_bytes()))
         for path in files:
-            digest = _digest(path.read_bytes()) if path.exists() else "missing"
-            outputs.append((f"{label} {path.name}", digest))
+            outputs.append((f"{label} {path.name}", path.read_bytes() if path.exists() else None))
         peaks.append((label, peak))
 
     with launcher:  # closes its pipes, which ends it, and waits for it
@@ -152,7 +200,10 @@ def main(argv=None) -> int:
                 for (label, a), (_, b) in zip(first, second):
                     verdict = "same" if a == b else "DIFFERS"
                     differences += a != b
-                    print(f"{verdict:8} {name} seed {seed} {label:40} {a[:16]} {b[:16]}")
+                    hashes = ("missing" if data is None else _digest(data)[:16] for data in (a, b))
+                    print(f"{verdict:8} {name} seed {seed} {label:40} {' '.join(hashes)}")
+                    if a != b and None not in (a, b) and (report := drift(a, b)):
+                        print(f"{'drift':8} {name} seed {seed} {label:40} {report}")
                 if args.peak_rss:
                     for (label, a), (_, b) in zip(first_peaks, second_peaks):
                         print(f"peak-rss {name} seed {seed} {label:40} {a:7.1f} MB {b:7.1f} MB")

@@ -36,7 +36,7 @@ from .families import (
     fit,
     whitening_transform,
 )
-from .gaussians import GaussianModel, cross_entropy, match_score, moments_in_place
+from .gaussians import GaussianModel, cross_entropy, estimate_moments, match_score
 from .ingest import image_to_blocks, output_file, read_points_csv, read_ppm, read_text
 from .ingest import sample_gaussian, write_points_csv
 from .linalg import float_array, within_float_range
@@ -261,7 +261,7 @@ def _cmd_fit(args) -> int:
         raise _UsageError(f"family {family.value!r} requires --mean")
     if family not in FIXED_MEAN_FAMILIES and args.mean is not None:
         raise _UsageError(f"family {family.value!r} does not take --mean")
-    moments = moments_in_place(read_points_csv(args.input))
+    moments = estimate_moments(read_points_csv(args.input))
     result = fit(moments, FamilySpec(family, args.mean))
     with output_file(args.output) as handle:
         json.dump(fit_to_document(result), handle, indent=2)
@@ -270,7 +270,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    moments = moments_in_place(read_points_csv(args.input))
+    moments = estimate_moments(read_points_csv(args.input))
     stored = _read_model(args.model)
     print(f"M {match_score(moments, stored.model)!r}")
     print(f"Hx {cross_entropy(moments, stored.model)!r}")
@@ -297,7 +297,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    moments = moments_in_place(read_points_csv(args.input))
+    moments = estimate_moments(read_points_csv(args.input))
     labeled = _resolve_mean_tokens(args.means, moments.mean)
     # Each fixed-mean family has one row per mean, in the order given.
     labels = itertools.cycle(label for label, _ in labeled)

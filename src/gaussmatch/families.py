@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .gaussians import GaussianModel, Moments, self_cross_entropy
-from .linalg import finite_vector, float_array, frozen, require_dim, spd_power, symmetrize
-from .linalg import within_float_range
+from .linalg import finite_vector, float_array, frozen, require_dim, row_blocks, spd_power
+from .linalg import symmetrize, within_float_range
 
 
 class Family(str, Enum):
@@ -65,18 +65,13 @@ FIXED_MEAN_FAMILIES = frozenset(FREE_TWIN)
 
 FAMILY_ORDER = tuple(Family)
 
-# Cells (rows times columns) of one block of rows that
-# ``RescalingTransform.apply`` whitens at a time: as many as the CSV writer
-# formats in one block, so that whitening in place adds no more memory than
-# writing does.
-_BLOCK_CELLS = 2**14
-
 _FAR_MEAN = "fixed mean is so far from the data that its fit overflows the float range"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilySpec:
-    """A family together with its fixed mean when the family requires one."""
+    """A family together with its fixed mean when the family requires one.
+    ``==`` compares identity."""
 
     kind: Family
     fixed_mean: np.ndarray | None = None
@@ -102,9 +97,10 @@ class FamilySpec:
         return FREE_TWIN.get(self.kind, self.kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
-    """Optimal model within a family, with its match score and cross-entropy."""
+    """Optimal model within a family, with its match score and cross-entropy.
+    ``==`` compares identity."""
 
     model: GaussianModel
     match: float
@@ -112,9 +108,10 @@ class FitResult:
     family: FamilySpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RescalingTransform:
-    """Affine map y -> root_inv_cov @ (y - shift) written for row vectors."""
+    """Affine map y -> root_inv_cov @ (y - shift) written for row vectors.
+    ``==`` compares identity."""
 
     shift: np.ndarray
     root_inv_cov: np.ndarray
@@ -122,14 +119,13 @@ class RescalingTransform:
     def apply(self, points, overwrite: bool = False) -> np.ndarray:
         """Transform a single vector or an (n, dim) array of row points.
 
-        The rows are whitened a block of at most about ``_BLOCK_CELLS`` cells
-        at a time, the blocks as even as their count allows, and each
-        block's ``block - shift`` is the only temporary.  With ``overwrite``
-        the result is written over the points when they are a writable
-        C-ordered float array, and the points are lost: the transform then
-        holds one array of their size and a block.  The result has the same
-        bits either way.  Raises InvalidInputError when a transformed value
-        overflows."""
+        The rows are whitened by the blocks of ``row_blocks``, the ones that
+        ``estimate_moments`` sums by, and each block's ``block - shift`` is
+        the only temporary.  With ``overwrite`` the result is written over
+        the points when they are a writable C-ordered float array, and the
+        points are lost: the transform then holds one array of their size
+        and a block.  The result has the same bits either way.  Raises
+        InvalidInputError when a transformed value overflows."""
         pts = float_array(points, "points")
         if pts.ndim not in (1, 2):
             raise InvalidInputError(f"expected a vector or (n, dim) points, got shape {pts.shape}")
@@ -145,12 +141,8 @@ class RescalingTransform:
         when it is None, by row blocks; a vector is one row."""
         out = np.empty(pts.shape) if out is None else out
         rows, out_rows = (a.reshape(-1, self.shift.size) for a in (pts, out))
-        # Even blocks leave no short last block, whose product BLAS can take
-        # by another kernel than a longer one's.
-        count = -(-len(rows) // max(1, _BLOCK_CELLS // self.shift.size))
-        bounds = [len(rows) * i // count for i in range(count + 1)]
-        for start, stop in zip(bounds, bounds[1:]):
-            np.matmul(rows[start:stop] - self.shift, self.root_inv_cov, out=out_rows[start:stop])
+        for block in row_blocks(rows.shape):
+            np.matmul(rows[block] - self.shift, self.root_inv_cov, out=out_rows[block])
         return out
 
 

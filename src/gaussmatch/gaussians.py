@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
 from .linalg import EigenDecomposition, SpdFactor, finite_vector, float_array, frozen
 from .linalg import require_dim, require_nonnegative_definite, spd_factor, sym_eigen, symmetrize
-from .linalg import within_float_range
+from .linalg import row_blocks, within_float_range
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -107,29 +107,23 @@ def estimate_moments(points) -> Moments:
 
     The covariance uses the 1/n divisor: it is the second central moment of
     the empirical distribution, which is what the cross-entropy formulas
-    integrate against.  Points so large that the mean or the covariance
-    overflows the float range raise InvalidInputError.  The points are
-    never written: ``moments_in_place`` works on a copy of them when
-    ``as_point_set`` hands back the caller's own memory.
+    integrate against.  It sums the products ``block.T @ block`` of the
+    centred rows ``block = pts[rows] - mean`` over the blocks of
+    ``row_blocks``, the ones that ``RescalingTransform.apply`` whitens by,
+    so the points are never written and no second array of their size is
+    made; up to ``BLOCK_CELLS // dim`` points are one block and one product.
+    Points so large that the mean or the covariance overflows the float
+    range raise InvalidInputError.
     """
     pts = as_point_set(points)
-    # numpy builds a new array from a list or tuple; may_share_memory would
-    # build a second one to compare with.
-    if not isinstance(points, (list, tuple)) and np.may_share_memory(pts, points):
-        pts = pts.copy(order="K")  # the points' layout, and so the product's bits
-    return moments_in_place(pts)
 
-
-def moments_in_place(pts: np.ndarray) -> Moments:
-    """``estimate_moments`` of an (n, dim) point set that the caller gives up,
-    as ``as_point_set`` or ``read_points_csv`` returns it.
-
-    The points are centred in place and so are lost, and no second array of
-    their size is made: the one home of the moments' formula."""
     def moments():
         mean = pts.mean(axis=0)
-        np.subtract(pts, mean, out=pts)
-        return mean, pts.T @ pts / pts.shape[0]
+        centred = (pts[rows] - mean for rows in row_blocks(pts.shape))
+        # map keeps no block while it makes the next; reduce adds no 0
+        # first, which would turn a -0.0 product into 0.0
+        products = map(lambda block: block.T @ block, centred)
+        return mean, reduce(np.add, products) / pts.shape[0]
 
     return Moments(*within_float_range(
         moments, "points are too large: their covariance overflows the float range"))

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError, ParseError
 from .gaussians import GaussianModel
-from .linalg import float_array, integer, require_seed, spd_factor
+from .linalg import BLOCK_CELLS, float_array, integer, require_seed, spd_factor
 
 # --- Files ------------------------------------------------------------------
 
@@ -149,15 +149,6 @@ def _text_pieces(source):
 
 # --- CSV point sets ---------------------------------------------------------
 
-# Cells (rows times columns) in one block of a CSV that is written out, so
-# that no copy of the whole text is built; also the most values either
-# codec's table of distinct values may hold before it is left.  On the
-# 4096x192 image blocks (2-vCPU host), written blocks of 2**10 to 2**17
-# cells take the same time within noise, while the memory traced while
-# writing their whitened points grows from about 2**15 cells on (2**14:
-# 1.5 MiB; 2**17: 11.5 MiB).
-_BLOCK_CELLS = 2**14
-
 
 def read_points_csv(source) -> np.ndarray:
     """Read an (n, dim) point set from UTF-8 CSV text.
@@ -238,7 +229,7 @@ def _decode_blocks(blocks) -> np.ndarray:
         if values is None or values.shape != (len(lines), width) or not np.isfinite(values).all():
             values = _decode_lines(list(zip(numbers, lines)), width)
         data += memoryview(values).cast("B")
-        if len(table) > _BLOCK_CELLS:
+        if len(table) > BLOCK_CELLS:
             decode = _decode_numpy
     return np.frombuffer(data).reshape(-1, width)
 
@@ -251,7 +242,7 @@ def _repeats(lines: list[str]) -> bool:
     rows, the writer of its first block, formatted value by value.  When
     they repeat, the codec converts each distinct value once through a
     table, and leaves that table for good once it holds more than
-    ``_BLOCK_CELLS`` values, as one for a file whose head repeats and whose
+    ``BLOCK_CELLS`` values, as one for a file whose head repeats and whose
     body does not would.  Counted on text with a set, a line at a time, so
     that neither ``np.unique``, whose sort code alone adds about 1 MB to the
     peak RSS of a process, nor a list of every field of the block is made.
@@ -353,7 +344,7 @@ def write_points_csv(points, destination) -> None:
 
 
 def _text_blocks(pts: np.ndarray):
-    """Generator of the CSV text of the points, about ``_BLOCK_CELLS`` cells at a time.
+    """Generator of the CSV text of the points, about ``BLOCK_CELLS`` cells at a time.
 
     The first block is formatted value by value; the later ones take the
     table as ``_repeats``'s rule has it.  The table finds a block's distinct
@@ -363,7 +354,7 @@ def _text_blocks(pts: np.ndarray):
     distinct value.
     """
     reprs = None  # the table, from the second block on
-    step = max(1, _BLOCK_CELLS // max(pts.shape[1], 1))
+    step = max(1, BLOCK_CELLS // max(pts.shape[1], 1))
     # An empty point set is one empty line, as "\n".join of no rows plus "\n".
     for start in range(0, max(len(pts), 1), step):
         block = pts[start : start + step]
@@ -381,7 +372,7 @@ def _text_blocks(pts: np.ndarray):
         text = "\n".join(lines) + "\n"
         if not start and _repeats(lines):
             reprs = {}
-        elif reprs is not None and len(reprs) > _BLOCK_CELLS:
+        elif reprs is not None and len(reprs) > BLOCK_CELLS:
             reprs = None
         yield text
 

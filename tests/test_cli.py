@@ -671,7 +671,7 @@ class TestOneCopyOfThePoints:
             return points
 
         monkeypatch.setattr(cli, "read_points_csv", read_then_reset)
-        monkeypatch.setattr(ingest, "_BLOCK_CELLS", 2**10)
+        monkeypatch.setattr(ingest, "BLOCK_CELLS", 2**10)
         argv = [part.format(out=tmp_path, data=tall_csv) for part in command]
         tracemalloc.start()
         try:

@@ -30,7 +30,7 @@ from gaussmatch import (
     spd_power,
     whitening_transform,
 )
-from gaussmatch import families
+from gaussmatch.linalg import BLOCK_CELLS
 from helpers import random_moments, random_orthogonal, random_spd
 from test_pipeline import synthetic_photo
 
@@ -265,6 +265,22 @@ class TestDispatch:
         with pytest.raises(InvalidInputError):
             fit(EX_MOM, FamilySpec(Family.FIXED_MEAN, [1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("make", [
+        lambda: FamilySpec("fixed-mean", [1, 2]),
+        lambda: FamilySpec(Family.FULL),
+        lambda: fit(EX_MOM, FamilySpec(Family.FIXED_MEAN, ORIGIN)),
+        lambda: fit(EX_MOM, FamilySpec(Family.FULL)),
+        lambda: whitening_transform(EX_MOM),
+    ], ids=["pinned spec", "free spec", "pinned fit", "free fit", "transform"])
+    def test_equality_is_identity(self, make):
+        # Records that hold arrays cannot compare them by value: numpy's
+        # element-wise == has no truth value, and an array has no hash.
+        a, b = make(), make()
+        assert (a == a) is True
+        assert (a == b) is False
+        assert (a != b) is True
+        assert len({a, b}) == 2
+
     def test_singular_data_covariance(self):
         mom = Moments(mean=[0.0, 0.0], cov=np.diag([1.0, 0.0]))
         with pytest.raises(SingularMatrixError):
@@ -327,7 +343,7 @@ class TestWhitening:
         rng = np.random.default_rng(49)
         t = whitening_transform(GaussianModel(mean=rng.normal(size=dim),
                                               cov=random_spd(rng, dim)))
-        block = families._BLOCK_CELLS // dim
+        block = BLOCK_CELLS // dim
         for rows in (1, block - 1, block, block + 1, 3 * block + 7):
             points = rng.normal(size=(rows, dim))
             expected = t.apply(points)
@@ -347,7 +363,7 @@ class TestWhitening:
         finally:
             tracemalloc.stop()
         # 2 MB of points: a block of them and the bools of a finiteness check
-        assert peak < families._BLOCK_CELLS * 8 + points.size + 2**16
+        assert peak < BLOCK_CELLS * 8 + points.size + 2**16
 
     def test_rejects_singular_model(self):
         with pytest.raises(SingularMatrixError):

@@ -22,7 +22,7 @@ from gaussmatch import (
     match_score,
     self_cross_entropy,
 )
-from gaussmatch.gaussians import moments_in_place
+from gaussmatch.linalg import BLOCK_CELLS, symmetrize
 from helpers import random_moments, random_spd
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -94,8 +94,8 @@ class TestEstimateMoments:
             Moments(mean=[0.0, 0.0], cov=[[1.0, 0.0], [0.0, -1.0]])
 
     def test_never_writes_its_argument(self):
-        # The moments centre a copy when as_point_set hands back the
-        # caller's memory, with the bits of a separate centred array.
+        # Up to BLOCK_CELLS // dim points are one block: the bits of one
+        # product of the centred points, in whatever layout they come.
         rng = np.random.default_rng(62)
         base = rng.normal(size=(301, 4)) * 1e3 + rng.normal(size=4)
         locked = base.copy()
@@ -111,22 +111,51 @@ class TestEstimateMoments:
             assert mom.mean.tobytes() == expected.mean.tobytes()
             assert mom.cov.tobytes() == expected.cov.tobytes()
 
-    def test_in_place_centres_the_points_it_is_given(self):
+    def test_holds_a_block_not_a_copy(self):
         rng = np.random.default_rng(63)
         points = rng.normal(size=(20000, 8)) + 5.0
-        expected = estimate_moments(points)
-        centred = points - points.mean(axis=0)
+        kept = points.tobytes()
         tracemalloc.start()
         try:
-            mom = moments_in_place(points)
+            estimate_moments(points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mom.cov.tobytes() == expected.cov.tobytes()
-        assert points.tobytes() == centred.tobytes()
-        # no second array of the points' 1.3 MB: the mean, numpy's 64 KB
-        # reduction buffer, the 8x8 products and their decomposition
-        assert peak < points.nbytes // 4
+        assert points.tobytes() == kept
+        # No second array of the points' 1.3 MB: the bools of the finiteness
+        # check (an eighth of the points), one block of centred rows, and
+        # 64 KiB for the 8x8 products, their decomposition and numpy's buffers
+        assert peak < points.size + BLOCK_CELLS * 8 + 2**16
+
+    @pytest.mark.parametrize("shape", [(120, 4), (8192, 2), (85, 192)])
+    def test_one_block_has_the_bits_of_one_product(self, shape):
+        assert shape[0] * shape[1] <= BLOCK_CELLS
+        rng = np.random.default_rng(64)
+        pts = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[1]) + 3.0
+        mean = pts.mean(axis=0)
+        centred = pts - mean
+        mom = estimate_moments(pts)
+        assert mom.mean.tobytes() == mean.tobytes()
+        assert mom.cov.tobytes() == symmetrize(centred.T @ centred / shape[0]).tobytes()
+
+    def test_blocks_are_as_accurate_as_one_product(self):
+        # Against sums without rounding: the error of the block sums, over
+        # every entry of three covariances of twelve blocks each, is no
+        # larger than that of one product of all the centred points.
+        blocked = single = 0.0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            pts = rng.normal(size=(24000, 8)) @ np.triu(np.ones((8, 8))) + 1e3
+            assert len(pts) > 10 * BLOCK_CELLS // 8
+            means = [math.fsum(column) / len(pts) for column in pts.T.tolist()]
+            deviations = (pts - means).T.tolist()
+            exact = np.array([[math.fsum(map(float.__mul__, a, b)) / len(pts)
+                               for b in deviations] for a in deviations])
+            centred = pts - pts.mean(axis=0)
+            scale = np.abs(exact).max()
+            blocked += np.abs(estimate_moments(pts).cov - exact).sum() / scale
+            single += np.abs(centred.T @ centred / len(pts) - exact).sum() / scale
+        assert blocked <= single
 
 
 class TestMahalanobis:

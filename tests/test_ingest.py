@@ -180,7 +180,7 @@ _csv_text = st.lists(_csv_line, max_size=6).map("\n".join)
 
 def _table_path():
     """Send every codec call down its table path, in blocks of 3 cells."""
-    return mock.patch.multiple(ingest, _repeats=lambda rows: True, _BLOCK_CELLS=3)
+    return mock.patch.multiple(ingest, _repeats=lambda rows: True, BLOCK_CELLS=3)
 
 
 def _pieces_of(rows, line):
@@ -309,10 +309,10 @@ class TestBulkDecode:
 
     def test_table_that_outgrows_a_block_is_left(self):
         # the first piece repeats, so the reader takes the table path; the
-        # rest does not, and each of its pieces adds _BLOCK_CELLS distinct
-        # values, so the table is left once it holds more than _BLOCK_CELLS
+        # rest does not, and each of its pieces adds BLOCK_CELLS distinct
+        # values, so the table is left once it holds more than BLOCK_CELLS
         # values, after the second piece
-        step = ingest._BLOCK_CELLS // 2
+        step = ingest.BLOCK_CELLS // 2
         lines = ["0.500,1.500"] * step + [f"{i:05d},{99999 - i:05d}" for i in range(4 * step)]
         text = "\n".join(lines) + "\n"
         assert _repeats(lines[:step])
@@ -476,8 +476,8 @@ def _check_chunked_reads(data, path):
     assert len(data) < ingest._CHUNK_SIZE  # so that the reference reads the whole text at once
     for kind, make in _SOURCES.items():
         expected = _outcome(_read_whole_text, make(data, path))
-        for size, cells in itertools.product((1, 2, 3, 7), (None, ingest._BLOCK_CELLS)):
-            with mock.patch.multiple(ingest, _CHUNK_SIZE=size, _BLOCK_CELLS=cells or size):
+        for size, cells in itertools.product((1, 2, 3, 7), (None, ingest.BLOCK_CELLS)):
+            with mock.patch.multiple(ingest, _CHUNK_SIZE=size, BLOCK_CELLS=cells or size):
                 assert _outcome(read_points_csv, make(data, path)) == expected, (kind, size, cells)
 
 
@@ -601,13 +601,13 @@ class TestBoundedMemory:
         points = np.random.default_rng(6).integers(0, 4, (2**17, 8)) / 4.0
         with _unique_calls() as calls:
             peak, _ = _traced_peak(lambda: write_points_csv(points, _Discard()))
-        assert len(calls) == points.size // ingest._BLOCK_CELLS - 1  # every block but the first
+        assert len(calls) == points.size // ingest.BLOCK_CELLS - 1  # every block but the first
         assert peak < points.nbytes / 4
 
     def test_writer_leaves_a_table_that_outgrows_a_block(self):
         # two constant columns beside a distinct one: the first block's lines
         # repeat, so the writer takes the table from the second block on, and
-        # leaves it during the fourth, once it holds more than _BLOCK_CELLS
+        # leaves it during the fourth, once it holds more than BLOCK_CELLS
         # values; a table of every value would hold 2**17 reprs (about 19 MiB)
         points = np.zeros((2**17, 3))
         points[:, 1] = 1.0
@@ -690,14 +690,14 @@ class TestWritePointsCsv:
         # blocks of half the array or less, so that the table writes from the
         # second on, with room for every value of the pool
         cells = max(len(_POOL), points.size // 2)
-        with mock.patch.multiple(ingest, _repeats=lambda lines: True, _BLOCK_CELLS=cells), \
+        with mock.patch.multiple(ingest, _repeats=lambda lines: True, BLOCK_CELLS=cells), \
                 _unique_calls() as calls:
             assert _written(points) == _loop_csv(points.tolist())
         assert calls
 
     def test_zero_signs_kept(self, monkeypatch):
         # blocks of two rows: the first repeats, the other three are tabled
-        monkeypatch.setattr(ingest, "_BLOCK_CELLS", 4)
+        monkeypatch.setattr(ingest, "BLOCK_CELLS", 4)
         points = np.array([[0.0, -0.0], [-0.0, 0.0]] * 4)
         with _unique_calls() as calls:
             assert _written(points) == "0.0,-0.0\n-0.0,0.0\n" * 4
@@ -713,13 +713,13 @@ class TestWritePointsCsv:
     @pytest.mark.parametrize("block_cells", [1, 7])  # one row, then a few rows, per block
     @pytest.mark.parametrize("source", ["repeating", "distinct"])
     def test_shapes_and_layouts_in_small_blocks(self, monkeypatch, source, block_cells):
-        monkeypatch.setattr(ingest, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(ingest, "BLOCK_CELLS", block_cells)
         self.test_shapes_and_layouts(source)
 
     @pytest.mark.parametrize("source", ["repeating", "distinct"])
     def test_many_blocks(self, source, tmp_path):
         rng = np.random.default_rng(4)
-        shape = (3 * ingest._BLOCK_CELLS // 8 + 5, 8)
+        shape = (3 * ingest.BLOCK_CELLS // 8 + 5, 8)
         points = rng.integers(0, 4, shape) / 3.0 if source == "repeating" else rng.normal(size=shape)
         expected = _loop_csv(points.tolist())
         assert _written(points) == expected
@@ -775,7 +775,7 @@ class TestWritePointsCsv:
         pixels = np.random.default_rng(0).integers(0, 256, (32, 32, 3)).astype(np.uint16)
         blocks = image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4)
         white = whitening_transform(estimate_moments(blocks)).apply(blocks)
-        monkeypatch.setattr(ingest, "_BLOCK_CELLS", blocks.size // 4)
+        monkeypatch.setattr(ingest, "BLOCK_CELLS", blocks.size // 4)
         for points, tabled in [(blocks, 3), (white, 0)]:
             with _unique_calls() as calls:
                 assert _written(points) == _loop_csv(points.tolist())
@@ -785,14 +785,14 @@ class TestWritePointsCsv:
         # a repeating head over a distinct body: the head fills the first
         # block, but at 2**14 cells, where that block is the whole array, so
         # the table writes from the second block until it holds more than
-        # _BLOCK_CELLS values, two rows into the body.  A distinct head keeps
+        # BLOCK_CELLS values, two rows into the body.  A distinct head keeps
         # the per-value loop throughout.
         head = np.full((64, 2), 0.5)
         body = np.column_stack([np.arange(1000.0), -np.arange(1000.0)])
         for block_cells, tabled in [(3, 65), (8, 16), (2**14, 0)]:
             for points, count in [(np.vstack([head, body]), tabled),
                                   (np.vstack([body, head]), 0)]:
-                with mock.patch.object(ingest, "_BLOCK_CELLS", block_cells), \
+                with mock.patch.object(ingest, "BLOCK_CELLS", block_cells), \
                         _unique_calls() as calls:
                     assert _written(points) == _loop_csv(points.tolist())
                 assert len(calls) == count, block_cells

@@ -98,3 +98,34 @@ def test_compare_outputs_prints_each_workload_peak(monkeypatch, capsys):
     for column in (5, 7):
         assert float(peaks[2][column]) == max(float(fields[column]) for fields in peaks[:2])
     assert lines[-1] == "0 difference(s)"
+
+
+def test_compare_outputs_reports_the_drift_of_numbers(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    compare = _load("compare_outputs")
+    # 0.1 and the next double up, one ulp (2**-56) apart
+    first, second = b"M 0.1\nHx 2.5\n", b"M 0.10000000000000002\nHx 2.5\n"
+    assert compare.drift(first, second) == (
+        "2 numbers, 1 bit-identical, largest abs difference 1.39e-17 at line 1 col 3, "
+        "largest rel difference 1.39e-16 at line 1 col 3, largest magnitude 2.5")
+    # text that differs outside the numbers, or is not UTF-8, has no drift
+    assert compare.drift(first, b"M 0.1\nH 2.5\n") is None
+    assert compare.drift(first, first + b"1\n") is None
+    assert compare.drift(first, b"M 0.1\xff\nHx 2.5\n") is None
+
+    stdouts = iter([first, second])  # of the first tree, then of the second
+
+    def run_tree(tree, name, seed, work):
+        return ([("1:score exit", b"0"), ("1:score stdout", next(stdouts))],
+                [("1:score", 30.0)], 30.0)
+
+    monkeypatch.setattr(compare, "run_tree", run_tree)
+    src = str(SCRIPTS.parent / "src")
+    assert compare.main([src, src, "--workloads", "small-cli"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["same", "DIFFERS", "drift", "1"]
+    assert lines[2].endswith("2 numbers, 1 bit-identical, largest abs difference 1.39e-17 "
+                             "at line 1 col 3, largest rel difference 1.39e-16 at line 1 col 3, "
+                             "largest magnitude 2.5")
+    assert lines[-1] == "1 difference(s)"

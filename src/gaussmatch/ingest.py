@@ -11,7 +11,10 @@ JSON; ``read_points_csv`` decodes the rows of each piece as it arrives, so
 that it never holds the bytes or the text of a whole file.
 ``output_file`` opens every file the package writes (points CSV, PPM
 image, model JSON, report and SVG plot) and removes it when its write
-fails part way, at the final close included.
+fails part way, at the final close included.  ``write_points_csv``
+formats the points a block of rows at a time, through
+``_pool.ordered_texts``, which spreads the blocks of a large write over
+forked children, one per CPU, and hands their text back in order.
 
 ``image_to_blocks`` cuts a ``Raster`` into the (tiles, 3 * b**2) matrix of
 its flattened b x b tiles, a point array like any other.
@@ -31,13 +34,14 @@ import os
 import re
 import stat
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from functools import partial
 from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
+from ._pool import ordered_texts
 from .errors import InsufficientDataError, InvalidInputError, ParseError
 from .gaussians import GaussianModel
 from .linalg import BLOCK_CELLS, float_array, integer, require_seed, spd_factor
@@ -239,7 +243,8 @@ def _repeats(lines: list[str]) -> bool:
 
     The one table rule of both CSV codecs.  Each asks it once per file, of
     the CSV lines of the first block it handles: the reader of one piece's
-    rows, the writer of its first block, formatted value by value.  When
+    rows, the writer of its first block, formatted value by value (each
+    process of a forked write, of its own first block).  When
     they repeat, the codec converts each distinct value once through a
     table, and leaves that table for good once it holds more than
     ``BLOCK_CELLS`` values, as one for a file whose head repeats and whose
@@ -329,6 +334,10 @@ def write_points_csv(points, destination) -> None:
     ``repr`` runs once per distinct value and rows are joined from that
     table; otherwise each value is formatted in turn.  Both paths write the
     same bytes, in blocks of rows, each written as soon as it is formatted.
+    The blocks go through ``_pool.ordered_texts``: where it finds two or
+    more CPUs and two blocks or more for each, block i is formatted in
+    process i % processes, this one or a forked child, and written in
+    order, with the bytes of one process; no child outlives the call.
     ``destination`` is a path or an open text stream; a path is written
     through ``output_file``, so a write that fails part way, at the final
     close included, leaves no file.
@@ -338,26 +347,34 @@ def write_points_csv(points, destination) -> None:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
         raise InvalidInputError(f"expected an (n, dim) array, got shape {pts.shape}")
-    with output_file(destination) as handle:
-        for block in _text_blocks(pts):
-            handle.write(block)
+    blocks = max(1, -(-len(pts) // _block_rows(pts)))
+    with output_file(destination) as handle, \
+            closing(ordered_texts(partial(_text_blocks, pts), blocks)) as pieces:
+        for piece in pieces:
+            handle.write(piece)
 
 
-def _text_blocks(pts: np.ndarray):
-    """Generator of the CSV text of the points, about ``BLOCK_CELLS`` cells at a time.
+def _block_rows(pts: np.ndarray) -> int:
+    """Rows of each block the writer formats: about ``BLOCK_CELLS`` cells."""
+    return max(1, BLOCK_CELLS // max(pts.shape[1], 1))
 
-    The first block is formatted value by value; the later ones take the
-    table as ``_repeats``'s rule has it.  The table finds a block's distinct
-    values by ``np.unique`` on their bit patterns, since float equality
-    merges -0.0 with 0.0, whose reprs differ, and keeps one dict from bit
-    pattern to ``repr`` across blocks, so that ``repr`` runs once per
-    distinct value.
+
+def _text_blocks(pts: np.ndarray, first: int, step: int):
+    """Generator of the CSV text of blocks first, first + step, ... of the points.
+
+    A block is ``_block_rows`` rows.  The first block given is formatted
+    value by value; the later ones take the table as ``_repeats``'s rule
+    has it of that first block, so that each process of a forked write
+    keeps its own table.  The table finds a block's distinct values by
+    ``np.unique`` on their bit patterns, since float equality merges -0.0
+    with 0.0, whose reprs differ, and keeps one dict from bit pattern to
+    ``repr`` across blocks, so that ``repr`` runs once per distinct value.
     """
-    reprs = None  # the table, from the second block on
-    step = max(1, BLOCK_CELLS // max(pts.shape[1], 1))
+    reprs = None  # the table, after the first block
+    rows = _block_rows(pts)
     # An empty point set is one empty line, as "\n".join of no rows plus "\n".
-    for start in range(0, max(len(pts), 1), step):
-        block = pts[start : start + step]
+    for start in range(first * rows, max(len(pts), 1), step * rows):
+        block = pts[start : start + rows]
         if reprs is None:
             lines = [",".join(map(repr, row)) for row in block.tolist()]
         else:
@@ -370,7 +387,7 @@ def _text_blocks(pts: np.ndarray):
             table = np.array([reprs[key] for key in keys], dtype=object)
             lines = map(",".join, table[inverse.reshape(block.shape)].tolist())
         text = "\n".join(lines) + "\n"
-        if not start and _repeats(lines):
+        if start == first * rows and _repeats(lines):
             reprs = {}
         elif reprs is not None and len(reprs) > BLOCK_CELLS:
             reprs = None

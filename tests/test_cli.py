@@ -903,29 +903,41 @@ class TestEntryPoint:
 
     def test_import_loads_no_multiprocessing(self, tmp_path):
         # verify imports it when it forks workers; every other command, and
-        # the start-up the benchmark times as setup_s, does without it
-        points = np.random.default_rng(5).normal(size=(200, 2))
-        write_points_csv(points, tmp_path / "p.csv")
+        # the start-up the benchmark times as setup_s, does without it.  The
+        # transform of 10**4 points of dimension 8, five blocks, forks a CSV
+        # writer on two CPUs, which needs no multiprocessing either.
+        write_points_csv(np.random.default_rng(5).normal(size=(200, 2)), tmp_path / "p.csv")
+        write_points_csv(np.random.default_rng(5).normal(size=(10**4, 8)), tmp_path / "big.csv")
         script = (
-            "import sys\n"
+            "import os, sys\n"
             "import gaussmatch.cli as cli\n"
-            "p, m, w = sys.argv[1:]\n"
+            "p, m, w, big, bigm, bigw = sys.argv[1:]\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "fork, forks = os.fork, []\n"
+            "def counted():\n"
+            "    forks.append(None)\n"
+            "    return fork()\n"
+            "os.fork = counted\n"
             "loaded = [sorted(x for x in sys.modules if x.startswith('multiprocessing'))]\n"
             "for argv in (['fit', '--input', p, '--family', 'full', '--output', m],\n"
             "             ['transform', '--input', p, '--model', m, '--output', w],\n"
-            "             ['report', '--input', p]):\n"
+            "             ['report', '--input', p],\n"
+            "             ['fit', '--input', big, '--family', 'full', '--output', bigm],\n"
+            "             ['transform', '--input', big, '--model', bigm, '--output', bigw]):\n"
             "    if cli.run(argv) != 0:\n"
             "        sys.exit(f'{argv[0]} failed')\n"
             "    loaded.append(sorted(x for x in sys.modules if x.startswith('multiprocessing')))\n"
-            "print(loaded, file=sys.stderr)\n"
+            "print(loaded, len(forks), file=sys.stderr)\n"
         )
+        names = ("p.csv", "m.json", "w.csv", "big.csv", "bigm.json", "bigw.csv")
         result = subprocess.run(
-            [sys.executable, "-c", script, *(str(tmp_path / n) for n in ("p.csv", "m.json", "w.csv"))],
+            [sys.executable, "-c", script, *(str(tmp_path / n) for n in names)],
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stderr == "[[], [], [], []]\n"
+        assert result.stderr == "[[], [], [], [], [], []] 1\n"
         assert read_points_csv(tmp_path / "w.csv").shape == (200, 2)
+        assert read_points_csv(tmp_path / "bigw.csv").shape == (10**4, 8)
 
     def test_verify_runs_where_scipy_cannot_import(self):
         # a None entry in sys.modules makes every import of scipy fail

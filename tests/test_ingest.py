@@ -1,13 +1,16 @@
 """CSV round trips, PPM decoding, block extraction, and the seeded sampler."""
 
+import gc
 import io
 import itertools
 import math
+import os
+import signal
 import subprocess
 import sys
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from unittest import mock
 
 import numpy as np
@@ -35,7 +38,7 @@ from gaussmatch import (
     write_points_csv,
     write_ppm,
 )
-from gaussmatch import ingest
+from gaussmatch import _pool, cli, ingest
 from gaussmatch.ingest import (
     _data_rows,
     _decode_distinct,
@@ -558,6 +561,35 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+@pytest.fixture()
+def one_process(monkeypatch):
+    """The CSV writer formats every block in this process."""
+    monkeypatch.setattr(_pool, "worker_count", lambda tasks: 1)
+
+
+@contextmanager
+def _forked(workers):
+    """``_pool.worker_count`` set to ``workers`` in the block; the ``os.fork``
+    spy is given, and no child of this process is left after the block."""
+    with mock.patch.object(_pool, "worker_count", lambda tasks: workers), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        yield fork
+    _no_child_left()
+
+
+def _no_child_left():
+    # waitpid of any child raises ChildProcessError where there is none
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _nothing_left():
+    """No child is left, and a file left open warns now, in the test that
+    left it: pyproject.toml makes ResourceWarning an error."""
+    _no_child_left()
+    gc.collect()
+
+
 class TestBoundedMemory:
     @pytest.mark.parametrize("rows", [2**18, 5212 * 2**5 + 1])
     def test_reader_holds_the_points_and_a_bounded_rest(self, tmp_path, rows):
@@ -595,7 +627,7 @@ class TestBoundedMemory:
             read_points_csv(source)
         assert time.perf_counter() - start < 2
 
-    def test_writer_tables_one_block_at_a_time(self):
+    def test_writer_tables_one_block_at_a_time(self, one_process):
         # np.unique over the whole array would allocate its int64 inverse,
         # as large as the points, and a sorted copy beside it
         points = np.random.default_rng(6).integers(0, 4, (2**17, 8)) / 4.0
@@ -604,7 +636,7 @@ class TestBoundedMemory:
         assert len(calls) == points.size // ingest.BLOCK_CELLS - 1  # every block but the first
         assert peak < points.nbytes / 4
 
-    def test_writer_leaves_a_table_that_outgrows_a_block(self):
+    def test_writer_leaves_a_table_that_outgrows_a_block(self, one_process):
         # two constant columns beside a distinct one: the first block's lines
         # repeat, so the writer takes the table from the second block on, and
         # leaves it during the fourth, once it holds more than BLOCK_CELLS
@@ -614,6 +646,27 @@ class TestBoundedMemory:
         points[:, 2] = np.random.default_rng(7).normal(size=2**17)
         with _unique_calls() as calls:
             peak, _ = _traced_peak(lambda: write_points_csv(points, _Discard()))
+        assert len(calls) == 3
+        assert peak < 8 * 2**20
+
+    def test_forked_writer_tables_one_block_at_a_time(self):
+        # this process formats the even blocks of 64, tabling all but its first
+        points = np.random.default_rng(6).integers(0, 4, (2**17, 8)) / 4.0
+        with _forked(2) as fork, _unique_calls() as calls:
+            peak, _ = _traced_peak(lambda: write_points_csv(points, _Discard()))
+        assert fork.call_count == 1
+        assert len(calls) == points.size // ingest.BLOCK_CELLS // 2 - 1
+        assert peak < points.nbytes / 4
+
+    def test_forked_writer_leaves_a_table_that_outgrows_a_block(self):
+        # this process formats blocks 0, 2, 4, ... of 25, and keeps its own
+        # table: from its second block, left during its fourth
+        points = np.zeros((2**17, 3))
+        points[:, 1] = 1.0
+        points[:, 2] = np.random.default_rng(7).normal(size=2**17)
+        with _forked(2) as fork, _unique_calls() as calls:
+            peak, _ = _traced_peak(lambda: write_points_csv(points, _Discard()))
+        assert fork.call_count == 1
         assert len(calls) == 3
         assert peak < 8 * 2**20
 
@@ -695,7 +748,7 @@ class TestWritePointsCsv:
             assert _written(points) == _loop_csv(points.tolist())
         assert calls
 
-    def test_zero_signs_kept(self, monkeypatch):
+    def test_zero_signs_kept(self, monkeypatch, one_process):
         # blocks of two rows: the first repeats, the other three are tabled
         monkeypatch.setattr(ingest, "BLOCK_CELLS", 4)
         points = np.array([[0.0, -0.0], [-0.0, 0.0]] * 4)
@@ -769,7 +822,7 @@ class TestWritePointsCsv:
         assert result.stderr.endswith("OSError: [Errno 27] File too large\n")
         assert not out.exists()
 
-    def test_path_choice(self, monkeypatch):
+    def test_path_choice(self, monkeypatch, one_process):
         # four blocks of 16 rows: the 8-bit samples repeat, so the last three
         # blocks are tabled, and the whitened points do not
         pixels = np.random.default_rng(0).integers(0, 256, (32, 32, 3)).astype(np.uint16)
@@ -781,7 +834,7 @@ class TestWritePointsCsv:
                 assert _written(points) == _loop_csv(points.tolist())
             assert len(calls) == tabled
 
-    def test_table_rule_reads_the_first_block(self):
+    def test_table_rule_reads_the_first_block(self, one_process):
         # a repeating head over a distinct body: the head fills the first
         # block, but at 2**14 cells, where that block is the whole array, so
         # the table writes from the second block until it holds more than
@@ -798,6 +851,142 @@ class TestWritePointsCsv:
                 assert len(calls) == count, block_cells
         assert _repeats(["0.0", "0.0"])  # half distinct
         assert not _repeats(["0.0", "-0.0"])  # distinct reprs
+
+
+def _image_values():
+    pixels = np.random.default_rng(8).integers(0, 256, (64, 64, 3)).astype(np.uint16)
+    return image_to_blocks(Raster(pixels=pixels, maxval=255), block_size=4)  # (256, 48)
+
+
+def _constant_columns():
+    points = np.zeros((400, 3))
+    points[:, 1] = 1.0
+    points[:, 2] = np.random.default_rng(9).normal(size=400)
+    return points
+
+
+# (points, cells of a block), each written by one process and by forked ones
+_FORKED_CASES = {
+    "one block": (lambda w: np.random.default_rng(1).normal(size=(10, 4)), 64),
+    "2w blocks": (lambda w: np.random.default_rng(2).normal(size=(2 * w * 16, 4)), 64),
+    "ragged last block": (lambda w: np.random.default_rng(3).normal(size=(2 * w * 16 + 5, 4)), 64),
+    "one column": (lambda w: np.random.default_rng(4).normal(size=(100, 1)), 8),
+    # -0.0, nan, +-inf and two subnormals among them
+    "special values": (lambda w: np.random.default_rng(5).choice(_POOL, size=(60, 3)), 12),
+    # 768 samples a block, of 256 values
+    "8-bit image values": (lambda w: _image_values(), 16 * 48),
+    # each process's first block repeats, and its table outgrows 30 cells
+    "two constant columns": (lambda w: _constant_columns(), 30),
+}
+
+
+class TestForkedWriter:
+    """Blocks formatted by forked children give the bytes of one process."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("case", list(_FORKED_CASES))
+    def test_same_bytes(self, monkeypatch, case, workers):
+        make, cells = _FORKED_CASES[case]
+        points = make(workers)
+        monkeypatch.setattr(ingest, "BLOCK_CELLS", cells)
+        with monkeypatch.context() as serial:
+            serial.setattr(_pool, "worker_count", lambda tasks: 1)
+            expected = _written(points)
+        assert expected == _loop_csv(points.tolist())
+        with _forked(workers) as fork, _unique_calls() as calls:
+            assert _written(points) == expected
+        assert fork.call_count == workers - 1
+        # the table path runs in this process too, where it is taken
+        assert bool(calls) == (case in ("8-bit image values", "two constant columns"))
+
+    def test_same_bytes_at_a_path(self, tmp_path):
+        # a ragged last block of the real size, written through output_file
+        points = np.random.default_rng(6).normal(size=(5 * ingest.BLOCK_CELLS // 8 + 3, 8))
+        with _forked(2) as fork:
+            write_points_csv(points, tmp_path / "p.csv")
+        assert fork.call_count == 1
+        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == _loop_csv(points.tolist())
+
+    def test_forks_for_two_blocks_a_process(self, two_cpus):
+        # three blocks are fewer than two for each of two processes
+        rows = ingest.BLOCK_CELLS // 8
+        for blocks, forks in [(1, 0), (3, 0), (4, 1)]:
+            points = np.random.default_rng(blocks).normal(size=(blocks * rows, 8))
+            with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                assert _written(points) == _loop_csv(points.tolist())
+            assert fork.call_count == forks, blocks
+        _no_child_left()
+
+    def _transform_files(self, folder):
+        # 10**4 points of dimension 8: five blocks, two for each of two processes
+        points = np.random.default_rng(10).normal(size=(10**4, 8))
+        source, model = folder / "p.csv", folder / "m.json"
+        write_points_csv(points, source)
+        assert cli.run(["fit", "--input", str(source), "--family", "full",
+                        "--output", str(model)]) == 0
+        return ["transform", "--input", str(source), "--model", str(model), "--output"]
+
+    def test_killed_child_is_an_error(self, monkeypatch, two_cpus, tmp_path, capsys):
+        argv = self._transform_files(tmp_path)
+        text_blocks = ingest._text_blocks
+
+        def killed(pts, first, step):
+            # a child dies at a signal after writing its first block
+            for number, text in enumerate(text_blocks(pts, first, step)):
+                if first and number == 1:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield text
+
+        monkeypatch.setattr(ingest, "_text_blocks", killed)
+        out = tmp_path / "w.csv"
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert cli.run([*argv, str(out)]) == 2
+        assert fork.call_count == 1
+        assert capsys.readouterr().err == f"error: {_pool._WORKER_ENDED} -9\n"
+        assert not out.exists()
+        _nothing_left()
+
+    def test_full_device(self, two_cpus, tmp_path, capsys):
+        argv = self._transform_files(tmp_path)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert cli.run([*argv, "/dev/full"]) == 2
+        assert fork.call_count == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        _nothing_left()
+
+    def test_closed_output_pipe(self, two_cpus, tmp_path, capsys):
+        # the output is a pipe whose reader has gone, as a closed stdout is
+        argv = self._transform_files(tmp_path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                assert cli.run([*argv, f"/dev/fd/{write_end}"]) == 2
+        finally:
+            os.close(write_end)
+        assert fork.call_count == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        _nothing_left()
+
+    def test_closed_output_stream(self, two_cpus):
+        # a caller's own stream to such a pipe
+        points = np.random.default_rng(11).normal(size=(10**4, 8))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stream = open(write_end, "w", encoding="utf-8")
+        try:
+            with mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                    pytest.raises(BrokenPipeError) as raised:
+                write_points_csv(points, stream)
+            # the traceback holds the writer's frames, so the children went
+            # before the error left the writer, not when its frames were freed
+            _no_child_left()
+        finally:
+            with suppress(BrokenPipeError):  # the rest of its buffer, if any
+                stream.close()
+        assert fork.call_count == 1
+        assert raised.traceback
+        _nothing_left()
 
 
 def _gradient_raster(width=16, height=8, maxval=255):

@@ -83,6 +83,24 @@ def test_files_are_opened_in_one_place():
     assert sorted(found) == ["ingest._read_chunks", "ingest.output_file"]
 
 
+def test_processes_are_forked_in_one_place():
+    # _pool alone forks, with os.fork or a multiprocessing pool, and kills
+    # and waits for what it forks; a fork elsewhere could outlive its caller.
+    def forks(node):
+        if isinstance(node, ast.Attribute) and node.attr == "fork":
+            return getattr(node.value, "id", None) == "os"
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "multiprocessing" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").split(".")[0] == "multiprocessing"
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value.split(".")[0] == "multiprocessing"
+        return isinstance(node, ast.Name) and node.id == "multiprocessing"
+
+    found = _places(forks)
+    assert found and {place.split(".")[0] for place in found} == {"_pool"}, found
+
+
 def test_no_unreferenced_private_names():
     # A module-level _name that nothing loads is dead code.
     trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))

@@ -8,9 +8,13 @@ positive-definite interior, and a seeded Nelder-Mead search minimizes the
 empirical cross-entropy (mean negative log-density) over it.  Agreement
 between the two routes is the strongest check the package offers, and the
 ``verify`` CLI subcommand exposes it directly.  The search is the adaptive
-Nelder-Mead of Gao & Han (2012), implemented here (``_nelder_mead``) so
-that it reproduces the steps of scipy's ``minimize(method="Nelder-Mead",
-adaptive=True)`` exactly without importing scipy.
+Nelder-Mead of Gao & Han (2012), implemented here once, as the generator
+``_nelder_mead_steps``, so that it reproduces the steps of scipy's
+``minimize(method="Nelder-Mead", adaptive=True)`` exactly without
+importing scipy.  The generator yields each trial point and is sent its
+value; ``_nelder_mead`` drives the restarts of a fit in lockstep, which
+share the points and the family, and evaluates their pending points in
+one batched call of the objective.  A lone run is a batch of one.
 
 The oracle evaluates the objective from the raw points, not from the
 closed-form moment expressions, so the two routes share no algebra beyond
@@ -20,26 +24,28 @@ fits of all six families.
 
 ``verify_families`` builds every dataset, with its moments, baseline and
 pinned mean, in the calling process, then runs the (dataset, family) fits
-through ``_pool.forked_map``: one forked worker per CPU in
-``os.sched_getaffinity(0)``, heaviest fits first, or serially in the
-calling process where that module says.  The workers inherit the
-datasets.  No option, argument or environment variable changes this.
-A worker that dies raises ChildProcessError.
+through ``_pool.forked_map``, heaviest fits first: the calling process
+and one forked child per other CPU in ``os.sched_getaffinity(0)`` each
+take the next fit as they come free, or the calling process runs them
+all where that module says.  The children inherit the datasets.  No
+option, argument or environment variable changes this.  A child that
+dies raises ChildProcessError.
 
-A parameter vector is read in one place, ``_unpack``, which turns it
-into a mean, a covariance factor and the log-determinant of the
-covariance; the objective and the final model of a fit both decode
+A stack of parameter vectors is read in one place, ``_unpack``, which
+turns each into a mean, a covariance factor and the log-determinant of
+the covariance; the objective and the final model of a fit both decode
 through it, and ``_initial_point`` writes its blocks in the same order.
-Each run builds its objective once (``_make_objective``) and evaluates it
-from that factor and log-determinant, with no eigendecomposition:
-elementwise from the variances for the diagonal and isotropic families,
-and by one linear solve of the centred points with the factor L for the
-full family.  A covariance must clear the positivity floor of
+Each fit builds its objective once (``_make_objective``) and evaluates a
+stack from those factors and log-determinants, with no
+eigendecomposition: elementwise from the variances for the diagonal and
+isotropic families, and by one linear solve of the centred points with
+the stacked factors L for the full family.  Each row has the bits of a
+call on that row alone.  A covariance must clear the positivity floor of
 :mod:`gaussmatch.linalg`, exactly as an ``eigh`` of it would decide.  The
 variances are their own spectrum.  A factor L passes when the AM-GM lower
 bound ``det * ((n-1)/tr)**(n-1)`` on the smallest eigenvalue of L @ L.T
 beats the floor twice over; any other factor is judged, and evaluated,
-through ``eigh`` of L @ L.T.
+through ``eigh`` of L @ L.T, on its own.
 """
 
 from __future__ import annotations
@@ -131,34 +137,39 @@ def empirical_cross_entropy(points, model: GaussianModel) -> float:
 
 
 def _unpack(shape: Family, fixed_mean, n: int, params: np.ndarray):
-    """Decode an unconstrained parameter vector into (mean, factor, log_det).
+    """Decode a (K, p) stack of unconstrained parameter vectors into
+    (means, factors, log_dets), one row of each per vector.
 
     The one reader of the parameter layout, for a family of covariance
     ``shape`` (a ``FamilySpec.shape``) whose mean is pinned at
     ``fixed_mean``, or free when it is None.  A free mean takes the first n
-    parameters; the rest describe the covariance on the log axis.  The
-    factor is the vector of variances for the diagonal and isotropic
+    parameters, and ``means`` is their (K, n) stack; a pinned one is
+    returned as it is.  The rest describe the covariance on the log axis.
+    The factor is the vector of variances for the diagonal and isotropic
     families (all infinite at an isotropic log-scale of 709 or more, where
     ``math.exp`` overflows), and for the full family the lower-triangular L
     of the covariance L @ L.T: the log of its diagonal, then its entries
-    below the diagonal row by row.  ``log_det`` is ln det of the covariance:
-    the sum of the log-variances, or twice the sum of L's log-diagonal as
-    the parameters hold it, so that it is exact.  Sets no numpy error state.
+    below the diagonal row by row.  ``log_dets`` holds ln det of each
+    covariance: the sum of the log-variances, or twice the sum of L's
+    log-diagonal as the parameters hold it, so that it is exact.  Sets no
+    numpy error state.
     """
     if fixed_mean is None:
-        mean, rest = params[:n], params[n:]
+        means, rest = params[:, :n], params[:, n:]
     else:
-        mean, rest = fixed_mean, params
+        means, rest = fixed_mean, params
+    count = params.shape[0]
     if shape is Family.FULL:
-        lower = np.zeros((n, n))
-        lower.flat[:: n + 1] = np.exp(rest[:n])
-        lower[_BELOW_DIAGONAL[n]] = rest[n:]
-        return mean, lower, 2.0 * float(rest[:n].sum())
+        lower = np.zeros((count, n, n))
+        lower.reshape(count, n * n)[:, :: n + 1] = np.exp(rest[:, :n])
+        lower[(slice(None), *_BELOW_DIAGONAL[n])] = rest[:, n:]
+        return means, lower, 2.0 * rest[:, :n].sum(axis=1)
     if shape is Family.ISOTROPIC:
-        variances = np.full(n, math.exp(rest[0]) if rest[0] < 709.0 else math.inf)
+        scales = [math.exp(s) if s < 709.0 else math.inf for s in rest[:, 0].tolist()]
+        variances = np.repeat(np.array(scales)[:, None], n, axis=1)
     else:
         variances = np.exp(rest)
-    return mean, variances, float(np.log(variances).sum())
+    return means, variances, np.log(variances).sum(axis=1)
 
 
 def _mean_cov_from_params(spec: FamilySpec, n: int, params: np.ndarray):
@@ -169,9 +180,10 @@ def _mean_cov_from_params(spec: FamilySpec, n: int, params: np.ndarray):
     maps to a symmetric positive definite covariance inside the family.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mean, factor, _ = _unpack(spec.shape, spec.fixed_mean, n, params)
+        means, factors, _ = _unpack(spec.shape, spec.fixed_mean, n, params[None])
+        factor = factors[0]
         cov = factor @ factor.T if spec.shape is Family.FULL else np.diag(factor)
-    return np.asarray(mean, dtype=float), cov
+    return np.asarray(means if spec.fixed_mean is not None else means[0], dtype=float), cov
 
 
 def _initial_point(spec: FamilySpec, moments, n: int):
@@ -197,14 +209,15 @@ def _initial_point(spec: FamilySpec, moments, n: int):
 def _make_objective(pts: np.ndarray, spec: FamilySpec):
     """Build the Nelder-Mead objective for one family and one point set.
 
-    The returned function takes the mean, factor and log-determinant of a
-    parameter vector from ``_unpack``, the one reader of the vector, and
-    maps them to the empirical cross-entropy of ``pts``, or
-    to ``inf`` wherever ``_ce_terms`` on the same covariance rejects it or
-    gives a value that is not finite.  It never sets numpy error states;
-    call it under ``np.errstate`` to silence overflow warnings at extreme
-    parameters.  The module docstring says how each family is evaluated
-    and how the floor is decided.
+    The returned function takes one parameter vector, and gives its value
+    as a float, or a (K, p) stack of them, and gives the list of their
+    values.  It reads the vectors through ``_unpack`` and maps each to the
+    empirical cross-entropy of ``pts``, or to ``inf`` wherever ``_ce_terms``
+    on the same covariance rejects it or gives a value that is not finite.
+    Each row's value has the bits of a call on that row alone.  It never
+    sets numpy error states; call it under ``np.errstate`` to silence
+    overflow warnings at extreme parameters.  The module docstring says
+    how each family is evaluated and how the floor is decided.
     """
     n = pts.shape[1]
     # log of the AM-GM bound minus log of the slackened floor is
@@ -217,45 +230,61 @@ def _make_objective(pts: np.ndarray, spec: FamilySpec):
     return partial(_objective, pts, spec.shape, spec.fixed_mean, fixed_centred, bound_const)
 
 
-def _objective(pts, shape, fixed_mean, fixed_centred, bound_const, params) -> float:
+def _objective(pts, shape, fixed_mean, fixed_centred, bound_const, params):
     """The function ``_make_objective`` returns, with its bound arguments first.
 
-    Reads ``params`` only through ``_unpack``."""
+    Reads ``params`` only through ``_unpack``.  The rows that pass their
+    family's gate are evaluated together: one ``solve`` of the stacked
+    factors, or one division by the variances, and one ``einsum``; a full
+    factor that fails the gate goes through ``_ce_terms`` alone."""
     count, n = pts.shape
-    mean, factor, log_det = _unpack(shape, fixed_mean, n, params)
-    centred = pts - mean if fixed_centred is None else fixed_centred
-    if factor.ndim == 2:  # the full family's L
-        tr = float(np.einsum("ij,ij->", factor, factor))
-        if not (
-            _TRACE_RANGE[0] < tr < _TRACE_RANGE[1]
-            and log_det + bound_const > n * math.log(tr)
-        ):
-            value, _ = _ce_terms(pts, mean, factor @ factor.T)
-            return value if value is not None and np.isfinite(value) else math.inf
-        # The bound keeps every diagonal entry of L normal, so L is invertible.
-        z = np.linalg.solve(factor, centred.T)
+    means, factors, log_dets = _unpack(shape, fixed_mean, n, params.reshape(-1, params.shape[-1]))
+    log_dets = log_dets.tolist()
+    values = [math.inf] * len(log_dets)
+    if factors.ndim == 3:  # the full family's L
+        passed = [
+            _TRACE_RANGE[0] < tr < _TRACE_RANGE[1] and log_det + bound_const > n * math.log(tr)
+            for tr, log_det in zip(np.einsum("kij,kij->k", factors, factors).tolist(), log_dets)
+        ]
+        for row in [row for row, ok in enumerate(passed) if not ok]:
+            mean = means if fixed_mean is not None else means[row]
+            value, _ = _ce_terms(pts, mean, factors[row] @ factors[row].T)
+            values[row] = value if value is not None and np.isfinite(value) else math.inf
     else:
-        if not factor.min() > eigenvalue_floor(float(factor.sum()), n):
-            return math.inf
-        z = centred / np.sqrt(factor)
-    value = 0.5 * (n * LOG_TWO_PI + log_det + float(np.einsum("ij,ij->", z, z)) / count)
-    return value if math.isfinite(value) else math.inf
+        passed = [low > eigenvalue_floor(total, n) for low, total
+                  in zip(factors.min(axis=1).tolist(), factors.sum(axis=1).tolist())]
+    rows = [row for row, ok in enumerate(passed) if ok]
+    if rows:
+        if len(rows) < len(passed):
+            factors = factors[rows]
+            means = means if fixed_mean is not None else means[rows]
+        centred = fixed_centred if fixed_mean is not None else pts - means[:, None, :]
+        if factors.ndim == 3:
+            # The bound keeps every diagonal entry of L normal, so L is invertible.
+            z = np.linalg.solve(factors, centred.swapaxes(-1, -2))
+        else:
+            z = centred / np.sqrt(factors)[:, None, :]
+        for row, quad in zip(rows, np.einsum("kij,kij->k", z, z).tolist()):
+            value = 0.5 * (n * LOG_TWO_PI + log_dets[row] + quad / count)
+            values[row] = value if math.isfinite(value) else math.inf
+    return values if params.ndim == 2 else values[0]
 
 
 class _BudgetSpent(Exception):
-    """The evaluation budget of a ``_nelder_mead`` run ran out mid-iteration."""
+    """The evaluation budget of a Nelder-Mead run ran out mid-iteration."""
 
 
-def _nelder_mead(objective, simplex, max_iterations: int, fatol: float) -> dict:
+def _nelder_mead_steps(simplex, max_iterations: int, fatol: float):
     """Adaptive Nelder-Mead (Gao & Han 2012) from the given initial simplex.
 
+    A generator: it yields each trial point, is sent that point's value,
+    and returns the run as a dict: ``x``, ``fun``, ``iterations``,
+    ``evaluations``, and ``converged`` when neither budget ran out.
     Reproduces ``scipy.optimize.minimize(method="Nelder-Mead",
     adaptive=True)`` of scipy 1.17 step for step: the same coefficients,
     the same numpy expression for every trial point, the same ``argsort``
     reordering, and a budget of ``10 * max_iterations`` evaluations that
-    stops a run inside the iteration that spends it.  Returns the run as a
-    dict: ``x``, ``fun``, ``iterations``, ``evaluations``, and ``converged``
-    when neither budget ran out.
+    stops a run inside the iteration that spends it.
     """
     sim = np.array(simplex, dtype=float)
     n = sim.shape[1]
@@ -268,63 +297,97 @@ def _nelder_mead(objective, simplex, max_iterations: int, fatol: float) -> dict:
         if evaluations >= max_evaluations:
             raise _BudgetSpent
         evaluations += 1
-        return objective(x)
+        return (yield x)
 
     fsim = np.full(n + 1, np.inf)
     try:
         for k in range(n + 1):
-            fsim[k] = f(sim[k])
+            fsim[k] = yield from f(sim[k])
     except _BudgetSpent:
         pass
     for _ in range(2):  # scipy sorts the first simplex twice; ties may move
-        order = np.argsort(fsim)
+        order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
     iterations = 1
     while evaluations < max_evaluations and iterations < max_iterations:
         if (
-            np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-            and np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
+            np.abs(fsim[0] - fsim[1:]).max() <= fatol
+            and np.abs(sim[1:] - sim[0]).max() <= _XATOL
         ):
             break
         try:
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = f(xr)
+            fxr = yield from f(xr)
             shrink = False
             if fxr < fsim[0]:
                 xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = f(xe)
+                fxe = yield from f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             elif fxr < fsim[-1]:
                 xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = f(xc)
+                fxc = yield from f(xc)
                 shrink = not fxc <= fxr
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
             else:
                 xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc = f(xcc)
+                fxcc = yield from f(xcc)
                 shrink = not fxcc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xcc, fxcc
             if shrink:
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
+                    fsim[j] = yield from f(sim[j])
             iterations += 1
         except _BudgetSpent:
             pass
-        order = np.argsort(fsim)
+        order = fsim.argsort()
         sim, fsim = sim[order], fsim[order]
     return {
         "x": sim[0],
-        "fun": float(np.min(fsim)),
+        "fun": float(fsim.min()),
         "iterations": iterations,
         "evaluations": evaluations,
         "converged": evaluations < max_evaluations and iterations < max_iterations,
     }
+
+
+def _nelder_mead(objective, simplex, max_iterations: int, fatol: float):
+    """Nelder-Mead runs of ``_nelder_mead_steps`` from ``simplex``, in lockstep.
+
+    ``simplex`` is a stack of initial simplices: each step, ``objective``
+    gets the (K, p) stack of the pending trial point of every live run and
+    gives their K values, and the batch shrinks as runs end; the list of
+    run dicts comes back.  A single simplex is a batch of one whose
+    ``objective`` takes one point and gives one value; its run dict comes
+    back.
+    """
+    simplices = np.asarray(simplex, dtype=float)
+    single = simplices.ndim == 2
+    batch = (lambda points: [objective(points[0])]) if single else objective
+    runs = [_nelder_mead_steps(start, max_iterations, fatol)
+            for start in (simplices[None] if single else simplices)]
+    found = [None] * len(runs)
+    pending = {}
+
+    def advance(run, value):
+        try:
+            pending[run] = runs[run].send(value)
+        except StopIteration as end:
+            pending.pop(run, None)
+            found[run] = end.value
+
+    for run in range(len(runs)):
+        advance(run, None)
+    while pending:
+        live = list(pending)
+        for run, value in zip(live, batch(np.array([pending[run] for run in live]))):
+            advance(run, value)
+    return found[0] if single else found
 
 
 def oracle_minimize(points, spec: FamilySpec, seed: int = 0) -> FitResult:
@@ -360,12 +423,13 @@ def _oracle_fit(pts: np.ndarray, moments, baseline: float, spec: FamilySpec, see
         f_base = objective(base)
         fatol = ORACLE_REL_TOL * max(1.0, abs(f_base) if np.isfinite(f_base) else 1.0)
         step = 0.25 * sigma + 0.05 * np.abs(base)
-        runs = []
+        simplices = []
         for r in range(ORACLE_RESTARTS):
             rng = np.random.default_rng([seed, r])
             x0 = base if r == 0 else base + rng.normal(0.0, 1.0, base.size) * sigma
-            simplex = np.vstack([x0, x0 + np.diag(step)])
-            runs.append(_nelder_mead(objective, simplex, ORACLE_MAX_ITERATIONS, fatol))
+            simplices.append(np.vstack([x0, x0 + np.diag(step)]))
+        # the restarts share the points and the family, so they run in lockstep
+        runs = _nelder_mead(objective, simplices, ORACLE_MAX_ITERATIONS, fatol)
     converged = [run for run in runs if run["converged"]]
     best = min(converged or runs, key=lambda run: run["fun"])
     match = float(best["fun"] - baseline)
@@ -450,8 +514,8 @@ def verify_families(dims=(1, 2, 3, 4), trials: int = 50, seed: int = 0) -> list[
         ((t, f_index) for t in range(trials) for f_index in range(len(FAMILY_ORDER))),
         key=lambda task: (-cases[task[0]][0].shape[1], task[1]),
     )
-    # Forked workers inherit ``cases``, so a task sends two indices and its
-    # result a float and a few counts.
+    # Forked children inherit ``cases`` and ``tasks``, so only a task's index
+    # and its result, a float and a few counts, cross a pipe.
     results = dict(zip(tasks, forked_map(_fit_case, cases, tasks)))
     checks = []
     for f_index, kind in enumerate(FAMILY_ORDER):

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 from unittest import mock
 
@@ -21,8 +20,8 @@ def two_cpus(monkeypatch):
 
 
 @pytest.fixture()
-def pool_spy(monkeypatch):
-    """multiprocessing.get_context, wrapped to count the pools the package makes."""
-    spy = mock.Mock(wraps=multiprocessing.get_context)
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
+def fork_spy(monkeypatch):
+    """os.fork, wrapped to count the children the package forks."""
+    spy = mock.Mock(wraps=os.fork)
+    monkeypatch.setattr(os, "fork", spy)
     return spy

@@ -1,9 +1,13 @@
-"""Shared helpers for the test suite: seeded random objects, and a run under a file size limit."""
+"""Shared helpers for the test suite: seeded random objects, a run under a
+file size limit, and checks that a forked run left nothing behind."""
 
+import gc
+import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 
 def random_orthogonal(rng, n):
@@ -42,3 +46,16 @@ def run_with_file_size_limit(limit, code, *args):
     ) + code
     return subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           capture_output=True, text=True)
+
+
+def no_child_left():
+    # waitpid of any child raises ChildProcessError where there is none
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def nothing_left():
+    """No child is left, and a file left open warns now, in the test that
+    left it: pyproject.toml makes ResourceWarning an error."""
+    no_child_left()
+    gc.collect()

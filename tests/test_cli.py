@@ -902,10 +902,10 @@ class TestEntryPoint:
         assert "verification passed" in result.stdout
 
     def test_import_loads_no_multiprocessing(self, tmp_path):
-        # verify imports it when it forks workers; every other command, and
-        # the start-up the benchmark times as setup_s, does without it.  The
-        # transform of 10**4 points of dimension 8, five blocks, forks a CSV
-        # writer on two CPUs, which needs no multiprocessing either.
+        # no command imports it, nor does the start-up the benchmark times
+        # as setup_s.  On two CPUs the transform of 10**4 points of
+        # dimension 8, five blocks, forks a CSV writer, and verify forks a
+        # worker for its fits; neither needs multiprocessing.
         write_points_csv(np.random.default_rng(5).normal(size=(200, 2)), tmp_path / "p.csv")
         write_points_csv(np.random.default_rng(5).normal(size=(10**4, 8)), tmp_path / "big.csv")
         script = (
@@ -923,7 +923,8 @@ class TestEntryPoint:
             "             ['transform', '--input', p, '--model', m, '--output', w],\n"
             "             ['report', '--input', p],\n"
             "             ['fit', '--input', big, '--family', 'full', '--output', bigm],\n"
-            "             ['transform', '--input', big, '--model', bigm, '--output', bigw]):\n"
+            "             ['transform', '--input', big, '--model', bigm, '--output', bigw],\n"
+            "             ['verify', '--dims', '1..2', '--trials', '2']):\n"
             "    if cli.run(argv) != 0:\n"
             "        sys.exit(f'{argv[0]} failed')\n"
             "    loaded.append(sorted(x for x in sys.modules if x.startswith('multiprocessing')))\n"
@@ -935,7 +936,7 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stderr == "[[], [], [], [], [], []] 1\n"
+        assert result.stderr == "[[], [], [], [], [], [], []] 2\n"
         assert read_points_csv(tmp_path / "w.csv").shape == (200, 2)
         assert read_points_csv(tmp_path / "bigw.csv").shape == (10**4, 8)
 

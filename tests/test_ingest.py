@@ -1,6 +1,5 @@
 """CSV round trips, PPM decoding, block extraction, and the seeded sampler."""
 
-import gc
 import io
 import itertools
 import math
@@ -47,7 +46,7 @@ from gaussmatch.ingest import (
     _repeats,
     read_text,
 )
-from helpers import run_with_file_size_limit
+from helpers import no_child_left, nothing_left, run_with_file_size_limit
 
 
 class TestReadPointsCsv:
@@ -574,20 +573,7 @@ def _forked(workers):
     with mock.patch.object(_pool, "worker_count", lambda tasks: workers), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
         yield fork
-    _no_child_left()
-
-
-def _no_child_left():
-    # waitpid of any child raises ChildProcessError where there is none
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _nothing_left():
-    """No child is left, and a file left open warns now, in the test that
-    left it: pyproject.toml makes ResourceWarning an error."""
-    _no_child_left()
-    gc.collect()
+    no_child_left()
 
 
 class TestBoundedMemory:
@@ -915,7 +901,7 @@ class TestForkedWriter:
             with mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 assert _written(points) == _loop_csv(points.tolist())
             assert fork.call_count == forks, blocks
-        _no_child_left()
+        no_child_left()
 
     def _transform_files(self, folder):
         # 10**4 points of dimension 8: five blocks, two for each of two processes
@@ -944,7 +930,7 @@ class TestForkedWriter:
         assert fork.call_count == 1
         assert capsys.readouterr().err == f"error: {_pool._WORKER_ENDED} -9\n"
         assert not out.exists()
-        _nothing_left()
+        nothing_left()
 
     def test_full_device(self, two_cpus, tmp_path, capsys):
         argv = self._transform_files(tmp_path)
@@ -952,7 +938,7 @@ class TestForkedWriter:
             assert cli.run([*argv, "/dev/full"]) == 2
         assert fork.call_count == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-        _nothing_left()
+        nothing_left()
 
     def test_closed_output_pipe(self, two_cpus, tmp_path, capsys):
         # the output is a pipe whose reader has gone, as a closed stdout is
@@ -966,7 +952,7 @@ class TestForkedWriter:
             os.close(write_end)
         assert fork.call_count == 1
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
-        _nothing_left()
+        nothing_left()
 
     def test_closed_output_stream(self, two_cpus):
         # a caller's own stream to such a pipe
@@ -980,13 +966,13 @@ class TestForkedWriter:
                 write_points_csv(points, stream)
             # the traceback holds the writer's frames, so the children went
             # before the error left the writer, not when its frames were freed
-            _no_child_left()
+            no_child_left()
         finally:
             with suppress(BrokenPipeError):  # the rest of its buffer, if any
                 stream.close()
         assert fork.call_count == 1
         assert raised.traceback
-        _nothing_left()
+        nothing_left()
 
 
 def _gradient_raster(width=16, height=8, maxval=255):

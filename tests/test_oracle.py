@@ -6,6 +6,7 @@ import os
 import signal
 import sys
 import threading
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -39,7 +40,7 @@ from gaussmatch.oracle import (
     _mean_cov_from_params,
     _oracle_fit,
 )
-from helpers import random_dataset, random_moments
+from helpers import nothing_left, random_dataset, random_moments
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -232,6 +233,71 @@ class TestNelderMead:
                 ref.fun, ref.nit, ref.nfev, ref.success
             ), index
 
+    def test_lockstep_runs_equal_lone_runs(self):
+        # The corpus in groups of three cases of one dimension: the group's
+        # simplices run in lockstep on its first case's objective and budget,
+        # and each run equals the same run alone, budget-spent ones included.
+        groups = {}
+        for index in range(300):
+            objective, simplex, max_iterations, fatol = _reference_case(index)
+            groups.setdefault(simplex.shape[1], []).append((objective, simplex, max_iterations))
+        spent = 0
+        for cases in groups.values():
+            for first in range(0, len(cases) - 2, 3):
+                objective, _, max_iterations = cases[first]
+                simplices = [simplex for _, simplex, _ in cases[first : first + 3]]
+                with np.errstate(invalid="ignore"):  # inf - inf in the convergence test
+                    together = oracle._nelder_mead(
+                        lambda points: [objective(x) for x in points], simplices, max_iterations, 1e-8
+                    )
+                    alone = [oracle._nelder_mead(objective, simplex, max_iterations, 1e-8)
+                             for simplex in simplices]
+                for ours, lone in zip(together, alone, strict=True):
+                    _assert_same_run(ours, lone)
+                    spent += not lone["converged"]
+        assert spent > 50
+
+    @pytest.mark.parametrize("kind", FAMILY_ORDER)
+    @pytest.mark.parametrize("max_iterations", [1, oracle.ORACLE_MAX_ITERATIONS])
+    def test_lockstep_fit_equals_restarts_alone(self, monkeypatch, kind, max_iterations):
+        # a fit's restarts in lockstep against the same restarts one by one;
+        # with a budget of one iteration both raise the same error
+        rng = np.random.default_rng(61)
+        pts = random_dataset(rng, 3, 60)
+        moments = estimate_moments(pts)
+        spec = FamilySpec(kind, rng.normal(0.0, 1.0, 3) if kind in FIXED_MEAN_FAMILIES else None)
+        monkeypatch.setattr(oracle, "ORACLE_MAX_ITERATIONS", max_iterations)
+        nelder_mead = oracle._nelder_mead
+
+        def one_by_one(objective, simplices, max_iterations, fatol):
+            return [nelder_mead(objective, simplex, max_iterations, fatol) for simplex in simplices]
+
+        def fit_or_error():
+            try:
+                return _oracle_fit(pts, moments, 0.0, spec, 5)
+            except OracleConvergenceError as error:
+                return str(error), error.best_value
+
+        lockstep = fit_or_error()
+        monkeypatch.setattr(oracle, "_nelder_mead", one_by_one)
+        alone = fit_or_error()
+        if max_iterations == 1:
+            assert lockstep == alone
+            assert lockstep[0].startswith("no restart converged within 1 iterations")
+            return
+        (fit_together, runs_together), (fit_alone, runs_alone) = lockstep, alone
+        for ours, lone in zip(runs_together, runs_alone, strict=True):
+            _assert_same_run(ours, lone)
+        assert fit_together.cross_entropy == fit_alone.cross_entropy
+        assert fit_together.model.cov.tobytes() == fit_alone.model.cov.tobytes()
+
+
+def _assert_same_run(ours, lone):
+    assert ours["x"].tobytes() == lone["x"].tobytes()
+    assert (ours["fun"], ours["iterations"], ours["evaluations"], ours["converged"]) == (
+        lone["fun"], lone["iterations"], lone["evaluations"], lone["converged"]
+    )
+
 
 class TestStationarity:
     """Finite-difference derivatives vanish at the closed-form optima."""
@@ -357,18 +423,18 @@ class TestParallelFits:
     """The forked (dataset, family) fits against the same fits in this process."""
 
     @pytest.mark.parametrize("run", _SMALL_RUNS)
-    def test_parallel_equals_serial(self, monkeypatch, two_cpus, pool_spy, run):
+    def test_parallel_equals_serial(self, monkeypatch, two_cpus, fork_spy, run):
         parallel = verify_families(*run)
-        assert pool_spy.call_args_list == [mock.call("fork")]
+        assert fork_spy.call_count == 1
         _serial(monkeypatch)
         assert repr(parallel) == repr(verify_families(*run))
-        assert pool_spy.call_count == 1
+        assert fork_spy.call_count == 1
 
-    def test_each_family_keeps_its_work(self, two_cpus, pool_spy):
+    def test_each_family_keeps_its_work(self, two_cpus, fork_spy):
         # exact per-family totals of ((1, 2), 3, 7): a result filed under the
         # wrong (trial, family) pair moves them
         checks = verify_families((1, 2), 3, 7)
-        assert pool_spy.called
+        assert fork_spy.call_count == 1
         assert [(c.family.value, c.iterations, c.evaluations) for c in checks] == [
             ("full", 972, 1761),
             ("fixed-mean", 433, 810),
@@ -379,19 +445,19 @@ class TestParallelFits:
         ]
         assert all(c.restarts == c.converged_restarts == 9 for c in checks)
 
-    def test_nothing_left_running(self, two_cpus, pool_spy):
+    def test_nothing_left_running(self, two_cpus, fork_spy):
         verify_families((1, 2), 1, 0)
-        assert pool_spy.called
-        assert multiprocessing.active_children() == []
+        assert fork_spy.call_count == 1
+        nothing_left()
         assert threading.active_count() == 1
 
-    def test_worker_error_reaches_caller(self, monkeypatch, two_cpus, pool_spy, capsys):
+    def test_worker_error_reaches_caller(self, monkeypatch, two_cpus, fork_spy, capsys):
         # the forked workers inherit the patched budget
         monkeypatch.setattr(oracle, "ORACLE_MAX_ITERATIONS", 1)
         with pytest.raises(OracleConvergenceError, match="within 1 iterations") as parallel:
             verify_families((1, 2), 2, 0)
-        assert pool_spy.called
-        assert multiprocessing.active_children() == []
+        assert fork_spy.call_count == 1
+        nothing_left()
         assert threading.active_count() == 1
         assert isinstance(parallel.value.best_value, float)
         # the first failure in task order, as a serial run raises it
@@ -403,76 +469,155 @@ class TestParallelFits:
         assert parallel.value.best_value == expected.value.best_value
         assert cli.run(["verify", "--dims", "1..2", "--trials", "2"]) == 2
         assert "error: no restart converged" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        nothing_left()
 
-
-    def test_killed_worker_is_an_error(self, monkeypatch, two_cpus, capsys):
-        fit_case = oracle._fit_case
+    def test_killed_worker_is_an_error(self, monkeypatch, two_cpus, fork_spy, capsys):
+        fit_case, caller = oracle._fit_case, os.getpid()
 
         def killed(cases, task):
-            if task == (3, 0):
+            # the caller runs fits too; only a forked child dies, at its first
+            if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
             return fit_case(cases, task)
 
-        # the forked workers inherit the patch; a pool alone would wait for ever
+        # the forked workers inherit the patch
         monkeypatch.setattr(oracle, "_fit_case", killed)
         with pytest.raises(ChildProcessError, match="exit code -9"):
             verify_families((1, 2, 3, 4), 5, 0)
-        assert multiprocessing.active_children() == []
+        assert fork_spy.call_count == 1
+        nothing_left()
         assert threading.active_count() == 1
         assert cli.run(["verify", "--dims", "1..4", "--trials", "5"]) == 2
-        assert "error: an oracle worker process ended" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: a worker process ended with exit code -9\n"
+        nothing_left()
+
+    def test_daemonic_caller(self, two_cpus):
+        # plain os.fork has no rule against the children of a daemonic
+        # multiprocessing process, so one forks like any other caller
+        expected = repr(verify_families((1, 2), 1, 0))
+        child = multiprocessing.get_context("fork").Process(
+            target=_verify_in_daemon, args=(expected,), daemon=True
+        )
+        child.start()
+        child.join(timeout=60)
+        assert not child.is_alive()
+        assert child.exitcode == 0
 
 
 def _verify_in_daemon(expected: str) -> None:
-    sys.exit(0 if repr(verify_families((1, 2), 1, 0)) == expected else 1)
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        result = repr(verify_families((1, 2), 1, 0))
+    sys.exit(0 if result == expected and fork.call_count == 1 else 1)
+
+
+def _slow_square(caller_tasks, task):
+    """task squared, after a pause that lets every process take tasks; the
+    caller's own tasks are listed in ``caller_tasks``, a child's are not."""
+    time.sleep(0.005)
+    caller_tasks.append(task)
+    return task * task
+
+
+class TestForkedMap:
+    """``_pool.forked_map`` on small tasks: its results, and how it fails."""
+
+    def test_results_in_task_order(self, two_cpus, fork_spy):
+        caller_tasks = []
+        assert _pool.forked_map(_slow_square, caller_tasks, list(range(40))) == [
+            task * task for task in range(40)
+        ]
+        assert fork_spy.call_count == 1
+        # both processes worked
+        assert 0 < len(caller_tasks) < 40
+        nothing_left()
+
+    def test_entries_of_several_tasks(self, monkeypatch, two_cpus, fork_spy):
+        # more tasks than the task pipe has entries: each entry starts a run
+        # of three tasks, the last one of one
+        monkeypatch.setattr(_pool, "_MAX_ENTRIES", 4)
+        assert _pool.forked_map(_slow_square, [], list(range(10))) == [
+            task * task for task in range(10)
+        ]
+        assert fork_spy.call_count == 1
+        nothing_left()
+
+    def test_results_beyond_a_pipe(self, two_cpus, fork_spy):
+        # 4 MB of results, far beyond what a child's pipe holds at once; the
+        # caller reads them between its own tasks, so the child, which
+        # would wait on its full pipe after two, takes a fair share
+        def block(caller_tasks, task):
+            return bytes([task]) * 2**15 + bytes(_slow_square(caller_tasks, task))
+
+        caller_tasks = []
+        assert _pool.forked_map(block, caller_tasks, list(range(128))) == [
+            bytes([task]) * 2**15 + bytes(task * task) for task in range(128)
+        ]
+        assert 0 < len(caller_tasks) <= 100
+        nothing_left()
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    def test_first_failure_in_task_order(self, two_cpus, fork_spy, where):
+        caller, caller_tasks = os.getpid(), []
+
+        def failing(state, task):
+            _slow_square(caller_tasks, task)
+            if (os.getpid() == caller) == (where == "caller"):
+                raise OracleConvergenceError(f"task {task}", best_value=float(task))
+            return task
+
+        with pytest.raises(OracleConvergenceError) as raised:
+            _pool.forked_map(failing, None, list(range(40)))
+        first = min(set(range(40)) - set(caller_tasks)) if where == "child" else min(caller_tasks)
+        assert (str(raised.value), raised.value.best_value) == (f"task {first}", float(first))
+        assert fork_spy.call_count == 1
+        nothing_left()
+
+    def test_interrupted_caller(self, two_cpus, fork_spy):
+        caller = os.getpid()
+
+        def interrupted(state, task):
+            time.sleep(0.005)
+            if os.getpid() == caller and task >= 5:
+                raise KeyboardInterrupt
+            return task
+
+        with pytest.raises(KeyboardInterrupt):
+            _pool.forked_map(interrupted, None, list(range(40)))
+        assert fork_spy.call_count == 1
+        nothing_left()
 
 
 class TestSerialFallback:
     """Where forking is unsafe or impossible, the fits run in this process."""
 
     @pytest.fixture()
-    def no_pool(self, monkeypatch):
+    def no_fork(self, monkeypatch):
         expected = repr(verify_families((1, 2), 1, 0))
-        monkeypatch.setattr(
-            multiprocessing, "get_context", mock.Mock(side_effect=AssertionError("pool made"))
-        )
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
         return expected
 
-    def test_one_cpu(self, monkeypatch, no_pool):
+    def test_one_cpu(self, monkeypatch, no_fork):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         # in this process the eigh count covers the fits too: the dataset's
         # Moments and baseline take one each, and the 6 fits none
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            assert repr(verify_families((1, 2), 1, 0)) == no_pool
+            assert repr(verify_families((1, 2), 1, 0)) == no_fork
         assert eigh.call_count == 2
 
-    def test_no_fork_start_method(self, monkeypatch, two_cpus, no_pool):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert repr(verify_families((1, 2), 1, 0)) == no_pool
+    def test_no_os_fork(self, monkeypatch, two_cpus, no_fork):
+        monkeypatch.delattr(os, "fork")
+        assert repr(verify_families((1, 2), 1, 0)) == no_fork
 
-    def test_live_thread(self, two_cpus, no_pool):
+    def test_live_thread(self, two_cpus, no_fork):
         release = threading.Event()
         waiter = threading.Thread(target=release.wait, args=(60,))
         waiter.start()
         try:
-            assert repr(verify_families((1, 2), 1, 0)) == no_pool
+            assert repr(verify_families((1, 2), 1, 0)) == no_fork
         finally:
             release.set()
             waiter.join(timeout=60)
         assert not waiter.is_alive()
-
-    def test_daemonic_caller(self, two_cpus):
-        expected = repr(verify_families((1, 2), 1, 0))
-        context = multiprocessing.get_context("fork")
-        with mock.patch.object(
-            multiprocessing, "get_context", side_effect=AssertionError("pool made")
-        ):
-            child = context.Process(target=_verify_in_daemon, args=(expected,), daemon=True)
-            child.start()
-            child.join(timeout=60)
-        assert not child.is_alive()
-        assert child.exitcode == 0
 
 
 class TestInitialPoint:
@@ -536,29 +681,36 @@ _large_off_diagonals = st.builds(lambda sign, exponent: sign * 10.0**exponent,
 
 
 @st.composite
-def _objective_case(draw, shapes=FAMILY_ORDER):
-    """Points, a family spec and a parameter vector in that family's layout."""
+def _objective_case(draw, shapes=FAMILY_ORDER, dims=(1, 4), rows=None):
+    """Points, a family spec and a parameter vector in that family's layout,
+    or, for a count of ``rows``, a stack of that many vectors drawn alike."""
     kind = draw(st.sampled_from(shapes))
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(*dims))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3])), (draw(st.integers(2, 12)), n))
     fixed = kind in FIXED_MEAN_FAMILIES
     spec = FamilySpec(kind, rng.normal(0.0, 1.0, n) if fixed else None)
-    mean = [] if fixed else list(rng.normal(0.0, 1.0, n))
-    if spec.shape is Family.ISOTROPIC:
-        scales = [draw(_log_scales)]
-    elif spec.shape is Family.DIAGONAL:
-        scales = draw(st.lists(_log_scales, min_size=n, max_size=n))
-    elif draw(st.booleans()):
-        # near-singular: a tiny diagonal under a large off-diagonal
-        scales = draw(st.lists(st.floats(-14.0, 1.0), min_size=n, max_size=n))
-        scales += draw(st.lists(_large_off_diagonals, min_size=n * (n - 1) // 2,
-                                max_size=n * (n - 1) // 2))
-    else:
-        scales = draw(st.lists(_log_scales, min_size=n, max_size=n))
-        scales += draw(st.lists(_off_diagonals, min_size=n * (n - 1) // 2,
-                                max_size=n * (n - 1) // 2))
-    return pts, spec, np.array(mean + scales, dtype=float)
+
+    def vector():
+        mean = [] if fixed else list(rng.normal(0.0, 1.0, n))
+        if spec.shape is Family.ISOTROPIC:
+            scales = [draw(_log_scales)]
+        elif spec.shape is Family.DIAGONAL:
+            scales = draw(st.lists(_log_scales, min_size=n, max_size=n))
+        elif draw(st.booleans()):
+            # near-singular: a tiny diagonal under a large off-diagonal
+            scales = draw(st.lists(st.floats(-14.0, 1.0), min_size=n, max_size=n))
+            scales += draw(st.lists(_large_off_diagonals, min_size=n * (n - 1) // 2,
+                                    max_size=n * (n - 1) // 2))
+        else:
+            scales = draw(st.lists(_log_scales, min_size=n, max_size=n))
+            scales += draw(st.lists(_off_diagonals, min_size=n * (n - 1) // 2,
+                                    max_size=n * (n - 1) // 2))
+        return np.array(mean + scales, dtype=float)
+
+    if rows is None:
+        return pts, spec, vector()
+    return pts, spec, np.array([vector() for _ in range(draw(rows))])
 
 
 class TestObjective:
@@ -652,3 +804,16 @@ class TestObjective:
         else:
             assert calls[0] == 0
         assert math.isfinite(value) == accepted
+
+    @settings(max_examples=300)
+    @given(_objective_case(dims=(1, 8), rows=st.integers(1, 5)))
+    def test_stack_has_the_bits_of_its_rows(self, case):
+        # every row of a stack, the gate's inf and the eigh fallback's rows
+        # included, has the value of a call on that row alone
+        pts, spec, stack = case
+        objective = _make_objective(pts, spec)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = objective(stack)
+            alone = [objective(row) for row in stack]
+        assert all(type(value) is float for value in values + alone)
+        assert np.array(values).tobytes() == np.array(alone).tobytes(), (values, alone)

@@ -84,11 +84,14 @@ def test_files_are_opened_in_one_place():
 
 
 def test_processes_are_forked_in_one_place():
-    # _pool alone forks, with os.fork or a multiprocessing pool, and kills
-    # and waits for what it forks; a fork elsewhere could outlive its caller.
+    # _pool alone forks, with os.fork, and kills and waits for what it
+    # forks; a fork elsewhere could outlive its caller.  No module uses
+    # multiprocessing, whose pools and start methods _pool does without.
     def forks(node):
-        if isinstance(node, ast.Attribute) and node.attr == "fork":
-            return getattr(node.value, "id", None) == "os"
+        return (isinstance(node, ast.Attribute) and node.attr == "fork"
+                and getattr(node.value, "id", None) == "os")
+
+    def multiprocessing(node):
         if isinstance(node, ast.Import):
             return any(alias.name.split(".")[0] == "multiprocessing" for alias in node.names)
         if isinstance(node, ast.ImportFrom):
@@ -99,6 +102,7 @@ def test_processes_are_forked_in_one_place():
 
     found = _places(forks)
     assert found and {place.split(".")[0] for place in found} == {"_pool"}, found
+    assert _places(multiprocessing) == []
 
 
 def test_no_unreferenced_private_names():
@@ -153,8 +157,13 @@ def test_no_private_names_cross_modules():
 def test_oracle_parameters_have_one_decoder():
     # oracle._unpack alone knows where the mean ends, how L is assembled,
     # where an isotropic log-scale is cut and which parameters give an exact
-    # ln det; a second copy would drift.
+    # ln det; a second copy would drift.  A slice of params counts whether
+    # it cuts a vector (params[:n]) or the rows of a stack (params[:, :n]).
     found = []
+
+    def sliced(index):
+        parts = index.elts if isinstance(index, ast.Tuple) else [index]
+        return any(isinstance(part, ast.Slice) for part in parts)
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
@@ -167,17 +176,17 @@ def test_oracle_parameters_have_one_decoder():
                 getattr(child.func, "id", None), getattr(child.func, "attr", None)
             ):
                 found.append(f"{owner} tril_indices")
-            elif isinstance(child, ast.Subscript) and isinstance(child.slice, ast.Slice) and (
+            elif isinstance(child, ast.Subscript) and sliced(child.slice) and (
                 getattr(child.value, "id", None) == "params"
             ):
-                found.append(f"{owner} params[{ast.unparse(child.slice)}]")
+                found.append(f"{owner} {ast.unparse(child)}")
             visit(child, owner)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
     assert sorted(found) == [
         "oracle tril_indices",
-        "oracle._unpack 709.0", "oracle._unpack params[:n]", "oracle._unpack params[n:]",
+        "oracle._unpack 709.0", "oracle._unpack params[:, :n]", "oracle._unpack params[:, n:]",
     ], found
 
 

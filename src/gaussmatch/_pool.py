@@ -160,7 +160,7 @@ def ordered_texts(produce, tasks: int):
         return
 
     def encoded(first):
-        return (text.encode("utf-8") for text in produce(first, workers))
+        return map(str.encode, produce(first, workers))
 
     with _forked(workers, encoded) as (pipes, pids):
         own = produce(0, workers)
@@ -209,7 +209,8 @@ def forked_map(function, state, tasks) -> list:
     done.  A child that has ended early raises
     ChildProcessError("a worker process ended with exit code <code>");
     otherwise the first failure in task order is raised, as in a serial
-    run.
+    run, once the tasks before it are done.  The process that meets a
+    failure empties the task pipe, so that the others take no more tasks.
     """
     workers = worker_count(len(tasks))
     if workers == 1:
@@ -225,15 +226,11 @@ def forked_map(function, state, tasks) -> list:
         taken = partial(_outcomes, function, state, tasks, queue, chunk)
         with _forked(workers, lambda child: map(pickle.dumps, taken())) as (pipes, pids):
             buffers = [bytearray() for _ in pipes]
-            for read_end in pipes:
-                os.set_blocking(read_end, False)
             outcomes = {}
             for index, *outcome in taken():
                 outcomes[index] = outcome
-                _gather(pipes, buffers)
-            for read_end in pipes:
-                os.set_blocking(read_end, True)
-            _gather(pipes, buffers)
+                _gather(pipes, buffers, wait=False)
+            _gather(pipes, buffers, wait=True)
             _reap_all(pids)
     finally:
         os.close(queue)
@@ -245,7 +242,7 @@ def forked_map(function, state, tasks) -> list:
             index, *outcome = pickle.loads(data[at - size:at])
             outcomes[index] = outcome
     results = []
-    for index in range(len(tasks)):
+    for index in range(len(tasks)):  # the tasks after a failure have no outcome
         failed, value = outcomes[index]
         if failed:
             raise value
@@ -255,7 +252,12 @@ def forked_map(function, state, tasks) -> list:
 
 def _outcomes(function, state, tasks, queue: int, chunk: int):
     """Generator of ``(index, failed, result or exception)`` for every task
-    this process takes from the ``queue`` pipe, until the pipe is empty."""
+    this process takes from the ``queue`` pipe, until the pipe is empty.
+
+    After a failure it empties the pipe and ends: the pipe holds tasks in
+    order, so every task left in it comes after the failure, and every
+    earlier one is already taken, to be finished by whichever process
+    took it."""
     while entry := os.read(queue, _ENTRY_SIZE):
         first = int.from_bytes(entry, "little")
         for index in range(first, min(first + chunk, len(tasks))):
@@ -264,12 +266,17 @@ def _outcomes(function, state, tasks, queue: int, chunk: int):
             except Exception as error:
                 outcome = index, True, error
             yield outcome
+            if outcome[1]:
+                while os.read(queue, _PIECE_SIZE):
+                    pass
+                return
 
 
-def _gather(read_ends: list[int], buffers: list[bytearray]) -> None:
-    """Add to each buffer what its pipe holds: all of it, up to the pipe's
-    end, where the pipe blocks, and what is there now where it does not."""
+def _gather(read_ends: list[int], buffers: list[bytearray], wait: bool) -> None:
+    """Add to each buffer what its pipe holds: with ``wait``, all of it, up
+    to the pipe's end, and otherwise what is there now."""
     for read_end, buffer in zip(read_ends, buffers):
+        os.set_blocking(read_end, wait)
         try:
             while data := os.read(read_end, _PIECE_SIZE):
                 buffer += data

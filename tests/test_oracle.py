@@ -569,6 +569,9 @@ class TestForkedMap:
             _pool.forked_map(failing, None, list(range(40)))
         first = min(set(range(40)) - set(caller_tasks)) if where == "child" else min(caller_tasks)
         assert (str(raised.value), raised.value.best_value) == (f"task {first}", float(first))
+        if where == "caller":
+            # a process that fails empties the task pipe: no later task runs
+            assert caller_tasks == [first]
         assert fork_spy.call_count == 1
         nothing_left()
 

@@ -241,7 +241,7 @@ class TestNelderMead:
         for index in range(300):
             objective, simplex, max_iterations, fatol = _reference_case(index)
             groups.setdefault(simplex.shape[1], []).append((objective, simplex, max_iterations))
-        spent = 0
+        spent = ran = 0
         for cases in groups.values():
             for first in range(0, len(cases) - 2, 3):
                 objective, _, max_iterations = cases[first]
@@ -255,7 +255,8 @@ class TestNelderMead:
                 for ours, lone in zip(together, alone, strict=True):
                     _assert_same_run(ours, lone)
                     spent += not lone["converged"]
-        assert spent > 50
+                    ran += 1
+        assert 50 < spent < ran - 50
 
     @pytest.mark.parametrize("kind", FAMILY_ORDER)
     @pytest.mark.parametrize("max_iterations", [1, oracle.ORACLE_MAX_ITERATIONS])

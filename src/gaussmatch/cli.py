@@ -12,12 +12,16 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 data or numerical error,
 3 verification failure.
+
+``run`` may be called any number of times in one process; it builds its
+parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import re
@@ -176,10 +180,27 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # Safe to share: parsing leaves a parser as it was, each parse_args makes
+    # a new Namespace, and help text reads the terminal width and its stream
+    # when printed.  build_parser() stays uncached, so that a caller who
+    # extends the parser it gets cannot change run's.
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  The exit code is 0 on success,
+    1 on a usage error, 2 on a data or numerical error and 3 when
+    verification fails.  A usage error is printed and returned as 1, not
+    raised; ``-h`` prints help and raises ``SystemExit(0)``, as argparse
+    does.  ``run`` may be called any number of times in one process, and
+    builds its parser only on the first call.
+    """
     try:
-        args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+        args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
         return int(args.handler(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

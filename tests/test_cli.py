@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -966,6 +968,126 @@ class TestEntryPoint:
             [sys.executable, "-m", "gaussmatch.cli"], capture_output=True, text=True
         )
         assert result.returncode == 1
+
+
+# Each pair below has a call that could leave state in a shared parser, then
+# one that would show it: a --mean that stays set, report options that stay
+# chosen, a bad choice or a data error that leaves the next call broken.
+_REUSE_SEQUENCE = (
+    ["fit", "--input", "pts.csv", "--family", "fixed-mean", "--mean=0,0", "--output", "a.json"],
+    ["fit", "--input", "pts.csv", "--family", "fixed-mean", "--output", "b.json"],
+    ["report", "--input", "pts.csv", "--means", "mean;0.5", "--format", "csv"],
+    ["report", "--input", "pts.csv"],
+    ["fit", "--input", "pts.csv", "--family", "bogus", "--output", "c.json"],
+    ["score", "--input", "pts.csv", "--model", "a.json"],
+    ["fit", "--input", "pts.csv", "--family", "full", "--output", "full.json"],
+    ["score", "--input", "bad.csv", "--model", "full.json"],
+    ["transform", "--input", "pts.csv", "--model", "full.json", "--output", "w.csv"],
+    ["fit", "--input", "pts.csv", "--family", "fixed-mean", "--mean=--", "--output", "d.json"],
+)
+
+
+def _fresh_process(argv, cwd):
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "gaussmatch.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _files(root):
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+
+
+class TestReusedParser:
+    """run builds its parser once per process; calls after the first behave
+    as the same call in a fresh process does."""
+
+    @pytest.fixture()
+    def workdirs(self, tmp_path, monkeypatch):
+        # help text wraps at the terminal width, which is read when printed
+        monkeypatch.setenv("COLUMNS", "80")
+        dirs = tmp_path / "in-process", tmp_path / "fresh"
+        for root in dirs:
+            root.mkdir()
+            write_points_csv(np.random.default_rng(3).normal(size=(200, 2)), root / "pts.csv")
+            (root / "bad.csv").write_text("1,2\nx,3\n")
+        return dirs
+
+    def test_reused_parser_matches_a_fresh_process(self, workdirs, monkeypatch):
+        inside, fresh = workdirs
+        monkeypatch.chdir(inside)
+        results = []
+        for argv in _REUSE_SEQUENCE:
+            results.append(_in_process(argv))
+            fresh_result = _fresh_process(argv, fresh)
+            assert results[-1] == (fresh_result.returncode, fresh_result.stdout,
+                                   fresh_result.stderr), argv
+            assert _files(inside) == _files(fresh), argv
+        assert [code for code, _, _ in results] == [0, 1, 0, 0, 1, 0, 0, 2, 0, 1]
+        assert "requires --mean" in results[1][2]
+        assert results[3][1].startswith("family ") and "0.5" not in results[3][1]
+        assert "invalid vector '--'" in results[-1][2]
+
+    def test_help_exits_zero_and_the_next_call_works(self, workdirs, monkeypatch):
+        inside, fresh = workdirs
+        monkeypatch.chdir(inside)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+            run(["fit", "-h"])
+        assert exit_info.value.code == 0
+        result = _fresh_process(["fit", "-h"], fresh)
+        assert result.returncode == 0
+        assert out.getvalue() == result.stdout
+        assert out.getvalue().startswith("usage: gaussmatch fit")
+        assert _in_process(_REUSE_SEQUENCE[0]) == (0, "", "")
+
+    def test_parser_is_built_once_per_process(self, sample_csv, tmp_path, monkeypatch):
+        spy = mock.Mock(wraps=build_parser)
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        model = str(tmp_path / "m.json")
+        assert run(["fit", "--input", str(sample_csv), "--family", "full", "--output", model]) == 0
+        assert _in_process(["score", "--input", str(sample_csv), "--model", model])[0] == 0
+        assert _in_process(["report", "--input", str(sample_csv)])[0] == 0
+        assert spy.call_count == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        first, second = build_parser(), build_parser()
+        assert first is not second
+        assert cli._parser() not in (first, second)
+        assert cli._parser() is cli._parser()
+
+    def test_import_builds_no_parser(self):
+        # what the benchmark times as setup_s builds none; the first run builds
+        # them all and later runs none
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(None)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import gaussmatch.cli as cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    cli.run(['bogus'])\n"
+            "    counts.append(len(built))\n"
+            "print(counts)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        none, first, second = json.loads(result.stdout)
+        assert none == 0
+        assert first == second > 0
 
 
 def _cli_options():

@@ -33,11 +33,13 @@ to agree on error text and exit code too.
 
 Every command is started by ``bench/spawn.py``, a small launcher, so that
 its peak resident set (``ru_maxrss``) is its own and not that of this
-process.  With ``--peak-rss`` each command's peak is printed for both
-trees, and then, for each workload and seed, the largest peak of the
-workload's own commands (the damaged copies left out) in each tree: the
-figure the benchmark reports as ``peak_rss_mb``.  Peaks are reported, not
-compared.
+process.  With ``--peak-rss`` each tree's import-only peak (a fresh
+``python -c "import gaussmatch.cli"``) is printed first, then each
+command's peak for both trees, and then, for each workload and seed, the
+largest peak of the workload's own commands (the damaged copies left out)
+in each tree: the figure the benchmark reports as ``peak_rss_mb``.  So how
+far a command lies above the import is read from one run.  Peaks are
+reported, not compared.
 
 Exit status: 0 when every output and exit code agrees, 1 otherwise.
 ``bench/`` is only read.
@@ -132,6 +134,35 @@ def _damaged(text: str) -> dict[str, bytes]:
     }
 
 
+def _launcher(tree: Path, work: Path) -> subprocess.Popen:
+    """``bench/spawn.py`` in ``work``, with ``tree`` on PYTHONPATH and BLAS on one thread."""
+    env = dict(os.environ, PYTHONPATH=str(tree))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return subprocess.Popen([sys.executable, str(ROOT / "bench" / "spawn.py")],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                            env=env, cwd=work)
+
+
+def _launch(launcher: subprocess.Popen, argv: list[str], stdout: Path, stderr: Path):
+    """(exit code, peak RSS in MB) of ``argv`` run to its end by the launcher."""
+    launcher.stdin.write(json.dumps([argv, str(stdout), str(stderr)]) + "\n")
+    launcher.stdin.flush()
+    code, _, peak = json.loads(launcher.stdout.readline())
+    return code, peak
+
+
+def import_peak(tree: Path, work: Path) -> float:
+    """Peak RSS in MB of a fresh interpreter that imports ``gaussmatch.cli`` from ``tree``."""
+    work.mkdir(parents=True, exist_ok=True)
+    with _launcher(tree, work) as launcher:
+        code, peak = _launch(launcher, [sys.executable, "-c", "import gaussmatch.cli"],
+                             work / "stdout.txt", work / "stderr.txt")
+    if code:
+        raise RuntimeError(f"{tree}: gaussmatch.cli does not import")
+    return peak
+
+
 def run_tree(tree: Path, name: str, seed: int, work: Path):
     """(label, bytes) of each exit code, stdout, stderr and output file, in command
     order, (label, peak RSS in MB) of each command, and the largest peak of the
@@ -139,20 +170,13 @@ def run_tree(tree: Path, name: str, seed: int, work: Path):
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     workload = workloads.build(name, seed, work)
-    env = dict(os.environ, PYTHONPATH=str(tree))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    launcher = subprocess.Popen([sys.executable, str(ROOT / "bench" / "spawn.py")],
-                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-                                env=env, cwd=work)
+    launcher = _launcher(tree, work)
     stdout, stderr = work / "stdout.txt", work / "stderr.txt"
     outputs, peaks = [], []
 
     def run(label: str, argv: list[str], files=()) -> None:
-        request = [[sys.executable, "-m", "gaussmatch.cli", *argv], str(stdout), str(stderr)]
-        launcher.stdin.write(json.dumps(request) + "\n")
-        launcher.stdin.flush()
-        code, _, peak = json.loads(launcher.stdout.readline())
+        code, peak = _launch(launcher, [sys.executable, "-m", "gaussmatch.cli", *argv],
+                             stdout, stderr)
         outputs.append((f"{label} exit", str(code).encode()))
         outputs.append((f"{label} stdout", stdout.read_bytes()))
         outputs.append((f"{label} stderr", stderr.read_bytes()))
@@ -193,6 +217,9 @@ def main(argv=None) -> int:
     differences = 0
     with tempfile.TemporaryDirectory(prefix="gaussmatch-compare-") as scratch:
         work = Path(scratch) / "work"
+        if args.peak_rss:
+            first, second = (import_peak(tree, work) for tree in trees)
+            print(f"peak-rss {'import':58} {first:7.1f} MB {second:7.1f} MB")
         for name in args.workloads:
             for seed in args.seeds:
                 (first, first_peaks, first_max), (second, second_peaks, second_max) = (

@@ -1,27 +1,37 @@
 """Ordered maps over forked worker processes, one per CPU.
 
-Both maps fork their workers with plain ``os.fork``: the children inherit
+Every map forks its workers with plain ``os.fork``: the children inherit
 the caller's state, and everything else it holds, without pickling; each
 writes its results to its own pipe, each behind its length in bytes, and
 leaves by ``os._exit``, so that it runs none of the caller's exit handlers
-and flushes none of its buffered streams.  The caller works too, as
-process 0.  The end of a child's pipe before its last result means that
-it died, say at a signal, and raises ChildProcessError instead of leaving
-the caller waiting.  On any error every child is killed, and every child
-is waited for and every pipe closed before the error reaches the caller.
-No module imports ``multiprocessing``.
+and flushes none of its buffered streams.  An exception that a child's
+work raises is pickled and sent in place of its next result, and raised
+in the caller, as a serial run would raise it.  The end of a child's pipe
+before its last result means that it died, say at a signal, and raises
+ChildProcessError instead of leaving the caller waiting.  On any error
+every child is killed, and every child is waited for and every pipe
+closed before the error reaches the caller.  No module imports
+``multiprocessing``.
 
 ``forked_map(function, state, tasks)`` returns ``function(state, task)``
 for every task, in task order; ``verify`` runs its oracle fits through it.
 Its tasks differ in cost by up to 100 times, so they are handed out on
-demand: every process takes the next task index from one shared pipe,
-filled in task order before the fork, until the pipe is empty.
+demand: every process, the caller too, takes the next task index from one
+shared pipe, filled in task order before the fork, until the pipe is
+empty.
 
-``ordered_texts(produce, tasks)`` is for tasks of equal cost, such as the
-row blocks of the CSV writer: task i runs in process i % processes, and
-the text of every task comes back in task order.
+``ordered_texts(produce, tasks)`` and ``ordered_values(produce, tasks)``
+are for tasks of about equal cost, such as the row blocks of the CSV
+writer and the byte ranges of a points file: task i runs in process
+i % processes, and the result of every task comes back in task order, so
+that the caller can fold the results as they arrive and hold only one.
+``ordered_texts`` relays a child's text in pieces; ``ordered_values``
+pickles each result, such as the moment sums of a range.  Their caller
+only relays: it makes no result itself, so that its own memory, which
+holds what the children inherit, such as the whitening map or the image,
+does not grow by a task's.
 
-Both run the work serially, in the calling process, where
+Every map runs the work serially, in the calling process, where
 ``worker_count`` says.
 """
 
@@ -40,8 +50,10 @@ _WORKER_ENDED = "a worker process ended with exit code"
 # Most bytes of a child's results that are read, or handed on, at a time.
 _PIECE_SIZE = 2**16
 
-# The bytes of the length that goes before each result on a child's pipe.
+# The bytes of the length that goes before each result on a child's pipe,
+# and the bit of that length that marks a pickled exception in its place.
 _LENGTH_SIZE = 8
+_FAILED = 1 << 63
 
 # The bytes of one entry of ``forked_map``'s task pipe, and the most entries:
 # 4096 bytes, Linux's PIPE_BUF, which an empty pipe takes in one write.
@@ -66,16 +78,16 @@ def worker_count(tasks: int) -> int:
 
 
 @contextmanager
-def _forked(workers: int, results):
-    """Fork ``workers - 1`` children and yield (their pipes' read ends, their pids).
+def _forked(children: int, results):
+    """Fork ``children`` children and yield (their pipes' read ends, their pids).
 
-    Child k, from 1, writes each of the ``bytes`` of ``results(k)`` to its
+    Child k, from 0, writes each of the ``bytes`` of ``results(k)`` to its
     own pipe behind its length, through ``_serve``.  On any exception every
     child is killed; on leaving, every child is waited for and every pipe
     closed."""
     pipes, pids = [], []  # the read end of each child's pipe, and the child
     try:
-        for child in range(1, workers):
+        for child in range(children):
             read_end, write_end = os.pipe()
             pipes.append(read_end)
             try:
@@ -106,18 +118,31 @@ def _forked(workers: int, results):
 def _serve(results, child: int, write_end: int, read_ends: list[int]) -> None:
     """Write each of the ``bytes`` of ``results(child)`` to ``write_end``
     behind its length, then leave the process: exit code 0 once all are
-    written, 1 on any error.  The process's ``read_ends`` are closed first."""
+    written, or once the exception that making one raised is written in its
+    place, and 1 on any other error.  The process's ``read_ends`` are closed
+    first."""
     code = 1
     try:
         for read_end in read_ends:
             os.close(read_end)
-        for data in results(child):
-            view = memoryview(len(data).to_bytes(_LENGTH_SIZE, "little") + data)
-            while view:
-                view = view[os.write(write_end, view):]
+        try:
+            for data in results(child):
+                _send(write_end, data, 0)
+        except Exception as error:
+            payload = pickle.dumps(error)
+            pickle.loads(payload)  # the caller can rebuild it, or this child ends with code 1
+            _send(write_end, payload, _FAILED)
         code = 0
     finally:
         os._exit(code)
+
+
+def _send(write_end: int, data: bytes, flag: int) -> None:
+    """Write ``data`` to a pipe behind its length, or'ed with ``flag``."""
+    for part in ((len(data) | flag).to_bytes(_LENGTH_SIZE, "little"), data):
+        view = memoryview(part)
+        while view:
+            view = view[os.write(write_end, view):]
 
 
 def _reap(pids: list, child: int) -> int:
@@ -139,14 +164,35 @@ def ordered_texts(produce, tasks: int):
     """Generator of the texts of tasks 0 to ``tasks - 1``, in task order.
 
     ``produce(first, step)`` is an iterator of the ``str`` results of tasks
-    first, first + step, first + 2 * step, and so on.  The tasks run in
-    ``worker_count(tasks // 2)`` processes, so that each gets two or more;
-    with one, this is ``produce(0, 1)``.  Otherwise task i runs in process
-    i % processes: process 0 is this one, which makes its own results
-    between reads, and each other is a child that writes its results as
-    UTF-8.  A child's result is handed on in pieces of at most
-    ``_PIECE_SIZE`` bytes, so that the caller never holds a whole one; its
-    own come whole.
+    first, first + step, first + 2 * step, and so on; they run as
+    ``_ordered`` says.  A child writes each result as UTF-8 once it is
+    whole, so that it makes its next while the caller reads, and the caller
+    hands it on in pieces of at most ``_PIECE_SIZE`` bytes, so that it never
+    holds a whole one.
+    """
+    return _ordered(produce, tasks, str.encode, _relay_text)
+
+
+def ordered_values(produce, tasks: int):
+    """Generator of the results of tasks 0 to ``tasks - 1``, in task order.
+
+    ``produce(first, step)`` is an iterator of the results of tasks first,
+    first + step, and so on, which must pickle; they run as ``_ordered``
+    says.  A child's result is read whole and unpickled.
+    """
+    return _ordered(produce, tasks, pickle.dumps, _relay_value)
+
+
+def _ordered(produce, tasks: int, encode, relay):
+    """Generator of what ``relay`` reads of the results of tasks 0 to
+    ``tasks - 1``, in task order.
+
+    The tasks run in ``worker_count(tasks // 2)`` processes, so that each
+    gets two or more; with one, this is ``produce(0, 1)`` in this process.
+    Otherwise task i runs in forked child i % processes, which writes each
+    result, ``encode``d, to its pipe, and ``relay`` reads it there.  An
+    exception of a child's work is raised here at the task that raised it,
+    after the results of the tasks before it.
 
     A child that ends before its last result raises
     ChildProcessError("a worker process ended with exit code <code>").
@@ -158,34 +204,43 @@ def ordered_texts(produce, tasks: int):
     if workers == 1:
         yield from produce(0, 1)
         return
-
-    def encoded(first):
-        return map(str.encode, produce(first, workers))
-
-    with _forked(workers, encoded) as (pipes, pids):
-        own = produce(0, workers)
+    with _forked(workers, lambda first: map(encode, produce(first, workers))) as (pipes, pids):
         for task in range(tasks):
-            child = task % workers - 1
-            if child < 0:
-                yield next(own)
-            else:
-                yield from _relay(pipes[child], pids, child)
+            yield from relay(pipes[task % workers], pids, task % workers)
         _reap_all(pids)
 
 
-def _relay(read_end: int, pids: list, child: int):
+def _relay_text(read_end: int, pids: list, child: int):
     """Generator of the text of the next result on a child's pipe, decoded in
-    pieces of at most ``_PIECE_SIZE`` bytes; ChildProcessError where the
-    pipe ends first."""
-    length = b""
-    while len(length) < _LENGTH_SIZE:
-        length += _read(read_end, _LENGTH_SIZE - len(length), pids, child)
-    size = int.from_bytes(length, "little")
+    pieces of at most ``_PIECE_SIZE`` bytes."""
+    size = _result_size(read_end, pids, child)
     decoder = codecs.getincrementaldecoder("utf-8")()
     while size:
         piece = _read(read_end, min(size, _PIECE_SIZE), pids, child)
         size -= len(piece)
         yield decoder.decode(piece, final=not size)
+
+
+def _relay_value(read_end: int, pids: list, child: int):
+    """Generator of the one unpickled value of the next result on a child's pipe."""
+    yield pickle.loads(_read_all(read_end, _result_size(read_end, pids, child), pids, child))
+
+
+def _result_size(read_end: int, pids: list, child: int) -> int:
+    """The size of the next result on a child's pipe; the exception the child
+    sent in its place is raised."""
+    word = int.from_bytes(_read_all(read_end, _LENGTH_SIZE, pids, child), "little")
+    if word & _FAILED:
+        raise pickle.loads(_read_all(read_end, word ^ _FAILED, pids, child))
+    return word
+
+
+def _read_all(read_end: int, size: int, pids: list, child: int) -> bytearray:
+    """The next ``size`` bytes of a child's pipe."""
+    data = bytearray()
+    while len(data) < size:
+        data += _read(read_end, min(size - len(data), _PIECE_SIZE), pids, child)
+    return data
 
 
 def _read(read_end: int, size: int, pids: list, child: int) -> bytes:
@@ -224,7 +279,7 @@ def forked_map(function, state, tasks) -> list:
         finally:
             os.close(fill)
         taken = partial(_outcomes, function, state, tasks, queue, chunk)
-        with _forked(workers, lambda child: map(pickle.dumps, taken())) as (pipes, pids):
+        with _forked(workers - 1, lambda child: map(pickle.dumps, taken())) as (pipes, pids):
             buffers = [bytearray() for _ in pipes]
             outcomes = {}
             for index, *outcome in taken():
@@ -237,8 +292,11 @@ def forked_map(function, state, tasks) -> list:
     for data in buffers:
         at = 0
         while at < len(data):
-            size = int.from_bytes(data[at:at + _LENGTH_SIZE], "little")
+            word = int.from_bytes(data[at:at + _LENGTH_SIZE], "little")
+            size = word & ~_FAILED
             at += _LENGTH_SIZE + size
+            if word & _FAILED:  # a child could not pickle an outcome
+                raise pickle.loads(data[at - size:at])
             index, *outcome = pickle.loads(data[at - size:at])
             outcomes[index] = outcome
     results = []

@@ -36,13 +36,13 @@ from .families import (
     Family,
     FamilySpec,
     FitResult,
-    family_report,
+    family_fits,
     fit,
     whitening_transform,
 )
-from .gaussians import GaussianModel, cross_entropy, estimate_moments, match_score
-from .ingest import image_to_blocks, output_file, read_points_csv, read_ppm, read_text
-from .ingest import sample_gaussian, write_points_csv
+from .gaussians import GaussianModel, cross_entropy, match_score
+from .ingest import map_points_csv, output_file, read_moments, read_points_csv, read_text
+from .ingest import sample_gaussian, write_image_blocks, write_points_csv
 from .linalg import float_array, within_float_range
 from .oracle import MAX_ORACLE_DIM, verify_families
 
@@ -282,8 +282,7 @@ def _cmd_fit(args) -> int:
         raise _UsageError(f"family {family.value!r} requires --mean")
     if family not in FIXED_MEAN_FAMILIES and args.mean is not None:
         raise _UsageError(f"family {family.value!r} does not take --mean")
-    moments = estimate_moments(read_points_csv(args.input))
-    result = fit(moments, FamilySpec(family, args.mean))
+    result = fit(read_moments(args.input), FamilySpec(family, args.mean))
     with output_file(args.output) as handle:
         json.dump(fit_to_document(result), handle, indent=2)
         handle.write("\n")
@@ -291,7 +290,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    moments = estimate_moments(read_points_csv(args.input))
+    moments = read_moments(args.input)
     stored = _read_model(args.model)
     print(f"M {match_score(moments, stored.model)!r}")
     print(f"Hx {cross_entropy(moments, stored.model)!r}")
@@ -302,10 +301,11 @@ def _cmd_transform(args) -> int:
     # The model is read first: the whitening map is built before the points
     # are, and a bad model is the error reported when both files are bad.
     whiten = whitening_transform(_read_model(args.model).model)
-    out = whiten.apply(read_points_csv(args.input), overwrite=True)
     if not args.plot:
-        write_points_csv(out, args.output)
+        map_points_csv(args.input, functools.partial(whiten.apply, overwrite=True), args.output)
         return 0
+    # The plot draws every point, so the points are read whole.
+    out = whiten.apply(read_points_csv(args.input), overwrite=True)
     svg = scatter_svg(out)
     # The plot is opened first and written last, inside the points block:
     # a plot that cannot be opened leaves an existing points file alone, and
@@ -318,21 +318,20 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    moments = estimate_moments(read_points_csv(args.input))
+    moments = read_moments(args.input)
     labeled = _resolve_mean_tokens(args.means, moments.mean)
     # Each fixed-mean family has one row per mean, in the order given.
     labels = itertools.cycle(label for label, _ in labeled)
     rows = [(row.family.kind.value, "-" if row.family.fixed_mean is None else next(labels),
              row.match, row.cross_entropy)
-            for row in family_report(moments, [vec for _, vec in labeled])]
+            for row in family_fits(moments, [vec for _, vec in labeled])]
     with output_file(args.output or sys.stdout) as handle:
         _render_report(rows, args.format, handle)
     return 0
 
 
 def _cmd_image_blocks(args) -> int:
-    raster = read_ppm(args.input)
-    write_points_csv(image_to_blocks(raster, args.block), args.output)
+    write_image_blocks(args.input, args.output, args.block)
     return 0
 
 

@@ -12,7 +12,8 @@ Six families are supported, each a subset of the Gaussian densities on R^N:
 For each family the minimizer of the cross-entropy (equivalently of the
 match score) has a closed form in the dataset moments; ``fit`` computes it
 for any family, and its docstring lists the six closed forms and where
-they come from.  ``family_report`` fits every family at once, and
+they come from.  ``family_report`` fits every family at once, or one at a
+time through ``family_fits``, and
 ``whitening_transform`` turns a fitted model into the affine map that sends
 it to the standard Gaussian.
 
@@ -240,14 +241,23 @@ def family_report(moments: Moments, fixed_means) -> list[FitResult]:
     fixed-mean family, one per entry of ``fixed_means``.  Results follow
     FAMILY_ORDER, with fixed means in the order given.
     """
+    return list(family_fits(moments, fixed_means))
+
+
+def family_fits(moments: Moments, fixed_means):
+    """Generator of the FitResults of ``family_report``, in its order, each
+    fitted as it is asked for, so that a caller that keeps only its numbers
+    holds one fit at a time.  The fixed means are checked first.
+    """
     try:
         means = [finite_vector(m, "fixed mean") for m in fixed_means]
     except TypeError:  # fixed_means is not iterable
         raise InvalidInputError(
             f"fixed_means must be a sequence of vectors, got {type(fixed_means).__name__}"
         ) from None
-    return [fit(moments, FamilySpec(kind, m))
-            for kind in FAMILY_ORDER for m in (means if kind in FIXED_MEAN_FAMILIES else [None])]
+    for kind in FAMILY_ORDER:
+        for m in means if kind in FIXED_MEAN_FAMILIES else [None]:
+            yield fit(moments, FamilySpec(kind, m))
 
 
 def _pinned_offset(moments: Moments, spec: FamilySpec) -> np.ndarray:

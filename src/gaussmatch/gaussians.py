@@ -107,26 +107,66 @@ def estimate_moments(points) -> Moments:
 
     The covariance uses the 1/n divisor: it is the second central moment of
     the empirical distribution, which is what the cross-entropy formulas
-    integrate against.  It sums the products ``block.T @ block`` of the
-    centred rows ``block = pts[rows] - mean`` over the blocks of
-    ``row_blocks``, the ones that ``RescalingTransform.apply`` whitens by,
+    integrate against.  It is ``moments_from_sums(moment_sums(points))``,
     so the points are never written and no second array of their size is
-    made; up to ``BLOCK_CELLS // dim`` points are one block and one product.
-    Points so large that the mean or the covariance overflows the float
-    range raise InvalidInputError.
+    made.  Points so large that the mean or the covariance overflows the
+    float range raise InvalidInputError.
     """
-    pts = as_point_set(points)
+    return moments_from_sums(moment_sums(as_point_set(points)))
 
-    def moments():
-        mean = pts.mean(axis=0)
-        centred = (pts[rows] - mean for rows in row_blocks(pts.shape))
+
+# The refusal of points whose moments overflow the float range.
+_TOO_LARGE = "points are too large: their covariance overflows the float range"
+
+
+def moment_sums(points: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, mean, centred product) of an (n, dim) float array with n >= 1.
+
+    The centred product is the sum of ``block.T @ block`` of the centred
+    rows ``block = points[rows] - mean`` over the blocks of ``row_blocks``, the
+    ones that ``RescalingTransform.apply`` whitens by; up to
+    ``BLOCK_CELLS // dim`` points are one block and one product.  Raises
+    InvalidInputError when the mean or the product overflows."""
+
+    def sums():
+        mean = points.mean(axis=0)
+        centred = (points[rows] - mean for rows in row_blocks(points.shape))
         # map keeps no block while it makes the next; reduce adds no 0
         # first, which would turn a -0.0 product into 0.0
-        products = map(lambda block: block.T @ block, centred)
-        return mean, reduce(np.add, products) / pts.shape[0]
+        return len(points), mean, reduce(np.add, map(lambda block: block.T @ block, centred))
 
-    return Moments(*within_float_range(
-        moments, "points are too large: their covariance overflows the float range"))
+    return within_float_range(sums, _TOO_LARGE)
+
+
+def merge_moment_sums(first, second) -> tuple[int, np.ndarray, np.ndarray]:
+    """The ``moment_sums`` of two point sets together, from theirs.
+
+    The pairwise update of Chan, Golub & LeVeque (1979): with delta the
+    difference of the means, the mean moves by delta * n2 / n and the
+    centred products add, plus delta delta' * n1 n2 / n.  Raises
+    InvalidInputError when the two differ in dimension, or when the result,
+    or the sum of the points that the mean implies, overflows."""
+    (count_1, mean_1, product_1), (count_2, mean_2, product_2) = first, second
+    require_dim(mean_2.size, mean_1.size, "points", "points")
+    count = count_1 + count_2
+
+    def merged():
+        delta = mean_2 - mean_1
+        mean = mean_1 + delta * (count_2 / count)
+        product = product_1 + product_2 + np.outer(delta, delta) * (count_1 * count_2 / count)
+        return count, mean, product, mean * count
+
+    return within_float_range(merged, _TOO_LARGE)[:3]
+
+
+def moments_from_sums(sums) -> Moments:
+    """The Moments of a point set from its ``moment_sums``: the mean, and
+    the centred product over n.  Fewer than two points raise
+    InsufficientDataError."""
+    count, mean, product = sums
+    if count < 2:
+        raise InsufficientDataError(f"need at least 2 points, got {count}")
+    return Moments(mean, product / count)
 
 
 def mahalanobis_sq(vector, cov) -> float:

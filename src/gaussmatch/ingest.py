@@ -1,23 +1,36 @@
 """Data ingestion: CSV point sets, PPM images, and seeded Gaussian sampling.
 
-Files are opened in two places.  ``_read_chunks`` only reads a path or a
-stream a chunk at a time: ``read_ppm`` takes the bytes of one whole read as
-they are.  ``_text_pieces`` alone knows where a line ends and which line it
-is: it cuts the chunks at line ends, turns a path's CRLF and CR into LF,
-decodes each piece as UTF-8 as it arrives, naming the line of a byte that
-is not UTF-8, skips one byte-order mark, and gives each piece with the
-number of its first line.  ``read_text`` joins those pieces for the model
-JSON; ``read_points_csv`` decodes the rows of each piece as it arrives, so
-that it never holds the bytes or the text of a whole file.
-``output_file`` opens every file the package writes (points CSV, PPM
-image, model JSON, report and SVG plot) and removes it when its write
-fails part way, at the final close included.  ``write_points_csv``
-formats the points a block of rows at a time, through
-``_pool.ordered_texts``, which spreads the blocks of a large write over
-forked children, one per CPU, and hands their text back in order.
+Files are opened in two places.  ``_read_chunks`` only reads a path, a
+byte range of a path or a stream a chunk at a time: the PPM reader takes
+the bytes of one whole read as they are.  ``_text_pieces`` alone knows where a
+line ends and which line it is: it cuts the chunks at line ends, turns a
+path's CRLF and CR into LF, decodes each piece as UTF-8 as it arrives,
+naming the line of a byte that is not UTF-8, skips one byte-order mark at
+the start of a file, and gives each piece with the number of its first
+line.  ``read_text`` joins those pieces for the model JSON;
+``read_points_csv`` decodes the rows of each piece as it arrives, so that
+it never holds the bytes or the text of a whole file.  ``output_file``
+opens every file the package writes (points CSV, PPM image, model JSON,
+report and SVG plot): a regular file is written to a temporary file beside
+it, which replaces it only once the write is complete.
+
+The points commands read a file in byte ranges (``_ranges``): pieces of
+about ``_RANGE_SIZE`` bytes, cut after a LF, where the cuts depend on the
+file's bytes alone.  ``read_moments`` and ``map_points_csv`` map the
+ranges over ``_pool``'s ordered maps, one process per CPU: each process
+decodes its ranges in ``_CHUNK_SIZE`` pieces, and gives back the moment
+sums of each range, merged in range order, or its transformed rows as
+text, written in range order.  No process holds the points of more than a
+range.  Any error in a range, or a file of one range, makes them read the
+file as ``read_points_csv`` does, from the start, so that a failure is
+that of the whole file.  ``write_points_csv`` formats points a block of
+rows at a time, through ``_pool.ordered_texts``, which spreads the blocks
+of a large write over forked children and hands their text back in order.
 
 ``image_to_blocks`` cuts a ``Raster`` into the (tiles, 3 * b**2) matrix of
-its flattened b x b tiles, a point array like any other.
+its flattened b x b tiles, a point array like any other;
+``write_image_blocks`` writes the same rows of a PPM file as CSV, a block
+of tiles at a time, with no float array of them all.
 
 The sampler is deliberately self-contained rather than delegating to a
 library generator: it derives every variate from a counter-based SplitMix64
@@ -41,9 +54,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._pool import ordered_texts
-from .errors import InsufficientDataError, InvalidInputError, ParseError
-from .gaussians import GaussianModel
+from ._pool import ordered_texts, ordered_values
+from .errors import GaussMatchError, InsufficientDataError, InvalidInputError, ParseError
+from .gaussians import GaussianModel, Moments, estimate_moments, merge_moment_sums
+from .gaussians import moment_sums, moments_from_sums
 from .linalg import BLOCK_CELLS, float_array, integer, require_seed, spd_factor
 
 # --- Files ------------------------------------------------------------------
@@ -54,23 +68,55 @@ def output_file(destination, binary: bool = False):
     """Context manager giving a stream to write ``destination`` through.
 
     An open stream is handed back as it is, and left open.  A path is
-    opened for UTF-8 text, or for bytes when ``binary`` is true, and closed
-    when the block ends; when the block or the final close raises, the file
-    is removed if it is a regular file (not a device or a pipe), so that a
-    write that fails part way leaves no partial file behind.
+    written as UTF-8 text, or as bytes when ``binary`` is true.  When it
+    names a regular file or nothing, the stream writes a new file beside
+    it, which ``os.replace`` puts in its place once the block and the final
+    close succeed, and which is removed when either raises: a write that
+    fails part way leaves an existing file as it was, and makes none.  The
+    new file takes the permission bits of the file it replaces, or else
+    ``0o666`` less the umask, as ``open`` would give it.  Anything else, a
+    symbolic link, a device, a pipe, ``/dev/stdout`` or a file this process
+    may not write, is opened and written in place, as ``open`` allows, and
+    a write that fails there leaves what it wrote.
     """
     if hasattr(destination, "write"):
         yield destination
         return
-    handle = open(destination, "wb" if binary else "w", encoding=None if binary else "utf-8")
-    regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+    path = os.fspath(destination)
+    staged, bits = _staging(path)
+    # a name of its own length, so that any name the folder takes fits
+    target = (os.path.join(os.path.dirname(path), f".gaussmatch-{os.urandom(8).hex()}.tmp")
+              if staged else path)
+    try:
+        handle = open(target, ("x" if staged else "w") + ("b" if binary else ""),
+                      encoding=None if binary else "utf-8")
+    except OSError as error:  # named as the destination, not the temporary file
+        raise type(error)(error.errno, error.strerror, path) from None
     try:
         with handle:
+            if bits is not None:
+                os.chmod(handle.fileno(), bits)
             yield handle
+        if staged:
+            os.replace(target, path)
     except BaseException:
-        if regular:
-            os.remove(destination)
+        if staged:
+            os.remove(target)
         raise
+
+
+def _staging(path: str) -> tuple[bool, int | None]:
+    """Whether ``output_file`` writes ``path`` through a temporary file, as
+    it does where it names a regular file that this process may write, or
+    names nothing and ends in a name, and the permission bits of the file.
+    Elsewhere ``open`` writes it, or names the error, as it always has."""
+    try:
+        info = os.lstat(path)
+    except FileNotFoundError:
+        return bool(os.path.basename(path)), None
+    except (OSError, ValueError):
+        return False, None
+    return stat.S_ISREG(info.st_mode) and os.access(path, os.W_OK), stat.S_IMODE(info.st_mode)
 
 
 def read_text(source) -> str:
@@ -91,22 +137,31 @@ _CHUNK_SIZE = 2**16
 
 
 def _read_chunks(source, size: int):
-    """Generator of the content of a path or stream, ``size`` bytes at a time.
+    """Generator of the content of a path, a ``_Range`` of one or a stream,
+    ``size`` bytes at a time.
 
     A stream's chunks are what its ``read(size)`` gives, bytes or str; a
     path is read as bytes.  The last chunk is empty, and no other is, so
     that even an empty stream shows whether it gives bytes.
     """
-    opened = nullcontext(source) if hasattr(source, "read") else open(os.fspath(source), "rb")
+    span = source if isinstance(source, _Range) else None
+    opened = (nullcontext(source) if hasattr(source, "read")
+              else open(os.fspath(span.path if span else source), "rb"))
     with opened as handle:
-        while chunk := handle.read(size):
+        left = math.inf  # bytes left to read
+        if span:
+            handle.seek(span.start)
+            left = span.stop - span.start
+        while chunk := handle.read(min(size, left)):
+            left -= len(chunk)
             yield chunk
         yield chunk
 
 
 def _text_pieces(source):
     """Generator of (first line, piece) for the text ``read_text`` returns,
-    in pieces that end at a LF, but the last; lines are numbered from 1.
+    in pieces that end at a LF, but the last; lines are numbered from 1,
+    from the start of a ``_Range`` for a range.
 
     The source is read ``_CHUNK_SIZE`` bytes at a time.  A stream's chunk is
     cut after its last LF.  A path's chunk is cut after its last LF or after
@@ -120,7 +175,8 @@ def _text_pieces(source):
     """
     path = not hasattr(source, "read")
     line = 1  # the line the next piece starts on
-    start = True  # no text has been given yet, so a byte-order mark may come
+    # no text has been given yet, so a byte-order mark may come, at the start of a file
+    start = not isinstance(source, _Range) or source.start == 0
     head = []  # the parts of a line read so far, before its end
     try:
         for chunk in _read_chunks(source, _CHUNK_SIZE):
@@ -187,22 +243,162 @@ def read_points_csv(source) -> np.ndarray:
     return points
 
 
-def _data_rows(pieces):
+# --- Byte ranges of a points file ---------------------------------------------
+
+# Bytes each range but the last holds at least: it ends just past the first
+# LF that lets it hold as many, or at the end of the file.
+_RANGE_SIZE = 2**20
+
+
+class _Range(NamedTuple):
+    """Bytes start to stop of the file at ``path``."""
+
+    path: str
+    start: int
+    stop: int
+
+
+def _ranges(source) -> list:
+    """The ranges a points file is read in, in file order; [source] itself
+    for a stream, or for what is not a regular file, such as a pipe.
+
+    Each range but the last holds at least ``_RANGE_SIZE`` bytes and ends
+    just past a LF, the first that lets it, so that the cuts depend on the
+    file's bytes alone and a file with no LF, such as one of CR line ends,
+    is one range.  Range 0 holds the byte-order mark; a header that is not
+    in it is refused by the range that holds it, which sends the reading
+    back to ``read_points_csv``."""
+    if hasattr(source, "read"):
+        return [source]
+    path = os.fspath(source)
+    try:
+        info = os.stat(path)
+    except (OSError, ValueError):  # the reader names the error
+        return [source]
+    if not stat.S_ISREG(info.st_mode):
+        return [source]
+    size = info.st_size
+    cuts = [0]
+    while cuts[-1] + _RANGE_SIZE < size:
+        cut = _line_end(_Range(path, cuts[-1] + _RANGE_SIZE - 1, size))
+        if cut >= size:
+            break
+        cuts.append(cut)
+    return [_Range(path, start, stop) for start, stop in zip(cuts, [*cuts[1:], size])]
+
+
+def _line_end(span: _Range) -> int:
+    """The offset just past the first LF of the range, or its stop."""
+    at = span.start
+    for chunk in _read_chunks(span, _CHUNK_SIZE):
+        found = chunk.find(b"\n")
+        if found >= 0:
+            return at + found + 1
+        at += len(chunk)
+    return at
+
+
+def _range_points(span: _Range) -> np.ndarray:
+    """The points of a range, decoded as ``read_points_csv`` decodes them,
+    of any count; a header is looked for in range 0 only."""
+    return _decode_blocks(_data_rows(_text_pieces(span), header=span.start == 0))
+
+
+def read_moments(source) -> Moments:
+    """``estimate_moments(read_points_csv(source))``, read a range at a time.
+
+    The ``moment_sums`` of each range are made in the process that
+    ``_pool.ordered_values`` gives it, and merged in range order by
+    ``merge_moment_sums``, so that the result depends on the file's bytes
+    and not on the CPU count.  A file of one range, a stream, or a file
+    whose ranges meet any error is read by ``read_points_csv``, so that
+    the result then has its bits and the error is that of the whole file.
+    A child that ends at a signal raises ChildProcessError.
+    """
+    spans = _ranges(source)
+    if len(spans) > 1:
+        with _else_whole_file():
+            sums = None
+            with closing(ordered_values(partial(_range_sums, spans), len(spans))) as parts:
+                for part in parts:
+                    if part is not None:
+                        sums = part if sums is None else merge_moment_sums(sums, part)
+            return moments_from_sums(sums or (0, None, None))  # or no range held a point
+    return estimate_moments(read_points_csv(source))
+
+
+@contextmanager
+def _else_whole_file():
+    """Context in which an error of a read by ranges ends the block, so that
+    the caller reads the whole file, whose error, if any, is then raised in
+    file order; a child's death, ChildProcessError, is raised as it is."""
+    try:
+        yield
+    except ChildProcessError:
+        raise
+    except (GaussMatchError, OSError):
+        pass
+
+
+def _range_sums(spans: list, first: int, step: int):
+    """Generator of the ``moment_sums`` of ranges first, first + step, ...;
+    None for a range that holds no point."""
+    for span in spans[first::step]:
+        points = _range_points(span)
+        yield moment_sums(points) if len(points) else None
+
+
+def map_points_csv(source, function, destination) -> None:
+    """Write ``function(read_points_csv(source))`` as ``write_points_csv``
+    writes it, a range at a time, to a path that ``output_file`` replaces.
+
+    ``function`` maps an (n, dim) point array to an array of the same rows,
+    such as ``RescalingTransform.apply``, and refuses points of another
+    dimension than it takes.  Each range is decoded, mapped and formatted
+    in the process that ``_pool.ordered_texts`` gives it, and its text is
+    written in range order.  A file of one range, a stream, a destination
+    that is written in place, or a file whose ranges meet any error, is
+    read whole by ``read_points_csv``, so that an error is that of the
+    whole file, and an input error leaves an existing output as it was.
+    A child that ends at a signal raises ChildProcessError.
+    """
+    spans = _ranges(source)
+    if len(spans) > 1 and not hasattr(destination, "write") and _staging(os.fspath(destination))[0]:
+        with _else_whole_file(), output_file(destination) as handle, closing(
+                ordered_texts(partial(_range_texts, spans, function), len(spans))) as texts:
+            rows = 0
+            for text in texts:
+                handle.write(text)
+                rows += text.count("\n")
+            if rows < 2:
+                raise InsufficientDataError(f"need at least 2 points, got {rows}")
+            return
+    write_points_csv(function(read_points_csv(source)), destination)
+
+
+def _range_texts(spans: list, function, first: int, step: int):
+    """Generator of the CSV text of ``function`` of the points of ranges
+    first, first + step, ...; empty for a range that holds no point."""
+    for span in spans[first::step]:
+        points = _range_points(span)
+        yield "".join(_text_blocks(function(points), 0, 1)) if len(points) else ""
+
+
+def _data_rows(pieces, header: bool = True):
     """Generator of the rows that hold points, one block for each
     ``_text_pieces`` piece that holds such a row: a list of their 1-based
     line numbers, counted from the piece's first line, and one of the
     stripped rows.
 
-    Blank lines and lines starting with '#' are dropped, and so is the first
-    remaining row when it is a header.
+    Blank lines and lines starting with '#' are dropped, and so, with
+    ``header``, is the first remaining row when it is a header.
     """
-    header = True  # no row has been kept yet
     for line, text in pieces:
         raw = [part.strip() for part in text.split("\n")]
         kept = [part and part[0] != "#" for part in raw]
         numbers = list(compress(range(line, line + len(raw)), kept))
         lines = list(compress(raw, kept))
-        if header and lines:
+        if header and lines:  # the first row kept
             header = False
             if _is_header(lines[0]):
                 del numbers[0], lines[0]
@@ -336,17 +532,23 @@ def write_points_csv(points, destination) -> None:
     same bytes, in blocks of rows, each written as soon as it is formatted.
     The blocks go through ``_pool.ordered_texts``: where it finds two or
     more CPUs and two blocks or more for each, block i is formatted in
-    process i % processes, this one or a forked child, and written in
+    forked child i % processes, and this process writes the blocks in
     order, with the bytes of one process; no child outlives the call.
     ``destination`` is a path or an open text stream; a path is written
     through ``output_file``, so a write that fails part way, at the final
-    close included, leaves no file.
+    close included, leaves an existing file as it was, or none.
     """
     pts = float_array(points, "points")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
         raise InvalidInputError(f"expected an (n, dim) array, got shape {pts.shape}")
+    _write_rows(pts, destination)
+
+
+def _write_rows(pts, destination) -> None:
+    """Write the rows of an (n, dim) array, or of ``_TileRows``, as CSV:
+    each block of rows is a task of ``_pool.ordered_texts``."""
     blocks = max(1, -(-len(pts) // _block_rows(pts)))
     with output_file(destination) as handle, \
             closing(ordered_texts(partial(_text_blocks, pts), blocks)) as pieces:
@@ -354,13 +556,14 @@ def write_points_csv(points, destination) -> None:
             handle.write(piece)
 
 
-def _block_rows(pts: np.ndarray) -> int:
+def _block_rows(pts) -> int:
     """Rows of each block the writer formats: about ``BLOCK_CELLS`` cells."""
     return max(1, BLOCK_CELLS // max(pts.shape[1], 1))
 
 
-def _text_blocks(pts: np.ndarray, first: int, step: int):
-    """Generator of the CSV text of blocks first, first + step, ... of the points.
+def _text_blocks(pts, first: int, step: int):
+    """Generator of the CSV text of blocks first, first + step, ... of the
+    points, an array or ``_TileRows``.
 
     A block is ``_block_rows`` rows.  The first block given is formatted
     value by value; the later ones take the table as ``_repeats``'s rule
@@ -425,8 +628,16 @@ def read_ppm(source) -> Raster:
     Supports 8-bit and big-endian 16-bit samples and '#' comments in the
     header, whose width, height and maxval are ASCII decimal digits.
     Raises ParseError on anything malformed, a sample above maxval included,
-    and InvalidInputError on a text stream.
+    and InvalidInputError on a text stream.  The pixels are ``uint16``.
     """
+    samples, maxval = _ppm_samples(source)
+    return Raster(pixels=samples.astype(np.uint16), maxval=maxval)
+
+
+def _ppm_samples(source) -> tuple[np.ndarray, int]:
+    """The (height, width, 3) samples of a binary PPM as its bytes hold them,
+    ``uint8`` or big-endian ``uint16``, a read-only view of those bytes, and
+    maxval; the errors of ``read_ppm``."""
     try:
         chunks = list(_read_chunks(source, -1))  # the whole content, then the empty chunk
     except UnicodeDecodeError:  # a text stream's own decoding
@@ -461,15 +672,15 @@ def read_ppm(source) -> Raster:
         raise ParseError("missing whitespace after maxval")
     dtype = _sample_type(maxval)
     needed = width * height * 3 * dtype.itemsize
-    raster = data[pos + 1 : pos + 1 + needed]  # after the one whitespace byte that ends the header
+    # after the one whitespace byte that ends the header; a view, not a copy
+    raster = memoryview(data)[pos + 1 : pos + 1 + needed]
     if len(raster) < needed:
         raise ParseError(f"truncated raster: expected {needed} bytes, found {len(raster)}")
     samples = np.frombuffer(raster, dtype=dtype)
     top = int(samples.max())
     if top > maxval:
         raise ParseError(f"sample value {top} exceeds maxval {maxval}")
-    pixels = samples.reshape(height, width, 3).astype(np.uint16)
-    return Raster(pixels=pixels, maxval=maxval)
+    return samples.reshape(height, width, 3), maxval
 
 
 def _checked_raster(raster: Raster) -> tuple[np.ndarray, int]:
@@ -503,7 +714,7 @@ def write_ppm(raster: Raster, destination) -> None:
     so every file written reads back as the same raster.  ``destination``
     is a path or an open binary stream; a path is written through
     ``output_file``, so a write that fails part way, at the final close
-    included, leaves no file.
+    included, leaves an existing file as it was, or none.
     """
     pixels, maxval = _checked_raster(raster)
     height, width = pixels.shape[:2]
@@ -524,24 +735,49 @@ def image_to_blocks(raster: Raster, block_size: int = 8) -> np.ndarray:
     every coordinate lies in [0, 1]; the raster is checked as ``write_ppm``
     checks it.
     """
-    block_size = integer(block_size, "block size")
-    if block_size < 1:
-        raise InvalidInputError("block size must be positive")
-    pixels, maxval = _checked_raster(raster)
-    height, width = pixels.shape[:2]
-    tiles_y, tiles_x = height // block_size, width // block_size
-    if tiles_y == 0 or tiles_x == 0:
-        raise InvalidInputError(
-            f"image {width}x{height} is smaller than one {block_size}x{block_size} block"
-        )
-    cropped = pixels[: tiles_y * block_size, : tiles_x * block_size, :]
-    # the tiles are gathered as integers, so that one float array is made
-    tiles = (
-        cropped.reshape(tiles_y, block_size, tiles_x, block_size, 3)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(tiles_y * tiles_x, block_size * block_size * 3)
-    )
-    return tiles / float(maxval)
+    return _TileRows(raster, block_size)[:]
+
+
+def write_image_blocks(source, destination, block_size: int = 8) -> None:
+    """Write ``image_to_blocks(read_ppm(source), block_size)`` as
+    ``write_points_csv`` writes it, with the same bytes.
+
+    The image's samples stay a view of the bytes read, and each block of
+    rows is made from them as it is formatted, so that neither the 16-bit
+    pixels nor a float array of every tile is made."""
+    _write_rows(_TileRows(Raster(*_ppm_samples(source)), block_size), destination)
+
+
+class _TileRows:
+    """The rows of ``image_to_blocks``, made on demand: ``tiles[a:b]`` gathers
+    the integer samples of tiles a to b - 1 and divides them by maxval, so
+    that no float array of every tile is made."""
+
+    def __init__(self, raster: Raster, block_size: int):
+        block_size = integer(block_size, "block size")
+        if block_size < 1:
+            raise InvalidInputError("block size must be positive")
+        pixels, maxval = _checked_raster(raster)
+        height, width = pixels.shape[:2]
+        tiles_y, tiles_x = height // block_size, width // block_size
+        if tiles_y == 0 or tiles_x == 0:
+            raise InvalidInputError(
+                f"image {width}x{height} is smaller than one {block_size}x{block_size} block"
+            )
+        cropped = pixels[: tiles_y * block_size, : tiles_x * block_size, :]
+        # a view of shape (tiles_y, tiles_x, block_size, block_size, 3)
+        self._grid = cropped.reshape(tiles_y, block_size, tiles_x, block_size, 3).swapaxes(1, 2)
+        self._maxval = float(maxval)
+        self.shape = (tiles_y * tiles_x, 3 * block_size**2)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        # the tiles are gathered as integers, so that one float array is made
+        tiles = np.arange(*rows.indices(len(self)))
+        across = self._grid.shape[1]
+        return self._grid[tiles // across, tiles % across].reshape(len(tiles), -1) / self._maxval
 
 
 # --- Seeded Gaussian sampling ------------------------------------------------

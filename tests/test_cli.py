@@ -8,6 +8,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -42,10 +43,10 @@ from gaussmatch.cli import (
     run,
     scatter_svg,
 )
-from gaussmatch import cli, ingest
+from gaussmatch import _pool, cli, ingest
 from gaussmatch.oracle import FamilyCheck
 from gaussmatch.families import Family
-from helpers import run_with_file_size_limit
+from helpers import nothing_left, run_with_file_size_limit
 
 
 @pytest.fixture()
@@ -391,6 +392,160 @@ class TestFailedWrite:
                     "--output", str(model)]) == 0
         self._check(100_000, ["transform", "--input", sample_csv, "--model", model,
                               "--output", out, "--plot", svg], out, svg)
+
+
+@pytest.fixture(scope="module")
+def ranged_data(tmp_path_factory):
+    """The bytes of a CSV of 30 000 points of dimension 8, about 4.8 MB, or
+    five ranges, and of its full fit."""
+    folder = tmp_path_factory.mktemp("ranged")
+    points = np.random.default_rng(21).normal(size=(30_000, 8)) @ np.triu(np.ones((8, 8)))
+    write_points_csv(points, folder / "p.csv")
+    assert len(ingest._ranges(folder / "p.csv")) == 5
+    assert run(["fit", "--input", str(folder / "p.csv"), "--family", "full",
+                "--output", str(folder / "m.json")]) == 0
+    return (folder / "p.csv").read_bytes(), (folder / "m.json").read_bytes()
+
+
+def _ranged_files(folder, ranged_data):
+    """The ranged CSV and its fit in ``folder``, and an output file that holds other text."""
+    source, model, existing = folder / "p.csv", folder / "m.json", folder / "existing.csv"
+    for path, data in zip((source, model), ranged_data):
+        path.write_bytes(data)
+    existing.write_text("kept\n", encoding="utf-8")
+    return source, model, existing
+
+
+def _ranged_commands(source, model, output):
+    return {
+        "report": ["report", "--input", str(source), "--output", str(output)],
+        "fit": ["fit", "--input", str(source), "--family", "full", "--output", str(output)],
+        "score": ["score", "--input", str(source), "--model", str(model)],
+        "transform": ["transform", "--input", str(source), "--model", str(model),
+                      "--output", str(output)],
+    }
+
+
+def _last_row_faults(data: bytes) -> dict[str, bytes]:
+    """Copies of a CSV with a fault in its last row, by kind."""
+    head, last = data[:-1].rsplit(b"\n", 1)
+    fields = last.split(b",")
+    return {
+        "malformed": head + b"\n" + last + b"x\n",
+        "not finite": head + b"\n" + b",".join([b"nan", *fields[1:]]) + b"\n",
+        "field count": head + b"\n" + last + b",0\n",
+        "not UTF-8": head + b"\n" + last[:3] + b"\xff" + last[3:] + b"\n",
+    }
+
+
+class TestRangedReads:
+    """The points commands read a file of several ranges on every CPU, and
+    fail as a read of the whole file fails, leaving no output and no child."""
+
+    @pytest.mark.parametrize("fault", ["malformed", "not finite", "field count", "not UTF-8"])
+    @pytest.mark.parametrize("command", ["report", "fit", "score", "transform"])
+    def test_error_in_the_last_range(self, ranged_data, tmp_path, two_cpus, capsys, fault,
+                                     command):
+        source, model, existing = _ranged_files(tmp_path, ranged_data)
+        data = source.read_bytes()
+        source.write_bytes(_last_row_faults(data)[fault])
+        with pytest.raises(ParseError) as caught:
+            read_points_csv(source)
+        assert caught.value.line == data.count(b"\n")
+        capsys.readouterr()
+        assert run(_ranged_commands(source, model, existing)[command]) == 2
+        assert capsys.readouterr() == ("", f"error: {caught.value}\n")
+        assert existing.read_text(encoding="utf-8") == "kept\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "existing.csv", "m.json", "p.csv"]
+        nothing_left()
+
+    @pytest.mark.parametrize("command", ["report", "fit", "score", "transform"])
+    def test_killed_reader_is_an_error(self, ranged_data, tmp_path, two_cpus, monkeypatch, capsys,
+                                       command):
+        source, model, existing = _ranged_files(tmp_path, ranged_data)
+        spans = ingest._ranges(source)
+        parent, range_points = os.getpid(), ingest._range_points
+
+        def killed(span):
+            # the child that reads range 2, its second, dies at a signal
+            if os.getpid() != parent and span == spans[2]:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return range_points(span)
+
+        monkeypatch.setattr(ingest, "_range_points", killed)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert run(_ranged_commands(source, model, existing)[command]) == 2
+        assert fork.call_count == 2
+        assert capsys.readouterr() == ("", f"error: {_pool._WORKER_ENDED} -9\n")
+        assert existing.read_text(encoding="utf-8") == "kept\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "existing.csv", "m.json", "p.csv"]
+        nothing_left()
+
+    def test_transform_over_its_input(self, ranged_data, tmp_path, two_cpus):
+        source, model, _ = _ranged_files(tmp_path, ranged_data)
+        fresh = tmp_path / "w.csv"
+        assert run(["transform", "--input", str(source), "--model", str(model),
+                    "--output", str(fresh)]) == 0
+        assert run(["transform", "--input", str(source), "--model", str(model),
+                    "--output", str(source)]) == 0
+        assert source.read_bytes() == fresh.read_bytes()
+        nothing_left()
+
+
+# Runs the command line of its arguments and prints its exit code and its
+# peak resident set in KiB, that of the children it waited for included.
+# It is a small fresh interpreter, as Linux starts a child's ru_maxrss at
+# that of the process it was forked from.
+_PEAK = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:])\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "child.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(child.returncode, usage.ru_maxrss)\n"
+)
+
+
+def _peak_mb(argv, folder) -> float:
+    """Peak resident set of ``gaussmatch`` run with ``argv`` in ``folder``, in MB."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=str(Path(ingest.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", _PEAK, sys.executable, "-m", "gaussmatch.cli",
+                             *argv], capture_output=True, text=True, cwd=folder, env=env)
+    code, kib = result.stdout.split()
+    assert (code, result.stderr) == ("0", "")
+    return int(kib) / 1024
+
+
+class TestPeakMemory:
+    """No points command holds the point set: on 360 000 points of dimension
+    3, 8.6 MB as a float64 array, each peaks within 3 MB of itself on 10."""
+
+    @pytest.fixture(scope="class")
+    def peaks(self, tmp_path_factory):
+        rng = np.random.default_rng(70)
+        peaks = {}
+        for size, shape in (("large", (600, 600, 3)), ("small", (2, 5, 3))):
+            folder = tmp_path_factory.mktemp(size)
+            pixels = rng.integers(0, 256, shape).astype(np.uint16)
+            write_ppm(Raster(pixels=pixels, maxval=255), folder / "image.ppm")
+            commands = {
+                "image-blocks": ["image-blocks", "--input", "image.ppm", "--block", "1",
+                                 "--output", "points.csv"],
+                "report": ["report", "--input", "points.csv", "--output", "table.txt"],
+                "fit": ["fit", "--input", "points.csv", "--family", "full", "--output", "m.json"],
+                "transform": ["transform", "--input", "points.csv", "--model", "m.json",
+                              "--output", "white.csv"],
+            }
+            peaks[size] = {name: _peak_mb(argv, folder) for name, argv in commands.items()}
+            assert pixels.size * 8 >= (8e6 if size == "large" else 0)
+            assert len(read_points_csv(folder / "white.csv")) == pixels.size // 3
+        return peaks
+
+    @pytest.mark.parametrize("command", ["image-blocks", "report", "fit", "transform"])
+    def test_within_3_mb_of_ten_points(self, peaks, command):
+        assert peaks["large"][command] <= peaks["small"][command] + 3.0, peaks
 
 
 class TestReport:
@@ -905,14 +1060,17 @@ class TestEntryPoint:
 
     def test_import_loads_no_multiprocessing(self, tmp_path):
         # no command imports it, nor does the start-up the benchmark times
-        # as setup_s.  On two CPUs the transform of 10**4 points of
-        # dimension 8, five blocks, forks a CSV writer, and verify forks a
-        # worker for its fits; neither needs multiprocessing.
+        # as setup_s.  On two CPUs, with ranges of 256 KiB, the fit and the
+        # transform of 10**4 points of dimension 8, about seven ranges, each
+        # fork two workers for the ranges, and verify forks a worker for its
+        # fits; none needs multiprocessing.
         write_points_csv(np.random.default_rng(5).normal(size=(200, 2)), tmp_path / "p.csv")
         write_points_csv(np.random.default_rng(5).normal(size=(10**4, 8)), tmp_path / "big.csv")
         script = (
             "import os, sys\n"
             "import gaussmatch.cli as cli\n"
+            "import gaussmatch.ingest\n"
+            "gaussmatch.ingest._RANGE_SIZE = 2**18\n"
             "p, m, w, big, bigm, bigw = sys.argv[1:]\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "fork, forks = os.fork, []\n"
@@ -938,7 +1096,7 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stderr == "[[], [], [], [], [], [], []] 2\n"
+        assert result.stderr == "[[], [], [], [], [], [], []] 5\n"
         assert read_points_csv(tmp_path / "w.csv").shape == (200, 2)
         assert read_points_csv(tmp_path / "bigw.csv").shape == (10**4, 8)
 

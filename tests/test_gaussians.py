@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gaussmatch import (
     match_score,
     self_cross_entropy,
 )
+from gaussmatch.gaussians import merge_moment_sums, moment_sums, moments_from_sums
 from gaussmatch.linalg import BLOCK_CELLS, symmetrize
 from helpers import random_moments, random_spd
 
@@ -142,7 +144,17 @@ class TestEstimateMoments:
         # Against sums without rounding: the error of the block sums, over
         # every entry of three covariances of twelve blocks each, is no
         # larger than that of one product of all the centred points.
+        #
+        # The merge of the moment sums of parts, two and twelve of them, as
+        # the byte ranges of a file give them, is bounded per entry instead:
+        # within 2**8 eps of the covariance's largest entry.  Its error is
+        # that of the parts' means: near 1e3, each rounds by up to about 25
+        # eps (a sum over rows), and the difference delta of two of them,
+        # about 0.05 here, enters the product as delta delta' n1 n2 / n, so
+        # that an entry moves by up to about 100 eps of the scale; the one
+        # product is blind to the rounding of its own mean to first order.
         blocked = single = 0.0
+        merged = []
         for seed in range(3):
             rng = np.random.default_rng(seed)
             pts = rng.normal(size=(24000, 8)) @ np.triu(np.ones((8, 8))) + 1e3
@@ -155,7 +167,33 @@ class TestEstimateMoments:
             scale = np.abs(exact).max()
             blocked += np.abs(estimate_moments(pts).cov - exact).sum() / scale
             single += np.abs(centred.T @ centred / len(pts) - exact).sum() / scale
+            for parts in (2, 12):
+                cuts = np.linspace(0, len(pts), parts + 1).astype(int)
+                sums = reduce(merge_moment_sums, [moment_sums(pts[start:stop])
+                                                  for start, stop in zip(cuts, cuts[1:])])
+                merged.append(np.abs(moments_from_sums(sums).cov - exact).max() / scale)
         assert blocked <= single
+        assert max(merged) <= 2**8 * np.finfo(float).eps
+
+    def test_merged_sums_of_one_part_are_the_moments(self):
+        # a file of one range keeps the bits of the whole read
+        pts = np.random.default_rng(4).normal(size=(500, 5)) + 3.0
+        moments = moments_from_sums(moment_sums(pts))
+        expected = estimate_moments(pts)
+        assert moments.mean.tobytes() == expected.mean.tobytes()
+        assert moments.cov.tobytes() == expected.cov.tobytes()
+
+    def test_merge_refuses(self):
+        # parts of other dimensions, and a sum of the points beyond the float range
+        two, three = (moment_sums(np.ones((4, dim)) * [[1.0], [2.0], [3.0], [5.0]])
+                      for dim in (2, 3))
+        with pytest.raises(InvalidInputError, match="has dimension"):
+            merge_moment_sums(two, three)
+        huge = moment_sums(np.full((1, 2), 1e308))
+        with pytest.raises(InvalidInputError, match="points are too large"):
+            merge_moment_sums(huge, huge)
+        with pytest.raises(InsufficientDataError):
+            moments_from_sums(moment_sums(np.ones((1, 2))))
 
 
 class TestMahalanobis:

@@ -636,24 +636,35 @@ class TestBoundedMemory:
         assert peak < 8 * 2**20
 
     def test_forked_writer_tables_one_block_at_a_time(self):
-        # this process formats the even blocks of 64, tabling all but its first
+        # each of two children formats half the blocks of 64, tabling all
+        # but its first, as _text_blocks(points, child, 2) does here; the
+        # caller only relays their text
         points = np.random.default_rng(6).integers(0, 4, (2**17, 8)) / 4.0
+        for child in range(2):
+            with _unique_calls() as calls:
+                peak, _ = _traced_peak(lambda: sum(map(len, ingest._text_blocks(points, child, 2))))
+            assert len(calls) == points.size // ingest.BLOCK_CELLS // 2 - 1
+            assert peak < points.nbytes / 4
         with _forked(2) as fork, _unique_calls() as calls:
             peak, _ = _traced_peak(lambda: write_points_csv(points, _Discard()))
-        assert fork.call_count == 1
-        assert len(calls) == points.size // ingest.BLOCK_CELLS // 2 - 1
+        assert fork.call_count == 2
+        assert calls == []
         assert peak < points.nbytes / 4
 
     def test_forked_writer_leaves_a_table_that_outgrows_a_block(self):
-        # this process formats blocks 0, 2, 4, ... of 25, and keeps its own
+        # each child formats every other block of 25, and keeps its own
         # table: from its second block, left during its fourth
         points = np.zeros((2**17, 3))
         points[:, 1] = 1.0
         points[:, 2] = np.random.default_rng(7).normal(size=2**17)
-        with _forked(2) as fork, _unique_calls() as calls:
+        for child in range(2):
+            with _unique_calls() as calls:
+                peak, _ = _traced_peak(lambda: sum(map(len, ingest._text_blocks(points, child, 2))))
+            assert len(calls) == 3
+            assert peak < 8 * 2**20
+        with _forked(2) as fork:
             peak, _ = _traced_peak(lambda: write_points_csv(points, _Discard()))
-        assert fork.call_count == 1
-        assert len(calls) == 3
+        assert fork.call_count == 2
         assert peak < 8 * 2**20
 
 
@@ -875,28 +886,28 @@ class TestForkedWriter:
         make, cells = _FORKED_CASES[case]
         points = make(workers)
         monkeypatch.setattr(ingest, "BLOCK_CELLS", cells)
-        with monkeypatch.context() as serial:
+        with monkeypatch.context() as serial, _unique_calls() as calls:
             serial.setattr(_pool, "worker_count", lambda tasks: 1)
             expected = _written(points)
         assert expected == _loop_csv(points.tolist())
-        with _forked(workers) as fork, _unique_calls() as calls:
-            assert _written(points) == expected
-        assert fork.call_count == workers - 1
-        # the table path runs in this process too, where it is taken
+        # the table path is taken where the values repeat
         assert bool(calls) == (case in ("8-bit image values", "two constant columns"))
+        with _forked(workers) as fork:
+            assert _written(points) == expected
+        assert fork.call_count == workers
 
     def test_same_bytes_at_a_path(self, tmp_path):
         # a ragged last block of the real size, written through output_file
         points = np.random.default_rng(6).normal(size=(5 * ingest.BLOCK_CELLS // 8 + 3, 8))
         with _forked(2) as fork:
             write_points_csv(points, tmp_path / "p.csv")
-        assert fork.call_count == 1
+        assert fork.call_count == 2
         assert (tmp_path / "p.csv").read_text(encoding="utf-8") == _loop_csv(points.tolist())
 
     def test_forks_for_two_blocks_a_process(self, two_cpus):
         # three blocks are fewer than two for each of two processes
         rows = ingest.BLOCK_CELLS // 8
-        for blocks, forks in [(1, 0), (3, 0), (4, 1)]:
+        for blocks, forks in [(1, 0), (3, 0), (4, 2)]:
             points = np.random.default_rng(blocks).normal(size=(blocks * rows, 8))
             with mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 assert _written(points) == _loop_csv(points.tolist())
@@ -913,11 +924,15 @@ class TestForkedWriter:
         return ["transform", "--input", str(source), "--model", str(model), "--output"]
 
     def test_killed_child_is_an_error(self, monkeypatch, two_cpus, tmp_path, capsys):
-        argv = self._transform_files(tmp_path)
+        # synth writes 10**4 points of dimension 8, five blocks, through the
+        # forked writer
+        identity = ";".join(",".join("1" if i == j else "0" for j in range(8)) for i in range(8))
+        argv = ["synth", "--mean", ",".join("0" * 8), "--cov", identity, "--count", "10000",
+                "--output"]
         text_blocks = ingest._text_blocks
 
         def killed(pts, first, step):
-            # a child dies at a signal after writing its first block
+            # child 1 dies at a signal after writing its first block
             for number, text in enumerate(text_blocks(pts, first, step)):
                 if first and number == 1:
                     os.kill(os.getpid(), signal.SIGKILL)
@@ -927,7 +942,7 @@ class TestForkedWriter:
         out = tmp_path / "w.csv"
         with mock.patch.object(os, "fork", wraps=os.fork) as fork:
             assert cli.run([*argv, str(out)]) == 2
-        assert fork.call_count == 1
+        assert fork.call_count == 2
         assert capsys.readouterr().err == f"error: {_pool._WORKER_ENDED} -9\n"
         assert not out.exists()
         nothing_left()
@@ -936,7 +951,7 @@ class TestForkedWriter:
         argv = self._transform_files(tmp_path)
         with mock.patch.object(os, "fork", wraps=os.fork) as fork:
             assert cli.run([*argv, "/dev/full"]) == 2
-        assert fork.call_count == 1
+        assert fork.call_count == 2
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         nothing_left()
 
@@ -950,7 +965,7 @@ class TestForkedWriter:
                 assert cli.run([*argv, f"/dev/fd/{write_end}"]) == 2
         finally:
             os.close(write_end)
-        assert fork.call_count == 1
+        assert fork.call_count == 2
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
         nothing_left()
 
@@ -970,9 +985,298 @@ class TestForkedWriter:
         finally:
             with suppress(BrokenPipeError):  # the rest of its buffer, if any
                 stream.close()
-        assert fork.call_count == 1
+        assert fork.call_count == 2
         assert raised.traceback
         nothing_left()
+
+
+def _ranged_csv(path, rows=20_000, dim=8, seed=20):
+    """A CSV of ``rows`` normal points, about 3.2 MB at the defaults: several ranges."""
+    points = np.random.default_rng(seed).normal(size=(rows, dim)) @ np.triu(np.ones((dim, dim)))
+    write_points_csv(points + 5.0, path)
+    return path
+
+
+def _files_of(argv_outputs):
+    return [path.read_bytes() for path in argv_outputs]
+
+
+class _Unrebuildable(Exception):
+    """An exception that pickles but cannot be rebuilt from its pickle."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+class TestOrderedMaps:
+    """``_pool.ordered_values`` and ``ordered_texts``: results in task order,
+    from forked children only, and a child's exception raised in the caller."""
+
+    @staticmethod
+    def _squares(fail_at=None, error=ValueError):
+        def produce(first, step):
+            for task in range(first, 10, step):
+                if task == fail_at:
+                    raise error("task", task) if error is _Unrebuildable else error(f"task {task}")
+                yield task * task
+        return produce
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_task_order(self, workers):
+        with _forked(workers) as fork:
+            assert list(_pool.ordered_values(self._squares(), 10)) == [t * t for t in range(10)]
+            texts = _pool.ordered_texts(lambda first, step: map(str, range(first, 10, step)), 10)
+            assert "".join(texts) == "0123456789"
+        assert fork.call_count == (0 if workers == 1 else 2 * workers)
+
+    def test_a_childs_exception_is_raised_at_its_task(self):
+        seen = []
+        with _forked(2), pytest.raises(ValueError, match="^task 5$"):
+            for value in _pool.ordered_values(self._squares(fail_at=5), 10):
+                seen.append(value)
+        assert seen == [0, 1, 4, 9, 16]
+
+    def test_an_exception_that_cannot_be_rebuilt_ends_the_child(self):
+        with _forked(2), pytest.raises(ChildProcessError, match=f"^{_pool._WORKER_ENDED} 1$"):
+            list(_pool.ordered_values(self._squares(fail_at=5, error=_Unrebuildable), 10))
+
+
+class TestByteRanges:
+    """A points file is read in ranges cut by its bytes alone, and the
+    commands' outputs do not depend on how many processes read them."""
+
+    def test_cuts_after_a_line_end_past_the_range_size(self, tmp_path):
+        path = _ranged_csv(tmp_path / "p.csv")
+        data = path.read_bytes()
+        spans = ingest._ranges(path)
+        assert len(spans) == -(-len(data) // ingest._RANGE_SIZE) > 2
+        assert [span.start for span in spans[1:]] == [span.stop for span in spans[:-1]]
+        assert (spans[0].start, spans[-1].stop) == (0, len(data))
+        for span in spans[:-1]:
+            assert span.stop - span.start >= ingest._RANGE_SIZE
+            assert data[span.stop - 1:span.stop] == b"\n"
+            assert b"\n" not in data[span.start + ingest._RANGE_SIZE - 1:span.stop - 1]
+        with mock.patch.object(ingest, "_RANGE_SIZE", 2**12):
+            assert len(ingest._ranges(path)) > len(spans)
+
+    def test_what_is_read_whole(self, tmp_path):
+        # a small file, a file with no LF, a stream and a pipe are one range
+        small = tmp_path / "small.csv"
+        small.write_text("1,2\n3,4\n5,7\n", encoding="utf-8")
+        lone_cr = tmp_path / "cr.csv"
+        lone_cr.write_bytes(b"1,2\r" * 2**19)
+        stream = io.BytesIO(b"1,2\n3,4\n")
+        assert [span.stop for span in ingest._ranges(small)] == [small.stat().st_size]
+        assert [span.stop for span in ingest._ranges(lone_cr)] == [2**21]
+        assert ingest._ranges(stream) == [stream]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        assert ingest._ranges(fifo) == [fifo]
+        assert ingest._ranges(tmp_path / "missing.csv") == [tmp_path / "missing.csv"]
+
+    def test_one_range_is_the_whole_read(self, tmp_path):
+        # the moments and the transformed points of a file of one range have
+        # the bits of the whole read
+        path = _ranged_csv(tmp_path / "p.csv", rows=2000)
+        assert len(ingest._ranges(path)) == 1
+        moments = ingest.read_moments(path)
+        expected = estimate_moments(read_points_csv(path))
+        assert moments.mean.tobytes() == expected.mean.tobytes()
+        assert moments.cov.tobytes() == expected.cov.tobytes()
+        whiten = whitening_transform(expected)
+        ingest.map_points_csv(path, whiten.apply, tmp_path / "w.csv")
+        assert (tmp_path / "w.csv").read_text(encoding="utf-8") == _written(
+            whiten.apply(read_points_csv(path)))
+
+    def test_many_ranges_agree_with_the_whole_read(self, tmp_path):
+        path = _ranged_csv(tmp_path / "p.csv")
+        moments = ingest.read_moments(path)
+        expected = estimate_moments(read_points_csv(path))
+        scale = np.abs(expected.cov).max()
+        assert np.abs(moments.cov - expected.cov).max() <= 1e-14 * scale
+        assert np.abs(moments.mean - expected.mean).max() <= 1e-14 * np.abs(expected.mean).max()
+        whiten = whitening_transform(expected)
+        ingest.map_points_csv(path, whiten.apply, tmp_path / "w.csv")
+        assert (tmp_path / "w.csv").read_text(encoding="utf-8") == _written(
+            whiten.apply(read_points_csv(path)))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_outputs_do_not_depend_on_the_process_count(self, tmp_path, workers):
+        path = _ranged_csv(tmp_path / "p.csv")
+        tasks = len(ingest._ranges(path))
+        outputs = [tmp_path / name for name in ("table.csv", "fit.json", "white.csv")]
+        argvs = [
+            ["report", "--input", str(path), "--means", "mean;5", "--format", "csv",
+             "--output", str(outputs[0])],
+            ["fit", "--input", str(path), "--family", "fixed-mean", "--mean", ",".join("5" * 8),
+             "--output", str(outputs[1])],
+            ["transform", "--input", str(path), "--model", str(outputs[1]),
+             "--output", str(outputs[2])],
+        ]
+        with _forked(1):
+            assert [cli.run(argv) for argv in argvs] == [0, 0, 0]
+        serial = _files_of(outputs)
+        with _forked(workers) as fork:
+            assert [cli.run(argv) for argv in argvs] == [0, 0, 0]
+        assert fork.call_count == (0 if workers == 1 else 3 * workers)
+        assert _files_of(outputs) == serial
+        assert tasks >= 3  # a task for each of three processes
+
+    def test_first_lines_belong_to_range_0(self, tmp_path, two_cpus):
+        # a byte-order mark, comment lines and a header, then rows over
+        # ranges of 4 KiB; the merge agrees with the whole read
+        rows = "".join(f"{i % 97},{-(i % 89)}.5,{i % 7}\n" for i in range(4000))
+        path = tmp_path / "p.csv"
+        path.write_text("\ufeff# comment\n\n#\nx,y,z\n" + rows, encoding="utf-8")
+        with mock.patch.object(ingest, "_RANGE_SIZE", 2**12):
+            spans = ingest._ranges(path)
+            assert len(spans) > 10
+            assert path.read_bytes().index(b"x,y,z") < spans[0].stop
+            assert ingest._range_points(spans[1]).shape[1] == 3
+            moments = ingest.read_moments(path)
+        expected = estimate_moments(read_points_csv(path))
+        assert len(read_points_csv(path)) == 4000
+        assert np.abs(moments.cov - expected.cov).max() <= 1e-14 * np.abs(expected.cov).max()
+
+    def test_a_header_past_range_0_is_read_whole(self, tmp_path, two_cpus):
+        # comment lines fill range 0, so its rows start in range 1: the
+        # range that meets the header sends the read back to the whole file
+        path = tmp_path / "p.csv"
+        rows = "".join(f"{i % 97},{i % 89}\n" for i in range(2000))
+        path.write_text("#\n" * 3000 + "x,y\n" + rows, encoding="utf-8")
+        with mock.patch.object(ingest, "_RANGE_SIZE", 2**12):
+            assert ingest._range_points(ingest._ranges(path)[0]).size == 0
+            moments = ingest.read_moments(path)
+        expected = estimate_moments(read_points_csv(path))
+        assert moments.cov.tobytes() == expected.cov.tobytes()
+
+    def test_a_row_of_names_past_range_0_is_an_error(self, tmp_path, two_cpus):
+        # only the first row kept may be a header, though a later range starts with it
+        with mock.patch.object(ingest, "_RANGE_SIZE", 2**10):
+            path = tmp_path / "p.csv"
+            path.write_text("".join(f"{i},{i % 7}\n" for i in range(2000)), encoding="utf-8")
+            cut = ingest._ranges(path)[2].start
+            data = path.read_bytes()
+            path.write_bytes(data[:cut] + b"x,y\n" + data[cut:])
+            line = data[:cut].count(b"\n") + 1
+            with pytest.raises(ParseError, match=f"^line {line}: could not parse row"):
+                ingest.read_moments(path)
+
+    def test_a_byte_order_mark_past_range_0_is_an_error(self, tmp_path, two_cpus):
+        # only the file's first character may be a byte-order mark
+        with mock.patch.object(ingest, "_RANGE_SIZE", 2**10):
+            path = tmp_path / "p.csv"
+            path.write_text("".join(f"{i},{i % 7}\n" for i in range(2000)), encoding="utf-8")
+            cut = ingest._ranges(path)[1].start
+            data = path.read_bytes()
+            path.write_bytes(data[:cut] + "\ufeff".encode("utf-8") + data[cut:])
+            line = data[:cut].count(b"\n") + 1
+            with pytest.raises(ParseError, match=f"^line {line}: could not parse row"):
+                ingest.read_moments(path)
+
+
+class TestOutputFile:
+    """A path is written through a temporary file beside it, which replaces it
+    only once the write is complete."""
+
+    def test_failed_write_leaves_an_existing_file(self, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(RuntimeError), ingest.output_file(out) as handle:
+            handle.write("partial\n")
+            raise RuntimeError("failed part way")
+        assert out.read_text(encoding="utf-8") == "kept\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_modes_of_new_and_replaced_files(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+        kept.write_text("old\n", encoding="utf-8")
+        kept.chmod(0o640)
+        for path in (fresh, kept):
+            with ingest.output_file(path) as handle:
+                handle.write("new\n")
+            assert path.read_text(encoding="utf-8") == "new\n"
+        assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert kept.stat().st_mode & 0o777 == 0o640
+
+    def test_what_is_written_in_place(self, tmp_path):
+        # a symbolic link is followed and its target written, as are devices
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("old\n", encoding="utf-8")
+        link.symlink_to(target)
+        with ingest.output_file(link) as handle:
+            handle.write("new\n")
+        assert link.is_symlink() and target.read_text(encoding="utf-8") == "new\n"
+        with ingest.output_file(os.devnull, binary=True) as handle:
+            handle.write(b"nothing\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+    def test_a_file_this_process_may_not_write_is_opened_in_place(self, tmp_path, monkeypatch):
+        # where open refuses the file, it refuses it as before; root may write it in place
+        out = tmp_path / "out.txt"
+        out.write_text("old\n", encoding="utf-8")
+        inode = out.stat().st_ino
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        with ingest.output_file(out) as handle:
+            handle.write("new\n")
+        assert (out.stat().st_ino, out.read_text(encoding="utf-8")) == (inode, "new\n")
+
+    def test_errors_name_the_destination(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as caught:
+            with ingest.output_file(""):
+                pass
+        assert str(caught.value) == "[Errno 2] No such file or directory: ''"
+        out = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as caught:
+            with ingest.output_file(out):
+                pass
+        assert str(caught.value) == f"[Errno 2] No such file or directory: '{out}'"
+        with pytest.raises(IsADirectoryError) as caught:
+            with ingest.output_file(tmp_path):
+                pass
+        assert str(caught.value) == f"[Errno 21] Is a directory: '{tmp_path}'"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_killed_writer_leaves_the_old_content(self, tmp_path, workers):
+        # the writing process dies at a signal after writing two of five
+        # blocks, in one process or with forked children
+        out = tmp_path / "p.csv"
+        out.write_text("kept\n", encoding="utf-8")
+        script = (
+            "import os, signal, sys\n"
+            "from contextlib import contextmanager\n"
+            "import numpy as np\n"
+            "from gaussmatch import _pool, ingest\n"
+            f"_pool.worker_count = lambda tasks: {workers}\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "written = []\n"
+            "class Killed:\n"
+            "    def __init__(self, handle):\n"
+            "        self.handle = handle\n"
+            "    def write(self, text):\n"
+            "        self.handle.write(text)\n"
+            "        self.handle.flush()\n"
+            "        written.append(None)\n"
+            "        if len(written) == 2:\n"
+            "            os.kill(os.getpid(), signal.SIGKILL)\n"
+            "output_file = ingest.output_file\n"
+            "def killed(destination):\n"
+            "    with output_file(destination) as handle:\n"
+            "        yield Killed(handle)\n"
+            "ingest.output_file = contextmanager(killed)\n"
+            "ingest.write_points_csv(np.ones((10**4, 8)), sys.argv[1])\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script, str(out)], capture_output=True)
+        assert result.returncode == -signal.SIGKILL
+        assert out.read_text(encoding="utf-8") == "kept\n"
+        # the killed process leaves its temporary file, whole blocks of it
+        (left,) = [path for path in tmp_path.iterdir() if path != out]
+        assert left.name.startswith(".gaussmatch-") and left.name.endswith(".tmp")
+        assert left.stat().st_size > 0
 
 
 def _gradient_raster(width=16, height=8, maxval=255):

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -573,6 +574,19 @@ class TestForkedMap:
         if where == "caller":
             # a process that fails empties the task pipe: no later task runs
             assert caller_tasks == [first]
+        assert fork_spy.call_count == 1
+        nothing_left()
+
+    def test_result_that_does_not_pickle(self, two_cpus, fork_spy):
+        # the child's pickling error is raised here, not a bare exit code
+        caller = os.getpid()
+
+        def unpicklable(state, task):
+            time.sleep(0.005)
+            return task if os.getpid() == caller else (lambda: task)
+
+        with pytest.raises((pickle.PicklingError, AttributeError), match="lambda"):
+            _pool.forked_map(unpicklable, None, list(range(40)))
         assert fork_spy.call_count == 1
         nothing_left()
 

@@ -92,6 +92,11 @@ def test_compare_outputs_prints_each_workload_peak(monkeypatch, capsys):
                          "--peak-rss"]) == 0
     lines = capsys.readouterr().out.splitlines()
     peaks = [line.split() for line in lines if line.startswith("peak-rss")]
+    # first each tree's import-only peak, below the peak of any command
+    assert peaks[0][:2] == ["peak-rss", "import"] and peaks[0][3::2] == ["MB", "MB"]
+    for column in (2, 4):
+        assert 0 < float(peaks[0][column]) <= min(float(fields[column + 3]) for fields in peaks[1:])
+    peaks = peaks[1:]
     assert [fields[1:4] for fields in peaks] == [["small-cli", "seed", "4"]] * 3
     assert [fields[4] for fields in peaks] == ["1:synth", "2:synth", "workload"]
     # the workload line holds, for each tree, the largest peak of its commands

@@ -216,7 +216,8 @@ def test_line_ends_have_one_home():
 def test_ppm_format_rules_have_one_home():
     # The sample type and the maxval bound are each written once, for the
     # reader, the writer and the raster check; the header is read by one
-    # token pattern, not a nested scanner.
+    # token pattern, not a nested scanner, in read_ppm or in _ppm_samples,
+    # which holds its scanner.
     found = {">u2": [], 65535: []}
     nested = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -224,7 +225,7 @@ def test_ppm_format_rules_have_one_home():
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and type(node.value) in (str, int) and node.value in found:
                 found[node.value].append(f"{path.name}:{node.lineno}")
-            if isinstance(node, ast.FunctionDef) and node.name == "read_ppm":
+            if isinstance(node, ast.FunctionDef) and node.name in ("read_ppm", "_ppm_samples"):
                 nested += [f"{path.name}:{child.lineno}" for child in ast.walk(node) if child is not node
                            and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
     assert {key: len(places) for key, places in found.items()} == {">u2": 1, 65535: 1}, found

@@ -4,10 +4,9 @@ Every map forks its workers with plain ``os.fork``: the children inherit
 the caller's state, and everything else it holds, without pickling; each
 writes its results to its own pipe, each behind its length in bytes, and
 leaves by ``os._exit``, so that it runs none of the caller's exit handlers
-and flushes none of its buffered streams.  An exception that a child's
-work raises is pickled and sent in place of its next result, and raised
-in the caller, as a serial run would raise it.  The end of a child's pipe
-before its last result means that it died, say at a signal, and raises
+and flushes none of its buffered streams.  The end of a child's pipe
+before its last result means that it died, say at a signal or at an
+exception of its work, which ends it with exit code 1, and raises
 ChildProcessError instead of leaving the caller waiting.  On any error
 every child is killed, and every child is waited for and every pipe
 closed before the error reaches the caller.  No module imports
@@ -50,10 +49,8 @@ _WORKER_ENDED = "a worker process ended with exit code"
 # Most bytes of a child's results that are read, or handed on, at a time.
 _PIECE_SIZE = 2**16
 
-# The bytes of the length that goes before each result on a child's pipe,
-# and the bit of that length that marks a pickled exception in its place.
+# The bytes of the length that goes before each result on a child's pipe.
 _LENGTH_SIZE = 8
-_FAILED = 1 << 63
 
 # The bytes of one entry of ``forked_map``'s task pipe, and the most entries:
 # 4096 bytes, Linux's PIPE_BUF, which an empty pipe takes in one write.
@@ -118,31 +115,18 @@ def _forked(children: int, results):
 def _serve(results, child: int, write_end: int, read_ends: list[int]) -> None:
     """Write each of the ``bytes`` of ``results(child)`` to ``write_end``
     behind its length, then leave the process: exit code 0 once all are
-    written, or once the exception that making one raised is written in its
-    place, and 1 on any other error.  The process's ``read_ends`` are closed
-    first."""
+    written, 1 on any error.  The process's ``read_ends`` are closed first."""
     code = 1
     try:
         for read_end in read_ends:
             os.close(read_end)
-        try:
-            for data in results(child):
-                _send(write_end, data, 0)
-        except Exception as error:
-            payload = pickle.dumps(error)
-            pickle.loads(payload)  # the caller can rebuild it, or this child ends with code 1
-            _send(write_end, payload, _FAILED)
+        for data in results(child):
+            view = memoryview(len(data).to_bytes(_LENGTH_SIZE, "little") + data)
+            while view:
+                view = view[os.write(write_end, view):]
         code = 0
     finally:
         os._exit(code)
-
-
-def _send(write_end: int, data: bytes, flag: int) -> None:
-    """Write ``data`` to a pipe behind its length, or'ed with ``flag``."""
-    for part in ((len(data) | flag).to_bytes(_LENGTH_SIZE, "little"), data):
-        view = memoryview(part)
-        while view:
-            view = view[os.write(write_end, view):]
 
 
 def _reap(pids: list, child: int) -> int:
@@ -190,9 +174,9 @@ def _ordered(produce, tasks: int, encode, relay):
     The tasks run in ``worker_count(tasks // 2)`` processes, so that each
     gets two or more; with one, this is ``produce(0, 1)`` in this process.
     Otherwise task i runs in forked child i % processes, which writes each
-    result, ``encode``d, to its pipe, and ``relay`` reads it there.  An
-    exception of a child's work is raised here at the task that raised it,
-    after the results of the tasks before it.
+    result, ``encode``d, to its pipe, and ``relay`` reads it there.  A
+    task that can fail in a way the caller handles should give a result
+    that says so: an exception of a child's work ends the child.
 
     A child that ends before its last result raises
     ChildProcessError("a worker process ended with exit code <code>").
@@ -227,12 +211,8 @@ def _relay_value(read_end: int, pids: list, child: int):
 
 
 def _result_size(read_end: int, pids: list, child: int) -> int:
-    """The size of the next result on a child's pipe; the exception the child
-    sent in its place is raised."""
-    word = int.from_bytes(_read_all(read_end, _LENGTH_SIZE, pids, child), "little")
-    if word & _FAILED:
-        raise pickle.loads(_read_all(read_end, word ^ _FAILED, pids, child))
-    return word
+    """The size of the next result on a child's pipe."""
+    return int.from_bytes(_read_all(read_end, _LENGTH_SIZE, pids, child), "little")
 
 
 def _read_all(read_end: int, size: int, pids: list, child: int) -> bytearray:
@@ -292,11 +272,8 @@ def forked_map(function, state, tasks) -> list:
     for data in buffers:
         at = 0
         while at < len(data):
-            word = int.from_bytes(data[at:at + _LENGTH_SIZE], "little")
-            size = word & ~_FAILED
+            size = int.from_bytes(data[at:at + _LENGTH_SIZE], "little")
             at += _LENGTH_SIZE + size
-            if word & _FAILED:  # a child could not pickle an outcome
-                raise pickle.loads(data[at - size:at])
             index, *outcome = pickle.loads(data[at - size:at])
             outcomes[index] = outcome
     results = []

@@ -23,7 +23,8 @@ sums of each range, merged in range order, or its transformed rows as
 text, written in range order.  No process holds the points of more than a
 range.  Any error in a range, or a file of one range, makes them read the
 file as ``read_points_csv`` does, from the start, so that a failure is
-that of the whole file.  ``write_points_csv`` formats points a block of
+that of the whole file: a range that meets an error gives a marker in
+place of its result, and errors of the output are raised as they come.  ``write_points_csv`` formats points a block of
 rows at a time, through ``_pool.ordered_texts``, which spreads the blocks
 of a large write over forked children and hands their text back in order.
 
@@ -64,26 +65,33 @@ from .linalg import BLOCK_CELLS, float_array, integer, require_seed, spd_factor
 
 
 @contextmanager
-def output_file(destination, binary: bool = False):
+def output_file(destination, binary: bool = False, in_place: bool = True):
     """Context manager giving a stream to write ``destination`` through.
 
     An open stream is handed back as it is, and left open.  A path is
     written as UTF-8 text, or as bytes when ``binary`` is true.  When it
-    names a regular file or nothing, the stream writes a new file beside
-    it, which ``os.replace`` puts in its place once the block and the final
-    close succeed, and which is removed when either raises: a write that
-    fails part way leaves an existing file as it was, and makes none.  The
-    new file takes the permission bits of the file it replaces, or else
-    ``0o666`` less the umask, as ``open`` would give it.  Anything else, a
-    symbolic link, a device, a pipe, ``/dev/stdout`` or a file this process
-    may not write, is opened and written in place, as ``open`` allows, and
-    a write that fails there leaves what it wrote.
+    names a regular file or nothing, in a folder this process may write,
+    the stream writes a new file beside it, which ``os.replace`` puts in
+    its place once the block and the final close succeed, and which is
+    removed when either raises: a write that fails part way leaves an
+    existing file as it was, and makes none.  The new file takes the
+    permission bits of the file it replaces, or else ``0o666`` less the
+    umask, as ``open`` would give it.  Anything else, a symbolic link, a
+    device, a pipe, ``/dev/stdout``, a file this process may not write or
+    one in a folder it may not write, is opened and written in place, as
+    ``open`` allows, with its mode untouched, and a write that fails there
+    leaves what it wrote.  With ``in_place`` false, a destination that
+    would be written in place, a stream included, is not opened, and the
+    block is given None.
     """
     if hasattr(destination, "write"):
-        yield destination
+        yield destination if in_place else None
         return
     path = os.fspath(destination)
     staged, bits = _staging(path)
+    if not (staged or in_place):
+        yield None
+        return
     # a name of its own length, so that any name the folder takes fits
     target = (os.path.join(os.path.dirname(path), f".gaussmatch-{os.urandom(8).hex()}.tmp")
               if staged else path)
@@ -94,7 +102,7 @@ def output_file(destination, binary: bool = False):
         raise type(error)(error.errno, error.strerror, path) from None
     try:
         with handle:
-            if bits is not None:
+            if bits is not None:  # given for a staged file only
                 os.chmod(handle.fileno(), bits)
             yield handle
         if staged:
@@ -106,17 +114,25 @@ def output_file(destination, binary: bool = False):
 
 
 def _staging(path: str) -> tuple[bool, int | None]:
-    """Whether ``output_file`` writes ``path`` through a temporary file, as
-    it does where it names a regular file that this process may write, or
-    names nothing and ends in a name, and the permission bits of the file.
-    Elsewhere ``open`` writes it, or names the error, as it always has."""
+    """Whether ``output_file`` writes ``path`` through a temporary file, and
+    the permission bits of the file it replaces, or None where it replaces
+    none or is not staged.
+
+    It is staged where the folder is one this process may write and the
+    path names a regular file that it may write, or names nothing and ends
+    in a name.  Elsewhere ``open`` writes it, or names the error, as it
+    always has."""
     try:
+        if not (os.path.basename(path) and os.access(os.path.dirname(path) or ".", os.W_OK)):
+            return False, None
         info = os.lstat(path)
     except FileNotFoundError:
-        return bool(os.path.basename(path)), None
+        return True, None
     except (OSError, ValueError):
         return False, None
-    return stat.S_ISREG(info.st_mode) and os.access(path, os.W_OK), stat.S_IMODE(info.st_mode)
+    if stat.S_ISREG(info.st_mode) and os.access(path, os.W_OK):
+        return True, stat.S_IMODE(info.st_mode)
+    return False, None
 
 
 def read_text(source) -> str:
@@ -311,41 +327,54 @@ def read_moments(source) -> Moments:
     ``_pool.ordered_values`` gives it, and merged in range order by
     ``merge_moment_sums``, so that the result depends on the file's bytes
     and not on the CPU count.  A file of one range, a stream, or a file
-    whose ranges meet any error is read by ``read_points_csv``, so that
-    the result then has its bits and the error is that of the whole file.
-    A child that ends at a signal raises ChildProcessError.
+    whose ranges meet any error, or do not merge, is read by
+    ``read_points_csv``, so that the result then has its bits and the
+    error is that of the whole file.  A child that ends at a signal raises
+    ChildProcessError.
     """
     spans = _ranges(source)
     if len(spans) > 1:
-        with _else_whole_file():
-            sums = None
-            with closing(ordered_values(partial(_range_sums, spans), len(spans))) as parts:
-                for part in parts:
-                    if part is not None:
-                        sums = part if sums is None else merge_moment_sums(sums, part)
-            return moments_from_sums(sums or (0, None, None))  # or no range held a point
+        with closing(ordered_values(partial(_range_sums, spans), len(spans))) as parts:
+            sums = _merged(parts)
+        if sums is not None:
+            return moments_from_sums(sums)
     return estimate_moments(read_points_csv(source))
 
 
-@contextmanager
-def _else_whole_file():
-    """Context in which an error of a read by ranges ends the block, so that
-    the caller reads the whole file, whose error, if any, is then raised in
-    file order; a child's death, ChildProcessError, is raised as it is."""
-    try:
-        yield
-    except ChildProcessError:
-        raise
-    except (GaussMatchError, OSError):
-        pass
+def _merged(parts):
+    """The ``moment_sums`` of ``_range_sums`` results merged in order, or
+    None at the first range that met an error or that does not merge, one
+    of another dimension or whose merge overflows."""
+    sums = _NO_POINTS
+    for part in parts:
+        if part is None:
+            return None
+        if not part[0]:
+            continue
+        try:
+            sums = merge_moment_sums(sums, part) if sums[0] else part
+        except GaussMatchError:
+            return None
+    return sums
+
+
+# The ``moment_sums`` of a range that holds no point.
+_NO_POINTS = (0, None, None)
 
 
 def _range_sums(spans: list, first: int, step: int):
-    """Generator of the ``moment_sums`` of ranges first, first + step, ...;
-    None for a range that holds no point."""
+    """Generator of the ``moment_sums`` of ranges first, first + step, ...,
+    ``_NO_POINTS`` for a range that holds no point; at a range that meets
+    an error, None, and no more."""
     for span in spans[first::step]:
-        points = _range_points(span)
-        yield moment_sums(points) if len(points) else None
+        try:
+            points = _range_points(span)
+            sums = moment_sums(points) if len(points) else _NO_POINTS
+        except (GaussMatchError, OSError):
+            sums = None
+        yield sums
+        if sums is None:
+            return
 
 
 def map_points_csv(source, function, destination) -> None:
@@ -357,31 +386,59 @@ def map_points_csv(source, function, destination) -> None:
     dimension than it takes.  Each range is decoded, mapped and formatted
     in the process that ``_pool.ordered_texts`` gives it, and its text is
     written in range order.  A file of one range, a stream, a destination
-    that is written in place, or a file whose ranges meet any error, is
-    read whole by ``read_points_csv``, so that an error is that of the
-    whole file, and an input error leaves an existing output as it was.
-    A child that ends at a signal raises ChildProcessError.
+    that ``output_file`` writes in place, or a file whose ranges meet any
+    error, is read whole by ``read_points_csv``, so that an error is that
+    of the whole file, and an input error leaves an existing output as it
+    was.  An error of the output is raised as it comes.  A child that ends
+    at a signal raises ChildProcessError.
     """
     spans = _ranges(source)
-    if len(spans) > 1 and not hasattr(destination, "write") and _staging(os.fspath(destination))[0]:
-        with _else_whole_file(), output_file(destination) as handle, closing(
-                ordered_texts(partial(_range_texts, spans, function), len(spans))) as texts:
-            rows = 0
-            for text in texts:
-                handle.write(text)
-                rows += text.count("\n")
-            if rows < 2:
-                raise InsufficientDataError(f"need at least 2 points, got {rows}")
-            return
+    if len(spans) > 1:
+        try:
+            with output_file(destination, in_place=False) as handle:
+                if handle is not None:
+                    _write_range_texts(spans, function, handle)
+                    return
+        except _RangeFailed:  # the temporary file is gone, the destination as it was
+            pass
     write_points_csv(function(read_points_csv(source)), destination)
+
+
+class _RangeFailed(Exception):
+    """A range of a points file met an error: the file is to be read whole."""
+
+
+# The text of a range that met an error, which no CSV text holds.
+_FAILED_TEXT = "\0"
+
+
+def _write_range_texts(spans: list, function, handle) -> None:
+    """Write the ``_range_texts`` of every range to ``handle``, in range
+    order; _RangeFailed at a range that met an error."""
+    with closing(ordered_texts(partial(_range_texts, spans, function), len(spans))) as texts:
+        rows = 0
+        for text in texts:
+            if text == _FAILED_TEXT:
+                raise _RangeFailed
+            handle.write(text)
+            rows += text.count("\n")
+    if rows < 2:
+        raise InsufficientDataError(f"need at least 2 points, got {rows}")
 
 
 def _range_texts(spans: list, function, first: int, step: int):
     """Generator of the CSV text of ``function`` of the points of ranges
-    first, first + step, ...; empty for a range that holds no point."""
+    first, first + step, ..., empty for a range that holds no point; at a
+    range that meets an error, ``_FAILED_TEXT``, and no more."""
     for span in spans[first::step]:
-        points = _range_points(span)
-        yield "".join(_text_blocks(function(points), 0, 1)) if len(points) else ""
+        try:
+            points = _range_points(span)
+            text = "".join(_text_blocks(function(points), 0, 1)) if len(points) else ""
+        except (GaussMatchError, OSError):
+            text = _FAILED_TEXT
+        yield text
+        if text == _FAILED_TEXT:
+            return
 
 
 def _data_rows(pieces, header: bool = True):

@@ -493,6 +493,48 @@ class TestRangedReads:
         assert source.read_bytes() == fresh.read_bytes()
         nothing_left()
 
+    @pytest.mark.parametrize("command", ["fit", "transform"])
+    def test_written_in_place_with_its_mode(self, ranged_data, tmp_path, two_cpus, command):
+        # a symbolic link's target, and /dev/stdout sent to a file, are
+        # written in place, with the bytes of a new file, and keep their mode
+        source, model, _ = _ranged_files(tmp_path, ranged_data)
+        fresh, target, link = tmp_path / "fresh", tmp_path / "target", tmp_path / "link"
+        assert run(_ranged_commands(source, model, fresh)[command]) == 0
+        target.write_text("old\n", encoding="utf-8")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        assert run(_ranged_commands(source, model, link)[command]) == 0
+        assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+        target.write_text("old\n", encoding="utf-8")
+        with target.open("w") as stdout:
+            result = subprocess.run(
+                [sys.executable, "-c", _RUN_CLI,
+                 *_ranged_commands(source, model, "/dev/stdout")[command]],
+                stdout=stdout, stderr=subprocess.PIPE, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert target.read_bytes() == fresh.read_bytes()
+        assert target.stat().st_mode & 0o777 == 0o640
+        nothing_left()
+
+    def test_an_output_error_is_not_retried(self, ranged_data, tmp_path):
+        # a write that fails at a file size limit is the error, and the
+        # file is not read whole to meet it again
+        source, model, existing = _ranged_files(tmp_path, ranged_data)
+        code = (
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from gaussmatch import ingest\n"
+            "def whole(source):\n"
+            "    raise SystemExit('read whole')\n"
+            "ingest.read_points_csv = whole\n"
+        ) + _RUN_CLI
+        result = run_with_file_size_limit(
+            10**6, code, *_ranged_commands(source, model, existing)["transform"])
+        assert (result.returncode, result.stderr) == (2, "error: [Errno 27] File too large\n")
+        assert existing.read_text(encoding="utf-8") == "kept\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "existing.csv", "m.json", "p.csv"]
+
 
 # Runs the command line of its arguments and prints its exit code and its
 # peak resident set in KiB, that of the children it waited for included.

@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import contextmanager, suppress
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -1001,23 +1002,16 @@ def _files_of(argv_outputs):
     return [path.read_bytes() for path in argv_outputs]
 
 
-class _Unrebuildable(Exception):
-    """An exception that pickles but cannot be rebuilt from its pickle."""
-
-    def __init__(self, a, b):
-        super().__init__(f"{a} {b}")
-
-
 class TestOrderedMaps:
     """``_pool.ordered_values`` and ``ordered_texts``: results in task order,
-    from forked children only, and a child's exception raised in the caller."""
+    from forked children only; an exception of a child's work ends it."""
 
     @staticmethod
-    def _squares(fail_at=None, error=ValueError):
+    def _squares(fail_at=None):
         def produce(first, step):
             for task in range(first, 10, step):
                 if task == fail_at:
-                    raise error("task", task) if error is _Unrebuildable else error(f"task {task}")
+                    raise ValueError(f"task {task}")
                 yield task * task
         return produce
 
@@ -1029,16 +1023,30 @@ class TestOrderedMaps:
             assert "".join(texts) == "0123456789"
         assert fork.call_count == (0 if workers == 1 else 2 * workers)
 
-    def test_a_childs_exception_is_raised_at_its_task(self):
+    def test_a_childs_exception_ends_it_at_its_task(self):
+        # the results of the tasks before it come first
         seen = []
-        with _forked(2), pytest.raises(ValueError, match="^task 5$"):
+        with _forked(2), pytest.raises(ChildProcessError, match=f"^{_pool._WORKER_ENDED} 1$"):
             for value in _pool.ordered_values(self._squares(fail_at=5), 10):
                 seen.append(value)
         assert seen == [0, 1, 4, 9, 16]
 
-    def test_an_exception_that_cannot_be_rebuilt_ends_the_child(self):
-        with _forked(2), pytest.raises(ChildProcessError, match=f"^{_pool._WORKER_ENDED} 1$"):
-            list(_pool.ordered_values(self._squares(fail_at=5, error=_Unrebuildable), 10))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_range_error_is_a_marker(self, tmp_path, workers):
+        # a range that meets an error says so in place of its result, and
+        # its process takes no more ranges
+        path = _ranged_csv(tmp_path / "p.csv")
+        spans = ingest._ranges(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:spans[1].start] + b"x" + data[spans[1].start:])
+        spans = spans[:2]
+        with _forked(workers):
+            assert [part is None for part in _pool.ordered_values(
+                partial(ingest._range_sums, spans), 2)] == [False, True]
+            texts = _pool.ordered_texts(partial(ingest._range_texts, spans, lambda x: x), 2)
+            assert list(texts)[-1] == ingest._FAILED_TEXT
+        spans = ingest._ranges(path)
+        assert [part is None for part in ingest._range_sums(spans, 1, len(spans) - 1)] == [True]
 
 
 class TestByteRanges:
@@ -1202,15 +1210,49 @@ class TestOutputFile:
         assert kept.stat().st_mode & 0o777 == 0o640
 
     def test_what_is_written_in_place(self, tmp_path):
-        # a symbolic link is followed and its target written, as are devices
+        # a symbolic link is followed and its target written, as are
+        # devices, and neither's mode is changed
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("old\n", encoding="utf-8")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        with mock.patch.object(os, "chmod", wraps=os.chmod) as chmod:
+            with ingest.output_file(link) as handle:
+                handle.write("new\n")
+            with ingest.output_file(os.devnull, binary=True) as handle:
+                handle.write(b"nothing\n")
+        assert chmod.call_count == 0
+        assert link.is_symlink() and target.read_text(encoding="utf-8") == "new\n"
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+    def test_a_file_in_a_folder_this_process_may_not_write_is_opened_in_place(
+            self, tmp_path, monkeypatch):
+        # no temporary file could be made beside it, so it is written as before
+        out = tmp_path / "out.txt"
+        out.write_text("old\n", encoding="utf-8")
+        inode = out.stat().st_ino
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: path != str(tmp_path)
+                            and access(path, mode))
+        with ingest.output_file(out) as handle:
+            handle.write("new\n")
+        assert (out.stat().st_ino, out.read_text(encoding="utf-8")) == (inode, "new\n")
+        assert ingest._staging(str(tmp_path / "new.txt")) == (False, None)
+
+    def test_what_is_not_written_in_place_is_not_opened(self, tmp_path):
+        # with in_place false, a destination that would be written in place
+        # is given as None, untouched; a staged one as a stream
         target, link = tmp_path / "target.txt", tmp_path / "link.txt"
         target.write_text("old\n", encoding="utf-8")
         link.symlink_to(target)
-        with ingest.output_file(link) as handle:
+        for destination in (link, os.devnull, io.StringIO()):
+            with ingest.output_file(destination, in_place=False) as handle:
+                assert handle is None
+        assert target.read_text(encoding="utf-8") == "old\n"
+        with ingest.output_file(target, in_place=False) as handle:
             handle.write("new\n")
-        assert link.is_symlink() and target.read_text(encoding="utf-8") == "new\n"
-        with ingest.output_file(os.devnull, binary=True) as handle:
-            handle.write(b"nothing\n")
+        assert target.read_text(encoding="utf-8") == "new\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["link.txt", "target.txt"]
 
     def test_a_file_this_process_may_not_write_is_opened_in_place(self, tmp_path, monkeypatch):
